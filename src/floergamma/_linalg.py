@@ -1,109 +1,112 @@
-"""Small exact linear algebra kernel: Gaussian elimination over Q and
+"""Small exact linear algebra kernel: one sparse echelon form over Q and
 fraction-free (Bareiss) elimination over Q[mu].
 
-Everything here works on plain lists of Fractions or of coefficient
-tuples; matrices at the scale of this package are tiny, so clarity wins
-over sparsity tricks.
+Rows over Q arrive dense (a sequence) or sparse (a map column -> value).
+`Echelon` keeps them as sparse maps in fully reduced row echelon form
+while they arrive one at a time, so a caller can watch the rank grow (the
+h-invariant's tower pass) and read a kernel basis whose vectors end at
+distinct free columns (the Gamma threshold).  The RREF of a row space is unique, so the kernel basis and
+solutions read from it do not depend on the order rows arrived in.
+`q_rank`, `q_kernel_basis` and `q_solve` are readers of that one form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterable, Sequence, Union
 
 from .novikov import POLY_ONE, QPoly, poly_divexact, poly_mul, poly_sub
+
+SparseRow = dict[int, Fraction]
+Row = Union[Sequence[Fraction], SparseRow]
+
+
+class Echelon:
+    """Incremental reduced row echelon form over Q.
+
+    `rows` maps each pivot column to its row; a row's pivot entry is 1, its
+    leftmost nonzero column, and zero in every other row.
+    """
+
+    def __init__(self, rows: Iterable[Row] = ()):
+        self.rows: dict[int, SparseRow] = {}
+        for row in rows:
+            self.add(row)
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def add(self, row: Row) -> bool:
+        """Insert a row, dense or sparse; True when the rank grew."""
+        entries = row.items() if isinstance(row, dict) else enumerate(row)
+        row = {c: Fraction(v) for c, v in entries if v}
+        # stored rows vanish on each other's pivots, so all multiples are read at once
+        for p, f in [(p, row[p]) for p in row if p in self.rows]:
+            for c, v in self.rows[p].items():
+                w = row.get(c, 0) - f * v
+                if w:
+                    row[c] = w
+                else:
+                    row.pop(c, None)
+        if not row:
+            return False
+        pivot = min(row)
+        inv = 1 / row[pivot]
+        row = {c: v * inv for c, v in row.items()}
+        for other in self.rows.values():
+            f = other.get(pivot)
+            if f:
+                for c, v in row.items():
+                    w = other.get(c, 0) - f * v
+                    if w:
+                        other[c] = w
+                    else:
+                        del other[c]
+        self.rows[pivot] = row
+        return True
+
+    def kernel(self, ncols: int) -> list[tuple[int, SparseRow]]:
+        """Right kernel basis as (free column, vector) pairs, by increasing column.
+
+        Each vector is 1 at its free column, zero at every later column and
+        at every other free column.
+        """
+        basis = []
+        for fc in range(ncols):
+            if fc in self.rows:
+                continue
+            vec = {fc: Fraction(1)}
+            for p, row in self.rows.items():
+                if fc in row:
+                    vec[p] = -row[fc]
+            basis.append((fc, vec))
+        return basis
+
+
+def _dense(vec: SparseRow, ncols: int) -> list[Fraction]:
+    return [vec.get(c, Fraction(0)) for c in range(ncols)]
 
 
 def q_rank(rows: list[list[Fraction]]) -> int:
     """Rank of a matrix over Q (rows may have any consistent width)."""
-    mat = [list(r) for r in rows if any(c != 0 for c in r)]
-    rank = 0
-    col = 0
-    width = max((len(r) for r in mat), default=0)
-    while rank < len(mat) and col < width:
-        pivot = None
-        for i in range(rank, len(mat)):
-            if mat[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            col += 1
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        pv = mat[rank][col]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col] != 0:
-                f = mat[i][col] / pv
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-        col += 1
-    return rank
+    return Echelon(rows).rank
 
 
 def q_kernel_basis(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
     """Basis of the right kernel of the matrix with the given column count."""
-    mat = [list(r) + [Fraction(0)] * (ncols - len(r)) for r in rows]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(rank, len(mat)):
-            if mat[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        pv = mat[rank][col]
-        mat[rank] = [a / pv for a in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -mat[r][fc]
-        basis.append(vec)
-    return basis
+    return [_dense(vec, ncols) for _, vec in Echelon(rows).kernel(ncols)]
 
 
 def q_solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """One solution of A x = b over Q, or None when inconsistent."""
+    """One solution of A x = b over Q (free unknowns 0), or None when inconsistent."""
     if not rows:
         return []
     ncols = max(len(r) for r in rows)
-    mat = [list(r) + [Fraction(0)] * (ncols - len(r)) + [b] for r, b in zip(rows, rhs)]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(rank, len(mat)):
-            if mat[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        pv = mat[rank][col]
-        mat[rank] = [a / pv for a in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
-        pivots.append(col)
-        rank += 1
-    for i in range(rank, len(mat)):
-        if mat[i][ncols] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = mat[r][ncols]
-    return x
+    ech = Echelon({**dict(enumerate(r)), ncols: b} for r, b in zip(rows, rhs))
+    if ncols in ech.rows:
+        return None
+    return _dense({p: row.get(ncols, Fraction(0)) for p, row in ech.rows.items()}, ncols)
 
 
 def poly_matrix_rank(rows: list[list[QPoly]]) -> int:

@@ -3,7 +3,9 @@
 One subcommand per calculator; all output is deterministic and
 line-oriented ("key = value"), rationals print as p/q, the infinite
 value prints as "inf".  Exit codes: 0 success or verification pass,
-1 verification failure, 2 malformed input.  Every subcommand accepts
+1 verification failure, 2 malformed input or a datum the calculators
+refuse (one failing validate, or one whose feasible sets are
+inconsistent).  Every subcommand accepts
 --json for a machine-readable object carrying the same values.
 """
 
@@ -27,6 +29,8 @@ from .cobordism import (
 from .equivariant import Window, verify_triangle
 from .floer_datum import InputError, load_datum, validate
 from .gamma import (
+    DatumInconsistencyError,
+    MonotonicityError,
     gamma,
     gamma_profile,
     h_invariant,
@@ -457,7 +461,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(_merge_dashed_values(list(argv)))
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, DatumInconsistencyError, MonotonicityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,34 +1,55 @@
 """The homology cobordism invariant Gamma, the h-invariant, and spectral bounds.
 
-For a validated datum, Gamma at an integer k is computed from the
-feasible sets of homogeneous chains:
+For a validated datum, Gamma at an integer k reads the feasible set of
+homogeneous chains alpha = sum s_g l^(r_g) g over the generators g of
+grading 4k-3 mod 8, the class of k.  Grouping image terms by (generator,
+exponent) makes every constraint a Q-linear row in the unknowns s:
 
-* k >= 1: unknowns s in Q^G over the generators G of grading 4k-3 mod 8
-  represent alpha = sum s_g l^(r_g) g.  The constraints d(alpha) = 0 and
-  d1(u^j alpha) = 0 for j < k-1 are Q-linear after grouping image terms
-  by (generator, exponent).  The objective functional F(s) reads off the
-  l^0 coefficient of d1(u^(k-1) alpha).  Gamma(k) is -t* where t* is the
-  largest support threshold over the energy lifts admitting a solution
-  with F != 0, and +inf when no such solution exists at all.
+* k >= 1: d(alpha) = 0 and d1(u^j alpha) = 0 for j < k-1; the objective
+  F(s) is the l^0 coefficient of d1(u^(k-1) alpha).
+* k <= 0: extra unknowns q_i (i = 0..-k, i = k mod 2) set
+  a_i = q_i l^((-k-i)/2), and the one constraint is
+  d(alpha) = sum_i u^i d2(a_i); the objective is q != 0.
 
-* k <= 0: additional unknowns q_i (i = 0..-k, i = k mod 2) set
-  a_i = q_i l^((-k-i)/2); the constraint is d(alpha) = sum u^i d2(a_i).
-  A solution with q != 0 and alpha = 0 forces the value 0; otherwise the
-  same threshold search over the alpha support applies, clamped at 0;
-  when no q != 0 solution exists the value is +inf.
+Gamma(k) is -t*, where t* is the largest energy lift t admitting a
+solution supported on {r_g >= t} with a nonzero objective, clamped at 0
+for k <= 0 (where a solution with alpha = 0 gives 0), and +inf when no
+solution has a nonzero objective.
 
-All searches are rank comparisons over Q, exact throughout.
+Filtration-ordered kernel basis.  Put the q columns first and the class
+in decreasing-lift order, and reduce the constraint rows to RREF once.
+The kernel basis read from it has one vector per free column fc, equal to
+1 there and zero at every later column and every other free column, so a
+kernel vector vanishing beyond column p is the combination of the basis
+vectors with fc <= p.  The solutions supported on {r_g >= t} are
+therefore spanned by the basis vectors whose lowest lift r(fc) is at
+least t, and a linear objective is nonzero on that span exactly when it
+is nonzero on one of them.  So t* is r(fc) of the first basis vector on
+which the objective is nonzero, and that vector is the witness.
+
+Incremental tower pass.  Within one grading class, which depends only on
+k mod 2, let C_k be the rows of d and of the levels d1(u^j e_g), j < k-1,
+and N_k the rows of level k-2, so that C_k = C_(k-1) u N_k.  Degree k is
+feasible (some solution has d1(u^(k-1) alpha) != 0) exactly when a row
+of N_(k+1) lies outside the row span of C_k, that is when adding level
+k-1 to one incremental echelon form raises its rank.  One pass per parity,
+stopped when the rank fills the class, the tower vanishes or k passes
+1 + 4n, gives every feasible degree k >= 1 at once.
+
+All arithmetic is exact over Q.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
-from ._linalg import q_kernel_basis, q_rank
+from ._linalg import Echelon, q_rank
 from .floer_datum import (
     FloerDatum,
     HomogeneousVector,
+    InputError,
     Report,
     validate,
 )
@@ -45,6 +66,10 @@ class DatumInconsistencyError(RuntimeError):
     """The feasible-set search produced a structurally impossible answer."""
 
 
+class InvalidDatumError(InputError):
+    """A datum failing validate, which the calculators refuse."""
+
+
 @dataclass(frozen=True)
 class SpecialSolution:
     """Witness of feasibility behind a finite gamma value."""
@@ -57,233 +82,125 @@ class SpecialSolution:
 def _require_valid(datum: FloerDatum):
     rep = validate(datum)
     if not rep.ok:
-        raise ValueError(f"datum {datum.name!r} fails validation: {rep}")
+        raise InvalidDatumError(f"datum {datum.name!r} fails validation: {rep}")
 
 
 def _grading_class(datum: FloerDatum, k: int) -> list[str]:
+    """Generators of grading 4k-3 mod 8, by decreasing energy lift."""
     residue = (4 * k - 3) % 8
-    return [g for g in datum.names() if datum.grading(g) % 8 == residue]
+    gens = [g for g in datum.names() if datum.grading(g) % 8 == residue]
+    return sorted(gens, key=datum.lift, reverse=True)
 
 
-def _rows_from_keyed(keyed_cols: list[dict], keys: list) -> list[list[Fraction]]:
-    return [[col.get(key, Fraction(0)) for col in keyed_cols] for key in keys]
+def _unit(datum: FloerDatum, g: str) -> dict:
+    return {g: NovikovElement.term(1, datum.lift(g))}
 
 
-def _d1_tower(datum: FloerDatum, start: dict, depth: int) -> list[NovikovElement]:
-    """d1(u^j alpha) for j = 0..depth-1, for a single chain vector."""
-    out = []
-    vec = start
-    for _ in range(depth):
-        out.append(datum.apply_d1(vec))
-        vec = datum.apply_u(vec)
-    return out
+def _keyed(image: dict, sign: int = 1) -> dict:
+    """A chain vector's coefficients keyed by (generator, exponent)."""
+    return {(h, e): sign * c for h, el in image.items() for c, e in el.items()}
 
 
-def _lambda_rows(values: list[NovikovElement]) -> tuple[list, list[dict]]:
-    """Group a list of per-column Novikov values into per-exponent Q-rows."""
-    keyed_cols = []
-    exps = set()
-    for el in values:
-        col = {e: c for c, e in el.items()}
-        keyed_cols.append(col)
-        exps.update(col)
-    return sorted(exps), keyed_cols
+def _rows(columns: list[dict]) -> list[dict[int, Fraction]]:
+    """Transpose keyed columns into sparse Q-rows, one per key."""
+    rows: dict = {}
+    for j, col in enumerate(columns):
+        for key, c in col.items():
+            rows.setdefault(key, {})[j] = c
+    return list(rows.values())
 
 
-def _positive_system(datum: FloerDatum, k: int, gens: list[str]):
-    """Constraint rows, objective row and any-nonzero rows for k >= 1."""
-    unit_vectors = [{g: NovikovElement.term(1, datum.lift(g))} for g in gens]
-
-    rows: list[list[Fraction]] = []
-    d_keyed = []
-    for vec in unit_vectors:
-        image = datum.apply_d(vec)
-        keyed = {}
-        for h, el in image.items():
-            for c, e in el.items():
-                keyed[(h, e)] = keyed.get((h, e), Fraction(0)) + c
-        d_keyed.append(keyed)
-    d_keys = sorted({key for col in d_keyed for key in col})
-    rows.extend(_rows_from_keyed(d_keyed, d_keys))
-
-    towers = [_d1_tower(datum, vec, k) for vec in unit_vectors]
-    for j in range(k - 1):
-        exps, keyed = _lambda_rows([t[j] for t in towers])
-        rows.extend(_rows_from_keyed(keyed, exps))
-
-    top = [t[k - 1] for t in towers]
-    objective = [el.coefficient(0) for el in top]
-    exps, keyed = _lambda_rows(top)
-    nonzero_rows = _rows_from_keyed(keyed, exps)
-    return rows, objective, nonzero_rows
+def _d_rows(datum: FloerDatum, gens: list[str]) -> list[dict[int, Fraction]]:
+    return _rows([_keyed(datum.apply_d(_unit(datum, g))) for g in gens])
 
 
-def _threshold_search(gens: list[str], lifts: dict[str, Fraction],
-                      solvable) -> Fraction | None:
-    """Largest t in the lift set with a solution supported on {r_g >= t}."""
-    for t in sorted({lifts[g] for g in gens}, reverse=True):
-        allowed = [i for i, g in enumerate(gens) if lifts[g] >= t]
-        if solvable(allowed):
-            return t
-    return None
+def _d1_levels(datum: FloerDatum, gens: list[str]):
+    """Level j = [d1(u^j e_g) for g in gens], for j = 0, 1, ... while some u^j e_g != 0."""
+    vecs = [_unit(datum, g) for g in gens]
+    while any(vecs):
+        yield [datum.apply_d1(v) for v in vecs]
+        vecs = [datum.apply_u(v) for v in vecs]
+
+
+def _add_level(ech: Echelon, level: list[NovikovElement]) -> None:
+    for row in _rows([{e: c for c, e in el.items()} for el in level]):
+        ech.add(row)
+
+
+def _witness(k: int, gens: list[str], vec: dict, q_indices=()) -> SpecialSolution:
+    nq = len(q_indices)
+    coeffs = {g: vec.get(nq + i, Fraction(0)) for i, g in enumerate(gens)}
+    alpha = HomogeneousVector(coeffs, (4 * k - 3) % 8, Fraction(0))
+    if k >= 1:
+        return SpecialSolution(k, alpha, None)
+    qs = [Fraction(0)] * (-k + 1)
+    for pos, i in enumerate(q_indices):
+        qs[i] = vec.get(pos, Fraction(0))
+    return SpecialSolution(k, alpha, tuple(qs))
 
 
 def _gamma_positive(datum: FloerDatum, k: int, want_witness: bool):
     gens = _grading_class(datum, k)
-    if not gens:
+    ech = Echelon(_d_rows(datum, gens))
+    levels = _d1_levels(datum, gens)
+    for level in islice(levels, k - 1):
+        _add_level(ech, level)
+    top = next(levels, None)
+    if top is None:
         return INF, None
-    rows, objective, _ = _positive_system(datum, k, gens)
-    lifts = {g: datum.lift(g) for g in gens}
-
-    def solvable(allowed: list[int]) -> bool:
-        sub = [[r[i] for i in allowed] for r in rows]
-        obj = [objective[i] for i in allowed]
-        if all(c == 0 for c in obj):
-            return False
-        return q_rank(sub + [obj]) > q_rank(sub)
-
-    t_star = _threshold_search(gens, lifts, solvable)
-    if t_star is None:
-        return INF, None
-    value = -t_star
-    witness = None
-    if want_witness:
-        allowed = [i for i, g in enumerate(gens) if lifts[g] >= t_star]
-        sub = [[r[i] for i in allowed] for r in rows]
-        obj = [objective[i] for i in allowed]
-        sol = _kernel_vector_with_nonzero(sub, [obj], len(allowed))
-        coeffs = {gens[i]: Fraction(0) for i in range(len(gens))}
-        for idx, val in zip(allowed, sol):
-            coeffs[gens[idx]] = val
-        witness = SpecialSolution(
-            k, HomogeneousVector(coeffs, (4 * k - 3) % 8, Fraction(0)), None
-        )
-    return value, witness
+    objective = [el.coefficient(0) for el in top]
+    for fc, vec in ech.kernel(len(gens)):
+        if sum(objective[c] * x for c, x in vec.items()) != 0:
+            return -datum.lift(gens[fc]), (_witness(k, gens, vec) if want_witness else None)
+    return INF, None
 
 
-def _kernel_vector_with_nonzero(rows, functionals, ncols) -> list[Fraction]:
-    """A kernel vector of `rows` on which some functional is nonzero."""
-    basis = q_kernel_basis(rows, ncols)
-
-    def hits(vec):
-        return any(sum(f[i] * vec[i] for i in range(ncols)) != 0 for f in functionals)
-
-    # A linear functional nonzero on the kernel is nonzero on a basis vector.
-    for vec in basis:
-        if hits(vec):
-            return vec
-    raise DatumInconsistencyError("feasibility claimed but no witness found")
-
-
-def _nonpositive_system(datum: FloerDatum, k: int, gens: list[str]):
-    """Constraint rows for d(alpha) = sum u^i d2(a_i), unknowns (s, q)."""
+def _nonpositive_system(datum: FloerDatum, k: int):
+    """Sparse rows of d(alpha) - sum_i u^i d2(a_i): q columns, then the class."""
+    gens = _grading_class(datum, k)
     q_indices = [i for i in range(0, -k + 1) if (i - k) % 2 == 0]
-
-    keyed_cols = []
-    for g in gens:
-        vec = {g: NovikovElement.term(1, datum.lift(g))}
-        image = datum.apply_d(vec)
-        keyed = {}
-        for h, el in image.items():
-            for c, e in el.items():
-                keyed[(h, e)] = keyed.get((h, e), Fraction(0)) + c
-        keyed_cols.append(keyed)
-    for i in q_indices:
-        lam = NovikovElement.term(1, Fraction(-k - i, 2))
-        image = datum.apply_u_power(datum.apply_d2(lam), i)
-        keyed = {}
-        for h, el in image.items():
-            for c, e in el.items():
-                keyed[(h, e)] = keyed.get((h, e), Fraction(0)) - c
-        keyed_cols.append(keyed)
-
-    keys = sorted({key for col in keyed_cols for key in col})
-    rows = _rows_from_keyed(keyed_cols, keys)
-    return rows, q_indices
+    columns = [
+        _keyed(datum.apply_u_power(
+            datum.apply_d2(NovikovElement.term(1, Fraction(-k - i, 2))), i), -1)
+        for i in q_indices]
+    columns += [_keyed(datum.apply_d(_unit(datum, g))) for g in gens]
+    return gens, q_indices, _rows(columns)
 
 
-def _has_kernel_with_nonzero_block(rows, ncols, block: list[int]) -> bool:
+def _first_kernel_hit(rows, ncols: int, block) -> tuple[int, dict] | None:
+    """(free column, vector) of the first kernel basis vector nonzero in `block`."""
+    block = set(block)
+    for fc, vec in Echelon(rows).kernel(ncols):
+        if not block.isdisjoint(vec):
+            return fc, vec
+    return None
+
+
+def _has_kernel_with_nonzero_block(rows, ncols, block) -> bool:
     """Does the kernel contain a vector nonzero somewhere in `block`?"""
-    if not block:
-        return False
-    outside = [i for i in range(ncols) if i not in block]
-    rank_full = q_rank(rows)
-    rank_outside = q_rank([[row[i] for i in outside] for row in rows])
-    # dim ker(full) > dim ker(restricted to block = 0)
-    return (ncols - rank_full) > (len(outside) - rank_outside)
+    return _first_kernel_hit(rows, ncols, block) is not None
 
 
 def _gamma_nonpositive(datum: FloerDatum, k: int, want_witness: bool):
-    gens = _grading_class(datum, k)
-    rows, q_indices = _nonpositive_system(datum, k, gens)
-    ns, nq = len(gens), len(q_indices)
-    ncols = ns + nq
-    q_block = list(range(ns, ncols))
-
-    # (a) q != 0 with alpha = 0
-    q_only = [[row[i] for i in q_block] for row in rows]
-    if nq and q_rank(q_only) < nq:
-        witness = None
-        if want_witness:
-            vec = _kernel_vector_with_nonzero(
-                q_only, [[1 if j == i else 0 for j in range(nq)] for i in range(nq)],
-                nq)
-            witness = _package_nonpositive_witness(datum, k, gens, q_indices,
-                                                   [Fraction(0)] * ns + vec)
-        return Fraction(0), witness
-
-    # (b) q != 0 with alpha unrestricted, threshold search on the alpha support
-    if not _has_kernel_with_nonzero_block(rows, ncols, q_block):
+    gens, q_indices, rows = _nonpositive_system(datum, k)
+    nq = len(q_indices)
+    # (a) a solution with q != 0 and alpha = 0 gives 0; only a witness needs the kernel
+    if q_rank([[row.get(c, 0) for c in range(nq)] for row in rows]) < nq \
+            and not want_witness:
+        return Fraction(0), None
+    hit = _first_kernel_hit(rows, nq + len(gens), range(nq))
+    if hit is None:
         return INF, None
-
-    lifts = {g: datum.lift(g) for g in gens}
-
-    def solvable(allowed: list[int]) -> bool:
-        cols = allowed + q_block
-        sub = [[row[i] for i in cols] for row in rows]
-        return _has_kernel_with_nonzero_block(
-            sub, len(cols), list(range(len(allowed), len(cols))))
-
-    t_star = _threshold_search(gens, lifts, solvable)
-    if t_star is None:
-        raise DatumInconsistencyError(
-            "q-feasible system lost feasibility at the loosest threshold")
-    value = max(Fraction(0), -t_star)
-    witness = None
-    if want_witness:
-        allowed = [i for i, g in enumerate(gens) if lifts[g] >= t_star]
-        cols = allowed + q_block
-        sub = [[row[i] for i in cols] for row in rows]
-        nq_off = len(allowed)
-        vec = _kernel_vector_with_nonzero(
-            sub,
-            [[1 if j == nq_off + i else 0 for j in range(len(cols))]
-             for i in range(nq)],
-            len(cols))
-        full = [Fraction(0)] * ncols
-        for pos, col in enumerate(cols):
-            full[col] = vec[pos]
-        witness = _package_nonpositive_witness(datum, k, gens, q_indices, full)
-    return value, witness
-
-
-def _package_nonpositive_witness(datum, k, gens, q_indices, full):
-    ns = len(gens)
-    coeffs = {g: full[i] for i, g in enumerate(gens)}
-    qs = [Fraction(0)] * (-k + 1)
-    for pos, i in enumerate(q_indices):
-        qs[i] = full[ns + pos]
-    return SpecialSolution(
-        k, HomogeneousVector(coeffs, (4 * k - 3) % 8, Fraction(0)), tuple(qs)
-    )
+    fc, vec = hit
+    value = Fraction(0) if fc < nq else max(Fraction(0), -datum.lift(gens[fc - nq]))
+    return value, (_witness(k, gens, vec, q_indices) if want_witness else None)
 
 
 def gamma(datum: FloerDatum, k: int, want_witness: bool = False):
     """Gamma at the integer k; optionally with a feasibility witness.
 
     Returns the value alone, or a (value, witness) pair when
-    want_witness is set; the witness is None for infinite values and for
-    the alpha = 0 branch value 0 without request.
+    want_witness is set; the witness is None for infinite values.
     """
     _require_valid(datum)
     if k >= 1:
@@ -309,6 +226,27 @@ def gamma_profile(datum: FloerDatum, k_min: int, k_max: int):
 # Feasible-set emptiness and the h-invariant
 # ---------------------------------------------------------------------------
 
+def _largest_positive_degree(datum: FloerDatum, k_top: int) -> int | None:
+    """Largest feasible degree k in 1..k_top of the class of k_top, or None.
+
+    One incremental pass over the class: degree j+1 is feasible when tower
+    level j raises the rank of the d rows and the levels below.  Levels
+    with j+1 of the other parity vanish when d1 lives on grading 1 and u
+    lowers grading by 4, as validate demands, so they never raise it.
+    """
+    gens = _grading_class(datum, k_top)
+    ech = Echelon(_d_rows(datum, gens))
+    best = None
+    for j, level in enumerate(islice(_d1_levels(datum, gens), max(k_top, 0))):
+        if ech.rank == len(gens):
+            break
+        rank = ech.rank
+        _add_level(ech, level)
+        if ech.rank > rank:
+            best = j + 1
+    return best
+
+
 def feasible_nonempty(datum: FloerDatum, k: int) -> bool:
     """Is the degree-k feasible set nonempty?
 
@@ -317,36 +255,35 @@ def feasible_nonempty(datum: FloerDatum, k: int) -> bool:
     with q != 0.
     """
     if k >= 1:
-        gens = _grading_class(datum, k)
-        if not gens:
-            return False
-        rows, _, nonzero_rows = _positive_system(datum, k, gens)
-        base = q_rank(rows)
-        return q_rank(rows + nonzero_rows) > base
-    gens = _grading_class(datum, k)
-    rows, q_indices = _nonpositive_system(datum, k, gens)
-    ncols = len(gens) + len(q_indices)
-    return _has_kernel_with_nonzero_block(
-        rows, ncols, list(range(len(gens), ncols)))
+        return _largest_positive_degree(datum, k) == k
+    gens, q_indices, rows = _nonpositive_system(datum, k)
+    nq = len(q_indices)
+    return _has_kernel_with_nonzero_block(rows, nq + len(gens), range(nq))
 
 
 def h_invariant(datum: FloerDatum) -> int:
     """Half the largest k with a nonempty feasible set.
 
-    Searches k downward from 1 + 4 * (number of generators); a
-    guaranteed kernel argument bounds the search below.  An odd maximal
-    k is reported as a datum inconsistency.
+    Degrees 1 <= k <= 1 + 4 * (number of generators) come from one tower
+    pass per parity; only when none is feasible are k = 0, -1, ... probed,
+    down to a bound that a guaranteed kernel argument supplies.  An odd
+    maximal k is reported as a datum inconsistency.
     """
     _require_valid(datum)
     n = len(datum.generators)
-    for k in range(1 + 4 * n, -(2 * n + 5), -1):
-        if feasible_nonempty(datum, k):
-            if k % 2 != 0:
-                raise DatumInconsistencyError(
-                    f"largest feasible degree {k} is odd on {datum.name!r}")
-            return k // 2
-    raise DatumInconsistencyError(
-        f"no feasible degree found for {datum.name!r}; h undefined")
+    k = max((k for k in (_largest_positive_degree(datum, 1 + 4 * n),
+                         _largest_positive_degree(datum, 4 * n)) if k is not None),
+            default=None)
+    if k is None:
+        k = next((k for k in range(0, -(2 * n + 5), -1) if feasible_nonempty(datum, k)),
+                 None)
+    if k is None:
+        raise DatumInconsistencyError(
+            f"no feasible degree found for {datum.name!r}; h undefined")
+    if k % 2 != 0:
+        raise DatumInconsistencyError(
+            f"largest feasible degree {k} is odd on {datum.name!r}")
+    return k // 2
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +302,7 @@ def _nonnegative_fractional(x: Fraction) -> Fraction:
 def tau_lower_bound(datum: FloerDatum) -> Fraction:
     """min { r > 0 : r = -r_g mod 1 for some generator g }."""
     if not datum.generators:
-        raise ValueError("empty datum has no irreducible classes")
+        raise InputError("empty datum has no irreducible classes")
     return min(_positive_fractional(-g.energy_lift) for g in datum.generators)
 
 
@@ -373,7 +310,7 @@ def tau_prime_lower_bound(datum: FloerDatum) -> Fraction:
     """min over ordered generator pairs of the positive representative of
     r_g' - r_g mod 1 (the difference 0 contributes 1)."""
     if not datum.generators:
-        raise ValueError("empty datum has no irreducible classes")
+        raise InputError("empty datum has no irreducible classes")
     lifts = [g.energy_lift for g in datum.generators]
     return min(_positive_fractional(r2 - r1) for r1 in lifts for r2 in lifts)
 

@@ -6,13 +6,25 @@ maps carry -r_g (on negative lifts) and r_h (on positive lifts).  With a
 zero differential the square-zero identities then reduce to the
 vanishing of the d2/d1 cross term, arranged by keeping one of the two
 coefficient maps zero per datum.
+
+Two transforms leave Gamma and h unchanged and make d nonzero, so they
+turn these data into tests of the differential's rows: a filtered
+unipotent change of basis inside one grading and a direct sum with an
+acyclic pair.
 """
 
 from fractions import Fraction
 from random import Random
 
 from floergamma.cobordism import CobordismDatum
-from floergamma.floer_datum import FloerDatum, Generator, LambdaMatrix, validate
+from floergamma.floer_datum import (
+    FloerDatum,
+    Generator,
+    LambdaMatrix,
+    validate,
+    vec_add,
+    vec_sub,
+)
 from floergamma.novikov import NovikovElement
 
 DENOMINATORS = (2, 3, 4, 5, 6, 8, 12)
@@ -126,6 +138,63 @@ def zero_map_datum(rng: Random, max_gens: int = 4, name: str = "blank") -> Floer
     n = rng.randint(1, max_gens)
     gens = [Generator(f"z{i}", rng.randrange(8), random_lift(rng)) for i in range(n)]
     return FloerDatum(name, gens, LambdaMatrix(), LambdaMatrix(), {}, {})
+
+
+def filtered_basis_change(rng: Random, datum: FloerDatum, shears: int = 3) -> FloerDatum:
+    """Rewrite every map in the basis g' = g + c l^(r_h - r_g) h, for random
+    g, h of one grading with r_h > r_g, `shears` times over."""
+    for _ in range(shears):
+        pairs = [(g, h) for g in datum.names() for h in datum.names()
+                 if datum.grading(g) == datum.grading(h)
+                 and datum.lift(h) > datum.lift(g)]
+        if not pairs:
+            return datum
+        g, h = rng.choice(pairs)
+        s = NovikovElement.term(rng.choice((-2, -1, 1, 2)),
+                                datum.lift(h) - datum.lift(g))
+
+        def to_old(vec, g=g, h=h, s=s):  # new coordinates -> old
+            return vec_add(vec, {h: vec[g] * s}) if g in vec else vec
+
+        def to_new(vec, g=g, h=h, s=s):  # old coordinates -> new
+            return vec_sub(vec, {h: vec[g] * s}) if g in vec else vec
+
+        def conjugate(mat: LambdaMatrix, to_old=to_old, to_new=to_new) -> LambdaMatrix:
+            new = LambdaMatrix()
+            for x in datum.names():
+                for y, el in to_new(mat.apply(to_old({x: NovikovElement.one()}))).items():
+                    new.set(x, y, el)
+            return new
+
+        d1 = {x: datum.apply_d1(to_old({x: NovikovElement.one()})) for x in datum.names()}
+        d2 = to_new(datum.apply_d2(NovikovElement.one()))
+        datum = FloerDatum(datum.name, datum.generators, conjugate(datum.d),
+                           conjugate(datum.u), d1, d2)
+    return datum
+
+
+def with_acyclic_pair(rng: Random, datum: FloerDatum) -> FloerDatum:
+    """Direct sum with x -> y, d x = c l^(r_y - r_x) y; x mostly lands in a
+    grading that Gamma reads (1 or 5)."""
+    x, y = "ax", "ay"
+    while x in datum.names() or y in datum.names():
+        x, y = x + "'", y + "'"
+    grading = rng.choice((1, 5, 1, 5, rng.randrange(8)))
+    gx = Generator(x, grading, random_lift(rng))
+    gy = Generator(y, (grading - 1) % 8, random_lift(rng))
+    d = LambdaMatrix(dict(datum.d.iter_pairs()))
+    d.set(x, y, NovikovElement.term(rng.choice((-2, -1, 1, 2)),
+                                    gy.energy_lift - gx.energy_lift))
+    return FloerDatum(datum.name, datum.generators + [gx, gy], d,
+                      LambdaMatrix(dict(datum.u.iter_pairs())), datum.d1, datum.d2)
+
+
+def transformed_datum(rng: Random, datum: FloerDatum) -> FloerDatum:
+    """An acyclic pair, then shears that spread its d over the datum."""
+    out = filtered_basis_change(rng, with_acyclic_pair(rng, datum), shears=4)
+    rep = validate(out)
+    assert rep.ok, rep.failures
+    return out
 
 
 def random_trivial_cobordism(rng: Random, datum: FloerDatum) -> CobordismDatum:

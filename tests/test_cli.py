@@ -67,6 +67,28 @@ def test_validate_exit_codes(capsys, tmp_path):
     assert code == 1 and "fail" in out
 
 
+def test_refused_data_exit_2(capsys, tmp_path):
+    # schema-valid, but d2∘d1 != 0: the calculators refuse it without a traceback
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps({
+        "name": "broken",
+        "generators": [
+            {"name": "a", "grading": 1, "energy_lift": "-1/2"},
+            {"name": "b", "grading": 4, "energy_lift": "1/2"},
+        ],
+        "d": [], "u": [],
+        "d1": [{"from": "a", "terms": [{"coeff": "1", "exp": "1/2"}]}],
+        "d2": [{"to": "b", "terms": [{"coeff": "1", "exp": "1/2"}]}],
+    }))
+    for argv in (["gamma", str(broken), "--k", "1"],
+                 ["gamma", str(broken), "--range", "-4..4"],
+                 ["h", str(broken)],
+                 ["bounds", "s3"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error:") and "Traceback" not in err, argv
+
+
 def test_triangle_command(capsys):
     code, out, _ = run(capsys, "triangle", "neg_sigma_2_3_5", "--window", "6,4")
     assert code == 0 and out == "triangle: ok\n"

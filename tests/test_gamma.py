@@ -1,14 +1,27 @@
 """The invariant: golden values, monotonicity, h, bounds, oracle agreement."""
 
 import itertools
+import json
 from fractions import Fraction
 from random import Random
 
 import pytest
 
 from floergamma import _linalg
-from floergamma.floer_datum import load_datum, vec_is_zero
+from floergamma.cli import main
+from floergamma.floer_datum import (
+    FloerDatum,
+    Generator,
+    LambdaMatrix,
+    datum_to_json,
+    load_datum,
+    vec_add,
+    vec_is_zero,
+)
 from floergamma.gamma import (
+    DatumInconsistencyError,
+    InvalidDatumError,
+    _has_kernel_with_nonzero_block,
     check_cs_trichotomy,
     eta_lower_bound,
     feasible_nonempty,
@@ -20,7 +33,13 @@ from floergamma.gamma import (
 )
 from floergamma.novikov import INF, NovikovElement, mdeg_tuple
 
-from datagen import random_datum, random_small_datum
+from datagen import (
+    filtered_basis_change,
+    random_datum,
+    random_small_datum,
+    transformed_datum,
+    with_acyclic_pair,
+)
 
 
 @pytest.fixture(scope="module")
@@ -92,19 +111,37 @@ def test_h_invariants(s3, sigma, neg_sigma, remark):
 
 
 def test_gamma_rejects_invalid_datum(sigma):
-    from floergamma.floer_datum import FloerDatum, Generator, LambdaMatrix
-
     bad = FloerDatum("bad",
                      [Generator("alpha", 1, Fraction(-1, 120)),
                       Generator("beta", 4, Fraction(-49, 120))],
                      LambdaMatrix(), sigma.u, sigma.d1, {})
     with pytest.raises(ValueError):
         gamma(bad, 1)
+    for call in (lambda: gamma(bad, -2), lambda: h_invariant(bad)):
+        with pytest.raises(InvalidDatumError):
+            call()
+
+
+def test_odd_largest_feasible_degree_is_refused(tmp_path, capsys):
+    # one d1 source and no u: degree 1 is the only feasible degree
+    odd = FloerDatum("odd", [Generator("a", 1, Fraction(-1, 3))],
+                     LambdaMatrix(), LambdaMatrix(),
+                     {"a": NovikovElement.term(2, Fraction(1, 3))}, {})
+    assert feasible_nonempty(odd, 1)
+    assert not any(feasible_nonempty(odd, k) for k in range(2, 6))
+    with pytest.raises(DatumInconsistencyError):
+        h_invariant(odd)
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps(datum_to_json(odd)))
+    assert main(["h", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "odd" in err and "Traceback" not in err
 
 
 def test_witness_soundness(sigma, neg_sigma, remark):
     rng = Random(37)
     data = [sigma, neg_sigma, remark] + [random_datum(rng) for _ in range(40)]
+    data += [transformed_datum(rng, datum) for datum in data]
     for datum in data:
         for k in range(-3, 3):
             value, witness = gamma(datum, k, want_witness=True)
@@ -126,7 +163,6 @@ def test_witness_soundness(sigma, neg_sigma, remark):
                 qs = witness.a_tuple
                 assert qs is not None and any(q != 0 for q in qs)
                 rhs = {}
-                from floergamma.floer_datum import vec_add
                 for i, q in enumerate(qs):
                     if q == 0:
                         continue
@@ -198,69 +234,102 @@ def test_finiteness_threshold_random_data():
             assert (gamma(datum, k) != INF) == (k <= 2 * h), (k, h)
 
 
+def rational_shadow(datum):
+    """feasible_nonempty from every map evaluated at l = 1, one dense system
+    and a fresh rank comparison per degree.
+
+    Exact for energy-additive data, where every entry from g to h carries
+    the exponent r_h - r_g: each image then has one exponent per generator.
+    """
+    names = datum.names()
+    idx = {g: i for i, g in enumerate(names)}
+    n = len(names)
+
+    def ev_matrix(matrix):
+        m = [[Fraction(0)] * n for _ in range(n)]
+        for s, t, el in matrix.entries():
+            m[idx[t]][idx[s]] += el.evaluate_at_one()
+        return m
+
+    def mat_vec(m, vec):
+        return [sum(m[t][s] * vec[s] for s in range(n)) for t in range(n)]
+
+    d_m = ev_matrix(datum.d)
+    u_m = ev_matrix(datum.u)
+    d1_v = [datum.d1.get(g, NovikovElement.zero()).evaluate_at_one() for g in names]
+    d2_v = [datum.d2.get(g, NovikovElement.zero()).evaluate_at_one() for g in names]
+    towers = {}  # generator index -> ([d1(u^j e_i) for j < len], next u^j e_i)
+
+    def tower(i, depth):
+        col, vec = towers.get(i, ([], [Fraction(int(t == i)) for t in range(n)]))
+        while len(col) < depth:
+            col.append(sum(d1_v[t] * vec[t] for t in range(n)))
+            vec = mat_vec(u_m, vec) if any(vec) else vec
+        towers[i] = col, vec
+        return col
+
+    def nonempty(k):
+        gens = [i for i, g in enumerate(names)
+                if datum.grading(g) % 8 == (4 * k - 3) % 8]
+        if k >= 1:
+            if not gens:
+                return False
+            rows = [[d_m[t][i] for i in gens] for t in range(n)]
+            cols = [tower(i, k) for i in gens]
+            rows += [[col[j] for col in cols] for j in range(k - 1)]
+            functional = [col[k - 1] for col in cols]
+            return _linalg.q_rank(rows + [functional]) > _linalg.q_rank(rows)
+        q_idx = [i for i in range(0, -k + 1) if (i - k) % 2 == 0]
+        cols = [[d_m[t][i] for t in range(n)] for i in gens]
+        for i in q_idx:
+            vec = list(d2_v)
+            for _ in range(i):
+                vec = mat_vec(u_m, vec)
+            cols.append([-v for v in vec])
+        rows = [[col[t] for col in cols] for t in range(n)]
+        return _has_kernel_with_nonzero_block(
+            rows, len(cols), list(range(len(gens), len(cols))))
+
+    return nonempty
+
+
 def test_feasible_set_matches_rational_shadow():
     rng = Random(53)
     for _ in range(60):
         datum = random_datum(rng)
-        names = datum.names()
-        idx = {g: i for i, g in enumerate(names)}
-        n = len(names)
-
-        def ev_matrix(matrix):
-            m = [[Fraction(0)] * n for _ in range(n)]
-            for s, t, el in matrix.entries():
-                m[idx[t]][idx[s]] += el.evaluate_at_one()
-            return m
-
-        d_m = ev_matrix(datum.d)
-        u_m = ev_matrix(datum.u)
-        d1_v = [datum.d1.get(g, NovikovElement.zero()).evaluate_at_one()
-                for g in names]
-        d2_v = [datum.d2.get(g, NovikovElement.zero()).evaluate_at_one()
-                for g in names]
-
-        def rational_nonempty(k):
-            gens = [i for i, g in enumerate(names)
-                    if datum.grading(g) % 8 == (4 * k - 3) % 8]
-            if k >= 1:
-                if not gens:
-                    return False
-                rows = [[d_m[t][i] for i in gens] for t in range(n)]
-                towers = []
-                for i in gens:
-                    vec = [Fraction(0)] * n
-                    vec[i] = Fraction(1)
-                    col = []
-                    for _ in range(k):
-                        col.append(sum(d1_v[t] * vec[t] for t in range(n)))
-                        vec = [sum(u_m[t][s] * vec[s] for s in range(n))
-                               for t in range(n)]
-                    towers.append(col)
-                for j in range(k - 1):
-                    rows.append([towers[c][j] for c in range(len(gens))])
-                functional = [towers[c][k - 1] for c in range(len(gens))]
-                return _linalg.q_rank(rows + [functional]) > _linalg.q_rank(rows)
-            q_idx = [i for i in range(0, -k + 1) if (i - k) % 2 == 0]
-            cols = []
-            for i in gens:
-                vec = [Fraction(0)] * n
-                vec[i] = Fraction(1)
-                cols.append([sum(d_m[t][s] * vec[s] for s in range(n))
-                             for t in range(n)])
-            for i in q_idx:
-                vec = list(d2_v)
-                for _ in range(i):
-                    vec = [sum(u_m[t][s] * vec[s] for s in range(n))
-                           for t in range(n)]
-                cols.append([-v for v in vec])
-            rows = [[cols[c][t] for c in range(len(cols))] for t in range(n)]
-            ncols = len(cols)
-            from floergamma.gamma import _has_kernel_with_nonzero_block
-            return _has_kernel_with_nonzero_block(
-                rows, ncols, list(range(len(gens), ncols)))
-
+        shadow = rational_shadow(datum)
         for k in range(-3, 3):
-            assert feasible_nonempty(datum, k) == rational_nonempty(k), k
+            assert feasible_nonempty(datum, k) == shadow(k), k
+
+
+def h_oracle(datum):
+    """Top-down search: the rational shadow for k >= 1, feasible_nonempty below."""
+    n = len(datum.generators)
+    shadow = rational_shadow(datum)
+    for k in range(1 + 4 * n, -(2 * n + 5), -1):
+        if shadow(k) if k >= 1 else feasible_nonempty(datum, k):
+            return k // 2 if k % 2 == 0 else None
+    return None
+
+
+def test_h_matches_top_down_oracle():
+    rng = Random(61)
+    for _ in range(60):
+        datum = random_datum(rng)
+        for data in (datum, transformed_datum(rng, datum)):
+            assert h_invariant(data) == h_oracle(data), data.name
+
+
+def test_invariance_under_filtered_basis_change_and_acyclic_pairs():
+    # the generated data have d = 0; these are the checks on the d rows
+    rng = Random(67)
+    for _ in range(100):
+        datum = random_datum(rng)
+        expected = ([gamma(datum, k) for k in range(-4, 5)], h_invariant(datum))
+        for other in (filtered_basis_change(rng, datum), with_acyclic_pair(rng, datum),
+                      transformed_datum(rng, datum)):
+            assert ([gamma(other, k) for k in range(-4, 5)], h_invariant(other)) \
+                == expected
 
 
 def test_tau_bounds(sigma, neg_sigma, s3):
