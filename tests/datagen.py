@@ -140,36 +140,39 @@ def zero_map_datum(rng: Random, max_gens: int = 4, name: str = "blank") -> Floer
     return FloerDatum(name, gens, LambdaMatrix(), LambdaMatrix(), {}, {})
 
 
+def _shear(datum: FloerDatum, g: str, h: str, s: NovikovElement) -> FloerDatum:
+    """Every map rewritten in the basis g' = g + s h."""
+    def to_old(vec):  # new coordinates -> old
+        return vec_add(vec, {h: vec[g] * s}) if g in vec else vec
+
+    def to_new(vec):  # old coordinates -> new
+        return vec_sub(vec, {h: vec[g] * s}) if g in vec else vec
+
+    def conjugate(mat: LambdaMatrix) -> LambdaMatrix:
+        new = LambdaMatrix()
+        for x in datum.names():
+            for y, el in to_new(mat.apply(to_old({x: NovikovElement.one()}))).items():
+                new.set(x, y, el)
+        return new
+
+    d1 = {x: datum.apply_d1(to_old({x: NovikovElement.one()})) for x in datum.names()}
+    d2 = to_new(datum.apply_d2(NovikovElement.one()))
+    return FloerDatum(datum.name, datum.generators, conjugate(datum.d),
+                      conjugate(datum.u), d1, d2)
+
+
 def filtered_basis_change(rng: Random, datum: FloerDatum, shears: int = 3) -> FloerDatum:
-    """Rewrite every map in the basis g' = g + c l^(r_h - r_g) h, for random
-    g, h of one grading with r_h > r_g, `shears` times over."""
+    """`shears` changes of basis g' = g + c l^(r_h - r_g) h, each for random
+    g, h of one grading with r_h > r_g."""
     for _ in range(shears):
         pairs = [(g, h) for g in datum.names() for h in datum.names()
                  if datum.grading(g) == datum.grading(h)
                  and datum.lift(h) > datum.lift(g)]
         if not pairs:
-            return datum
+            break
         g, h = rng.choice(pairs)
-        s = NovikovElement.term(rng.choice((-2, -1, 1, 2)),
-                                datum.lift(h) - datum.lift(g))
-
-        def to_old(vec, g=g, h=h, s=s):  # new coordinates -> old
-            return vec_add(vec, {h: vec[g] * s}) if g in vec else vec
-
-        def to_new(vec, g=g, h=h, s=s):  # old coordinates -> new
-            return vec_sub(vec, {h: vec[g] * s}) if g in vec else vec
-
-        def conjugate(mat: LambdaMatrix, to_old=to_old, to_new=to_new) -> LambdaMatrix:
-            new = LambdaMatrix()
-            for x in datum.names():
-                for y, el in to_new(mat.apply(to_old({x: NovikovElement.one()}))).items():
-                    new.set(x, y, el)
-            return new
-
-        d1 = {x: datum.apply_d1(to_old({x: NovikovElement.one()})) for x in datum.names()}
-        d2 = to_new(datum.apply_d2(NovikovElement.one()))
-        datum = FloerDatum(datum.name, datum.generators, conjugate(datum.d),
-                           conjugate(datum.u), d1, d2)
+        datum = _shear(datum, g, h, NovikovElement.term(
+            rng.choice((-2, -1, 1, 2)), datum.lift(h) - datum.lift(g)))
     return datum
 
 
