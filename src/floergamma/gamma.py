@@ -110,8 +110,8 @@ def _rows(columns: list[dict]) -> list[dict[int, Fraction]]:
     return list(rows.values())
 
 
-def _d_rows(datum: FloerDatum, gens: list[str]) -> list[dict[int, Fraction]]:
-    return _rows([_keyed(datum.apply_d(_unit(datum, g))) for g in gens])
+def _d_columns(datum: FloerDatum, gens: list[str]) -> list[dict]:
+    return [_keyed(datum.apply_d(_unit(datum, g))) for g in gens]
 
 
 def _d1_levels(datum: FloerDatum, gens: list[str]):
@@ -141,7 +141,7 @@ def _witness(k: int, gens: list[str], vec: dict, q_indices=()) -> SpecialSolutio
 
 def _gamma_positive(datum: FloerDatum, k: int, want_witness: bool):
     gens = _grading_class(datum, k)
-    ech = Echelon(_d_rows(datum, gens))
+    ech = Echelon(_rows(_d_columns(datum, gens)))
     levels = _d1_levels(datum, gens)
     for level in islice(levels, k - 1):
         _add_level(ech, level)
@@ -163,7 +163,7 @@ def _nonpositive_system(datum: FloerDatum, k: int):
         _keyed(datum.apply_u_power(
             datum.apply_d2(NovikovElement.term(1, Fraction(-k - i, 2))), i), -1)
         for i in q_indices]
-    columns += [_keyed(datum.apply_d(_unit(datum, g))) for g in gens]
+    columns += _d_columns(datum, gens)
     return gens, q_indices, _rows(columns)
 
 
@@ -235,7 +235,7 @@ def _largest_positive_degree(datum: FloerDatum, k_top: int) -> int | None:
     lowers grading by 4, as validate demands, so they never raise it.
     """
     gens = _grading_class(datum, k_top)
-    ech = Echelon(_d_rows(datum, gens))
+    ech = Echelon(_rows(_d_columns(datum, gens)))
     best = None
     for j, level in enumerate(islice(_d1_levels(datum, gens), max(k_top, 0))):
         if ech.rank == len(gens):
