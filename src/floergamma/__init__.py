@@ -8,7 +8,7 @@ and ships closed-form calculators for Seifert fibered orbit data and
 negative-definite lattice bounds.
 """
 
-from .novikov import INF, NovikovElement, RationalFunction, mdeg_tuple
+from .novikov import INF, NovikovElement, mdeg_tuple
 from .floer_datum import (
     FloerDatum,
     Generator,

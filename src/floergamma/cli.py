@@ -4,9 +4,13 @@ One subcommand per calculator; all output is deterministic and
 line-oriented ("key = value"), rationals print as p/q, the infinite
 value prints as "inf".  Exit codes: 0 success or verification pass,
 1 verification failure, 2 malformed input or a datum the calculators
-refuse (one failing validate, or one whose feasible sets are
-inconsistent).  Every subcommand accepts
---json for a machine-readable object carrying the same values.
+refuse.  Every refusal is an InputError (the lattice, Seifert and Morse
+refusals subclass it), apart from the two inconsistency errors of the
+Gamma layer, and prints one "error:" line.  The verifiers report a datum
+that fails validate as a failed precondition, exit 1.  Input files are
+read by path, or else as the bundled fixture of that name.  Every
+subcommand accepts --json for a machine-readable object carrying the
+same values.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .cobordism import (
     verify_tilde_chain_map,
 )
 from .equivariant import Window, verify_triangle
-from .floer_datum import InputError, load_datum, validate
+from .floer_datum import InputError, load_datum, read_json, validate
 from .gamma import (
     DatumInconsistencyError,
     MonotonicityError,
@@ -39,21 +43,13 @@ from .gamma import (
 )
 from .lattice import (
     LatticeData,
-    LatticeInputError,
     bound_from_class,
     gamma_upper_bounds_from_lattice,
     minimal_vectors,
 )
-from .morse_minmax import (
-    NonCycleError,
-    NullHomologousError,
-    evaluate_class,
-    load_morse,
-    parse_class,
-)
+from .morse_minmax import evaluate_class, load_morse, parse_class
 from .novikov import INF, format_extrat
 from .seifert import (
-    SeifertInputError,
     gamma_prediction,
     r_invariant_cotangent,
     seifert_invariants,
@@ -109,19 +105,10 @@ def _parse_int_vector(text: str) -> tuple[int, ...]:
 
 
 def _load_gram(path: str) -> LatticeData:
-    p = Path(path)
-    if not p.exists():
-        raise InputError(f"no such lattice file: {path}")
-    try:
-        obj = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON in {path}: {exc}") from exc
+    obj = read_json(path, "lattice")
     if not isinstance(obj, dict) or set(obj) != {"gram"}:
         raise InputError('lattice file must be {"gram": [[...]]}')
-    try:
-        return LatticeData(obj["gram"])
-    except LatticeInputError as exc:
-        raise InputError(str(exc)) from exc
+    return LatticeData(obj["gram"])
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -220,11 +207,8 @@ def _cmd_cobordism_compare(args) -> int:
 
 
 def _cmd_seifert_r(args) -> int:
-    try:
-        inv = seifert_invariants(args.orbit)
-        cot = r_invariant_cotangent(args.orbit)
-    except SeifertInputError as exc:
-        raise InputError(str(exc)) from exc
+    inv = seifert_invariants(args.orbit)
+    cot = r_invariant_cotangent(args.orbit)
     if cot != inv.r:
         print(f"cross-formula mismatch: closed {inv.r}, cotangent {cot}",
               file=sys.stderr)
@@ -241,11 +225,7 @@ def _cmd_seifert_r(args) -> int:
 
 
 def _cmd_seifert_gamma(args) -> int:
-    try:
-        spaces = [_parse_int_vector(t) for t in args.tuples]
-        pred = gamma_prediction(spaces)
-    except SeifertInputError as exc:
-        raise InputError(str(exc)) from exc
+    pred = gamma_prediction([_parse_int_vector(t) for t in args.tuples])
     lines = [
         f"value = {pred.value}",
         f"range_max = {pred.range_max}",
@@ -258,10 +238,7 @@ def _cmd_seifert_gamma(args) -> int:
 
 
 def _cmd_seifert_whitehead(args) -> int:
-    try:
-        res = whitehead_double_bounds(args.p, args.q)
-    except SeifertInputError as exc:
-        raise InputError(str(exc)) from exc
+    res = whitehead_double_bounds(args.p, args.q)
     lines = [
         f"lower = {res['lower']}",
         f"upper = {res['upper']}",
@@ -302,13 +279,10 @@ def _cmd_lattice(args) -> int:
             raise InputError("--e has wrong length")
         if (args.xi is None) != (args.m is None):
             raise InputError("--xi and --m must be given together")
-        try:
-            if args.xi is not None:
-                res = bound_from_class(lattice, e, _parse_int_vector(args.xi), args.m)
-            else:
-                res = bound_from_class(lattice, e)
-        except LatticeInputError as exc:
-            raise InputError(str(exc)) from exc
+        if args.xi is not None:
+            res = bound_from_class(lattice, e, _parse_int_vector(args.xi), args.m)
+        else:
+            res = bound_from_class(lattice, e)
         lines.append(f"Q(e) = {lattice.q(list(e))}")
         payload["q_e"] = lattice.q(list(e))
         if res is None:
@@ -326,10 +300,7 @@ def _cmd_lattice(args) -> int:
 def _cmd_morse_eval(args) -> int:
     complex_ = load_morse(args.complex)
     chain = parse_class(getattr(args, "class"))
-    try:
-        value = evaluate_class(complex_, chain)
-    except (NonCycleError, NullHomologousError) as exc:
-        raise InputError(str(exc)) from exc
+    value = evaluate_class(complex_, chain)
     _emit(args, [f"f = {value}"], {"f": value})
     return 0
 

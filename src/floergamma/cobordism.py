@@ -16,25 +16,28 @@ maps are implemented from the same data and verified on window bases.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
 from .equivariant import (
     BarElement,
     CheckElement,
     HatElement,
     Window,
-    WindowOverflowError,
-    bar_add,
+    bar_basis,
+    bar_residual,
     bar_sub,
     check_add,
+    check_basis,
     check_d,
+    check_residual,
     check_sub,
     hat_add,
+    hat_basis,
     hat_d,
+    hat_residual,
     hat_sub,
+    inner_window,
     map_i,
     map_j,
     map_p,
@@ -44,14 +47,7 @@ from .equivariant import (
     x_action_bar,
     x_action_check,
     x_action_hat,
-    _bar_basis,
-    _bar_residual,
-    _check_basis,
-    _check_residual,
-    _hat_basis,
-    _hat_residual,
-    _inner,
-    _xadd,
+    xadd,
 )
 from .floer_datum import (
     FloerDatum,
@@ -59,16 +55,20 @@ from .floer_datum import (
     LambdaMatrix,
     Report,
     Vector,
-    _check_keys,
-    _terms_from_json,
-    _terms_to_json,
+    apply_column,
+    apply_row,
+    check_keys,
+    json_field,
     load_datum,
+    map_from_json,
+    map_to_json,
+    read_json,
     vec_add,
     vec_sub,
     validate,
 )
 from .gamma import eta_lower_bound, gamma
-from .novikov import INF, NovikovElement, mdeg_tuple
+from .novikov import INF, NovikovElement
 
 
 @dataclass
@@ -86,30 +86,6 @@ class CobordismDatum:
             raise InputError("c must be a positive integer")
         self.delta1 = {g: el for g, el in self.delta1.items() if not el.is_zero()}
         self.delta2 = {g: el for g, el in self.delta2.items() if not el.is_zero()}
-
-    # -- map applications ---------------------------------------------------
-
-    def apply_phi(self, vec: Vector) -> Vector:
-        return self.phi.apply(vec)
-
-    def apply_mu(self, vec: Vector) -> Vector:
-        return self.mu.apply(vec)
-
-    def apply_delta1(self, vec: Vector) -> NovikovElement:
-        out = NovikovElement.zero()
-        for g, coeff in vec.items():
-            el = self.delta1.get(g)
-            if el is not None:
-                out = out + coeff * el
-        return out
-
-    def apply_delta2(self, lam: NovikovElement) -> Vector:
-        out: Vector = {}
-        for g, el in self.delta2.items():
-            w = lam * el
-            if not w.is_zero():
-                out[g] = w
-        return out
 
 
 def identity_cobordism(datum: FloerDatum) -> CobordismDatum:
@@ -155,30 +131,30 @@ def verify_tilde_chain_map(cob: CobordismDatum) -> Report:
     src, tgt = cob.source, cob.target
     for g in src.names():
         basis = src.basis_vector(g)
-        r1 = vec_sub(cob.apply_phi(src.apply_d(basis)),
-                     tgt.apply_d(cob.apply_phi(basis)))
+        r1 = vec_sub(cob.phi.apply(src.apply_d(basis)),
+                     tgt.apply_d(cob.phi.apply(basis)))
         for h, el in sorted(r1.items()):
             rep.fail(f"identity (1) phi∘d = d'∘phi fails at {g}->{h}: {el}")
-        lhs2 = tgt.apply_d1(cob.apply_phi(basis))
-        rhs2 = cob.apply_delta1(src.apply_d(basis)) + cob.c * src.apply_d1(basis)
+        lhs2 = tgt.apply_d1(cob.phi.apply(basis))
+        rhs2 = apply_row(cob.delta1, src.apply_d(basis)) + cob.c * src.apply_d1(basis)
         if lhs2 != rhs2:
             rep.fail(f"identity (2) d1'∘phi = delta1∘d + c·d1 fails at {g}: "
                      f"{lhs2 - rhs2}")
-        lhs4 = vec_sub(cob.apply_phi(src.apply_u(basis)),
-                       tgt.apply_u(cob.apply_phi(basis)))
+        lhs4 = vec_sub(cob.phi.apply(src.apply_u(basis)),
+                       tgt.apply_u(cob.phi.apply(basis)))
         rhs4 = vec_sub(
-            vec_sub(tgt.apply_d2(cob.apply_delta1(basis)),
-                    tgt.apply_d(cob.apply_mu(basis))),
-            vec_add(cob.apply_mu(src.apply_d(basis)),
-                    cob.apply_delta2(src.apply_d1(basis))))
+            vec_sub(tgt.apply_d2(apply_row(cob.delta1, basis)),
+                    tgt.apply_d(cob.mu.apply(basis))),
+            vec_add(cob.mu.apply(src.apply_d(basis)),
+                    apply_column(cob.delta2, src.apply_d1(basis))))
         r4 = vec_sub(lhs4, rhs4)
         for h, el in sorted(r4.items()):
             rep.fail("identity (4) phi∘u - u'∘phi = d2'∘delta1 - d'∘mu - mu∘d"
                      f" - delta2∘d1 fails at {g}->{h}: {el}")
     one = NovikovElement.one()
-    lhs3 = cob.apply_phi(src.apply_d2(one))
+    lhs3 = cob.phi.apply(src.apply_d2(one))
     rhs3 = vec_sub({g: cob.c * el for g, el in tgt.apply_d2(one).items()},
-                   tgt.apply_d(cob.apply_delta2(one)))
+                   tgt.apply_d(apply_column(cob.delta2, one)))
     r3 = vec_sub(lhs3, rhs3)
     for h, el in sorted(r3.items()):
         rep.fail(f"identity (3) phi∘d2 = c·d2' - d'∘delta2 fails at ->{h}: {el}")
@@ -208,10 +184,10 @@ def correction_series(cob: CobordismDatum, depth: int) -> dict[int, NovikovEleme
     series: dict[int, NovikovElement] = {0: NovikovElement.term(cob.c, 0)}
     one = NovikovElement.one()
     d2_tower = _u_tower(src, src.apply_d2(one), depth)
-    delta2_tower = _u_tower(tgt, cob.apply_delta2(one), depth)
-    mu_of_d2 = [cob.apply_mu(v) for v in d2_tower]
+    delta2_tower = _u_tower(tgt, apply_column(cob.delta2, one), depth)
+    mu_of_d2 = [cob.mu.apply(v) for v in d2_tower]
     for m in range(1, depth + 1):
-        acc = cob.apply_delta1(d2_tower[m - 1])
+        acc = apply_row(cob.delta1, d2_tower[m - 1])
         acc = acc + tgt.apply_d1(delta2_tower[m - 1])
         for k in range(1, m):
             j = m - k
@@ -243,23 +219,23 @@ def _xpart_mul(a: dict[int, NovikovElement], b: dict[int, NovikovElement],
 def hat_map(cob: CobordismDatum, e: HatElement, window: Window) -> HatElement:
     """Induced map on the "from" complex (exact displayed sums)."""
     src, tgt = cob.source, cob.target
-    chain = cob.apply_phi(e.chain)
+    chain = cob.phi.apply(e.chain)
     poly = {i: cob.c * a for i, a in e.poly.items()}
     for i, a in e.poly.items():
         d2a = src.apply_d2(a)
-        chain = vec_add(chain, tgt.apply_u_power(cob.apply_delta2(a), i))
+        chain = vec_add(chain, tgt.apply_u_power(apply_column(cob.delta2, a), i))
         d2_tower = _u_tower(src, d2a, max(i, 1))
         for k in range(i):
-            vec = cob.apply_mu(d2_tower[i - 1 - k])
+            vec = cob.mu.apply(d2_tower[i - 1 - k])
             chain = vec_add(chain, tgt.apply_u_power(vec, k))
         # tail corrections into lower polynomial slots
         for slot in range(0, i):
             gap = i - slot - 1
-            lam = cob.apply_delta1(d2_tower[gap])
+            lam = apply_row(cob.delta1, d2_tower[gap])
             lam = lam + tgt.apply_d1(
-                tgt.apply_u_power(cob.apply_delta2(a), gap))
+                tgt.apply_u_power(apply_column(cob.delta2, a), gap))
             for j in range(slot + 1, i):
-                vec = cob.apply_mu(d2_tower[i - j - 1])
+                vec = cob.mu.apply(d2_tower[i - j - 1])
                 vec = tgt.apply_u_power(vec, j - slot - 1)
                 lam = lam + tgt.apply_d1(vec)
             if not lam.is_zero():
@@ -270,21 +246,21 @@ def hat_map(cob: CobordismDatum, e: HatElement, window: Window) -> HatElement:
 def check_map(cob: CobordismDatum, e: CheckElement, window: Window) -> CheckElement:
     """Induced map on the "to" complex."""
     src, tgt = cob.source, cob.target
-    chain = cob.apply_phi(e.chain)
+    chain = cob.phi.apply(e.chain)
     depth = window.T
     tail: dict[int, NovikovElement] = {}
     tower = _u_tower(src, e.chain, depth)
     for m in range(1, depth + 1):
-        lam = cob.apply_delta1(tower[m - 1])
+        lam = apply_row(cob.delta1, tower[m - 1])
         for j in range(-m + 1, 0):
             # d1'(u'^(-j-1) mu(u^(j - i - 1) alpha)) with i = -m
-            vec = cob.apply_mu(tower[j + m - 1])
+            vec = cob.mu.apply(tower[j + m - 1])
             vec = tgt.apply_u_power(vec, -j - 1)
             lam = lam + tgt.apply_d1(vec)
         if not lam.is_zero():
             tail[-m] = lam
     series = correction_series(cob, depth)
-    tail = _xadd(tail, _xpart_mul(e.tail, series, -depth, -1))
+    tail = xadd(tail, _xpart_mul(e.tail, series, -depth, -1))
     return CheckElement(chain, tail)
 
 
@@ -299,16 +275,16 @@ def bar_map(cob: CobordismDatum, z: BarElement, window: Window) -> BarElement:
 
 def htpy_hat_x(cob: CobordismDatum, e: HatElement) -> HatElement:
     """K(alpha, p) = (mu(alpha), delta1(alpha))."""
-    lam = cob.apply_delta1(e.chain)
-    return HatElement(cob.apply_mu(e.chain), {} if lam.is_zero() else {0: lam})
+    lam = apply_row(cob.delta1, e.chain)
+    return HatElement(cob.mu.apply(e.chain), {} if lam.is_zero() else {0: lam})
 
 
 def htpy_check_x(cob: CobordismDatum, e: CheckElement) -> CheckElement:
     """L(alpha, tail) = (mu(alpha) + delta2(a_-1), 0)."""
-    chain = cob.apply_mu(e.chain)
+    chain = cob.mu.apply(e.chain)
     a = e.tail.get(-1)
     if a is not None:
-        chain = vec_add(chain, cob.apply_delta2(a))
+        chain = vec_add(chain, apply_column(cob.delta2, a))
     return CheckElement(chain, {})
 
 
@@ -319,10 +295,10 @@ def htpy_p(cob: CobordismDatum, e: HatElement, window: Window) -> BarElement:
     coeffs: dict[int, NovikovElement] = {}
     tower = _u_tower(src, e.chain, depth)
     for m in range(1, depth + 1):
-        lam = cob.apply_delta1(tower[m - 1])
+        lam = apply_row(cob.delta1, tower[m - 1])
         for k in range(1, m):
             j = m - k
-            vec = cob.apply_mu(tower[k - 1])
+            vec = cob.mu.apply(tower[k - 1])
             vec = tgt.apply_u_power(vec, j - 1)
             lam = lam + tgt.apply_d1(vec)
         if not lam.is_zero():
@@ -337,10 +313,10 @@ def htpy_i(cob: CobordismDatum, z: BarElement) -> CheckElement:
     for i, a in z.coeffs.items():
         if i < 0:
             continue
-        chain = vec_add(chain, tgt.apply_u_power(cob.apply_delta2(a), i))
+        chain = vec_add(chain, tgt.apply_u_power(apply_column(cob.delta2, a), i))
         d2_tower = _u_tower(src, src.apply_d2(a), max(i, 1))
         for j in range(i):
-            vec = cob.apply_mu(d2_tower[i - 1 - j])
+            vec = cob.mu.apply(d2_tower[i - 1 - j])
             chain = vec_add(chain, tgt.apply_u_power(vec, j))
     return CheckElement(chain, {})
 
@@ -352,95 +328,81 @@ def verify_functoriality(cob: CobordismDatum, window: Window) -> Report:
     as a precondition failure rather than an identity report.
     """
     pre = verify_tilde_chain_map(cob)
+    rep = Report()
     if not pre.ok:
-        rep = Report()
         rep.fail(f"precondition: extended chain-map identities fail "
                  f"({pre.failures[0]})")
         return rep
-    rep = Report()
     src, tgt = cob.source, cob.target
-    win = _inner(window)
-
-    def fail_first(identity, name, residual):
-        if rep.ok:
-            rep.fail(f"{identity} fails at {name}: residual {residual}")
+    win = inner_window(window)
 
     # (1) the three maps are chain maps
-    for name, e in _hat_basis(src, window, margin=False):
+    for name, e in hat_basis(src, window, margin=False):
         lhs = hat_d(tgt, hat_map(cob, e, win))
         rhs = hat_map(cob, hat_d(src, e), win)
-        r = _hat_residual(hat_sub(lhs, rhs), window)
-        if not r.is_zero():
-            fail_first("hat_d'∘hat_map = hat_map∘hat_d", name, r)
-    for name, e in _check_basis(src, window, margin=False):
+        rep.fail_unless_zero("hat_d'∘hat_map = hat_map∘hat_d", name,
+                             hat_residual(hat_sub(lhs, rhs), window))
+    for name, e in check_basis(src, window, margin=False):
         lhs = check_d(tgt, check_map(cob, e, win), win)
         rhs = check_map(cob, check_d(src, e, win), win)
-        r = _check_residual(check_sub(lhs, rhs), window)
-        if not r.is_zero():
-            fail_first("check_d'∘check_map = check_map∘check_d", name, r)
+        rep.fail_unless_zero("check_d'∘check_map = check_map∘check_d", name,
+                             check_residual(check_sub(lhs, rhs), window))
     if not rep.ok:
         return rep
 
     # (2) bar_map is x-linear
-    for name, z in _bar_basis(window, margin=True):
+    for name, z in bar_basis(window, margin=True):
         lhs = bar_map(cob, x_action_bar(z, win), win)
         rhs = x_action_bar(bar_map(cob, z, win), win)
-        r = _bar_residual(bar_sub(lhs, rhs), window)
-        if not r.is_zero():
-            fail_first("bar_map∘x = x∘bar_map", name, r)
+        rep.fail_unless_zero("bar_map∘x = x∘bar_map", name,
+                             bar_residual(bar_sub(lhs, rhs), window))
     if not rep.ok:
         return rep
 
     # (3) x-equivariance of hat_map and check_map up to homotopy
-    for name, e in _hat_basis(src, window, margin=True):
+    for name, e in hat_basis(src, window, margin=True):
         lhs = hat_sub(x_action_hat(tgt, hat_map(cob, e, win), win),
                       hat_map(cob, x_action_hat(src, e, win), win))
         rhs = hat_add(htpy_hat_x(cob, hat_d(src, e)),
                       hat_d(tgt, htpy_hat_x(cob, e)))
-        r = _hat_residual(hat_sub(lhs, rhs), window)
-        if not r.is_zero():
-            fail_first("x∘hat_map - hat_map∘x = K∘hat_d + hat_d'∘K", name, r)
-    for name, e in _check_basis(src, window, margin=True):
+        rep.fail_unless_zero("x∘hat_map - hat_map∘x = K∘hat_d + hat_d'∘K", name,
+                             hat_residual(hat_sub(lhs, rhs), window))
+    for name, e in check_basis(src, window, margin=True):
         lhs = check_sub(x_action_check(tgt, check_map(cob, e, win)),
                         check_map(cob, x_action_check(src, e), win))
         rhs = check_add(htpy_check_x(cob, check_d(src, e, win)),
                         check_d(tgt, htpy_check_x(cob, e), win))
-        r = _check_residual(check_sub(lhs, rhs), window)
-        if not r.is_zero():
-            fail_first("x∘check_map - check_map∘x = L∘check_d + check_d'∘L",
-                       name, r)
+        rep.fail_unless_zero("x∘check_map - check_map∘x = L∘check_d + check_d'∘L",
+                             name, check_residual(check_sub(lhs, rhs), window))
     if not rep.ok:
         return rep
 
     # (4) p'∘hat_map - bar_map∘p = K∘hat_d
-    for name, e in _hat_basis(src, window, margin=False):
+    for name, e in hat_basis(src, window, margin=False):
         lhs = bar_sub(map_p(tgt, hat_map(cob, e, win), win),
                       bar_map(cob, map_p(src, e, win), win))
         rhs = htpy_p(cob, hat_d(src, e), win)
-        r = _bar_residual(bar_sub(lhs, rhs), window)
-        if not r.is_zero():
-            fail_first("p'∘hat_map - bar_map∘p = K∘hat_d", name, r)
+        rep.fail_unless_zero("p'∘hat_map - bar_map∘p = K∘hat_d", name,
+                             bar_residual(bar_sub(lhs, rhs), window))
     if not rep.ok:
         return rep
 
     # (5) j'∘check_map = hat_map∘j exactly
-    for name, e in _check_basis(src, window, margin=False):
+    for name, e in check_basis(src, window, margin=False):
         lhs = map_j(check_map(cob, e, win))
         rhs = hat_map(cob, map_j(e), win)
-        r = _hat_residual(hat_sub(lhs, rhs), window)
-        if not r.is_zero():
-            fail_first("j'∘check_map = hat_map∘j", name, r)
+        rep.fail_unless_zero("j'∘check_map = hat_map∘j", name,
+                             hat_residual(hat_sub(lhs, rhs), window))
     if not rep.ok:
         return rep
 
     # (6) i'∘bar_map - check_map∘i = check_d'∘L
-    for name, z in _bar_basis(window, margin=False):
+    for name, z in bar_basis(window, margin=False):
         lhs = check_sub(map_i(tgt, bar_map(cob, z, win)),
                         check_map(cob, map_i(src, z), win))
         rhs = check_d(tgt, htpy_i(cob, z), win)
-        r = _check_residual(check_sub(lhs, rhs), window)
-        if not r.is_zero():
-            fail_first("i'∘bar_map - check_map∘i = check_d'∘L", name, r)
+        rep.fail_unless_zero("i'∘bar_map - check_map∘i = check_d'∘L", name,
+                             check_residual(check_sub(lhs, rhs), window))
     return rep
 
 
@@ -450,19 +412,19 @@ def mdeg_decay(cob: CobordismDatum, window: Window):
     Reports the measured decay of the three equivariant maps; +inf when
     every basis image vanishes.
     """
-    win = _inner(window)
+    win = inner_window(window)
     worst = INF
-    for _, e in _hat_basis(cob.source, window, margin=False):
+    for _, e in hat_basis(cob.source, window, margin=False):
         img = hat_map(cob, e, win)
-        drop = mdeg_hat(_hat_residual(img, window)) - mdeg_hat(e)
+        drop = mdeg_hat(hat_residual(img, window)) - mdeg_hat(e)
         worst = min(worst, drop)
-    for _, e in _check_basis(cob.source, window, margin=False):
+    for _, e in check_basis(cob.source, window, margin=False):
         img = check_map(cob, e, win)
-        drop = mdeg_check(_check_residual(img, window)) - mdeg_check(e)
+        drop = mdeg_check(check_residual(img, window)) - mdeg_check(e)
         worst = min(worst, drop)
-    for _, z in _bar_basis(window, margin=False):
+    for _, z in bar_basis(window, margin=False):
         img = bar_map(cob, z, win)
-        drop = mdeg_bar(_bar_residual(img, window)) - mdeg_bar(z)
+        drop = mdeg_bar(bar_residual(img, window)) - mdeg_bar(z)
         worst = min(worst, drop)
     return worst
 
@@ -485,23 +447,24 @@ def compose_tilde(first: CobordismDatum, second: CobordismDatum) -> CobordismDat
     mu = LambdaMatrix()
     for g in first.source.names():
         basis = first.source.basis_vector(g)
-        for h, el in second.apply_phi(first.apply_phi(basis)).items():
+        for h, el in second.phi.apply(first.phi.apply(basis)).items():
             phi.set(g, h, el)
-        acc = second.apply_mu(first.apply_phi(basis))
-        acc = vec_add(acc, second.apply_delta2(first.apply_delta1(basis)))
-        acc = vec_add(acc, second.apply_phi(first.apply_mu(basis)))
+        acc = second.mu.apply(first.phi.apply(basis))
+        acc = vec_add(acc, apply_column(second.delta2, apply_row(first.delta1, basis)))
+        acc = vec_add(acc, second.phi.apply(first.mu.apply(basis)))
         for h, el in acc.items():
             mu.set(g, h, el)
     delta1 = {}
     for g in first.source.names():
         basis = first.source.basis_vector(g)
-        lam = second.apply_delta1(first.apply_phi(basis))
-        lam = lam + second.c * first.apply_delta1(basis)
+        lam = apply_row(second.delta1, first.phi.apply(basis))
+        lam = lam + second.c * apply_row(first.delta1, basis)
         if not lam.is_zero():
             delta1[g] = lam
     one = NovikovElement.one()
-    d2vec = vec_add(second.apply_phi(first.apply_delta2(one)),
-                    {g: first.c * el for g, el in second.apply_delta2(one).items()})
+    d2vec = vec_add(second.phi.apply(apply_column(first.delta2, one)),
+                    {g: first.c * el
+                     for g, el in apply_column(second.delta2, one).items()})
     delta2 = {g: el for g, el in d2vec.items() if not el.is_zero()}
     return CobordismDatum(first.source, second.target, phi, mu,
                           delta1, delta2, first.c * second.c)
@@ -534,42 +497,15 @@ def gamma_comparison(cob: CobordismDatum, k_min: int, k_max: int) -> dict:
 # JSON format
 # ---------------------------------------------------------------------------
 
-def cobordism_from_json(obj: dict, resolve=load_datum) -> CobordismDatum:
-    if not isinstance(obj, dict):
-        raise InputError("cobordism must be a JSON object")
-    _check_keys(obj, {"source", "target", "c", "phi", "mu", "delta1", "delta2"},
-                "cobordism")
-    try:
-        source = resolve(obj["source"])
-        target = resolve(obj["target"])
-        c = obj["c"]
-    except KeyError as exc:
-        raise InputError(f"cobordism missing key {exc.args[0]!r}") from exc
-    if not isinstance(c, int) or isinstance(c, bool) or c < 1:
-        raise InputError("c must be a positive integer")
-
-    def matrix(key: str) -> LambdaMatrix:
-        mat = LambdaMatrix()
-        for e in obj.get(key, []):
-            _check_keys(e, {"from", "to", "terms"}, f"{key} entry")
-            try:
-                mat.set(e["from"], e["to"], _terms_from_json(e["terms"], key))
-            except KeyError as exc:
-                raise InputError(f"{key} entry missing key {exc.args[0]!r}") from exc
-        return mat
-
-    def lam_map(key: str, end: str) -> dict[str, NovikovElement]:
-        out = {}
-        for e in obj.get(key, []):
-            _check_keys(e, {end, "terms"}, f"{key} entry")
-            try:
-                out[e[end]] = _terms_from_json(e["terms"], key)
-            except KeyError as exc:
-                raise InputError(f"{key} entry missing key {exc.args[0]!r}") from exc
-        return out
-
-    return CobordismDatum(source, target, matrix("phi"), matrix("mu"),
-                          lam_map("delta1", "from"), lam_map("delta2", "to"), c)
+def cobordism_from_json(obj, resolve=load_datum) -> CobordismDatum:
+    check_keys(obj, {"source", "target", "c", "phi", "mu", "delta1", "delta2"},
+               "cobordism")
+    return CobordismDatum(resolve(json_field(obj, "source", str, "cobordism")),
+                          resolve(json_field(obj, "target", str, "cobordism")),
+                          map_from_json(obj, "phi"), map_from_json(obj, "mu"),
+                          map_from_json(obj, "delta1", "from"),
+                          map_from_json(obj, "delta2", "to"),
+                          json_field(obj, "c", int, "cobordism"))
 
 
 def cobordism_to_json(cob: CobordismDatum) -> dict:
@@ -577,28 +513,12 @@ def cobordism_to_json(cob: CobordismDatum) -> dict:
         "source": cob.source.name,
         "target": cob.target.name,
         "c": cob.c,
-        "phi": [{"from": s, "to": t, "terms": _terms_to_json(el)}
-                for s, t, el in cob.phi.entries()],
-        "mu": [{"from": s, "to": t, "terms": _terms_to_json(el)}
-               for s, t, el in cob.mu.entries()],
-        "delta1": [{"from": g, "terms": _terms_to_json(el)}
-                   for g, el in sorted(cob.delta1.items())],
-        "delta2": [{"to": g, "terms": _terms_to_json(el)}
-                   for g, el in sorted(cob.delta2.items())],
+        "phi": map_to_json(cob.phi),
+        "mu": map_to_json(cob.mu),
+        "delta1": map_to_json(cob.delta1, "from"),
+        "delta2": map_to_json(cob.delta2, "to"),
     }
 
 
 def load_cobordism(path_or_name: str, resolve=load_datum) -> CobordismDatum:
-    p = Path(path_or_name)
-    if not p.exists():
-        from .floer_datum import fixture_path
-
-        fixture = fixture_path(p.stem if p.suffix == ".json" else path_or_name)
-        if fixture is None:
-            raise InputError(f"no such cobordism file or fixture: {path_or_name}")
-        p = fixture
-    try:
-        obj = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON in {p}: {exc}") from exc
-    return cobordism_from_json(obj, resolve)
+    return cobordism_from_json(read_json(path_or_name, "cobordism"), resolve)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._linalg import poly_matrix_rank
-from .floer_datum import FloerDatum, Report, Vector, vec_add, vec_neg, vec_sub
+from .floer_datum import FloerDatum, Report, Vector, validate, vec_add, vec_neg, vec_sub
 from .novikov import (
     INF,
     ExtRat,
@@ -102,36 +102,26 @@ class BarElement:
         return not self.coeffs
 
 
-def hat_zero() -> HatElement:
-    return HatElement({}, {})
-
-def check_zero() -> CheckElement:
-    return CheckElement({}, {})
-
-def bar_zero() -> BarElement:
-    return BarElement({})
-
-
 def hat_add(a: HatElement, b: HatElement) -> HatElement:
-    return HatElement(vec_add(a.chain, b.chain), _xadd(a.poly, b.poly))
+    return HatElement(vec_add(a.chain, b.chain), xadd(a.poly, b.poly))
 
 def hat_sub(a: HatElement, b: HatElement) -> HatElement:
     return hat_add(a, HatElement(vec_neg(b.chain), _xneg(b.poly)))
 
 def check_add(a: CheckElement, b: CheckElement) -> CheckElement:
-    return CheckElement(vec_add(a.chain, b.chain), _xadd(a.tail, b.tail))
+    return CheckElement(vec_add(a.chain, b.chain), xadd(a.tail, b.tail))
 
 def check_sub(a: CheckElement, b: CheckElement) -> CheckElement:
     return check_add(a, CheckElement(vec_neg(b.chain), _xneg(b.tail)))
 
 def bar_add(a: BarElement, b: BarElement) -> BarElement:
-    return BarElement(_xadd(a.coeffs, b.coeffs))
+    return BarElement(xadd(a.coeffs, b.coeffs))
 
 def bar_sub(a: BarElement, b: BarElement) -> BarElement:
-    return BarElement(_xadd(a.coeffs, _xneg(b.coeffs)))
+    return BarElement(xadd(a.coeffs, _xneg(b.coeffs)))
 
 
-def _xadd(a: XPart, b: XPart) -> XPart:
+def xadd(a: XPart, b: XPart) -> XPart:
     out = dict(a)
     for i, el in b.items():
         acc = out.get(i, NovikovElement.zero()) + el
@@ -291,13 +281,13 @@ def mdeg_bar(z: BarElement) -> ExtRat:
 # Triangle verification
 # ---------------------------------------------------------------------------
 
-def _inner(window: Window) -> Window:
+def inner_window(window: Window) -> Window:
     # Deep enough that every tail slot >= -T of a composite is computed
     # from fully known data; identities are then compared on the margin.
     return Window(2 * window.T + window.N + 4, window.N)
 
 
-def _hat_basis(datum: FloerDatum, window: Window, margin: bool):
+def hat_basis(datum: FloerDatum, window: Window, margin: bool):
     top = window.N - 2 if margin else window.N
     for g in datum.names():
         yield f"({g}, 0)", HatElement(datum.basis_vector(g), {})
@@ -305,7 +295,7 @@ def _hat_basis(datum: FloerDatum, window: Window, margin: bool):
         yield f"(0, x^{i})", HatElement({}, {i: NovikovElement.one()})
 
 
-def _check_basis(datum: FloerDatum, window: Window, margin: bool):
+def check_basis(datum: FloerDatum, window: Window, margin: bool):
     bottom = -window.T + 2 if margin else -window.T
     for g in datum.names():
         yield f"({g}, 0)", CheckElement(datum.basis_vector(g), {})
@@ -313,7 +303,7 @@ def _check_basis(datum: FloerDatum, window: Window, margin: bool):
         yield f"(0, x^{i})", CheckElement({}, {i: NovikovElement.one()})
 
 
-def _bar_basis(window: Window, margin: bool):
+def bar_basis(window: Window, margin: bool):
     lo = -window.T + 2 if margin else -window.T
     hi = window.N - 2 if margin else window.N
     for i in range(lo, hi + 1):
@@ -324,20 +314,16 @@ def _restrict_x(part: XPart, lo: int, hi: int) -> XPart:
     return {i: a for i, a in part.items() if lo <= i <= hi}
 
 
-def _hat_residual(e: HatElement, window: Window) -> HatElement:
+def hat_residual(e: HatElement, window: Window) -> HatElement:
     return HatElement(e.chain, _restrict_x(e.poly, 0, window.N))
 
 
-def _check_residual(e: CheckElement, window: Window) -> CheckElement:
+def check_residual(e: CheckElement, window: Window) -> CheckElement:
     return CheckElement(e.chain, _restrict_x(e.tail, -window.T + 2, -1))
 
 
-def _bar_residual(z: BarElement, window: Window) -> BarElement:
+def bar_residual(z: BarElement, window: Window) -> BarElement:
     return BarElement(_restrict_x(z.coeffs, -window.T + 2, window.N))
-
-
-def _report_first(rep: Report, identity: str, basis_name: str, residual) -> None:
-    rep.fail(f"{identity} fails at {basis_name}: residual {residual}")
 
 
 def verify_triangle(datum: FloerDatum, window: Window) -> Report:
@@ -349,70 +335,70 @@ def verify_triangle(datum: FloerDatum, window: Window) -> Report:
     identities for the splitting maps; and that the three splitting
     composites are invertible on the window.  Reports the first failing
     identity with the basis element and residual.
-    """
-    rep = Report()
-    win = _inner(window)
 
-    def fail_if(bad, identity, name, residual):
-        if bad and rep.ok:
-            _report_first(rep, identity, name, residual)
+    Precondition: the datum passes validate; its failure is reported as
+    a precondition failure, since a small window can miss it.
+    """
+    pre = validate(datum)
+    rep = Report()
+    if not pre.ok:
+        rep.fail(f"precondition: datum fails validation ({pre.failures[0]})")
+        return rep
+    win = inner_window(window)
 
     # (1) squared differentials
-    for name, e in _hat_basis(datum, window, margin=False):
-        r = hat_d(datum, hat_d(datum, e))
-        fail_if(not r.is_zero(), "hat_d∘hat_d = 0", name, r)
-    for name, e in _check_basis(datum, window, margin=False):
-        r = _check_residual(check_d(datum, check_d(datum, e, win), win), window)
-        fail_if(not r.is_zero(), "check_d∘check_d = 0", name, r)
+    for name, e in hat_basis(datum, window, margin=False):
+        rep.fail_unless_zero("hat_d∘hat_d = 0", name, hat_d(datum, hat_d(datum, e)))
+    for name, e in check_basis(datum, window, margin=False):
+        r = check_residual(check_d(datum, check_d(datum, e, win), win), window)
+        rep.fail_unless_zero("check_d∘check_d = 0", name, r)
     if not rep.ok:
         return rep
 
     # (2) i and p are x-equivariant
-    for name, z in _bar_basis(window, margin=True):
+    for name, z in bar_basis(window, margin=True):
         lhs = map_i(datum, x_action_bar(z, win))
         rhs = x_action_check(datum, map_i(datum, z))
-        r = _check_residual(check_sub(lhs, rhs), window)
-        fail_if(not r.is_zero(), "i∘x = x∘i", name, r)
-    for name, e in _hat_basis(datum, window, margin=True):
+        rep.fail_unless_zero("i∘x = x∘i", name,
+                             check_residual(check_sub(lhs, rhs), window))
+    for name, e in hat_basis(datum, window, margin=True):
         lhs = map_p(datum, x_action_hat(datum, e, win), win)
         rhs = x_action_bar(map_p(datum, e, win), win)
-        r = _bar_residual(bar_sub(lhs, rhs), window)
-        fail_if(not r.is_zero(), "p∘x = x∘p", name, r)
+        rep.fail_unless_zero("p∘x = x∘p", name, bar_residual(bar_sub(lhs, rhs), window))
     if not rep.ok:
         return rep
 
     # (3) j commutes with x up to the homotopy h
-    for name, e in _check_basis(datum, window, margin=True):
+    for name, e in check_basis(datum, window, margin=True):
         lhs = hat_sub(map_j(x_action_check(datum, e)),
                       x_action_hat(datum, map_j(e), win))
         rhs = hat_add(hat_d(datum, htpy_h(e)), htpy_h(check_d(datum, e, win)))
-        r = _hat_residual(hat_sub(lhs, rhs), window)
-        fail_if(not r.is_zero(), "j∘x - x∘j = hat_d∘h + h∘check_d", name, r)
+        rep.fail_unless_zero("j∘x - x∘j = hat_d∘h + h∘check_d", name,
+                             hat_residual(hat_sub(lhs, rhs), window))
     if not rep.ok:
         return rep
 
     # (4) null-homotopy identities for the splitting maps
-    for name, e in _check_basis(datum, window, margin=False):
-        r = _bar_residual(
+    for name, e in check_basis(datum, window, margin=False):
+        r = bar_residual(
             bar_add(map_p(datum, map_j(e), win), htpy_k(check_d(datum, e, win))),
             window)
-        fail_if(not r.is_zero(), "p∘j + k∘check_d = 0", name, r)
-    for name, e in _hat_basis(datum, window, margin=False):
+        rep.fail_unless_zero("p∘j + k∘check_d = 0", name, r)
+    for name, e in hat_basis(datum, window, margin=False):
         total = check_add(
             map_i(datum, map_p(datum, e, win)),
             check_add(htpy_l(datum, hat_d(datum, e)),
                       check_d(datum, htpy_l(datum, e), win)))
-        r = _check_residual(total, window)
-        fail_if(not r.is_zero(), "i∘p + l∘hat_d + check_d∘l = 0", name, r)
-    for name, z in _bar_basis(window, margin=False):
+        rep.fail_unless_zero("i∘p + l∘hat_d + check_d∘l = 0", name,
+                             check_residual(total, window))
+    for name, z in bar_basis(window, margin=False):
         r = hat_add(map_j(map_i(datum, z)), hat_d(datum, htpy_r(z)))
-        fail_if(not r.is_zero(), "j∘i + hat_d∘r = 0", name, r)
+        rep.fail_unless_zero("j∘i + hat_d∘r = 0", name, r)
     if not rep.ok:
         return rep
 
     # (5) the splitting composites are isomorphisms on the window
-    def iso_check(space: str, images: list, unpack) -> None:
-        cols = [unpack(img) for img in images]
+    def iso_check(space: str, cols: list[dict]) -> None:
         keys = sorted({k for col in cols for k in col})
         entries = [[col.get(k, NovikovElement.zero()) for col in cols] for k in keys]
         flat = [el for row in entries for el in row]
@@ -420,39 +406,30 @@ def verify_triangle(datum: FloerDatum, window: Window) -> Report:
         shift = min((e for el in flat for _, e in el.items()), default=Fraction(0))
         if shift > 0:
             shift = Fraction(0)
-        polys = [[to_rational_function(el.shift(-shift), scale).num for el in row]
+        polys = [[to_rational_function(el.shift(-shift), scale) for el in row]
                  for row in entries]
         if poly_matrix_rank(polys) < len(cols):
-            _report_first(rep, f"{space} splitting composite invertible",
-                          "window matrix", "rank deficient")
+            rep.fail(f"{space} splitting composite invertible fails at window matrix: "
+                     "residual rank deficient")
 
-    def unpack_check(e: CheckElement) -> dict:
-        out = {("c", g): el for g, el in e.chain.items()}
-        out.update({("x", i): el for i, el in _restrict_x(e.tail, -window.T, -1).items()})
+    def unpack(chain: Vector, part: XPart, lo: int, hi: int) -> dict:
+        out = {("c", g): el for g, el in chain.items()}
+        out.update({("x", i): el for i, el in _restrict_x(part, lo, hi).items()})
         return out
-
-    def unpack_hat(e: HatElement) -> dict:
-        out = {("c", g): el for g, el in e.chain.items()}
-        out.update({("x", i): el for i, el in _restrict_x(e.poly, 0, window.N).items()})
-        return out
-
-    def unpack_bar(z: BarElement) -> dict:
-        return {("x", i): el for i, el in
-                _restrict_x(z.coeffs, -window.T, window.N).items()}
 
     check_images = [
         check_add(htpy_l(datum, map_j(e)), map_i(datum, htpy_k(e)))
-        for _, e in _check_basis(datum, window, margin=False)
+        for _, e in check_basis(datum, window, margin=False)
     ]
-    iso_check("check", check_images, unpack_check)
+    iso_check("check", [unpack(e.chain, e.tail, -window.T, -1) for e in check_images])
     hat_images = [
         hat_add(htpy_r(map_p(datum, e, win)), map_j(htpy_l(datum, e)))
-        for _, e in _hat_basis(datum, window, margin=False)
+        for _, e in hat_basis(datum, window, margin=False)
     ]
-    iso_check("hat", hat_images, unpack_hat)
+    iso_check("hat", [unpack(e.chain, e.poly, 0, window.N) for e in hat_images])
     bar_images = [
         bar_add(htpy_k(map_i(datum, z)), map_p(datum, htpy_r(z), win))
-        for _, z in _bar_basis(window, margin=False)
+        for _, z in bar_basis(window, margin=False)
     ]
-    iso_check("bar", bar_images, unpack_bar)
+    iso_check("bar", [unpack({}, z.coeffs, -window.T, window.N) for z in bar_images])
     return rep

@@ -110,17 +110,28 @@ def vec_sub(a: Vector, b: Vector) -> Vector:
     return vec_add(a, vec_neg(b))
 
 
-def vec_scale(el: NovikovElement, a: Vector) -> Vector:
-    out = {}
-    for g, v in a.items():
-        w = el * v
-        if not w.is_zero():
-            out[g] = w
+def vec_is_zero(a: Vector) -> bool:
+    return all(el.is_zero() for el in a.values())
+
+
+def apply_row(row: dict[str, NovikovElement], vec: Vector) -> NovikovElement:
+    """A one-sided map into the coefficients (d1, delta1), stored by source."""
+    out = NovikovElement.zero()
+    for g, coeff in vec.items():
+        el = row.get(g)
+        if el is not None:
+            out = out + coeff * el
     return out
 
 
-def vec_is_zero(a: Vector) -> bool:
-    return all(el.is_zero() for el in a.values())
+def apply_column(col: dict[str, NovikovElement], lam: NovikovElement) -> Vector:
+    """A one-sided map out of the coefficients (d2, delta2), stored by target."""
+    out: Vector = {}
+    for g, el in col.items():
+        w = lam * el
+        if not w.is_zero():
+            out[g] = w
+    return out
 
 
 class FloerDatum:
@@ -175,20 +186,10 @@ class FloerDatum:
         return vec
 
     def apply_d1(self, vec: Vector) -> NovikovElement:
-        out = NovikovElement.zero()
-        for g, coeff in vec.items():
-            el = self.d1.get(g)
-            if el is not None:
-                out = out + coeff * el
-        return out
+        return apply_row(self.d1, vec)
 
     def apply_d2(self, lam: NovikovElement) -> Vector:
-        out: Vector = {}
-        for g, el in self.d2.items():
-            w = lam * el
-            if not w.is_zero():
-                out[g] = w
-        return out
+        return apply_column(self.d2, lam)
 
     def basis_vector(self, name: str) -> Vector:
         self._require(name)
@@ -236,6 +237,11 @@ class Report:
 
     def fail(self, message: str):
         self.failures.append(message)
+
+    def fail_unless_zero(self, identity: str, basis_name: str, residual):
+        """Record the first identity whose residual at a basis element is nonzero."""
+        if self.ok and not residual.is_zero():
+            self.fail(f"{identity} fails at {basis_name}: residual {residual}")
 
     def merge(self, other: "Report"):
         self.failures.extend(other.failures)
@@ -344,29 +350,48 @@ def project_homogeneous(datum: FloerDatum, element: Vector,
 
 
 # ---------------------------------------------------------------------------
-# JSON datum format
+# JSON: the field, map and file readers shared by every input format
 # ---------------------------------------------------------------------------
 
-def _check_keys(obj: dict, allowed: set[str], where: str):
+_REQUIRED = object()
+_KINDS = {str: "a string", int: "an integer", list: "an array"}
+
+
+def check_keys(obj, allowed: set[str], where: str) -> None:
+    """Refuse anything but a JSON object whose keys all lie in `allowed`."""
+    if not isinstance(obj, dict):
+        raise InputError(f"{where} must be a JSON object")
     unknown = set(obj) - allowed
     if unknown:
         raise InputError(f"unknown key {sorted(unknown)[0]!r} in {where}")
 
 
-def _terms_from_json(items, where: str) -> NovikovElement:
-    terms = []
-    if not isinstance(items, list):
-        raise InputError(f"{where}: terms must be an array")
-    for t in items:
-        if not isinstance(t, dict):
-            raise InputError(f"{where}: term must be an object")
-        _check_keys(t, {"coeff", "exp"}, where)
+def json_field(obj: dict, key: str, kind: type, where: str, default=_REQUIRED):
+    """obj[key] as a `kind`: str, int, list, or Fraction parsed from "p/q".
+
+    A missing key is refused unless a default is given.
+    """
+    if key not in obj:
+        if default is _REQUIRED:
+            raise InputError(f"{where} missing key {key!r}")
+        return default
+    value = obj[key]
+    if kind is Fraction:
         try:
-            terms.append((parse_rat(t["coeff"]), parse_rat(t["exp"])))
-        except KeyError as exc:
-            raise InputError(f"{where}: term missing {exc.args[0]!r}") from exc
+            return parse_rat(value)
         except ValueError as exc:
             raise InputError(f"{where}: {exc}") from exc
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise InputError(f"{key!r} in {where} must be {_KINDS[kind]}")
+    return value
+
+
+def _terms_from_json(items: list, where: str) -> NovikovElement:
+    terms = []
+    for t in items:
+        check_keys(t, {"coeff", "exp"}, f"{where} term")
+        terms.append((json_field(t, "coeff", Fraction, where),
+                      json_field(t, "exp", Fraction, where)))
     return NovikovElement(terms)
 
 
@@ -374,54 +399,57 @@ def _terms_to_json(el: NovikovElement) -> list[dict]:
     return [{"coeff": format_rat(c), "exp": format_rat(e)} for c, e in el.items()]
 
 
-def datum_from_json(obj: dict) -> FloerDatum:
-    if not isinstance(obj, dict):
-        raise InputError("datum must be a JSON object")
-    _check_keys(obj, {"name", "generators", "d", "u", "d1", "d2"}, "datum")
+def map_from_json(obj: dict, key: str, end: str = ""):
+    """The map stored under obj[key]; an absent key is the zero map.
+
+    A matrix map is an array of {"from", "to", "terms"} objects and reads
+    into a LambdaMatrix.  Given `end` ("from" or "to"), a one-sided map is
+    an array of {end, "terms"} objects and reads into a dict by generator.
+    """
+    ends = (end,) if end else ("from", "to")
+    where = f"{key} entry"
+    out = {}
+    for e in json_field(obj, key, list, "input", default=[]):
+        check_keys(e, {*ends, "terms"}, where)
+        names = tuple(json_field(e, x, str, where) for x in ends)
+        out[names[0] if end else names] = _terms_from_json(
+            json_field(e, "terms", list, where), key)
+    return out if end else LambdaMatrix(out)
+
+
+def map_to_json(m, end: str = "") -> list[dict]:
+    """Inverse of map_from_json."""
+    if not end:
+        return [{"from": s, "to": t, "terms": _terms_to_json(el)}
+                for s, t, el in m.entries()]
+    return [{end: g, "terms": _terms_to_json(el)} for g, el in sorted(m.items())]
+
+
+def read_json(path_or_name: str, what: str):
+    """Parse the JSON file at a path, or else the bundled fixture of that name."""
+    p = Path(path_or_name)
+    if not p.exists():
+        name = p.stem if p.suffix == ".json" else path_or_name
+        p = resources.files("floergamma") / "fixtures" / f"{name}.json"
+        if not p.is_file():
+            raise InputError(f"no such {what} file or fixture: {path_or_name}")
     try:
-        name = obj["name"]
-        gen_objs = obj["generators"]
-    except KeyError as exc:
-        raise InputError(f"datum missing key {exc.args[0]!r}") from exc
-    if not isinstance(name, str):
-        raise InputError("datum name must be a string")
+        return json.loads(p.read_text())
+    except (OSError, ValueError) as exc:
+        raise InputError(f"cannot read {what} {path_or_name}: {exc}") from exc
+
+
+def datum_from_json(obj) -> FloerDatum:
+    check_keys(obj, {"name", "generators", "d", "u", "d1", "d2"}, "datum")
+    name = json_field(obj, "name", str, "datum")
     generators = []
-    for g in gen_objs:
-        _check_keys(g, {"name", "grading", "energy_lift"}, "generator")
-        try:
-            grading = g["grading"]
-            if not isinstance(grading, int) or isinstance(grading, bool):
-                raise InputError("grading must be an integer")
-            generators.append(
-                Generator(g["name"], grading, parse_rat(g["energy_lift"]))
-            )
-        except KeyError as exc:
-            raise InputError(f"generator missing key {exc.args[0]!r}") from exc
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
-
-    def matrix(key: str) -> LambdaMatrix:
-        mat = LambdaMatrix()
-        for e in obj.get(key, []):
-            _check_keys(e, {"from", "to", "terms"}, f"{key} entry")
-            try:
-                mat.set(e["from"], e["to"], _terms_from_json(e["terms"], key))
-            except KeyError as exc:
-                raise InputError(f"{key} entry missing key {exc.args[0]!r}") from exc
-        return mat
-
-    def lam_map(key: str, end: str) -> dict[str, NovikovElement]:
-        out = {}
-        for e in obj.get(key, []):
-            _check_keys(e, {end, "terms"}, f"{key} entry")
-            try:
-                out[e[end]] = _terms_from_json(e["terms"], key)
-            except KeyError as exc:
-                raise InputError(f"{key} entry missing key {exc.args[0]!r}") from exc
-        return out
-
-    return FloerDatum(name, generators, matrix("d"), matrix("u"),
-                      lam_map("d1", "from"), lam_map("d2", "to"))
+    for g in json_field(obj, "generators", list, "datum"):
+        check_keys(g, {"name", "grading", "energy_lift"}, "generator")
+        generators.append(Generator(json_field(g, "name", str, "generator"),
+                                    json_field(g, "grading", int, "generator"),
+                                    json_field(g, "energy_lift", Fraction, "generator")))
+    return FloerDatum(name, generators, map_from_json(obj, "d"), map_from_json(obj, "u"),
+                      map_from_json(obj, "d1", "from"), map_from_json(obj, "d2", "to"))
 
 
 def datum_to_json(datum: FloerDatum) -> dict:
@@ -432,36 +460,13 @@ def datum_to_json(datum: FloerDatum) -> dict:
              "energy_lift": format_rat(g.energy_lift)}
             for g in datum.generators
         ],
-        "d": [{"from": s, "to": t, "terms": _terms_to_json(el)}
-              for s, t, el in datum.d.entries()],
-        "u": [{"from": s, "to": t, "terms": _terms_to_json(el)}
-              for s, t, el in datum.u.entries()],
-        "d1": [{"from": g, "terms": _terms_to_json(el)}
-               for g, el in sorted(datum.d1.items())],
-        "d2": [{"to": g, "terms": _terms_to_json(el)}
-               for g, el in sorted(datum.d2.items())],
+        "d": map_to_json(datum.d),
+        "u": map_to_json(datum.u),
+        "d1": map_to_json(datum.d1, "from"),
+        "d2": map_to_json(datum.d2, "to"),
     }
-
-
-def fixture_path(name: str) -> Path | None:
-    base = resources.files("floergamma") / "fixtures" / f"{name}.json"
-    try:
-        with resources.as_file(base) as p:
-            return p if p.exists() else None
-    except FileNotFoundError:
-        return None
 
 
 def load_datum(path_or_name: str) -> FloerDatum:
     """Load a datum from a JSON file path or a bundled fixture name."""
-    p = Path(path_or_name)
-    if not p.exists():
-        fixture = fixture_path(p.stem if p.suffix == ".json" else path_or_name)
-        if fixture is None:
-            raise InputError(f"no such datum file or fixture: {path_or_name}")
-        p = fixture
-    try:
-        obj = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON in {p}: {exc}") from exc
-    return datum_from_json(obj)
+    return datum_from_json(read_json(path_or_name, "datum"))

@@ -12,8 +12,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .floer_datum import InputError
 
-class LatticeInputError(ValueError):
+
+class LatticeInputError(InputError):
     pass
 
 
@@ -24,7 +26,12 @@ class LatticeData:
     """Symmetric negative-definite integer Gram matrix of rank <= 12."""
 
     def __init__(self, gram):
-        g = [[int(x) for x in row] for row in gram]
+        rows = (list, tuple)
+        if not isinstance(gram, rows) or not all(isinstance(row, rows) for row in gram):
+            raise LatticeInputError("Gram matrix must be a list of rows")
+        g = [list(row) for row in gram]
+        if any(isinstance(x, bool) or not isinstance(x, int) for row in g for x in row):
+            raise LatticeInputError("Gram entries must be integers")
         n = len(g)
         if n == 0:
             raise LatticeInputError("lattice must have positive rank")
@@ -62,10 +69,6 @@ class LatticeData:
                 if v[j] != 0:
                     total += v[i] * row[j] * v[j]
         return total
-
-    def bilinear(self, v, w) -> int:
-        n = self.rank
-        return sum(v[i] * self.gram[i][j] * w[j] for i in range(n) for j in range(n))
 
 
 def _int_det(rows) -> int:

@@ -10,21 +10,19 @@ when some boundary correction pushes the cycle into the sublevel span.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
 from ._linalg import q_solve
-from .floer_datum import InputError
+from .floer_datum import InputError, check_keys, json_field, read_json
 from .novikov import parse_rat
 
 
-class NonCycleError(ValueError):
+class NonCycleError(InputError):
     pass
 
 
-class NullHomologousError(ValueError):
+class NullHomologousError(InputError):
     pass
 
 
@@ -165,51 +163,25 @@ def evaluate_with_perturbations(M: MorseComplex, sigma, perturbations) -> Fracti
     return base
 
 
-def morse_from_json(obj: dict) -> MorseComplex:
-    if not isinstance(obj, dict):
-        raise InputError("complex must be a JSON object")
-    allowed = {"name", "generators", "boundary"}
-    unknown = set(obj) - allowed
-    if unknown:
-        raise InputError(f"unknown key {sorted(unknown)[0]!r} in complex")
+def morse_from_json(obj) -> MorseComplex:
+    check_keys(obj, {"name", "generators", "boundary"}, "complex")
     gens = []
-    for g in obj.get("generators", []):
-        extra = set(g) - {"name", "index", "value"}
-        if extra:
-            raise InputError(f"unknown key {sorted(extra)[0]!r} in generator")
-        try:
-            idx = g["index"]
-            if not isinstance(idx, int) or isinstance(idx, bool):
-                raise InputError("generator index must be an integer")
-            gens.append(MorseGenerator(g["name"], idx, parse_rat(g["value"])))
-        except KeyError as exc:
-            raise InputError(f"generator missing key {exc.args[0]!r}") from exc
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+    for g in json_field(obj, "generators", list, "complex", default=[]):
+        check_keys(g, {"name", "index", "value"}, "generator")
+        gens.append(MorseGenerator(json_field(g, "name", str, "generator"),
+                                   json_field(g, "index", int, "generator"),
+                                   json_field(g, "value", Fraction, "generator")))
     boundary = {}
-    for e in obj.get("boundary", []):
-        extra = set(e) - {"from", "to", "coeff"}
-        if extra:
-            raise InputError(f"unknown key {sorted(extra)[0]!r} in boundary entry")
-        try:
-            c = e["coeff"]
-            if not isinstance(c, int) or isinstance(c, bool):
-                raise InputError("boundary coefficient must be an integer")
-            boundary[(e["from"], e["to"])] = c
-        except KeyError as exc:
-            raise InputError(f"boundary entry missing key {exc.args[0]!r}") from exc
+    for e in json_field(obj, "boundary", list, "complex", default=[]):
+        where = "boundary entry"
+        check_keys(e, {"from", "to", "coeff"}, where)
+        ends = (json_field(e, "from", str, where), json_field(e, "to", str, where))
+        boundary[ends] = json_field(e, "coeff", int, where)
     return MorseComplex(gens, boundary, obj.get("name", ""))
 
 
 def load_morse(path: str) -> MorseComplex:
-    p = Path(path)
-    if not p.exists():
-        raise InputError(f"no such complex file: {path}")
-    try:
-        obj = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON in {p}: {exc}") from exc
-    return morse_from_json(obj)
+    return morse_from_json(read_json(path, "complex"))
 
 
 def parse_class(text: str) -> dict[str, Fraction]:

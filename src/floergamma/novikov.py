@@ -7,16 +7,19 @@ computations in this package.  The valuation mdeg (minimal exponent)
 drives every invariant computed downstream, so exponents are exact
 rationals throughout; floating point never enters.
 
-The module also provides an embedding into the rational function field
-Q(mu) with mu = l^(1/scale), used to run exact linear algebra over the
-Novikov coefficients after clearing exponent denominators.
+The module also writes an element as a dense polynomial over Q in
+mu = l^(1/scale), once exponent denominators are cleared and exponents
+shifted to be non-negative.  The rank of a matrix of such polynomials
+over the field Q(mu) is the rank over the Novikov coefficients; the
+linear algebra kernel takes it by fraction-free elimination, so no
+rational-function arithmetic is needed.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
 #: Extended value used for mdeg of the zero element.  Comparisons and
 #: subtraction against exact Fractions behave as expected (inf - q = inf).
@@ -30,6 +33,8 @@ Scalar = Union[Fraction, int]
 
 def parse_rat(text: str) -> Fraction:
     """Parse the canonical text form of a rational: "p/q" or "p"."""
+    if not isinstance(text, str):
+        raise ValueError(f"not a rational string: {text!r}")
     text = text.strip()
     try:
         value = Fraction(text)
@@ -168,7 +173,7 @@ def mdeg_tuple(elements: Iterable[NovikovElement]) -> ExtRat:
 
 
 # ---------------------------------------------------------------------------
-# Dense polynomials over Q, and the rational function field Q(mu).
+# Dense polynomials over Q in mu = l^(1/scale).
 # ---------------------------------------------------------------------------
 
 QPoly = tuple  # coefficient tuple, index = degree, no trailing zeros
@@ -234,86 +239,17 @@ def poly_divexact(p: QPoly, q: QPoly) -> QPoly:
     return quot
 
 
-def poly_gcd(p: QPoly, q: QPoly) -> QPoly:
-    while q:
-        p, q = q, poly_divmod(p, q)[1]
-    if p:
-        lead = p[-1]
-        p = tuple(c / lead for c in p)
-    return p
+_ZERO = Fraction(0)
 
 
-class RationalFunction:
-    """Element of Q(mu) where mu = l^(1/scale).
-
-    Kept in reduced form with a monic denominator.  This is the exact
-    field into which finite-support Novikov elements embed for linear
-    algebra (ranks, kernels, invertibility) after clearing exponent
-    denominators.
-    """
-
-    __slots__ = ("num", "den", "scale")
-
-    def __init__(self, num, den=POLY_ONE, scale: int = 1):
-        num = poly_from_coeffs(num)
-        den = poly_from_coeffs(den)
-        if not den:
-            raise ZeroDivisionError("rational function with zero denominator")
-        if scale < 1:
-            raise ValueError("scale must be a positive integer")
-        g = poly_gcd(num, den)
-        if g and g != POLY_ONE:
-            num = poly_divexact(num, g)
-            den = poly_divexact(den, g)
-        lead = den[-1]
-        if lead != 1:
-            num = tuple(c / lead for c in num)
-            den = tuple(c / lead for c in den)
-        self.num = num
-        self.den = den
-        self.scale = scale
-
-    def _check(self, other: "RationalFunction"):
-        if self.scale != other.scale:
-            raise ValueError("mismatched scales")
-
-    def is_zero(self) -> bool:
-        return not self.num
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return (self.num, self.den, self.scale) == (other.num, other.den, other.scale)
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den, self.scale))
-
-    def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        self._check(other)
-        num = poly_add(poly_mul(self.num, other.den), poly_mul(other.num, self.den))
-        return RationalFunction(num, poly_mul(self.den, other.den), self.scale)
-
-    def __neg__(self) -> "RationalFunction":
-        return RationalFunction(poly_neg(self.num), self.den, self.scale)
-
-    def __sub__(self, other: "RationalFunction") -> "RationalFunction":
-        return self + (-other)
-
-    def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        self._check(other)
-        return RationalFunction(
-            poly_mul(self.num, other.num), poly_mul(self.den, other.den), self.scale
-        )
-
-    def __repr__(self) -> str:
-        return f"RationalFunction(num={self.num}, den={self.den}, scale={self.scale})"
-
-
-def to_rational_function(a: NovikovElement, scale: int) -> RationalFunction:
-    """Embed a Novikov element as a polynomial in mu = l^(1/scale).
+def to_rational_function(a: NovikovElement, scale: int) -> QPoly:
+    """The coefficients of a Novikov element as a polynomial in mu = l^(1/scale).
 
     Every exponent must be a non-negative multiple of 1/scale; callers
     shift exponents by a recorded global offset beforehand when needed.
+    The polynomial stands for an element of Q(mu), in which the ranks of
+    matrices over the Novikov coefficients are taken.  Gaps are filled
+    with one shared zero.
     """
     if scale < 1:
         raise ValueError("scale must be a positive integer")
@@ -326,21 +262,8 @@ def to_rational_function(a: NovikovElement, scale: int) -> RationalFunction:
             raise ValueError(f"exponent {e} is negative; shift before embedding")
         coeffs[int(k)] = c
     if not coeffs:
-        return RationalFunction(POLY_ZERO, POLY_ONE, scale)
-    top = max(coeffs)
-    return RationalFunction(
-        [coeffs.get(i, Fraction(0)) for i in range(top + 1)], POLY_ONE, scale
-    )
-
-
-def from_rational_function(rf: RationalFunction) -> NovikovElement:
-    """Inverse of to_rational_function on polynomials (denominator 1)."""
-    if len(rf.den) != 1:
-        raise ValueError("only polynomial rational functions convert back")
-    den = rf.den[0]
-    return NovikovElement(
-        [(c / den, Fraction(i, rf.scale)) for i, c in enumerate(rf.num) if c != 0]
-    )
+        return POLY_ZERO
+    return tuple(coeffs.get(i, _ZERO) for i in range(max(coeffs) + 1))
 
 
 def common_scale(elements: Iterable[NovikovElement]) -> int:

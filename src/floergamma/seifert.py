@@ -20,8 +20,10 @@ from itertools import combinations
 
 import mpmath
 
+from .floer_datum import InputError
 
-class SeifertInputError(ValueError):
+
+class SeifertInputError(InputError):
     pass
 
 
@@ -217,4 +219,6 @@ def sweep(max_product: int = 2000, lengths=(3, 4)) -> dict:
                 mismatches.append((t, exact.r, "expected R=1"))
             if s % (p * q) == 1 and exact.r != -1:
                 mismatches.append((t, exact.r, "expected R=-1"))
+    if not checked:
+        raise SeifertInputError(f"no orbit tuple has product <= {max_product}")
     return {"checked": checked, "mismatches": mismatches}

@@ -5,6 +5,10 @@ import json
 import pytest
 
 from floergamma.cli import main
+from floergamma.floer_datum import InputError
+from floergamma.lattice import LatticeInputError
+from floergamma.morse_minmax import NonCycleError, NullHomologousError
+from floergamma.seifert import SeifertInputError
 
 
 def run(capsys, *argv):
@@ -80,20 +84,44 @@ def test_refused_data_exit_2(capsys, tmp_path):
         "d1": [{"from": "a", "terms": [{"coeff": "1", "exp": "1/2"}]}],
         "d2": [{"to": "b", "terms": [{"coeff": "1", "exp": "1/2"}]}],
     }))
+    # calculator refusals are InputErrors too
+    for exc in (LatticeInputError, SeifertInputError, NonCycleError, NullHomologousError):
+        assert issubclass(exc, InputError), exc
+    gram = tmp_path / "frac.json"
+    gram.write_text(json.dumps({"gram": [[-2.7]]}))
+    complex_ = tmp_path / "complex.json"
+    complex_.write_text(json.dumps({"generators": [{"name": "m", "index": 0, "value": 0}]}))
     for argv in (["gamma", str(broken), "--k", "1"],
                  ["gamma", str(broken), "--range", "-4..4"],
                  ["h", str(broken)],
-                 ["bounds", "s3"]):
+                 ["bounds", "s3"],
+                 ["lattice", str(gram)],
+                 ["lattice", str(tmp_path / "missing.json")],
+                 ["lattice", str(tmp_path)],
+                 ["seifert", "sweep", "--max-product", "-5"],
+                 ["morse", "eval", str(complex_), "--class", "m:1"]):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", argv
         assert err.startswith("error:") and "Traceback" not in err, argv
 
 
-def test_triangle_command(capsys):
+def test_triangle_command(capsys, tmp_path):
     code, out, _ = run(capsys, "triangle", "neg_sigma_2_3_5", "--window", "6,4")
     assert code == 0 and out == "triangle: ok\n"
     code, _, err = run(capsys, "triangle", "neg_sigma_2_3_5", "--window", "1,1")
     assert code == 2
+    # d1∘d != 0: refused as a failed precondition at every window, 2,1 included
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "name": "d1_after_d",
+        "generators": [{"name": "x", "grading": 2, "energy_lift": "-3/2"},
+                       {"name": "y", "grading": 1, "energy_lift": "-1/2"}],
+        "d": [{"from": "x", "to": "y", "terms": [{"coeff": "1", "exp": "1"}]}],
+        "d1": [{"from": "y", "terms": [{"coeff": "1", "exp": "1/2"}]}],
+    }))
+    for window in ("2,1", "3,1", "6,4"):
+        code, out, _ = run(capsys, "triangle", str(bad), "--window", window)
+        assert code == 1 and out.startswith("triangle: precondition:"), window
 
 
 def test_seifert_commands(capsys):

@@ -255,3 +255,9 @@ def test_cobordism_json_round_trip():
     obj["c"] = 0
     with pytest.raises(InputError):
         cobordism_from_json(obj)
+    for key, value in (("delta1", [{"from": "alpha", "terms": [{"coeff": 1, "exp": "0"}]}]),
+                       ("phi", ["alpha"]), ("mu", 3), ("c", "1"), ("source", 5)):
+        obj = cobordism_to_json(cob)
+        obj[key] = value
+        with pytest.raises(InputError):
+            cobordism_from_json(obj)

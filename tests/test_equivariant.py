@@ -29,7 +29,7 @@ from floergamma.equivariant import (
     x_action_check,
     x_action_hat,
 )
-from floergamma.floer_datum import load_datum
+from floergamma.floer_datum import FloerDatum, Generator, LambdaMatrix, load_datum, validate
 from floergamma.novikov import INF, NovikovElement
 
 from datagen import random_datum
@@ -154,6 +154,22 @@ def test_triangle_fixtures():
                          ("remark_nonpositive", Window(6, 4))):
         rep = verify_triangle(load_datum(name), window)
         assert rep.ok, (name, rep.failures)
+
+
+def d1_after_d_datum() -> FloerDatum:
+    # x -> y under d and d1(y) != 0, so d1∘d != 0 and validate fails
+    gens = [Generator("x", 2, Fraction(-3, 2)), Generator("y", 1, Fraction(-1, 2))]
+    return FloerDatum("d1_after_d", gens, LambdaMatrix({("x", "y"): nov(1, 1)}),
+                      LambdaMatrix(), {"y": nov(1, "1/2")}, {})
+
+
+def test_triangle_refuses_invalid_datum_at_every_window():
+    # the window 2,1 checks an empty tail band, so only validate sees this fault
+    datum = d1_after_d_datum()
+    assert not validate(datum).ok
+    for window in (Window(2, 1), Window(3, 1), Window(6, 4)):
+        rep = verify_triangle(datum, window)
+        assert not rep.ok and rep.failures[0].startswith("precondition:"), window
 
 
 def test_triangle_random_data():

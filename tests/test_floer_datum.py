@@ -216,6 +216,24 @@ def test_json_rejects_bad_values():
         datum_from_json(bad)
     with pytest.raises(InputError):
         load_datum("definitely_missing_fixture")
+    gen = {"name": "a", "grading": 1, "energy_lift": "-1/2"}
+    term = {"coeff": "1", "exp": "1/2"}
+    for field, value in (("generators", [dict(gen, energy_lift=-0.5)]),
+                         ("generators", ["a"]),
+                         ("generators", {"a": gen}),
+                         ("generators", 3),
+                         ("d1", [{"from": "a", "terms": [dict(term, coeff=1)]}]),
+                         ("d1", [{"from": "a", "terms": [dict(term, exp=0.5)]}]),
+                         ("d1", [["a", [term]]]),
+                         ("d1", [{"from": "a", "terms": ["1"]}]),
+                         ("d1", [{"from": "a", "terms": term}]),
+                         ("d1", [{"from": ["a"], "terms": [term]}]),
+                         ("d", 3),
+                         ("name", 7)):
+        bad = dict(base, generators=[gen])
+        bad[field] = value
+        with pytest.raises(InputError):
+            datum_from_json(bad)
 
 
 def test_duplicate_generator_names_rejected():

@@ -48,6 +48,9 @@ def test_validation():
         LatticeData([[-1, 1], [0, -1]])  # not symmetric
     with pytest.raises(LatticeInputError):
         LatticeData([[-1] * 13] * 13)
+    for gram in ([[-2.7]], [[-2.0]], [["-2"]], [[True]], [-2], "[[-2]]"):
+        with pytest.raises(LatticeInputError):
+            LatticeData(gram)
 
 
 def test_minimal_norm_examples(e8):

@@ -39,6 +39,9 @@ def test_input_validation():
         seifert_invariants((2, 3))
     with pytest.raises(SeifertInputError):
         seifert_invariants((1, 2, 3))
+    for bound in (-5, 0, 29):  # no tuple to check: (2, 3, 5) is the smallest
+        with pytest.raises(SeifertInputError):
+            sweep(bound)
 
 
 def test_order_insensitivity():
@@ -119,3 +122,4 @@ def test_small_sweep_clean():
     res = sweep(400)
     assert res["checked"] > 50
     assert res["mismatches"] == []
+    assert sweep(30)["checked"] == 1  # (2, 3, 5) alone
