@@ -24,6 +24,7 @@ from .equivariant import (
     CheckElement,
     HatElement,
     Window,
+    XPart,
     bar_basis,
     bar_residual,
     bar_sub,
@@ -86,6 +87,14 @@ class CobordismDatum:
             raise InputError("c must be a positive integer")
         self.delta1 = {g: el for g, el in self.delta1.items() if not el.is_zero()}
         self.delta2 = {g: el for g, el in self.delta2.items() if not el.is_zero()}
+        for m in (self.phi, self.mu):
+            for src, dst, _ in m.entries():
+                self.source.require(src)
+                self.target.require(dst)
+        for g in self.delta1:
+            self.source.require(g)
+        for g in self.delta2:
+            self.target.require(g)
 
 
 def identity_cobordism(datum: FloerDatum) -> CobordismDatum:
@@ -165,45 +174,58 @@ def verify_tilde_chain_map(cob: CobordismDatum) -> Report:
 # Equivariant cobordism maps
 # ---------------------------------------------------------------------------
 
-def _u_tower(datum: FloerDatum, vec: Vector, depth: int) -> list[Vector]:
-    """vec, u(vec), ..., u^(depth-1)(vec)."""
-    out = [vec]
-    for _ in range(depth - 1):
-        out.append(datum.apply_u(out[-1]))
-    return out
+def _ladder(cob: CobordismDatum, vec: Vector, seed: Vector,
+            depth: int) -> list[tuple[Vector, Vector]]:
+    """The rungs (u^m vec, L_m) for m < depth.
 
-
-def correction_series(cob: CobordismDatum, depth: int) -> dict[int, NovikovElement]:
-    """The multiplier series c + sum_{j<0} (...) x^j down to x^-depth.
-
-    Coefficient at x^-m (m >= 1) collects delta1 u^(m-1) d2(1),
-    d1' u'^(m-1) delta2(1) and the double sum
-    d1' u'^(-j-1) mu u^(-k-1) d2(1) over j + k = -m.
+    L_0 = seed and L_(m+1) = u'(L_m) + mu(u^m vec), so that
+    L_m = u'^m seed + sum_{k<m} u'^(m-1-k) mu u^k vec: Horner's rule for
+    the mu double sum that every induced map carries.  The ladder of
+    d2(1) seeded at delta2(1) gives the correction series and the chain
+    weights W_i = L_i of the polynomial slots; the ladder of a chain
+    alpha seeded at 0 gives the tail of alpha.
     """
-    src, tgt = cob.source, cob.target
-    series: dict[int, NovikovElement] = {0: NovikovElement.term(cob.c, 0)}
+    rungs = [(vec, seed)]
+    while len(rungs) < depth:
+        v, rung = rungs[-1]
+        rungs.append((cob.source.apply_u(v),
+                      vec_add(cob.target.apply_u(rung), cob.mu.apply(v))))
+    return rungs[:depth]
+
+
+def _tail(cob: CobordismDatum, ladder: list[tuple[Vector, Vector]]) -> XPart:
+    """{x^-(m+1): delta1(u^m vec) + d1'(L_m)} over the rungs of a ladder."""
+    tail: XPart = {}
+    for m, (vec, rung) in enumerate(ladder):
+        lam = apply_row(cob.delta1, vec) + cob.target.apply_d1(rung)
+        if not lam.is_zero():
+            tail[-m - 1] = lam
+    return tail
+
+
+def _d2_ladder(cob: CobordismDatum, depth: int) -> list[tuple[Vector, Vector]]:
+    """The ladder of d2(1) seeded at delta2(1)."""
     one = NovikovElement.one()
-    d2_tower = _u_tower(src, src.apply_d2(one), depth)
-    delta2_tower = _u_tower(tgt, apply_column(cob.delta2, one), depth)
-    mu_of_d2 = [cob.mu.apply(v) for v in d2_tower]
-    for m in range(1, depth + 1):
-        acc = apply_row(cob.delta1, d2_tower[m - 1])
-        acc = acc + tgt.apply_d1(delta2_tower[m - 1])
-        for k in range(1, m):
-            j = m - k
-            # d1'(u'^(j-1) mu(u^(k-1) d2(1)))
-            vec = mu_of_d2[k - 1]
-            for _ in range(j - 1):
-                vec = tgt.apply_u(vec)
-            acc = acc + tgt.apply_d1(vec)
-        if not acc.is_zero():
-            series[-m] = acc
-    return series
+    return _ladder(cob, cob.source.apply_d2(one), apply_column(cob.delta2, one), depth)
 
 
-def _xpart_mul(a: dict[int, NovikovElement], b: dict[int, NovikovElement],
-               lo: int, hi: int) -> dict[int, NovikovElement]:
-    out: dict[int, NovikovElement] = {}
+def _weighted_rungs(cob: CobordismDatum, part: XPart) -> Vector:
+    """sum_{i>=0} a_i W_i, where W_i = L_i of the d2-ladder."""
+    nonneg = {i: a for i, a in part.items() if i >= 0}
+    ladder = _d2_ladder(cob, max(nonneg, default=-1) + 1)
+    chain: Vector = {}
+    for i, a in nonneg.items():
+        chain = vec_add(chain, apply_column(ladder[i][1], a))
+    return chain
+
+
+def correction_series(cob: CobordismDatum, depth: int) -> XPart:
+    """The multiplier series S: c plus the tail of the d2-ladder, down to x^-depth."""
+    return {0: NovikovElement.term(cob.c, 0), **_tail(cob, _d2_ladder(cob, depth))}
+
+
+def _xpart_mul(a: XPart, b: XPart, lo: int, hi: int) -> XPart:
+    out: XPart = {}
     for i, ai in a.items():
         for j, bj in b.items():
             k = i + j
@@ -216,52 +238,19 @@ def _xpart_mul(a: dict[int, NovikovElement], b: dict[int, NovikovElement],
     return out
 
 
-def hat_map(cob: CobordismDatum, e: HatElement, window: Window) -> HatElement:
-    """Induced map on the "from" complex (exact displayed sums)."""
-    src, tgt = cob.source, cob.target
-    chain = cob.phi.apply(e.chain)
-    poly = {i: cob.c * a for i, a in e.poly.items()}
-    for i, a in e.poly.items():
-        d2a = src.apply_d2(a)
-        chain = vec_add(chain, tgt.apply_u_power(apply_column(cob.delta2, a), i))
-        d2_tower = _u_tower(src, d2a, max(i, 1))
-        for k in range(i):
-            vec = cob.mu.apply(d2_tower[i - 1 - k])
-            chain = vec_add(chain, tgt.apply_u_power(vec, k))
-        # tail corrections into lower polynomial slots
-        for slot in range(0, i):
-            gap = i - slot - 1
-            lam = apply_row(cob.delta1, d2_tower[gap])
-            lam = lam + tgt.apply_d1(
-                tgt.apply_u_power(apply_column(cob.delta2, a), gap))
-            for j in range(slot + 1, i):
-                vec = cob.mu.apply(d2_tower[i - j - 1])
-                vec = tgt.apply_u_power(vec, j - slot - 1)
-                lam = lam + tgt.apply_d1(vec)
-            if not lam.is_zero():
-                poly[slot] = poly.get(slot, NovikovElement.zero()) + lam
-    return HatElement(chain, poly)
+def hat_map(cob: CobordismDatum, e: HatElement) -> HatElement:
+    """Induced map on the "from" complex: (phi alpha + sum a_i W_i, poly·S)."""
+    depth = max(e.poly, default=0)
+    chain = vec_add(cob.phi.apply(e.chain), _weighted_rungs(cob, e.poly))
+    return HatElement(chain, _xpart_mul(e.poly, correction_series(cob, depth), 0, depth))
 
 
 def check_map(cob: CobordismDatum, e: CheckElement, window: Window) -> CheckElement:
-    """Induced map on the "to" complex."""
-    src, tgt = cob.source, cob.target
-    chain = cob.phi.apply(e.chain)
+    """Induced map on the "to" complex: (phi alpha, tail of alpha + tail·S)."""
     depth = window.T
-    tail: dict[int, NovikovElement] = {}
-    tower = _u_tower(src, e.chain, depth)
-    for m in range(1, depth + 1):
-        lam = apply_row(cob.delta1, tower[m - 1])
-        for j in range(-m + 1, 0):
-            # d1'(u'^(-j-1) mu(u^(j - i - 1) alpha)) with i = -m
-            vec = cob.mu.apply(tower[j + m - 1])
-            vec = tgt.apply_u_power(vec, -j - 1)
-            lam = lam + tgt.apply_d1(vec)
-        if not lam.is_zero():
-            tail[-m] = lam
-    series = correction_series(cob, depth)
-    tail = xadd(tail, _xpart_mul(e.tail, series, -depth, -1))
-    return CheckElement(chain, tail)
+    tail = xadd(_tail(cob, _ladder(cob, e.chain, {}, depth)),
+                _xpart_mul(e.tail, correction_series(cob, depth), -depth, -1))
+    return CheckElement(cob.phi.apply(e.chain), tail)
 
 
 def bar_map(cob: CobordismDatum, z: BarElement, window: Window) -> BarElement:
@@ -289,36 +278,13 @@ def htpy_check_x(cob: CobordismDatum, e: CheckElement) -> CheckElement:
 
 
 def htpy_p(cob: CobordismDatum, e: HatElement, window: Window) -> BarElement:
-    """K(alpha, p) = delta1-tail of alpha plus the mu double sum, in the bar complex."""
-    src, tgt = cob.source, cob.target
-    depth = window.T
-    coeffs: dict[int, NovikovElement] = {}
-    tower = _u_tower(src, e.chain, depth)
-    for m in range(1, depth + 1):
-        lam = apply_row(cob.delta1, tower[m - 1])
-        for k in range(1, m):
-            j = m - k
-            vec = cob.mu.apply(tower[k - 1])
-            vec = tgt.apply_u_power(vec, j - 1)
-            lam = lam + tgt.apply_d1(vec)
-        if not lam.is_zero():
-            coeffs[-m] = lam
-    return BarElement(coeffs)
+    """K(alpha, p) = the tail of alpha, in the bar complex."""
+    return BarElement(_tail(cob, _ladder(cob, e.chain, {}, window.T)))
 
 
 def htpy_i(cob: CobordismDatum, z: BarElement) -> CheckElement:
-    """L(z) = (sum_{i>=0} u'^i delta2(a_i) + mu u-corrections of d2(a_i), 0)."""
-    src, tgt = cob.source, cob.target
-    chain: Vector = {}
-    for i, a in z.coeffs.items():
-        if i < 0:
-            continue
-        chain = vec_add(chain, tgt.apply_u_power(apply_column(cob.delta2, a), i))
-        d2_tower = _u_tower(src, src.apply_d2(a), max(i, 1))
-        for j in range(i):
-            vec = cob.mu.apply(d2_tower[i - 1 - j])
-            chain = vec_add(chain, tgt.apply_u_power(vec, j))
-    return CheckElement(chain, {})
+    """L(z) = (sum_{i>=0} a_i W_i, 0)."""
+    return CheckElement(_weighted_rungs(cob, z.coeffs), {})
 
 
 def verify_functoriality(cob: CobordismDatum, window: Window) -> Report:
@@ -338,8 +304,8 @@ def verify_functoriality(cob: CobordismDatum, window: Window) -> Report:
 
     # (1) the three maps are chain maps
     for name, e in hat_basis(src, window, margin=False):
-        lhs = hat_d(tgt, hat_map(cob, e, win))
-        rhs = hat_map(cob, hat_d(src, e), win)
+        lhs = hat_d(tgt, hat_map(cob, e))
+        rhs = hat_map(cob, hat_d(src, e))
         rep.fail_unless_zero("hat_d'∘hat_map = hat_map∘hat_d", name,
                              hat_residual(hat_sub(lhs, rhs), window))
     for name, e in check_basis(src, window, margin=False):
@@ -361,8 +327,8 @@ def verify_functoriality(cob: CobordismDatum, window: Window) -> Report:
 
     # (3) x-equivariance of hat_map and check_map up to homotopy
     for name, e in hat_basis(src, window, margin=True):
-        lhs = hat_sub(x_action_hat(tgt, hat_map(cob, e, win), win),
-                      hat_map(cob, x_action_hat(src, e, win), win))
+        lhs = hat_sub(x_action_hat(tgt, hat_map(cob, e), win),
+                      hat_map(cob, x_action_hat(src, e, win)))
         rhs = hat_add(htpy_hat_x(cob, hat_d(src, e)),
                       hat_d(tgt, htpy_hat_x(cob, e)))
         rep.fail_unless_zero("x∘hat_map - hat_map∘x = K∘hat_d + hat_d'∘K", name,
@@ -379,7 +345,7 @@ def verify_functoriality(cob: CobordismDatum, window: Window) -> Report:
 
     # (4) p'∘hat_map - bar_map∘p = K∘hat_d
     for name, e in hat_basis(src, window, margin=False):
-        lhs = bar_sub(map_p(tgt, hat_map(cob, e, win), win),
+        lhs = bar_sub(map_p(tgt, hat_map(cob, e), win),
                       bar_map(cob, map_p(src, e, win), win))
         rhs = htpy_p(cob, hat_d(src, e), win)
         rep.fail_unless_zero("p'∘hat_map - bar_map∘p = K∘hat_d", name,
@@ -390,7 +356,7 @@ def verify_functoriality(cob: CobordismDatum, window: Window) -> Report:
     # (5) j'∘check_map = hat_map∘j exactly
     for name, e in check_basis(src, window, margin=False):
         lhs = map_j(check_map(cob, e, win))
-        rhs = hat_map(cob, map_j(e), win)
+        rhs = hat_map(cob, map_j(e))
         rep.fail_unless_zero("j'∘check_map = hat_map∘j", name,
                              hat_residual(hat_sub(lhs, rhs), window))
     if not rep.ok:
@@ -415,7 +381,7 @@ def mdeg_decay(cob: CobordismDatum, window: Window):
     win = inner_window(window)
     worst = INF
     for _, e in hat_basis(cob.source, window, margin=False):
-        img = hat_map(cob, e, win)
+        img = hat_map(cob, e)
         drop = mdeg_hat(hat_residual(img, window)) - mdeg_hat(e)
         worst = min(worst, drop)
     for _, e in check_basis(cob.source, window, margin=False):

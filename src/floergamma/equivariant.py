@@ -140,24 +140,35 @@ def _xneg(a: XPart) -> XPart:
 # Differentials, x-actions and triangle maps
 # ---------------------------------------------------------------------------
 
-def hat_d(datum: FloerDatum, e: HatElement) -> HatElement:
-    """(alpha, sum a_i x^i) -> (d alpha - sum u^i d2(a_i), 0)."""
-    chain = datum.apply_d(e.chain)
-    for i, a in e.poly.items():
-        chain = vec_sub(chain, datum.apply_u_power(datum.apply_d2(a), i))
-    return HatElement(chain, {})
-
-
-def check_d(datum: FloerDatum, e: CheckElement, window: Window) -> CheckElement:
-    """(alpha, tail) -> (d alpha, sum_{i<0} d1(u^(-i-1) alpha) x^i)."""
+def _d1_tail(datum: FloerDatum, vec: Vector, window: Window) -> XPart:
+    """sum_{i<0} d1(u^(-i-1) vec) x^i down to x^-T."""
     tail: XPart = {}
-    vec = e.chain
     for i in range(-1, -window.T - 1, -1):
         lam = datum.apply_d1(vec)
         if not lam.is_zero():
             tail[i] = lam
         vec = datum.apply_u(vec)
-    return CheckElement(datum.apply_d(e.chain), tail)
+    return tail
+
+
+def _d2_sum(datum: FloerDatum, part: XPart) -> Vector:
+    """sum_{i>=0} u^i d2(a_i), by Horner's rule from the top slot down."""
+    chain: Vector = {}
+    for i in range(max(part, default=-1), -1, -1):
+        chain = datum.apply_u(chain)
+        if i in part:
+            chain = vec_add(chain, datum.apply_d2(part[i]))
+    return chain
+
+
+def hat_d(datum: FloerDatum, e: HatElement) -> HatElement:
+    """(alpha, sum a_i x^i) -> (d alpha - sum u^i d2(a_i), 0)."""
+    return HatElement(vec_sub(datum.apply_d(e.chain), _d2_sum(datum, e.poly)), {})
+
+
+def check_d(datum: FloerDatum, e: CheckElement, window: Window) -> CheckElement:
+    """(alpha, tail) -> (d alpha, sum_{i<0} d1(u^(-i-1) alpha) x^i)."""
+    return CheckElement(datum.apply_d(e.chain), _d1_tail(datum, e.chain, window))
 
 
 def x_action_hat(datum: FloerDatum, e: HatElement, window: Window) -> HatElement:
@@ -190,14 +201,8 @@ def x_action_bar(e: BarElement, window: Window) -> BarElement:
 
 def map_i(datum: FloerDatum, z: BarElement) -> CheckElement:
     """i(sum a_i x^i) = (sum_{i>=0} u^i d2(a_i), negative part of z)."""
-    chain: Vector = {}
-    tail: XPart = {}
-    for i, a in z.coeffs.items():
-        if i >= 0:
-            chain = vec_add(chain, datum.apply_u_power(datum.apply_d2(a), i))
-        else:
-            tail[i] = a
-    return CheckElement(chain, tail)
+    return CheckElement(_d2_sum(datum, z.coeffs),
+                        {i: a for i, a in z.coeffs.items() if i < 0})
 
 
 def map_j(e: CheckElement) -> HatElement:
@@ -207,14 +212,7 @@ def map_j(e: CheckElement) -> HatElement:
 
 def map_p(datum: FloerDatum, e: HatElement, window: Window) -> BarElement:
     """p(alpha, p) = sum_{i<0} d1(u^(-i-1) alpha) x^i + p."""
-    coeffs: XPart = dict(e.poly)
-    vec = e.chain
-    for i in range(-1, -window.T - 1, -1):
-        lam = datum.apply_d1(vec)
-        if not lam.is_zero():
-            coeffs[i] = lam
-        vec = datum.apply_u(vec)
-    return BarElement(coeffs)
+    return BarElement({**_d1_tail(datum, e.chain, window), **e.poly})
 
 
 # Homotopies entering the exactness argument.

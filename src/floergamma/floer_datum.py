@@ -151,12 +151,12 @@ class FloerDatum:
         self.d2 = {g: el for g, el in d2.items() if not el.is_zero()}
         for m in (d, u):
             for src, dst, _ in m.entries():
-                self._require(src)
-                self._require(dst)
+                self.require(src)
+                self.require(dst)
         for g in list(self.d1) + list(self.d2):
-            self._require(g)
+            self.require(g)
 
-    def _require(self, name: str):
+    def require(self, name: str):
         if name not in self._by_name:
             raise InputError(f"unknown generator {name!r} in datum {self.name!r}")
 
@@ -192,7 +192,7 @@ class FloerDatum:
         return apply_column(self.d2, lam)
 
     def basis_vector(self, name: str) -> Vector:
-        self._require(name)
+        self.require(name)
         return {name: NovikovElement.one()}
 
     def structurally_equal(self, other: "FloerDatum") -> bool:

@@ -4,12 +4,9 @@ Every expected number here is either a fixed exact value or checked
 against an independent oracle; nothing is tuned at runtime.
 """
 
-import itertools
 import time
 from fractions import Fraction
 from random import Random
-
-import pytest
 
 from floergamma.cobordism import (
     compose_tilde,

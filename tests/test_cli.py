@@ -91,6 +91,13 @@ def test_refused_data_exit_2(capsys, tmp_path):
     gram.write_text(json.dumps({"gram": [[-2.7]]}))
     complex_ = tmp_path / "complex.json"
     complex_.write_text(json.dumps({"generators": [{"name": "m", "index": 0, "value": 0}]}))
+    # a cobordism map naming a generator its source datum lacks
+    unknown = tmp_path / "unknown.json"
+    unknown.write_text(json.dumps({
+        "source": "s3", "target": "s3", "c": 1,
+        "phi": [{"from": "nope", "to": "theta", "terms": [{"coeff": "1", "exp": "0"}]}],
+    }))
+    composed = tmp_path / "composed.json"
     for argv in (["gamma", str(broken), "--k", "1"],
                  ["gamma", str(broken), "--range", "-4..4"],
                  ["h", str(broken)],
@@ -99,10 +106,14 @@ def test_refused_data_exit_2(capsys, tmp_path):
                  ["lattice", str(tmp_path / "missing.json")],
                  ["lattice", str(tmp_path)],
                  ["seifert", "sweep", "--max-product", "-5"],
-                 ["morse", "eval", str(complex_), "--class", "m:1"]):
+                 ["morse", "eval", str(complex_), "--class", "m:1"],
+                 ["cobordism", "verify", str(unknown), "--window", "6,4"],
+                 ["cobordism", "gamma-compare", str(unknown), "--range", "-1..1"],
+                 ["cobordism", "compose", str(unknown), str(unknown), "-o", str(composed)]):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", argv
         assert err.startswith("error:") and "Traceback" not in err, argv
+    assert not composed.exists()
 
 
 def test_triangle_command(capsys, tmp_path):

@@ -17,24 +17,38 @@ from floergamma.cobordism import (
     verify_functoriality,
     verify_tilde_chain_map,
 )
+from floergamma.cobordism import (
+    bar_map,
+    check_map,
+    correction_series,
+    hat_map,
+    htpy_i,
+    htpy_p,
+)
 from floergamma.equivariant import (
     BarElement,
     CheckElement,
     HatElement,
     Window,
     deg_bar,
+    xadd,
 )
-from floergamma.cobordism import bar_map, check_map, hat_map
 from floergamma.floer_datum import (
-    FloerDatum,
-    Generator,
     InputError,
     LambdaMatrix,
+    apply_column,
+    apply_row,
     load_datum,
+    vec_add,
 )
-from floergamma.novikov import INF, NovikovElement
+from floergamma.novikov import NovikovElement
 
-from datagen import random_datum, random_trivial_cobordism, zero_map_datum
+from datagen import (
+    random_datum,
+    random_trivial_cobordism,
+    transformed_datum,
+    zero_map_datum,
+)
 
 WINDOW = Window(6, 4)
 FIXTURES = ("s3", "sigma_2_3_5", "neg_sigma_2_3_5", "remark_nonpositive",
@@ -113,7 +127,7 @@ def test_identity_hat_map_is_identity():
     sigma = load_datum("sigma_2_3_5")
     cob = identity_cobordism(sigma)
     e = HatElement(sigma.basis_vector("beta"), {0: nov(2, 0), 3: nov(1, "1/2")})
-    assert hat_map(cob, e, WINDOW) == e
+    assert hat_map(cob, e) == e
 
 
 def test_bar_map_scales_by_c_and_preserves_deg():
@@ -151,6 +165,141 @@ def test_functoriality_on_random_trivial_extensions():
         assert verify_tilde_chain_map(cob).ok
         rep = verify_functoriality(cob, WINDOW)
         assert rep.ok, rep.failures
+
+# Reference formulas: the induced maps written out as explicit mu double
+# sums, one u-power at a time.  They hold for arbitrary maps, valid or
+# not, because every induced map is Lambda-linear in its input.
+
+def _tower(datum, vec, depth):
+    out = [vec]
+    for _ in range(depth - 1):
+        out.append(datum.apply_u(out[-1]))
+    return out
+
+
+def _ref_correction_series(cob, depth):
+    src, tgt = cob.source, cob.target
+    one = NovikovElement.one()
+    d2_tower = _tower(src, src.apply_d2(one), depth)
+    delta2_tower = _tower(tgt, apply_column(cob.delta2, one), depth)
+    series = {0: NovikovElement.term(cob.c, 0)}
+    for m in range(1, depth + 1):
+        acc = apply_row(cob.delta1, d2_tower[m - 1])
+        acc = acc + tgt.apply_d1(delta2_tower[m - 1])
+        for k in range(1, m):
+            vec = cob.mu.apply(d2_tower[k - 1])
+            acc = acc + tgt.apply_d1(tgt.apply_u_power(vec, m - k - 1))
+        if not acc.is_zero():
+            series[-m] = acc
+    return series
+
+
+def _ref_alpha_tail(cob, alpha, depth):
+    """delta1(u^(m-1) alpha) + sum_k d1'(u'^(m-k-1) mu(u^(k-1) alpha)) at x^-m."""
+    tgt = cob.target
+    tower = _tower(cob.source, alpha, depth)
+    tail = {}
+    for m in range(1, depth + 1):
+        lam = apply_row(cob.delta1, tower[m - 1])
+        for k in range(1, m):
+            vec = tgt.apply_u_power(cob.mu.apply(tower[k - 1]), m - k - 1)
+            lam = lam + tgt.apply_d1(vec)
+        if not lam.is_zero():
+            tail[-m] = lam
+    return tail
+
+
+def _ref_chain_of_slot(cob, i, a):
+    """u'^i delta2(a) + sum_{k<i} u'^k mu(u^(i-1-k) d2(a))."""
+    src, tgt = cob.source, cob.target
+    chain = tgt.apply_u_power(apply_column(cob.delta2, a), i)
+    for k in range(i):
+        vec = cob.mu.apply(src.apply_u_power(src.apply_d2(a), i - 1 - k))
+        chain = vec_add(chain, tgt.apply_u_power(vec, k))
+    return chain
+
+
+def _ref_times_series(part, series, lo, hi):
+    out = {}
+    for i, a in part.items():
+        for j, s in series.items():
+            if lo <= i + j <= hi:
+                out = xadd(out, {i + j: a * s})
+    return out
+
+
+# `series` is the reference correction series down to x^-(T+N+1), deep
+# enough for every map on the window.
+
+def _ref_hat_map(cob, e, series):
+    chain = cob.phi.apply(e.chain)
+    for i, a in e.poly.items():
+        chain = vec_add(chain, _ref_chain_of_slot(cob, i, a))
+    return HatElement(chain, _ref_times_series(e.poly, series, 0, max(e.poly, default=0)))
+
+
+def _ref_check_map(cob, e, window, series):
+    tail = xadd(_ref_alpha_tail(cob, e.chain, window.T),
+                _ref_times_series(e.tail, series, -window.T, -1))
+    return CheckElement(cob.phi.apply(e.chain), tail)
+
+
+def _ref_bar_map(z, window, series):
+    return BarElement(_ref_times_series(z.coeffs, series, -window.T, window.N))
+
+
+def _ref_htpy_i(cob, z):
+    chain = {}
+    for i, a in z.coeffs.items():
+        if i >= 0:
+            chain = vec_add(chain, _ref_chain_of_slot(cob, i, a))
+    return CheckElement(chain, {})
+
+
+def _random_el(rng):
+    return nov(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((0, 1)))
+
+
+def _random_vec(rng, names, p=0.5):
+    return {g: _random_el(rng) for g in names if rng.random() < p}
+
+
+def _random_part(rng, lo, hi, p=0.5):
+    return {i: _random_el(rng) for i in range(lo, hi + 1) if rng.random() < p}
+
+
+def _random_endpoint(rng):
+    datum = random_datum(rng, max_gens=5)
+    return transformed_datum(rng, datum) if rng.random() < 0.5 else datum
+
+
+def test_maps_match_reference_double_sums():
+    # arbitrary phi, mu, delta1, delta2 and c between random data with
+    # nonzero u and d1 or d2; no identity needs to hold
+    rng = Random(73)
+    for _ in range(300):
+        src, tgt = _random_endpoint(rng), _random_endpoint(rng)
+        phi, mu = LambdaMatrix(), LambdaMatrix()
+        for g in src.names():
+            for h in tgt.names():
+                if rng.random() < 0.3:
+                    phi.set(g, h, _random_el(rng))
+                if rng.random() < 0.3:
+                    mu.set(g, h, _random_el(rng))
+        cob = CobordismDatum(src, tgt, phi, mu, _random_vec(rng, src.names()),
+                             _random_vec(rng, tgt.names()), rng.randint(1, 4))
+        window = Window(rng.randint(2, 7), rng.randint(1, 5))
+        T, N = window.T, window.N
+        series = _ref_correction_series(cob, T + N + 1)
+        assert correction_series(cob, T + N + 1) == series
+        hat = HatElement(_random_vec(rng, src.names()), _random_part(rng, 0, N))
+        assert hat_map(cob, hat) == _ref_hat_map(cob, hat, series)
+        assert htpy_p(cob, hat, window) == BarElement(_ref_alpha_tail(cob, hat.chain, T))
+        check = CheckElement(_random_vec(rng, src.names()), _random_part(rng, -T, -1))
+        assert check_map(cob, check, window) == _ref_check_map(cob, check, window, series)
+        bar = BarElement(_random_part(rng, -T, N))
+        assert bar_map(cob, bar, window) == _ref_bar_map(bar, window, series)
+        assert htpy_i(cob, bar) == _ref_htpy_i(cob, bar)
 
 
 def test_compose_identity_laws():
@@ -255,8 +404,16 @@ def test_cobordism_json_round_trip():
     obj["c"] = 0
     with pytest.raises(InputError):
         cobordism_from_json(obj)
+    # the last five name generators missing from the source (sigma_2_3_5_d1_zero)
+    # or the target (s3, which has none)
+    one = [{"coeff": "1", "exp": "0"}]
     for key, value in (("delta1", [{"from": "alpha", "terms": [{"coeff": 1, "exp": "0"}]}]),
-                       ("phi", ["alpha"]), ("mu", 3), ("c", "1"), ("source", 5)):
+                       ("phi", ["alpha"]), ("mu", 3), ("c", "1"), ("source", 5),
+                       ("phi", [{"from": "nope", "to": "alpha", "terms": one}]),
+                       ("phi", [{"from": "alpha", "to": "alpha", "terms": one}]),
+                       ("mu", [{"from": "alpha", "to": "alpha", "terms": one}]),
+                       ("delta1", [{"from": "nope", "terms": one}]),
+                       ("delta2", [{"to": "alpha", "terms": one}])):
         obj = cobordism_to_json(cob)
         obj[key] = value
         with pytest.raises(InputError):

@@ -12,7 +12,6 @@ from floergamma.equivariant import (
     Window,
     WindowOverflowError,
     bar_add,
-    check_add,
     check_d,
     check_sub,
     deg_bar,

@@ -19,8 +19,6 @@ from floergamma.floer_datum import (
     validate_homogeneity,
     validate_structure,
     verify_tilde_differential,
-    vec_add,
-    vec_sub,
 )
 from floergamma.novikov import NovikovElement
 
