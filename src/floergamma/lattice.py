@@ -45,6 +45,9 @@ class LatticeData:
                     raise LatticeInputError("Gram matrix must be symmetric")
         self.gram = tuple(tuple(row) for row in g)
         self.rank = n
+        # (bound, representatives) of the widest walk so far; see
+        # enumerate_up_to_norm.  Safe to keep since gram is immutable.
+        self._widest: tuple[int, list] | None = None
         if not self._negative_definite():
             raise LatticeInputError("Gram matrix is not negative definite")
 
@@ -122,8 +125,21 @@ def enumerate_up_to_norm(L: LatticeData, bound: int):
     """All nonzero integer vectors with |Q(v)| <= bound, one per {v, -v} pair.
 
     Complete by construction: exact Cholesky bounds prune nothing that
-    could satisfy the norm condition.
+    could satisfy the norm condition.  The walk visits vectors in
+    lexicographic order of (v[n-1], ..., v[0]) whatever the bound, so a
+    wider walk filtered to |Q(v)| <= bound is this list, order included.
+    Each lattice therefore keeps its widest walk so far and answers every
+    smaller bound from it; only a larger bound walks again.  The order
+    matters because callers report the first vector of a class that
+    beats e as the non-minimality witness.
     """
+    if L._widest is None or bound > L._widest[0]:
+        L._widest = (bound, _walk(L, bound))
+    return [(v, q) for v, q in L._widest[1] if -q <= bound]
+
+
+def _walk(L: LatticeData, bound: int):
+    """The Fincke-Pohst walk behind enumerate_up_to_norm."""
     n = L.rank
     p = [[Fraction(-L.gram[i][j]) for j in range(n)] for i in range(n)]
     q = _cholesky(p)

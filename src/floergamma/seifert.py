@@ -1,14 +1,16 @@
 """Closed-form calculators for Seifert fibered homology spheres.
 
 Orbit data (a_1, ..., a_n) of pairwise coprime integers >= 2 determines
-the R-invariant two independent ways: a cotangent double sum evaluated
-in high-precision arithmetic and rounded, and the exact closed form
-R = 2b - 3 with b = 1/a + sum beta_i / a_i, where beta_i is the unique
-residue in (0, a_i) making 1 + beta_i * (a / a_i) divisible by a_i.
-Cross-checking the two is the module's central audit.  Positive R feeds
-the Gamma prediction 1/(4a) on an initial range, linear-independence
-fingerprints and the double-branched-cover bounds for Whitehead doubles
-of torus knots.
+the R-invariant two independent ways: the exact closed form R = 2b - 3
+with b = 1/a + sum beta_i / a_i, where beta_i is the unique residue in
+(0, a_i) making 1 + beta_i * (a / a_i) divisible by a_i, and a cotangent
+double sum evaluated in IEEE doubles under an a-priori error bound below
+1/4, so that rounding it is exact.  Every R the module reports comes
+from the closed form; the float sum only audits it.  Cross-checking the
+two is the module's central audit.  Positive R feeds the Gamma
+prediction 1/(4a) on an initial range, linear-independence fingerprints
+and the double-branched-cover bounds for Whitehead doubles of torus
+knots.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-
-import mpmath
 
 from .floer_datum import InputError
 
@@ -87,30 +87,82 @@ def r_invariant(a) -> int:
     return seifert_invariants(a).r
 
 
-def r_invariant_cotangent(a, precision_bits: int = 96,
-                          tolerance: float = 1e-6) -> int:
-    """R by the cotangent double sum, evaluated at >= 80-bit precision.
+# The cotangent audit refuses a tuple whose double sum has more than this
+# many terms, sum(a_i - 1): about one second of work on a 2-core x86-64 VM
+# with CPython 3.11.
+TERM_CAP = 2_500_000
 
-    The value is rounded to the nearest integer; a pre-rounding residual
-    above the tolerance, or an even parity, raises.
+
+def cotangent_error_bound(a) -> float:
+    """E(a), the a-priori error bound stated in r_invariant_cotangent."""
+    slots = sum(1 + math.log(ai // 2) for ai in a)
+    return 2.0 ** -53 * (20 * slots + 2 * len(a) + 1)
+
+
+def _cotangent_sum(a: tuple[int, ...]) -> float:
+    """The double sum of r_invariant_cotangent, in doubles."""
+    prod = math.prod(a)
+    slots = []
+    for m in a:
+        c = prod // m % m
+        half = m // 2
+        terms = []
+        for k in range(1, m):
+            r = k * c % m
+            if r > half:
+                r -= m
+            terms.append(math.sin(2 * math.pi * k / m) / math.tan(math.pi * r / m))
+        slots.append(math.fsum(terms) / m)
+    return math.fsum([2 / prod, len(a) - 3, *slots])
+
+
+def r_invariant_cotangent(a, tolerance: float = 1e-6) -> int:
+    """R by the cotangent double sum, evaluated in doubles and rounded.
+
+    R = 2/a - 3 + n + sum_i (2/a_i) sum_{k=1}^{a_i-1}
+    cot(pi k a / a_i^2) cot(pi k / a_i) sin^2(pi k / a_i).  Since
+    cot x sin^2 x = sin(2x)/2 and cot has period pi, the (i, k) term is
+    cot(pi r / a_i) sin(2 pi k / a_i) / 2, where r = k (a / a_i) mod a_i
+    is reduced exactly in integers and then taken in (-a_i/2, a_i/2], so
+    that |pi r / a_i| <= pi/2.
+
+    The float sum is within
+        E(a) = u (20 sum_i (1 + ln floor(a_i / 2)) + 2n + 1),  u = 2^-53,
+    of the exact one, assuming IEEE-754 doubles rounding to nearest, libm
+    sin and tan within 1 ulp of the exact function at their double
+    argument, and a correctly rounded math.fsum.  Derivation, for one
+    term with m = a_i and s = r: the computed angle pi s/m has relative
+    error <= 2.51u, which moves cot by <= 1.98u m/|s| (Jordan's
+    inequality on |x| <= pi/2); the angle 2 pi k/m moves sin by
+    <= 5.02 pi u and libm adds 2u; tan and the division add 3.01u
+    relative; and |cot(pi s/m)| <= m/(pi |s|).  So each term is off by at
+    most 8.6u m/|s|.  As k runs over 1..m-1 so does r, hence
+    sum 1/|s| <= 2 H(floor(m/2)) <= 2 (1 + ln floor(m/2)); fsum and the
+    division by m add u times the slot's absolute sum, and one slot is
+    within 18.5u (1 + ln floor(m/2)).  2/a and the final fsum add at most
+    u (2n + 1), since |R| <= 2n.  The constant 20 leaves room for the
+    second-order terms and for the rounding of E(a) itself.  Rounding is
+    exact when E(a) < 1/2; ArithmeticError is raised unless E(a) < 1/4.
+
+    A tuple of more than TERM_CAP terms sum(a_i - 1) is refused before
+    any term is computed.  A pre-rounding residual above the tolerance,
+    or a value that is not an odd integer >= -1, raises ArithmeticError.
     """
     a = _validate_tuple(a)
-    prod = math.prod(a)
-    with mpmath.workprec(precision_bits):
-        total = mpmath.mpf(2) / prod - 3 + len(a)
-        pi = mpmath.pi
-        for ai in a:
-            inner = mpmath.mpf(0)
-            for k in range(1, ai):
-                angle = pi * k / ai
-                inner += (mpmath.cot(pi * k * prod / (ai * ai))
-                          * mpmath.cot(angle) * mpmath.sin(angle) ** 2)
-            total += 2 * inner / ai
-        nearest = int(mpmath.nint(total))
-        residual = abs(total - nearest)
-        if residual > tolerance:
-            raise ArithmeticError(
-                f"cotangent sum for {a} has residual {residual} above {tolerance}")
+    terms = sum(ai - 1 for ai in a)
+    if terms > TERM_CAP:
+        raise SeifertInputError(
+            f"cotangent sum for {a} has {terms} terms, above the cap {TERM_CAP}")
+    bound = cotangent_error_bound(a)
+    if bound >= 0.25:
+        raise ArithmeticError(
+            f"cotangent sum for {a} has error bound {bound}, not below 1/4")
+    total = _cotangent_sum(a)
+    nearest = round(total)
+    residual = abs(total - nearest)
+    if residual > tolerance:
+        raise ArithmeticError(
+            f"cotangent sum for {a} has residual {residual} above {tolerance}")
     if nearest % 2 == 0 or nearest < -1:
         raise ArithmeticError(f"cotangent sum for {a} rounds to invalid R = {nearest}")
     return nearest

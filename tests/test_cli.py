@@ -1,14 +1,20 @@
 """CLI contract: output vocabulary, exit codes, determinism, round trips."""
 
 import json
+import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from floergamma import lattice, seifert
 from floergamma.cli import main
 from floergamma.floer_datum import InputError
 from floergamma.lattice import LatticeInputError
 from floergamma.morse_minmax import NonCycleError, NullHomologousError
 from floergamma.seifert import SeifertInputError
+from test_lattice import e8_gram
 
 
 def run(capsys, *argv):
@@ -153,6 +159,30 @@ def test_seifert_commands(capsys):
     assert code == 0 and "mismatches = 0" in out
 
 
+def test_seifert_r_over_the_term_cap_exits_2(capsys, monkeypatch):
+    def no_sum(a):
+        raise AssertionError("the sum was computed")
+
+    monkeypatch.setattr(seifert, "_cotangent_sum", no_sum)
+    over = next(x for x in range(seifert.TERM_CAP - 1, seifert.TERM_CAP + 6)
+                if math.gcd(x, 6) == 1)
+    code, out, err = run(capsys, "seifert", "r", "2", "3", str(over))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "cap" in err
+
+
+def test_import_needs_only_the_standard_library():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import floergamma.cli\n"
+            "new = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+            "print(sorted(new - sys.stdlib_module_names - {'floergamma'}))\n")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, cwd=src, check=True)
+    assert res.stdout == "[]\n"
+
+
 def test_lattice_command(capsys, tmp_path):
     gram = tmp_path / "e8.json"
     edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7)]
@@ -177,6 +207,30 @@ def test_lattice_command(capsys, tmp_path):
     code, out, _ = run(capsys, "lattice", str(d22), "--e", "1,1")
     assert code == 0
     assert "signed_sum = 2" in out and "n0 = 2" in out
+
+
+def test_lattice_command_walks_once_per_bound(capsys, tmp_path, monkeypatch):
+    # one walk answers m, the minimal vectors and the bound; --e walks
+    # again only because |Q(e)| exceeds that walk's bound
+    walks = []
+    walk = lattice._walk
+    monkeypatch.setattr(lattice, "_walk",
+                        lambda L, bound: walks.append(bound) or walk(L, bound))
+    e8 = tmp_path / "e8.json"
+    e8.write_text(json.dumps({"gram": e8_gram()}))
+    code, out, _ = run(capsys, "lattice", str(e8))
+    assert code == 0 and "minimal_vectors = 240" in out
+    assert walks == [2]
+    walks.clear()
+    code, out, _ = run(capsys, "lattice", str(e8), "--e", "1,0,1,0,0,0,0,0")
+    assert code == 0 and "Q(e) = -4" in out
+    assert walks == [2, 4]
+    walks.clear()
+    d11 = tmp_path / "d11.json"
+    d11.write_text(json.dumps({"gram": [[-1, 0], [0, -1]]}))
+    code, _, err = run(capsys, "lattice", str(d11), "--e", "3,1")
+    assert code == 2 and "(1, -1) has smaller norm" in err
+    assert walks == [1, 10]
 
 
 def test_morse_command(capsys, tmp_path):

@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+from floergamma import lattice
 from floergamma.lattice import (
     LatticeData,
     LatticeInputError,
@@ -76,9 +77,38 @@ def test_enumeration_completeness_under_doubled_radius(e8):
         lattices.append(g)
     for L in lattices:
         m = minimal_norm(L)
-        small = {v for v, q in enumerate_up_to_norm(L, m) if -q == m}
-        wide = {v for v, q in enumerate_up_to_norm(L, 2 * m) if -q == m}
+        # fresh lattices, so that neither list is read from the other's walk
+        small = {v for v, q in enumerate_up_to_norm(LatticeData(L.gram), m) if -q == m}
+        wide = {v for v, q in enumerate_up_to_norm(LatticeData(L.gram), 2 * m)
+                if -q == m}
         assert small == wide
+
+
+def cartan(n: int, edges) -> LatticeData:
+    g = [[-2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for a, b in edges:
+        g[a][b] = g[b][a] = 1
+    return LatticeData(g)
+
+
+def test_filtered_wide_walk_equals_fresh_walk(monkeypatch):
+    # a smaller bound is answered from the widest walk; the answer must be
+    # the fresh walk's list, order included (the witness is its first hit)
+    rng = Random(97)
+    lattices = [LatticeData(e8_gram())]
+    lattices += [cartan(n, [(i, i + 1) for i in range(n - 1)]) for n in (1, 3, 5)]
+    lattices += [cartan(n, [(i, i + 1) for i in range(n - 2)] + [(n - 3, n - 1)])
+                 for n in (4, 5)]
+    lattices += [random_neg_def(rng, rng.randint(1, 4)) for _ in range(24)]
+    fresh = lattice._walk
+    walks = []
+    monkeypatch.setattr(lattice, "_walk",
+                        lambda L, bound: walks.append(bound) or fresh(L, bound))
+    for L in lattices:
+        enumerate_up_to_norm(L, 6)
+        for bound in range(1, 7):
+            assert enumerate_up_to_norm(L, bound) == fresh(L, bound)
+    assert walks == [6] * len(lattices)
 
 
 def random_neg_def(rng: Random, n: int) -> LatticeData:

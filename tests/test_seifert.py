@@ -1,12 +1,15 @@
 """Orbit invariants, the cotangent cross-check, predictions and bounds."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
+from floergamma import seifert
 from floergamma.seifert import (
     SeifertInputError,
     coprime_tuples,
+    cotangent_error_bound,
     furuta_independence,
     gamma_prediction,
     r_invariant,
@@ -111,7 +114,6 @@ def test_coprime_tuple_enumeration():
     ts = coprime_tuples(210, (3, 4))
     assert (2, 3, 5) in ts and (2, 3, 5, 7) in ts
     assert all(len(t) in (3, 4) for t in ts)
-    import math
     for t in ts:
         assert math.prod(t) <= 210
         assert all(math.gcd(a, b) == 1 for i, a in enumerate(t)
@@ -123,3 +125,38 @@ def test_small_sweep_clean():
     assert res["checked"] > 50
     assert res["mismatches"] == []
     assert sweep(30)["checked"] == 1  # (2, 3, 5) alone
+
+
+AUDIT_EXTRA = ((2, 3, 1000003), (7, 11, 13, 100003), (997, 1009, 1013))
+
+
+def test_float_audit_oracle():
+    # the float sum rounds to the closed form on every tuple, its error
+    # bound E(a) stays below 1/4, and the observed error stays within E(a)
+    tuples = coprime_tuples(2000)
+    assert len(tuples) == 1194
+    for t in (*tuples, *AUDIT_EXTRA):
+        exact = r_invariant(t)
+        bound = cotangent_error_bound(t)
+        assert bound < 0.25, t
+        assert r_invariant_cotangent(t) == exact, t
+        assert abs(seifert._cotangent_sum(t) - exact) <= bound, t
+
+
+def test_float_audit_refuses_a_bound_of_one_quarter(monkeypatch):
+    assert r_invariant_cotangent((2, 3, 5)) == 1
+    monkeypatch.setattr(seifert, "cotangent_error_bound", lambda a: 0.25)
+    with pytest.raises(ArithmeticError, match="error bound"):
+        r_invariant_cotangent((2, 3, 5))
+
+
+def test_term_cap_boundary(monkeypatch):
+    monkeypatch.setattr(seifert, "TERM_CAP", 27)
+    assert r_invariant_cotangent((2, 3, 25)) == r_invariant((2, 3, 25))  # 27 terms
+
+    def no_sum(a):
+        raise AssertionError("the sum was computed")
+
+    monkeypatch.setattr(seifert, "_cotangent_sum", no_sum)
+    with pytest.raises(SeifertInputError, match="cap"):
+        r_invariant_cotangent((3, 5, 23))  # 28 terms
