@@ -5,9 +5,11 @@ Rows over Q arrive dense (a sequence) or sparse (a map column -> value).
 `Echelon` keeps them as sparse maps in fully reduced row echelon form
 while they arrive one at a time, so a caller can watch the rank grow (the
 h-invariant's tower pass) and read a kernel basis whose vectors end at
-distinct free columns (the Gamma threshold).  The RREF of a row space is unique, so the kernel basis and
-solutions read from it do not depend on the order rows arrived in.
-`q_rank`, `q_kernel_basis` and `q_solve` are readers of that one form.
+distinct free columns (the Gamma threshold).  The RREF of a row space is
+unique, so the kernel basis, the solutions and the residues read from it
+do not depend on the order rows arrived in.  `q_rank`, `q_kernel_basis`,
+`q_solve` and `Echelon.reduce` (the residue of a row, which the Morse
+min-max reads) are readers of that one form.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ class Echelon:
     def rank(self) -> int:
         return len(self.rows)
 
-    def add(self, row: Row) -> bool:
-        """Insert a row, dense or sparse; True when the rank grew."""
+    def reduce(self, row: Row) -> SparseRow:
+        """A row, dense or sparse, minus the stored rows: zero on every pivot."""
         entries = row.items() if isinstance(row, dict) else enumerate(row)
         row = {c: Fraction(v) for c, v in entries if v}
         # stored rows vanish on each other's pivots, so all multiples are read at once
@@ -49,6 +51,11 @@ class Echelon:
                     row[c] = w
                 else:
                     row.pop(c, None)
+        return row
+
+    def add(self, row: Row) -> bool:
+        """Insert a row, dense or sparse; True when the rank grew."""
+        row = self.reduce(row)
         if not row:
             return False
         pivot = min(row)

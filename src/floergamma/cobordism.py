@@ -64,6 +64,7 @@ from .floer_datum import (
     map_from_json,
     map_to_json,
     read_json,
+    require_valid,
     vec_add,
     vec_sub,
     validate,
@@ -444,11 +445,12 @@ def gamma_comparison(cob: CobordismDatum, k_min: int, k_max: int) -> dict:
     Also reports the arithmetic eta lower bound when both spectra are
     nonempty.
     """
+    source, target = require_valid(cob.source), require_valid(cob.target)
     rows = []
     all_ok = True
     for k in range(k_min, k_max + 1):
-        gs = gamma(cob.source, k)
-        gt = gamma(cob.target, k)
+        gs = gamma(source, k)
+        gt = gamma(target, k)
         bound = gs if k >= 1 else max(gs, Fraction(0))
         ok = gt <= bound
         all_ok = all_ok and ok

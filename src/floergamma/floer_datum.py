@@ -331,6 +331,33 @@ def validate(datum: FloerDatum) -> Report:
     return rep
 
 
+class InvalidDatumError(InputError):
+    """A datum failing validate, which the calculators refuse."""
+
+
+class ValidDatum(FloerDatum):
+    """A datum that passed validate; only require_valid builds one.
+
+    It shares the generators and maps of the datum it was checked from,
+    which nothing changes after construction.
+    """
+
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a ValidDatum is built only by require_valid")
+
+
+def require_valid(datum: FloerDatum) -> ValidDatum:
+    """The datum as a ValidDatum: validate runs unless it already is one."""
+    if isinstance(datum, ValidDatum):
+        return datum
+    rep = validate(datum)
+    if not rep.ok:
+        raise InvalidDatumError(f"datum {datum.name!r} fails validation: {rep}")
+    valid = object.__new__(ValidDatum)
+    valid.__dict__.update(vars(datum))
+    return valid
+
+
 def project_homogeneous(datum: FloerDatum, element: Vector,
                         weight_shift: Fraction, residue: int) -> HomogeneousVector:
     """Projection onto homogeneous vectors of the given weight.

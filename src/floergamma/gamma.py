@@ -50,8 +50,9 @@ from .floer_datum import (
     FloerDatum,
     HomogeneousVector,
     InputError,
+    InvalidDatumError,
     Report,
-    validate,
+    require_valid,
 )
 from .novikov import INF, ExtRat, NovikovElement
 
@@ -66,10 +67,6 @@ class DatumInconsistencyError(RuntimeError):
     """The feasible-set search produced a structurally impossible answer."""
 
 
-class InvalidDatumError(InputError):
-    """A datum failing validate, which the calculators refuse."""
-
-
 @dataclass(frozen=True)
 class SpecialSolution:
     """Witness of feasibility behind a finite gamma value."""
@@ -77,12 +74,6 @@ class SpecialSolution:
     k: int
     alpha: HomogeneousVector
     a_tuple: tuple[Fraction, ...] | None  # q_0..q_{-k}, only for k <= 0
-
-
-def _require_valid(datum: FloerDatum):
-    rep = validate(datum)
-    if not rep.ok:
-        raise InvalidDatumError(f"datum {datum.name!r} fails validation: {rep}")
 
 
 def _grading_class(datum: FloerDatum, k: int) -> list[str]:
@@ -176,11 +167,6 @@ def _first_kernel_hit(rows, ncols: int, block) -> tuple[int, dict] | None:
     return None
 
 
-def _has_kernel_with_nonzero_block(rows, ncols, block) -> bool:
-    """Does the kernel contain a vector nonzero somewhere in `block`?"""
-    return _first_kernel_hit(rows, ncols, block) is not None
-
-
 def _gamma_nonpositive(datum: FloerDatum, k: int, want_witness: bool):
     gens, q_indices, rows = _nonpositive_system(datum, k)
     nq = len(q_indices)
@@ -202,7 +188,7 @@ def gamma(datum: FloerDatum, k: int, want_witness: bool = False):
     Returns the value alone, or a (value, witness) pair when
     want_witness is set; the witness is None for infinite values.
     """
-    _require_valid(datum)
+    datum = require_valid(datum)
     if k >= 1:
         value, witness = _gamma_positive(datum, k, want_witness)
     else:
@@ -212,6 +198,7 @@ def gamma(datum: FloerDatum, k: int, want_witness: bool = False):
 
 def gamma_profile(datum: FloerDatum, k_min: int, k_max: int):
     """Per-k gamma over [k_min, k_max]; asserts monotone non-decreasing."""
+    datum = require_valid(datum)
     if k_min > k_max:
         raise ValueError("k_min must not exceed k_max")
     profile = [(k, gamma(datum, k)) for k in range(k_min, k_max + 1)]
@@ -258,7 +245,7 @@ def feasible_nonempty(datum: FloerDatum, k: int) -> bool:
         return _largest_positive_degree(datum, k) == k
     gens, q_indices, rows = _nonpositive_system(datum, k)
     nq = len(q_indices)
-    return _has_kernel_with_nonzero_block(rows, nq + len(gens), range(nq))
+    return _first_kernel_hit(rows, nq + len(gens), range(nq)) is not None
 
 
 def h_invariant(datum: FloerDatum) -> int:
@@ -269,7 +256,7 @@ def h_invariant(datum: FloerDatum) -> int:
     down to a bound that a guaranteed kernel argument supplies.  An odd
     maximal k is reported as a datum inconsistency.
     """
-    _require_valid(datum)
+    datum = require_valid(datum)
     n = len(datum.generators)
     k = max((k for k in (_largest_positive_degree(datum, 1 + 4 * n),
                          _largest_positive_degree(datum, 4 * n)) if k is not None),
@@ -329,6 +316,7 @@ def eta_lower_bound(source: FloerDatum, target: FloerDatum) -> Fraction:
 
 def check_cs_trichotomy(datum: FloerDatum, k_min: int, k_max: int) -> Report:
     """Every finite positive gamma value must match -r_g mod 1 for some g."""
+    datum = require_valid(datum)
     rep = Report()
     for k in range(k_min, k_max + 1):
         value = gamma(datum, k)

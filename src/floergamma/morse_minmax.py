@@ -1,11 +1,14 @@
 """Min-max evaluation of a function at a homology class of a finite Morse complex.
 
-For a cycle representing a nonzero rational homology class, the
-evaluation is the least critical value r such that the class is hit by
-the homology of the sublevel subcomplex at r.  Thresholds sweep the
-sorted critical values; membership at each threshold is an exact linear
-solvability question over Q, since the class is hit at level r exactly
-when some boundary correction pushes the cycle into the sublevel span.
+The value of a nonzero class is the least c such that some representative
+sigma - d(tau) lies on critical values <= c.  One reduction gives it, the
+persistence pivot reduction of Edelsbrunner, Letscher and Zomorodian
+(Discrete Comput. Geom. 28, 2002): with the generators ordered by
+decreasing value, reduce sigma against the echelon form of the rows d(g).
+The residue is a representative that vanishes on every pivot column; any
+other adds a nonzero w of the row span, which leads at a pivot, so it leads
+no later than the residue's leading column l.  The value is the one at l,
+and a zero residue means sigma is a boundary.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._linalg import q_solve
+from ._linalg import Echelon
 from .floer_datum import InputError, check_keys, json_field, read_json
 from .novikov import parse_rat
 
@@ -79,9 +82,6 @@ class MorseComplex:
                 return a, c, v
         return None
 
-    def value(self, name: str) -> Fraction:
-        return self._by_name[name].value
-
     def names(self) -> list[str]:
         return [g.name for g in self.generators]
 
@@ -93,74 +93,29 @@ class MorseComplex:
                 out[dst] = out.get(dst, Fraction(0)) + s * c
         return {g: v for g, v in out.items() if v != 0}
 
-    def reweighted(self, offsets: dict[str, Fraction]) -> "MorseComplex":
-        gens = [
-            MorseGenerator(g.name, g.index,
-                           g.value + offsets.get(g.name, Fraction(0)))
-            for g in self.generators
-        ]
-        return MorseComplex(gens, dict(self.boundary), self.name)
-
-
-def _as_chain(sigma) -> dict[str, Fraction]:
-    return {g: Fraction(c) for g, c in dict(sigma).items() if c != 0}
-
-
-def _pushable_into_sublevel(M: MorseComplex, sigma: dict[str, Fraction],
-                            level: Fraction) -> bool:
-    """Is sigma - boundary(tau) supported on values <= level for some tau?"""
-    names = M.names()
-    above = [g for g in names if M.value(g) > level]
-    if not above:
-        return True
-    rows = []
-    rhs = []
-    for g in above:
-        row = [Fraction(M.boundary.get((src, g), 0)) for src in names]
-        rows.append(row)
-        rhs.append(sigma.get(g, Fraction(0)))
-    return q_solve(rows, rhs) is not None
-
 
 def evaluate_class(M: MorseComplex, sigma) -> Fraction:
     """Least max-critical-value over representatives homologous to sigma.
 
-    The input must be a cycle representing a nonzero homology class;
-    a non-cycle or a boundary is rejected.
+    The input must be a cycle representing a nonzero homology class; a
+    chain naming an unknown generator, a non-cycle or a boundary is rejected.
     """
-    chain = _as_chain(sigma)
-    if not chain:
-        raise NullHomologousError("the zero chain has no evaluation")
+    chain = {g: Fraction(c) for g, c in dict(sigma).items() if c != 0}
+    unknown = sorted(set(chain) - set(M.names()))
+    if unknown:
+        raise InputError(f"class names unknown generator {unknown[0]!r}")
     bdry = M.apply_boundary(chain)
     if bdry:
         raise NonCycleError(f"input chain is not a cycle: boundary {bdry}")
-    names = M.names()
-    rows = [[Fraction(M.boundary.get((src, g), 0)) for src in names] for g in names]
-    rhs = [chain.get(g, Fraction(0)) for g in names]
-    if q_solve(rows, rhs) is not None:
+    order = sorted(M.generators, key=lambda g: g.value, reverse=True)
+    column = {g.name: j for j, g in enumerate(order)}
+    rows: dict[str, dict[int, int]] = {}
+    for (src, dst), c in M.boundary.items():
+        rows.setdefault(src, {})[column[dst]] = c
+    residue = Echelon(rows.values()).reduce({column[g]: c for g, c in chain.items()})
+    if not residue:
         raise NullHomologousError("input cycle is a boundary")
-    for level in sorted({g.value for g in M.generators}):
-        if _pushable_into_sublevel(M, chain, level):
-            return level
-    raise AssertionError("threshold sweep exhausted without success")
-
-
-def evaluate_with_perturbations(M: MorseComplex, sigma, perturbations) -> Fraction:
-    """Evaluate under each per-generator offset vector and check continuity.
-
-    Each perturbed evaluation must differ from the unperturbed one by at
-    most the sup-norm of its offsets; the unperturbed value is returned.
-    """
-    base = evaluate_class(M, sigma)
-    for offsets in perturbations:
-        offs = {g: Fraction(v) for g, v in dict(offsets).items()}
-        perturbed = M.reweighted(offs)
-        val = evaluate_class(perturbed, sigma)
-        norm = max((abs(v) for v in offs.values()), default=Fraction(0))
-        if abs(val - base) > norm:
-            raise AssertionError(
-                f"perturbed evaluation {val} drifts beyond {norm} from {base}")
-    return base
+    return order[min(residue)].value
 
 
 def morse_from_json(obj) -> MorseComplex:

@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from floergamma import lattice, seifert
+from floergamma import floer_datum, lattice, seifert
 from floergamma.cli import main
-from floergamma.floer_datum import InputError
+from floergamma.floer_datum import InputError, ValidDatum, load_datum, require_valid
+from floergamma.gamma import gamma, gamma_profile, h_invariant
 from floergamma.lattice import LatticeInputError
 from floergamma.morse_minmax import NonCycleError, NullHomologousError
 from floergamma.seifert import SeifertInputError
@@ -122,6 +123,36 @@ def test_refused_data_exit_2(capsys, tmp_path):
     assert not composed.exists()
 
 
+def test_each_datum_is_validated_once(capsys, monkeypatch):
+    calls = []
+    original = floer_datum.validate
+
+    def counted(datum):
+        calls.append(datum.name)
+        return original(datum)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("floergamma") and getattr(module, "validate", None) is original:
+            monkeypatch.setattr(module, "validate", counted)
+
+    assert run(capsys, "gamma", "sigma_2_3_5", "--range", "-4..4")[0] == 0
+    assert calls == ["sigma_2_3_5"]
+    calls.clear()
+    assert run(capsys, "cobordism", "gamma-compare", "delta1_sigma_2_3_5_to_s3",
+               "--range", "-4..4")[0] == 0
+    assert sorted(calls) == ["s3", "sigma_2_3_5_d1_zero"]
+    calls.clear()
+    valid = require_valid(load_datum("sigma_2_3_5"))
+    assert calls == ["sigma_2_3_5"] and require_valid(valid) is valid
+    calls.clear()
+    for k in range(-4, 5):
+        gamma(valid, k)
+    gamma_profile(valid, -4, 4)
+    h_invariant(valid)
+    assert calls == []
+    with pytest.raises(TypeError):
+        ValidDatum("x", [], None, None, {}, {})
+
+
 def test_triangle_command(capsys, tmp_path):
     code, out, _ = run(capsys, "triangle", "neg_sigma_2_3_5", "--window", "6,4")
     assert code == 0 and out == "triangle: ok\n"
@@ -157,6 +188,9 @@ def test_seifert_commands(capsys):
     assert code == 2
     code, out, _ = run(capsys, "seifert", "sweep", "--max-product", "150")
     assert code == 0 and "mismatches = 0" in out
+    code, out, err = run(capsys, "seifert", "sweep", "--max-product",
+                         str(seifert.PRODUCT_CAP + 1))
+    assert code == 2 and out == "" and "cap" in err
 
 
 def test_seifert_r_over_the_term_cap_exits_2(capsys, monkeypatch):
@@ -256,6 +290,8 @@ def test_morse_command(capsys, tmp_path):
     assert code == 2 and "cycle" in err
     code, _, err = run(capsys, "morse", "eval", str(pinched), "--class", "x:1,y:-1")
     assert code == 2 and "boundary" in err
+    code, _, err = run(capsys, "morse", "eval", str(pinched), "--class", "x:1,w:1")
+    assert code == 2 and "unknown generator 'w'" in err
 
 
 def test_cobordism_commands(capsys, tmp_path):

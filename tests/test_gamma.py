@@ -21,7 +21,7 @@ from floergamma.floer_datum import (
 from floergamma.gamma import (
     DatumInconsistencyError,
     InvalidDatumError,
-    _has_kernel_with_nonzero_block,
+    _first_kernel_hit,
     check_cs_trichotomy,
     eta_lower_bound,
     feasible_nonempty,
@@ -287,8 +287,8 @@ def rational_shadow(datum):
                 vec = mat_vec(u_m, vec)
             cols.append([-v for v in vec])
         rows = [[col[t] for col in cols] for t in range(n)]
-        return _has_kernel_with_nonzero_block(
-            rows, len(cols), list(range(len(gens), len(cols))))
+        return _first_kernel_hit(
+            rows, len(cols), list(range(len(gens), len(cols)))) is not None
 
     return nonempty
 

@@ -1,4 +1,4 @@
-"""Min-max evaluation against a brute-force oracle and the self-indexing law."""
+"""Min-max evaluation against brute-force and rank oracles and the self-indexing law."""
 
 import itertools
 from fractions import Fraction as F
@@ -9,13 +9,15 @@ import pytest
 from floergamma.floer_datum import InputError
 from floergamma.morse_minmax import (
     MorseComplex,
+    MorseGenerator,
     NonCycleError,
     NullHomologousError,
     evaluate_class,
-    evaluate_with_perturbations,
     morse_from_json,
     parse_class,
 )
+
+from test_linalg import minor_rank
 
 
 def circle():
@@ -43,6 +45,8 @@ def test_error_cases():
         evaluate_class(M, {"x": 1, "y": -1})
     with pytest.raises(NullHomologousError):
         evaluate_class(M, {})
+    with pytest.raises(InputError, match="unknown generator 'w'"):
+        evaluate_class(M, {"x": 1, "w": 1})
 
 
 def test_validation():
@@ -59,6 +63,7 @@ def test_validation():
 
 def brute_force(M: MorseComplex, sigma, bound=2):
     names = M.names()
+    values = {g.name: g.value for g in M.generators}
     chain = {g: F(c) for g, c in sigma.items() if c}
     best = None
     uppers = [g for g in names if any((g, h) in M.boundary for h in names)]
@@ -71,7 +76,7 @@ def brute_force(M: MorseComplex, sigma, bound=2):
         rep = {g: v for g, v in rep.items() if v != 0}
         if not rep:
             continue
-        value = max(M.value(g) for g in rep)
+        value = max(values[g] for g in rep)
         if best is None or value < best:
             best = value
     return best
@@ -96,9 +101,16 @@ def random_complex(rng: Random, max_gens: int = 10) -> MorseComplex:
     return MorseComplex([(n_, i_, v_) for n_, i_, v_ in gens], boundary)
 
 
+def is_boundary(M: MorseComplex, sigma) -> bool:
+    """rank [d | sigma] = rank d, by minors: sigma lies in the image of d."""
+    sources = sorted({src for src, _ in M.boundary})
+    support = sorted({dst for _, dst in M.boundary} | set(sigma))
+    d = [[F(M.boundary.get((src, g), 0)) for src in sources] for g in support]
+    augmented = [row + [F(sigma.get(g, 0))] for row, g in zip(d, support)]
+    return minor_rank(augmented, len(sources) + 1) == minor_rank(d, len(sources))
+
+
 def random_cycle(rng: Random, M: MorseComplex):
-    zero_gens = [g for g in M.names() if g not in
-                 {d for (_, d) in M.boundary} or True]
     # index-0 chains are always cycles
     chain = {}
     for g, idx in [(g.name, g.index) for g in M.generators]:
@@ -109,7 +121,7 @@ def random_cycle(rng: Random, M: MorseComplex):
 
 def test_oracle_agreement():
     rng = Random(97)
-    done = 0
+    done = nulls = 0
     while done < 200:
         M = random_complex(rng)
         sigma = random_cycle(rng, M)
@@ -118,10 +130,13 @@ def test_oracle_agreement():
         try:
             value = evaluate_class(M, sigma)
         except NullHomologousError:
-            assert brute_force(M, sigma) is None or True
+            assert is_boundary(M, sigma)
+            nulls += 1
             continue
+        assert not is_boundary(M, sigma)
         assert value == brute_force(M, sigma)
         done += 1
+    assert nulls > 0
 
 
 def test_self_indexing_law():
@@ -143,14 +158,30 @@ def test_self_indexing_law():
         assert evaluate_class(M, pure) == wanted
 
 
-def test_perturbations():
-    assert evaluate_with_perturbations(
-        circle(), {"m": 1},
-        [{"m": F(1, 10), "M": F(-1, 10)}, {"m": F(-1, 100)}]) == 0
-    tie = MorseComplex([("a", 0, F(0)), ("b", 0, F(0))], {})
-    assert evaluate_with_perturbations(
-        tie, {"a": 1, "b": 1}, [{"a": F(1, 10)}, {"b": F(-1, 100)}]) == 0
-    assert evaluate_with_perturbations(circle(), {"m": 1}, []) == 0
+def test_value_moves_at_most_the_largest_offset():
+    """|f(M', sigma) - f(M, sigma)| <= sup |delta|, M' = M with values shifted by delta."""
+    rng = Random(107)
+    done = 0
+    while done < 200:
+        M = random_complex(rng)
+        sigma = random_cycle(rng, M)
+        scale = rng.choice((1, 4, 16))
+        gens = [MorseGenerator(g.name, g.index, g.value + F(rng.randint(-4, 4), scale))
+                for g in M.generators]
+        values = {g.name: g.value for g in gens}
+        # the offsets must keep the boundary value-decreasing
+        if not sigma or any(values[src] <= values[dst] for src, dst in M.boundary):
+            continue
+        shifted = MorseComplex(gens, M.boundary)
+        sup = max(abs(new.value - g.value) for new, g in zip(gens, M.generators))
+        try:
+            value = evaluate_class(M, sigma)
+        except NullHomologousError:
+            with pytest.raises(NullHomologousError):
+                evaluate_class(shifted, sigma)
+            continue
+        assert abs(evaluate_class(shifted, sigma) - value) <= sup
+        done += 1
 
 
 def test_monotone_under_sum():

@@ -160,3 +160,15 @@ def test_term_cap_boundary(monkeypatch):
     monkeypatch.setattr(seifert, "_cotangent_sum", no_sum)
     with pytest.raises(SeifertInputError, match="cap"):
         r_invariant_cotangent((3, 5, 23))  # 28 terms
+
+
+def test_product_cap_boundary(monkeypatch):
+    assert seifert.PRODUCT_CAP >= 2000
+    assert sweep(seifert.PRODUCT_CAP)["mismatches"] == []
+
+    def no_tuples(*args):
+        raise AssertionError("a tuple was checked")
+
+    monkeypatch.setattr(seifert, "coprime_tuples", no_tuples)
+    with pytest.raises(SeifertInputError, match="cap"):
+        sweep(seifert.PRODUCT_CAP + 1)
