@@ -16,7 +16,7 @@ maps are implemented from the same data and verified on window bases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .equivariant import (
@@ -82,6 +82,10 @@ class CobordismDatum:
     delta1: dict[str, NovikovElement]  # source generator -> coefficient
     delta2: dict[str, NovikovElement]  # target generator -> coefficient
     c: int
+    # the d2-ladder and its tail, grown on demand by `_d2_ladder` from the
+    # fields above, which therefore must not change once a map has been applied
+    _d2_rungs: list = field(default_factory=list, init=False, repr=False, compare=False)
+    _d2_tail: XPart = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.c < 1:
@@ -175,29 +179,34 @@ def verify_tilde_chain_map(cob: CobordismDatum) -> Report:
 # Equivariant cobordism maps
 # ---------------------------------------------------------------------------
 
-def _ladder(cob: CobordismDatum, vec: Vector, seed: Vector,
-            depth: int) -> list[tuple[Vector, Vector]]:
-    """The rungs (u^m vec, L_m) for m < depth.
+def _extend(cob: CobordismDatum, rungs: list[tuple[Vector, Vector]], depth: int) -> None:
+    """Append rungs (u^m vec, L_m) to a ladder until it has `depth` of them.
 
-    L_0 = seed and L_(m+1) = u'(L_m) + mu(u^m vec), so that
+    L_(m+1) = u'(L_m) + mu(u^m vec), so that with L_0 = seed,
     L_m = u'^m seed + sum_{k<m} u'^(m-1-k) mu u^k vec: Horner's rule for
     the mu double sum that every induced map carries.  The ladder of
     d2(1) seeded at delta2(1) gives the correction series and the chain
     weights W_i = L_i of the polynomial slots; the ladder of a chain
     alpha seeded at 0 gives the tail of alpha.
     """
-    rungs = [(vec, seed)]
     while len(rungs) < depth:
         v, rung = rungs[-1]
         rungs.append((cob.source.apply_u(v),
                       vec_add(cob.target.apply_u(rung), cob.mu.apply(v))))
+
+
+def _ladder(cob: CobordismDatum, vec: Vector, seed: Vector,
+            depth: int) -> list[tuple[Vector, Vector]]:
+    """The rungs (u^m vec, L_m) for m < depth, L_0 = seed (see `_extend`)."""
+    rungs = [(vec, seed)]
+    _extend(cob, rungs, depth)
     return rungs[:depth]
 
 
-def _tail(cob: CobordismDatum, ladder: list[tuple[Vector, Vector]]) -> XPart:
-    """{x^-(m+1): delta1(u^m vec) + d1'(L_m)} over the rungs of a ladder."""
+def _tail(cob: CobordismDatum, ladder: list[tuple[Vector, Vector]], first: int = 0) -> XPart:
+    """{x^-(m+1): delta1(u^m vec) + d1'(L_m)} over the rungs m = first, ... of a ladder."""
     tail: XPart = {}
-    for m, (vec, rung) in enumerate(ladder):
+    for m, (vec, rung) in enumerate(ladder, first):
         lam = apply_row(cob.delta1, vec) + cob.target.apply_d1(rung)
         if not lam.is_zero():
             tail[-m - 1] = lam
@@ -205,9 +214,20 @@ def _tail(cob: CobordismDatum, ladder: list[tuple[Vector, Vector]]) -> XPart:
 
 
 def _d2_ladder(cob: CobordismDatum, depth: int) -> list[tuple[Vector, Vector]]:
-    """The ladder of d2(1) seeded at delta2(1)."""
-    one = NovikovElement.one()
-    return _ladder(cob, cob.source.apply_d2(one), apply_column(cob.delta2, one), depth)
+    """The ladder of d2(1) seeded at delta2(1), `depth` rungs deep.
+
+    The rungs of a shallow ladder are a prefix of a deeper one, so each
+    cobordism keeps one ladder, with its tail, and extends both only when
+    a deeper ladder is asked for.  Callers must not change the rungs.
+    """
+    rungs = cob._d2_rungs
+    built = len(rungs)
+    if not rungs:
+        one = NovikovElement.one()
+        rungs.append((cob.source.apply_d2(one), apply_column(cob.delta2, one)))
+    _extend(cob, rungs, depth)
+    cob._d2_tail.update(_tail(cob, rungs[built:], built))
+    return rungs[:depth]
 
 
 def _weighted_rungs(cob: CobordismDatum, part: XPart) -> Vector:
@@ -222,7 +242,9 @@ def _weighted_rungs(cob: CobordismDatum, part: XPart) -> Vector:
 
 def correction_series(cob: CobordismDatum, depth: int) -> XPart:
     """The multiplier series S: c plus the tail of the d2-ladder, down to x^-depth."""
-    return {0: NovikovElement.term(cob.c, 0), **_tail(cob, _d2_ladder(cob, depth))}
+    _d2_ladder(cob, depth)
+    return {0: NovikovElement.term(cob.c, 0),
+            **{k: lam for k, lam in cob._d2_tail.items() if k >= -depth}}
 
 
 def _xpart_mul(a: XPart, b: XPart, lo: int, hi: int) -> XPart:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._linalg import poly_matrix_rank
+from ._linalg import has_full_column_rank
 from .floer_datum import FloerDatum, Report, Vector, validate, vec_add, vec_neg, vec_sub
 from .novikov import (
     INF,
@@ -406,7 +406,7 @@ def verify_triangle(datum: FloerDatum, window: Window) -> Report:
             shift = Fraction(0)
         polys = [[to_rational_function(el.shift(-shift), scale) for el in row]
                  for row in entries]
-        if poly_matrix_rank(polys) < len(cols):
+        if not has_full_column_rank(polys, len(cols)):
             rep.fail(f"{space} splitting composite invertible fails at window matrix: "
                      "residual rank deficient")
 

@@ -110,10 +110,6 @@ def vec_sub(a: Vector, b: Vector) -> Vector:
     return vec_add(a, vec_neg(b))
 
 
-def vec_is_zero(a: Vector) -> bool:
-    return all(el.is_zero() for el in a.values())
-
-
 def apply_row(row: dict[str, NovikovElement], vec: Vector) -> NovikovElement:
     """A one-sided map into the coefficients (d1, delta1), stored by source."""
     out = NovikovElement.zero()

@@ -21,6 +21,13 @@ class LatticeInputError(InputError):
 
 RANK_CAP = 12
 
+# The signed sums refuse a class norm |Q(e)| above this before any vector
+# is enumerated, since their walk visits every vector with |Q(v)| <= |Q(e)|
+# and the count grows like |Q(e)|^(n/2): on E8, bound 8 (13,320 pairs)
+# takes about 1.8 s and bound 10 about 3.8 s on a 2-core x86-64 VM with
+# CPython 3.11.
+NORM_CAP = 8
+
 
 class LatticeData:
     """Symmetric negative-definite integer Gram matrix of rank <= 12."""
@@ -200,9 +207,12 @@ def _class_pairs(L: LatticeData, e):
 
     Also verifies the minimality hypothesis |Q(e)| <= |Q(e')| over the
     whole congruence class, returning a smaller-norm witness if violated.
+    A norm |Q(e)| above NORM_CAP is refused before the walk.
     """
     qe = L.q(list(e))
     target = -qe
+    if target > NORM_CAP:
+        raise LatticeInputError(f"|Q(e)| = {target} is above the cap {NORM_CAP}")
     reps = enumerate_up_to_norm(L, target)
     witness = None
     cls = []

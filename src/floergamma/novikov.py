@@ -58,8 +58,17 @@ def format_extrat(value: ExtRat) -> str:
 class NovikovElement:
     """A finite sum of terms coeff * l^(exp), exponents strictly increasing.
 
-    Instances are immutable; all operations return new elements.  Zero is
-    represented by an empty term map.
+    Instances are immutable; all operations return new elements (or an
+    operand unchanged).  Zero has no terms, and `zero()` is one shared
+    instance.
+
+    Term-tuple invariant: `_terms` is a tuple of (coeff, exp) pairs, both
+    `Fraction`s, with strictly increasing exponents and no zero
+    coefficient.  `__init__` is the one canonicalising constructor: it
+    converts, collects and sorts arbitrary input (parsed terms, products).
+    Negation, scalar multiplication, shift and addition keep the invariant
+    term by term, so they build their tuples directly (`_of`) instead of
+    canonicalising again; addition merges two sorted tuples.
     """
 
     __slots__ = ("_terms",)
@@ -75,8 +84,15 @@ class NovikovElement:
         )
 
     @classmethod
+    def _of(cls, terms: tuple) -> "NovikovElement":
+        """An element over a term tuple that already keeps the invariant."""
+        el = object.__new__(cls)
+        el._terms = terms
+        return el
+
+    @classmethod
     def zero(cls) -> "NovikovElement":
-        return cls()
+        return _ZERO_ELEMENT
 
     @classmethod
     def term(cls, coeff, exp=0) -> "NovikovElement":
@@ -107,10 +123,35 @@ class NovikovElement:
     def __add__(self, other: "NovikovElement") -> "NovikovElement":
         if not isinstance(other, NovikovElement):
             return NotImplemented
-        return NovikovElement(self._terms + other._terms)
+        a, b = self._terms, other._terms
+        if not b:
+            return self
+        if not a:
+            return other
+        out = []
+        i = j = 0
+        while i < len(a) and j < len(b):
+            ea, eb = a[i][1], b[j][1]
+            if ea == eb:
+                c = a[i][0] + b[j][0]
+                if c:
+                    out.append((c, ea))
+                i += 1
+                j += 1
+            elif ea < eb:
+                out.append(a[i])
+                i += 1
+            else:
+                out.append(b[j])
+                j += 1
+        out.extend(a[i:])
+        out.extend(b[j:])
+        return NovikovElement._of(tuple(out))
 
     def __neg__(self) -> "NovikovElement":
-        return NovikovElement([(-c, e) for c, e in self._terms])
+        if not self._terms:
+            return self
+        return NovikovElement._of(tuple((-c, e) for c, e in self._terms))
 
     def __sub__(self, other: "NovikovElement") -> "NovikovElement":
         if not isinstance(other, NovikovElement):
@@ -126,7 +167,9 @@ class NovikovElement:
             ]
             return NovikovElement(prods)
         if isinstance(other, (int, Fraction)):
-            return NovikovElement([(c * other, e) for c, e in self._terms])
+            if not other:
+                return _ZERO_ELEMENT
+            return NovikovElement._of(tuple((c * other, e) for c, e in self._terms))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -134,7 +177,7 @@ class NovikovElement:
     def shift(self, exp) -> "NovikovElement":
         """Multiply by l^exp."""
         exp = Fraction(exp)
-        return NovikovElement([(c, e + exp) for c, e in self._terms])
+        return NovikovElement._of(tuple((c, e + exp) for c, e in self._terms))
 
     def mdeg(self) -> ExtRat:
         """Minimal exponent; +inf for the zero element."""
@@ -149,10 +192,6 @@ class NovikovElement:
                 return c
         return Fraction(0)
 
-    def evaluate_at_one(self) -> Fraction:
-        """Sum of the coefficients (the ring map sending l to 1)."""
-        return sum((c for c, _ in self._terms), Fraction(0))
-
     def __str__(self) -> str:
         if not self._terms:
             return "0"
@@ -160,6 +199,9 @@ class NovikovElement:
 
     def __repr__(self) -> str:
         return f"NovikovElement({self})"
+
+
+_ZERO_ELEMENT = NovikovElement()
 
 
 def mdeg_tuple(elements: Iterable[NovikovElement]) -> ExtRat:

@@ -30,6 +30,11 @@ from floergamma.novikov import NovikovElement
 DENOMINATORS = (2, 3, 4, 5, 6, 8, 12)
 
 
+def evaluate_at_one(el: NovikovElement) -> Fraction:
+    """Sum of the coefficients (the ring map sending l to 1)."""
+    return sum((c for c, _ in el.items()), Fraction(0))
+
+
 def random_lift(rng: Random) -> Fraction:
     den = rng.choice(DENOMINATORS)
     num = rng.randint(-3 * den, 3 * den)

@@ -262,9 +262,14 @@ def test_lattice_command_walks_once_per_bound(capsys, tmp_path, monkeypatch):
     walks.clear()
     d11 = tmp_path / "d11.json"
     d11.write_text(json.dumps({"gram": [[-1, 0], [0, -1]]}))
+    code, _, err = run(capsys, "lattice", str(d11), "--e", "2,2")
+    assert code == 2 and "(2, 0) has smaller norm" in err
+    assert walks == [1, 8]
+    walks.clear()
+    # a class norm above the cap is refused before its walk
     code, _, err = run(capsys, "lattice", str(d11), "--e", "3,1")
-    assert code == 2 and "(1, -1) has smaller norm" in err
-    assert walks == [1, 10]
+    assert code == 2 and f"|Q(e)| = 10 is above the cap {lattice.NORM_CAP}" in err
+    assert walks == [1]
 
 
 def test_morse_command(capsys, tmp_path):

@@ -290,6 +290,8 @@ def test_maps_match_reference_double_sums():
                              _random_vec(rng, tgt.names()), rng.randint(1, 4))
         window = Window(rng.randint(2, 7), rng.randint(1, 5))
         T, N = window.T, window.N
+        # a shallow series first, so the deep one extends the kept ladder
+        assert correction_series(cob, T) == _ref_correction_series(cob, T)
         series = _ref_correction_series(cob, T + N + 1)
         assert correction_series(cob, T + N + 1) == series
         hat = HatElement(_random_vec(rng, src.names()), _random_part(rng, 0, N))

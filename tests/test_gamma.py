@@ -16,7 +16,6 @@ from floergamma.floer_datum import (
     datum_to_json,
     load_datum,
     vec_add,
-    vec_is_zero,
 )
 from floergamma.gamma import (
     DatumInconsistencyError,
@@ -34,6 +33,7 @@ from floergamma.gamma import (
 from floergamma.novikov import INF, NovikovElement, mdeg_tuple
 
 from datagen import (
+    evaluate_at_one,
     filtered_basis_change,
     random_datum,
     random_small_datum,
@@ -152,7 +152,7 @@ def test_witness_soundness(sigma, neg_sigma, remark):
                 continue
             alpha = witness.alpha.to_element(datum)
             if k >= 1:
-                assert vec_is_zero(datum.apply_d(alpha))
+                assert not datum.apply_d(alpha)
                 vec = alpha
                 for _ in range(k - 1):
                     assert datum.apply_d1(vec).is_zero()
@@ -183,7 +183,7 @@ def gamma_oracle_positive(datum, k, grid=range(-4, 5)):
             continue
         alpha = {g: NovikovElement.term(c, datum.lift(g))
                  for g, c in zip(gens, combo) if c}
-        if not vec_is_zero(datum.apply_d(alpha)):
+        if datum.apply_d(alpha):
             continue
         vec = alpha
         ok = True
@@ -248,7 +248,7 @@ def rational_shadow(datum):
     def ev_matrix(matrix):
         m = [[Fraction(0)] * n for _ in range(n)]
         for s, t, el in matrix.entries():
-            m[idx[t]][idx[s]] += el.evaluate_at_one()
+            m[idx[t]][idx[s]] += evaluate_at_one(el)
         return m
 
     def mat_vec(m, vec):
@@ -256,8 +256,8 @@ def rational_shadow(datum):
 
     d_m = ev_matrix(datum.d)
     u_m = ev_matrix(datum.u)
-    d1_v = [datum.d1.get(g, NovikovElement.zero()).evaluate_at_one() for g in names]
-    d2_v = [datum.d2.get(g, NovikovElement.zero()).evaluate_at_one() for g in names]
+    d1_v = [evaluate_at_one(datum.d1.get(g, NovikovElement.zero())) for g in names]
+    d2_v = [evaluate_at_one(datum.d2.get(g, NovikovElement.zero())) for g in names]
     towers = {}  # generator index -> ([d1(u^j e_i) for j < len], next u^j e_i)
 
     def tower(i, depth):

@@ -7,6 +7,7 @@ import pytest
 
 from floergamma import lattice
 from floergamma.lattice import (
+    NORM_CAP,
     LatticeData,
     LatticeInputError,
     bound_from_class,
@@ -189,6 +190,18 @@ def test_signed_sum_preconditions():
         signed_sum_odd(diag(-3), (1,), (1,), 0)  # parity mismatch
     with pytest.raises(LatticeInputError):
         signed_sum_even(diag(-1, -1), (1, 0))  # |Q(e)| = 1 too small
+
+
+def test_class_norm_cap(monkeypatch):
+    # the rank-1 lattice <-n>: e = (1) is alone in its class up to sign
+    assert signed_sum_even(diag(-NORM_CAP), (1,)) == 1
+    assert signed_sum_odd(diag(-NORM_CAP), (1,), (2,), 0) == 1
+    monkeypatch.setattr(lattice, "enumerate_up_to_norm",
+                        lambda *args: pytest.fail("walked past the cap"))
+    with pytest.raises(LatticeInputError, match="above the cap"):
+        signed_sum_odd(diag(-NORM_CAP - 1), (1,), (1,), (NORM_CAP + 1) % 2)
+    with pytest.raises(LatticeInputError, match="above the cap"):
+        signed_sum_even(diag(-NORM_CAP - 2), (1,))
 
 
 def test_signed_sum_odd_examples():

@@ -1,10 +1,19 @@
-"""Exact linear algebra over Q, checked against determinants of minors."""
+"""Exact linear algebra over Q and Q(mu), checked against determinants of minors."""
 
 import itertools
 from fractions import Fraction
 from random import Random
 
-from floergamma._linalg import Echelon, q_kernel_basis, q_rank, q_solve
+from floergamma._linalg import (
+    CERTIFICATE_POINT,
+    Echelon,
+    has_full_column_rank,
+    poly_matrix_rank,
+    q_kernel_basis,
+    q_rank,
+    q_solve,
+)
+from floergamma.novikov import poly_from_coeffs, poly_mul
 
 
 def det(m):
@@ -95,3 +104,75 @@ def test_echelon_reports_rank_growth_and_stays_reduced():
         for pivot, row in ech.rows.items():
             assert min(row) == pivot and row[pivot] == 1
             assert all(pivot not in other for p, other in ech.rows.items() if p != pivot)
+
+
+# ---------------------------------------------------------------------------
+# Rank over Q(mu): the certificate at mu0 and Bareiss elimination
+# ---------------------------------------------------------------------------
+
+MAX_SIZE = 4
+MAX_DEGREE = 4  # of an entry: degree 2, times a factor of degree 1, times (mu - mu0)
+
+
+def at(poly, x):
+    return sum((c * x ** i for i, c in enumerate(poly)), Fraction(0))
+
+
+def brute_force_rank(rows, ncols):
+    """Largest minor rank at distinct rational points.
+
+    A minor is a polynomial of degree at most MAX_SIZE * MAX_DEGREE, so a
+    nonzero one vanishes at no more than that many points; one point more
+    proves the rank over Q(mu).
+    """
+    points = [Fraction(k, 3) for k in range(-8, MAX_SIZE * MAX_DEGREE - 7)]
+    return max(minor_rank([[at(p, x) for p in row] for row in rows], ncols)
+               for x in points)
+
+
+def random_poly_matrices(seed, count=120):
+    """Small matrices over Q[mu], often rank deficient, some vanishing at mu0."""
+    rng = Random(seed)
+    root = poly_from_coeffs([-2 * CERTIFICATE_POINT, 2])  # 2 (mu - mu0)
+    for _ in range(count):
+        nrows, ncols = rng.randint(0, MAX_SIZE), rng.randint(1, MAX_SIZE)
+        rows = [[poly_from_coeffs(rng.choice((0, 0, 1, -1, 2))
+                                  for _ in range(rng.randint(0, 3)))
+                 for _ in range(ncols)] for _ in range(nrows)]
+        if ncols >= 2 and rng.random() < 0.3:  # a column proportional to another
+            a, b = rng.sample(range(ncols), 2)
+            factor = poly_from_coeffs([rng.randint(-2, 2), rng.randint(0, 1)])
+            for row in rows:
+                row[b] = poly_mul(factor, row[a])
+        if rng.random() < 0.5:  # a column that vanishes at mu0
+            b = rng.randrange(ncols)
+            for row in rows:
+                row[b] = poly_mul(root, row[b])
+        yield rows, ncols
+
+
+def test_rank_over_q_mu_matches_brute_force():
+    full = short_at_point = 0
+    for rows, ncols in random_poly_matrices(6):
+        rank = brute_force_rank(rows, ncols)
+        assert poly_matrix_rank(rows) == rank
+        assert has_full_column_rank(rows, ncols) == (rank == ncols)
+        full += rank == ncols
+        short_at_point += rank == ncols and minor_rank(
+            [[at(p, CERTIFICATE_POINT) for p in row] for row in rows], ncols) < ncols
+    # both verdicts occur, and full rank is met where the certificate is short
+    assert full and short_at_point
+
+
+def test_full_rank_that_vanishes_at_the_certificate_point():
+    mu_minus_mu0 = poly_from_coeffs([-CERTIFICATE_POINT, 1])
+    assert has_full_column_rank([[mu_minus_mu0]], 1)
+    assert poly_matrix_rank([[mu_minus_mu0]]) == 1
+
+
+def test_proportional_columns_are_deficient():
+    col = [poly_from_coeffs([1, 2]), poly_from_coeffs([0, 0, 3]), poly_from_coeffs([5])]
+    factor = poly_from_coeffs([-1, 0, 1])  # mu^2 - 1
+    rows = [[p, poly_mul(factor, p)] for p in col]
+    assert not has_full_column_rank(rows, 2)
+    assert poly_matrix_rank(rows) == 1

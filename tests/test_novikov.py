@@ -15,6 +15,8 @@ from floergamma.novikov import (
     to_rational_function,
 )
 
+from datagen import evaluate_at_one
+
 
 def nov(*terms) -> NovikovElement:
     return NovikovElement([(Fraction(c), Fraction(e)) for c, e in terms])
@@ -58,9 +60,9 @@ def test_mdeg_tuple_examples():
 
 
 def test_evaluate_at_one_examples():
-    assert nov((1, "1/120")).evaluate_at_one() == 1
-    assert nov((3, "1/2"), (-2, "-1/3")).evaluate_at_one() == 1
-    assert NovikovElement.zero().evaluate_at_one() == 0
+    assert evaluate_at_one(nov((1, "1/120"))) == 1
+    assert evaluate_at_one(nov((3, "1/2"), (-2, "-1/3"))) == 1
+    assert evaluate_at_one(NovikovElement.zero()) == 0
 
 
 def test_rational_function_examples():
@@ -107,8 +109,46 @@ def test_mdeg_ultrametric(a, b):
 
 @given(elements, elements)
 def test_evaluate_at_one_is_ring_map(a, b):
-    assert (a * b).evaluate_at_one() == a.evaluate_at_one() * b.evaluate_at_one()
-    assert (a + b).evaluate_at_one() == a.evaluate_at_one() + b.evaluate_at_one()
+    assert evaluate_at_one(a * b) == evaluate_at_one(a) * evaluate_at_one(b)
+    assert evaluate_at_one(a + b) == evaluate_at_one(a) + evaluate_at_one(b)
+
+
+def assert_canonical(a: NovikovElement) -> None:
+    """The term-tuple invariant the arithmetic relies on."""
+    terms = a.items()
+    assert isinstance(terms, tuple)
+    assert all(type(c) is Fraction and type(e) is Fraction for c, e in terms)
+    assert all(c != 0 for c, _ in terms)
+    assert all(e1 < e2 for (_, e1), (_, e2) in zip(terms, terms[1:]))
+
+
+scalars = st.one_of(rationals, st.integers(min_value=-5, max_value=5), st.just(0))
+
+
+@given(elements, elements, scalars)
+def test_lean_operations_match_the_canonical_constructor(a, b, q):
+    cases = [
+        (a + b, list(a.items()) + list(b.items())),
+        (a - b, list(a.items()) + [(-c, e) for c, e in b.items()]),
+        (-a, [(-c, e) for c, e in a.items()]),
+        (q * a, [(q * c, e) for c, e in a.items()]),
+        (a * q, [(q * c, e) for c, e in a.items()]),
+        (a.shift(q), [(c, e + q) for c, e in a.items()]),
+    ]
+    for result, terms in cases:
+        assert_canonical(result)
+        assert result == NovikovElement(terms)
+    assert a + NovikovElement.zero() is a
+    assert NovikovElement.zero() + a == a
+    assert a - a == NovikovElement.zero() and (a - a).is_zero()
+
+
+def test_zero_is_shared_and_scalar_zero_returns_it():
+    zero = NovikovElement.zero()
+    assert NovikovElement.zero() is zero and zero.is_zero()
+    assert 0 * nov((3, "1/2")) is zero
+    assert nov((3, "1/2")) * Fraction(0) is zero
+    assert -zero is zero
 
 
 @given(elements)
