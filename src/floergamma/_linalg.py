@@ -10,18 +10,6 @@ unique, so the kernel basis, the solutions and the residues read from it
 do not depend on the order rows arrived in.  `q_rank`, `q_kernel_basis`,
 `q_solve` and `Echelon.reduce` (the residue of a row, which the Morse
 min-max reads) are readers of that one form.
-
-Over Q(mu) only one question is asked: does a matrix of polynomials in mu
-have full column rank?  `has_full_column_rank` first evaluates every entry
-exactly at one rational point mu0 (`CERTIFICATE_POINT`) and takes the
-rank over Q.  A nonzero minor of the evaluated matrix is the value at mu0
-of the same minor over Q[mu], so that polynomial minor is nonzero and the
-rank over Q(mu) is full: the certificate proves full rank (the
-evaluation argument behind the Schwartz-Zippel lemma, used here at one
-fixed point and only in that direction).  A zero minor at mu0 proves
-nothing, since a nonzero polynomial may vanish there, so a short rank at
-mu0 falls through to fraction-free (Bareiss) elimination over Q[mu],
-which alone decides rank deficiency.
 """
 
 from __future__ import annotations
@@ -164,19 +152,3 @@ def poly_matrix_rank(rows: list[list[QPoly]]) -> int:
         rank += 1
         col += 1
     return rank
-
-
-#: The rational point mu0 at which `has_full_column_rank` evaluates first.
-CERTIFICATE_POINT = Fraction(3, 2)
-
-
-def has_full_column_rank(rows: list[list[QPoly]], ncols: int) -> bool:
-    """Whether a matrix over Q[mu] with `ncols` columns has rank `ncols` over Q(mu).
-
-    Full rank at mu0 proves it; otherwise `poly_matrix_rank` decides.
-    """
-    longest = max((len(p) for row in rows for p in row), default=0)
-    powers = [CERTIFICATE_POINT ** i for i in range(longest)]
-    at_point = [[sum((c * x for c, x in zip(p, powers) if c), Fraction(0)) for p in row]
-                for row in rows]
-    return q_rank(at_point) == ncols or poly_matrix_rank(rows) == ncols

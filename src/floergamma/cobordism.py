@@ -48,7 +48,6 @@ from .equivariant import (
     x_action_bar,
     x_action_check,
     x_action_hat,
-    xadd,
 )
 from .floer_datum import (
     FloerDatum,
@@ -271,8 +270,8 @@ def hat_map(cob: CobordismDatum, e: HatElement) -> HatElement:
 def check_map(cob: CobordismDatum, e: CheckElement, window: Window) -> CheckElement:
     """Induced map on the "to" complex: (phi alpha, tail of alpha + tail·S)."""
     depth = window.T
-    tail = xadd(_tail(cob, _ladder(cob, e.chain, {}, depth)),
-                _xpart_mul(e.tail, correction_series(cob, depth), -depth, -1))
+    tail = vec_add(_tail(cob, _ladder(cob, e.chain, {}, depth)),
+                   _xpart_mul(e.tail, correction_series(cob, depth), -depth, -1))
     return CheckElement(cob.phi.apply(e.chain), tail)
 
 
@@ -487,11 +486,11 @@ def gamma_comparison(cob: CobordismDatum, k_min: int, k_max: int) -> dict:
 # JSON format
 # ---------------------------------------------------------------------------
 
-def cobordism_from_json(obj, resolve=load_datum) -> CobordismDatum:
+def cobordism_from_json(obj) -> CobordismDatum:
     check_keys(obj, {"source", "target", "c", "phi", "mu", "delta1", "delta2"},
                "cobordism")
-    return CobordismDatum(resolve(json_field(obj, "source", str, "cobordism")),
-                          resolve(json_field(obj, "target", str, "cobordism")),
+    return CobordismDatum(load_datum(json_field(obj, "source", str, "cobordism")),
+                          load_datum(json_field(obj, "target", str, "cobordism")),
                           map_from_json(obj, "phi"), map_from_json(obj, "mu"),
                           map_from_json(obj, "delta1", "from"),
                           map_from_json(obj, "delta2", "to"),
@@ -510,5 +509,5 @@ def cobordism_to_json(cob: CobordismDatum) -> dict:
     }
 
 
-def load_cobordism(path_or_name: str, resolve=load_datum) -> CobordismDatum:
-    return cobordism_from_json(read_json(path_or_name, "cobordism"), resolve)
+def load_cobordism(path_or_name: str) -> CobordismDatum:
+    return cobordism_from_json(read_json(path_or_name, "cobordism"))

@@ -89,6 +89,8 @@ class LambdaMatrix:
             yield (src, dst), el
 
 
+# The vec_* helpers below also serve the x-parts of the equivariant
+# complexes, whose keys are x-powers (ints) instead of generator names.
 Vector = dict[str, NovikovElement]
 
 

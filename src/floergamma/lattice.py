@@ -21,12 +21,12 @@ class LatticeInputError(InputError):
 
 RANK_CAP = 12
 
-# The signed sums refuse a class norm |Q(e)| above this before any vector
-# is enumerated, since their walk visits every vector with |Q(v)| <= |Q(e)|
-# and the count grows like |Q(e)|^(n/2): on E8, bound 8 (13,320 pairs)
-# takes about 1.8 s and bound 10 about 3.8 s on a 2-core x86-64 VM with
-# CPython 3.11.
-NORM_CAP = 8
+# A walk that visits more nodes than this (partial vectors, the root and
+# the complete vectors included) is refused, whatever the rank and bound:
+# the count grows like bound^(n/2).  On a 2-core x86-64 VM with CPython
+# 3.11, E8 at bound 8 visits 48,615 nodes in about 1.9 s, and -I_12 at
+# bound 5 visits 84,981 in about 3.9 s.
+WALK_CAP = 50_000
 
 
 class LatticeData:
@@ -136,7 +136,8 @@ def enumerate_up_to_norm(L: LatticeData, bound: int):
     lexicographic order of (v[n-1], ..., v[0]) whatever the bound, so a
     wider walk filtered to |Q(v)| <= bound is this list, order included.
     Each lattice therefore keeps its widest walk so far and answers every
-    smaller bound from it; only a larger bound walks again.  The order
+    smaller bound from it; only a larger bound walks again.  A walk past
+    WALK_CAP nodes raises LatticeInputError and stores nothing.  The order
     matters because callers report the first vector of a class that
     beats e as the non-minimality witness.
     """
@@ -152,8 +153,14 @@ def _walk(L: LatticeData, bound: int):
     q = _cholesky(p)
     found: list[tuple[tuple[int, ...], int]] = []
     v = [0] * n
+    nodes = 0
 
     def walk(i: int, remaining: Fraction):
+        nonlocal nodes
+        nodes += 1
+        if nodes > WALK_CAP:
+            raise LatticeInputError(
+                f"the walk to norm {bound} visits more than {WALK_CAP} nodes, the cap")
         if i < 0:
             if any(v):
                 norm = -L.q(v)
@@ -207,12 +214,9 @@ def _class_pairs(L: LatticeData, e):
 
     Also verifies the minimality hypothesis |Q(e)| <= |Q(e')| over the
     whole congruence class, returning a smaller-norm witness if violated.
-    A norm |Q(e)| above NORM_CAP is refused before the walk.
     """
     qe = L.q(list(e))
     target = -qe
-    if target > NORM_CAP:
-        raise LatticeInputError(f"|Q(e)| = {target} is above the cap {NORM_CAP}")
     reps = enumerate_up_to_norm(L, target)
     witness = None
     cls = []

@@ -59,8 +59,8 @@ class NovikovElement:
     """A finite sum of terms coeff * l^(exp), exponents strictly increasing.
 
     Instances are immutable; all operations return new elements (or an
-    operand unchanged).  Zero has no terms, and `zero()` is one shared
-    instance.
+    operand unchanged).  Zero has no terms; `zero()` and `one()` each
+    return one shared instance.
 
     Term-tuple invariant: `_terms` is a tuple of (coeff, exp) pairs, both
     `Fraction`s, with strictly increasing exponents and no zero
@@ -68,7 +68,8 @@ class NovikovElement:
     converts, collects and sorts arbitrary input (parsed terms, products).
     Negation, scalar multiplication, shift and addition keep the invariant
     term by term, so they build their tuples directly (`_of`) instead of
-    canonicalising again; addition merges two sorted tuples.
+    canonicalising again; addition merges two sorted tuples, and `term`
+    builds its one-term tuple directly.
     """
 
     __slots__ = ("_terms",)
@@ -96,11 +97,14 @@ class NovikovElement:
 
     @classmethod
     def term(cls, coeff, exp=0) -> "NovikovElement":
-        return cls([(Fraction(coeff), Fraction(exp))])
+        coeff = Fraction(coeff)
+        if not coeff:
+            return _ZERO_ELEMENT
+        return cls._of(((coeff, Fraction(exp)),))
 
     @classmethod
     def one(cls) -> "NovikovElement":
-        return cls.term(1, 0)
+        return _ONE_ELEMENT
 
     def items(self) -> tuple[tuple[Fraction, Fraction], ...]:
         """Terms as (coeff, exp) pairs in increasing exponent order."""
@@ -202,6 +206,7 @@ class NovikovElement:
 
 
 _ZERO_ELEMENT = NovikovElement()
+_ONE_ELEMENT = NovikovElement.term(1)
 
 
 def mdeg_tuple(elements: Iterable[NovikovElement]) -> ExtRat:

@@ -97,6 +97,12 @@ TERM_CAP = 2_500_000
 # 2-core x86-64 VM with CPython 3.11.
 PRODUCT_CAP = 5000
 
+# The rounded cotangent sum must lie this close to an integer.
+ROUNDING_TOLERANCE = 1e-6
+
+# The sweep checks the tuples of these lengths.
+SWEEP_LENGTHS = (3, 4)
+
 
 def cotangent_error_bound(a) -> float:
     """E(a), the a-priori error bound stated in r_invariant_cotangent."""
@@ -121,7 +127,7 @@ def _cotangent_sum(a: tuple[int, ...]) -> float:
     return math.fsum([2 / prod, len(a) - 3, *slots])
 
 
-def r_invariant_cotangent(a, tolerance: float = 1e-6) -> int:
+def r_invariant_cotangent(a) -> int:
     """R by the cotangent double sum, evaluated in doubles and rounded.
 
     R = 2/a - 3 + n + sum_i (2/a_i) sum_{k=1}^{a_i-1}
@@ -150,7 +156,7 @@ def r_invariant_cotangent(a, tolerance: float = 1e-6) -> int:
     exact when E(a) < 1/2; ArithmeticError is raised unless E(a) < 1/4.
 
     A tuple of more than TERM_CAP terms sum(a_i - 1) is refused before
-    any term is computed.  A pre-rounding residual above the tolerance,
+    any term is computed.  A pre-rounding residual above ROUNDING_TOLERANCE,
     or a value that is not an odd integer >= -1, raises ArithmeticError.
     """
     a = _validate_tuple(a)
@@ -165,9 +171,9 @@ def r_invariant_cotangent(a, tolerance: float = 1e-6) -> int:
     total = _cotangent_sum(a)
     nearest = round(total)
     residual = abs(total - nearest)
-    if residual > tolerance:
+    if residual > ROUNDING_TOLERANCE:
         raise ArithmeticError(
-            f"cotangent sum for {a} has residual {residual} above {tolerance}")
+            f"cotangent sum for {a} has residual {residual} above {ROUNDING_TOLERANCE}")
     if nearest % 2 == 0 or nearest < -1:
         raise ArithmeticError(f"cotangent sum for {a} rounds to invalid R = {nearest}")
     return nearest
@@ -235,14 +241,14 @@ def whitehead_double_bounds(p: int, q: int) -> dict:
     }
 
 
-def coprime_tuples(max_product: int, lengths=(3, 4)):
-    """Sorted pairwise-coprime tuples with entries >= 2 and bounded product."""
+def coprime_tuples(max_product: int):
+    """Sorted pairwise-coprime tuples of SWEEP_LENGTHS, entries >= 2, bounded product."""
     out = []
 
     def extend(prefix: tuple[int, ...], prod: int, start: int):
-        if len(prefix) in lengths:
+        if len(prefix) in SWEEP_LENGTHS:
             out.append(prefix)
-        if len(prefix) >= max(lengths):
+        if len(prefix) >= max(SWEEP_LENGTHS):
             return
         x = start
         while prod * x <= max_product:
@@ -251,10 +257,10 @@ def coprime_tuples(max_product: int, lengths=(3, 4)):
             x += 1
 
     extend((), 1, 2)
-    return [t for t in out if len(t) in lengths]
+    return out
 
 
-def sweep(max_product: int = 2000, lengths=(3, 4)) -> dict:
+def sweep(max_product: int = 2000) -> dict:
     """Cross-formula audit over all bounded pairwise-coprime tuples.
 
     Checks, for every tuple, that the cotangent sum rounds to the exact
@@ -268,7 +274,7 @@ def sweep(max_product: int = 2000, lengths=(3, 4)) -> dict:
             f"sweep bound {max_product} is above the cap {PRODUCT_CAP}")
     mismatches = []
     checked = 0
-    for t in coprime_tuples(max_product, lengths):
+    for t in coprime_tuples(max_product):
         exact = seifert_invariants(t)
         rounded = r_invariant_cotangent(t)
         checked += 1

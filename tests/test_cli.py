@@ -266,10 +266,18 @@ def test_lattice_command_walks_once_per_bound(capsys, tmp_path, monkeypatch):
     assert code == 2 and "(2, 0) has smaller norm" in err
     assert walks == [1, 8]
     walks.clear()
-    # a class norm above the cap is refused before its walk
+    # a large class norm on a small rank is admitted: the walk stays short
     code, _, err = run(capsys, "lattice", str(d11), "--e", "3,1")
-    assert code == 2 and f"|Q(e)| = 10 is above the cap {lattice.NORM_CAP}" in err
-    assert walks == [1]
+    assert code == 2 and "(1, -1) has smaller norm" in err
+    assert walks == [1, 10]
+    walks.clear()
+    # -I_12 at |Q(e)| = 8 (243,520 pairs) passes the node cap partway through its walk
+    i12 = tmp_path / "i12.json"
+    i12.write_text(json.dumps({"gram": [[-1 if i == j else 0 for j in range(12)]
+                                        for i in range(12)]}))
+    code, _, err = run(capsys, "lattice", str(i12), "--e", "1,1,1,1,1,1,1,1,0,0,0,0")
+    assert code == 2 and f"visits more than {lattice.WALK_CAP} nodes" in err
+    assert walks == [1, 8]
 
 
 def test_morse_command(capsys, tmp_path):

@@ -31,7 +31,6 @@ from floergamma.equivariant import (
     HatElement,
     Window,
     deg_bar,
-    xadd,
 )
 from floergamma.floer_datum import (
     InputError,
@@ -224,7 +223,7 @@ def _ref_times_series(part, series, lo, hi):
     for i, a in part.items():
         for j, s in series.items():
             if lo <= i + j <= hi:
-                out = xadd(out, {i + j: a * s})
+                out = vec_add(out, {i + j: a * s})
     return out
 
 
@@ -239,8 +238,8 @@ def _ref_hat_map(cob, e, series):
 
 
 def _ref_check_map(cob, e, window, series):
-    tail = xadd(_ref_alpha_tail(cob, e.chain, window.T),
-                _ref_times_series(e.tail, series, -window.T, -1))
+    tail = vec_add(_ref_alpha_tail(cob, e.chain, window.T),
+                   _ref_times_series(e.tail, series, -window.T, -1))
     return CheckElement(cob.phi.apply(e.chain), tail)
 
 

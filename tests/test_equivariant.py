@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+from floergamma import equivariant
 from floergamma.equivariant import (
     BarElement,
     CheckElement,
@@ -185,6 +186,22 @@ def test_triangle_window_stability():
         datum = random_datum(rng)
         assert verify_triangle(datum, Window(6, 4)).ok
         assert verify_triangle(datum, Window(8, 6)).ok
+
+
+def test_triangle_catches_a_sign_flipped_k(s3, monkeypatch):
+    # l∘j + i∘k is then (sigma alpha, +tail): still invertible, but not ε
+    monkeypatch.setattr(equivariant, "htpy_k", lambda e: BarElement(dict(e.tail)))
+    rep = verify_triangle(s3, WINDOW)
+    assert not rep.ok
+    assert rep.failures[0].startswith("l∘j + i∘k = ε fails at (0, x^-1)"), rep.failures
+
+
+def test_triangle_catches_r_dropping_x0(s3, monkeypatch):
+    monkeypatch.setattr(equivariant, "htpy_r", lambda z: HatElement(
+        {}, {i: a for i, a in z.coeffs.items() if i >= 1}))
+    rep = verify_triangle(s3, WINDOW)
+    assert not rep.ok
+    assert rep.failures[0].startswith("r∘p + j∘l = ε fails at (0, x^0)"), rep.failures
 
 
 def test_pj_equals_minus_k_checkd():

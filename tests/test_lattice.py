@@ -7,7 +7,6 @@ import pytest
 
 from floergamma import lattice
 from floergamma.lattice import (
-    NORM_CAP,
     LatticeData,
     LatticeInputError,
     bound_from_class,
@@ -192,16 +191,22 @@ def test_signed_sum_preconditions():
         signed_sum_even(diag(-1, -1), (1, 0))  # |Q(e)| = 1 too small
 
 
-def test_class_norm_cap(monkeypatch):
-    # the rank-1 lattice <-n>: e = (1) is alone in its class up to sign
-    assert signed_sum_even(diag(-NORM_CAP), (1,)) == 1
-    assert signed_sum_odd(diag(-NORM_CAP), (1,), (2,), 0) == 1
-    monkeypatch.setattr(lattice, "enumerate_up_to_norm",
-                        lambda *args: pytest.fail("walked past the cap"))
-    with pytest.raises(LatticeInputError, match="above the cap"):
-        signed_sum_odd(diag(-NORM_CAP - 1), (1,), (1,), (NORM_CAP + 1) % 2)
-    with pytest.raises(LatticeInputError, match="above the cap"):
-        signed_sum_even(diag(-NORM_CAP - 2), (1,))
+def test_walk_cap_boundary(monkeypatch):
+    # -I_2 at bound 1 visits 9 nodes: the root, the 3 integers t with
+    # t^2 <= 1, and the 5 vectors of Z^2 with |v|^2 <= 1
+    monkeypatch.setattr(lattice, "WALK_CAP", 9)
+    assert sorted(v for v, _ in enumerate_up_to_norm(diag(-1, -1), 1)) == [(0, 1), (1, 0)]
+    monkeypatch.setattr(lattice, "WALK_CAP", 8)
+    L = diag(-1, -1)
+    with pytest.raises(LatticeInputError, match="more than 8 nodes"):
+        enumerate_up_to_norm(L, 1)
+    assert L._widest is None
+    # the signed sums walk under the same cap: -I_2 at bound 2 visits 1 + 3 + 9
+    monkeypatch.setattr(lattice, "WALK_CAP", 13)
+    assert signed_sum_even(diag(-1, -1), (1, 1)) == 0
+    monkeypatch.setattr(lattice, "WALK_CAP", 12)
+    with pytest.raises(LatticeInputError, match="more than 12 nodes"):
+        signed_sum_even(diag(-1, -1), (1, 1))
 
 
 def test_signed_sum_odd_examples():

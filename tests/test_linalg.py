@@ -5,9 +5,7 @@ from fractions import Fraction
 from random import Random
 
 from floergamma._linalg import (
-    CERTIFICATE_POINT,
     Echelon,
-    has_full_column_rank,
     poly_matrix_rank,
     q_kernel_basis,
     q_rank,
@@ -107,11 +105,12 @@ def test_echelon_reports_rank_growth_and_stays_reduced():
 
 
 # ---------------------------------------------------------------------------
-# Rank over Q(mu): the certificate at mu0 and Bareiss elimination
+# Rank over Q(mu): Bareiss elimination
 # ---------------------------------------------------------------------------
 
 MAX_SIZE = 4
-MAX_DEGREE = 4  # of an entry: degree 2, times a factor of degree 1, times (mu - mu0)
+MAX_DEGREE = 4  # of an entry: degree 2, times a factor of degree 1, times (mu - ROOT)
+ROOT = Fraction(3, 2)
 
 
 def at(poly, x):
@@ -131,9 +130,9 @@ def brute_force_rank(rows, ncols):
 
 
 def random_poly_matrices(seed, count=120):
-    """Small matrices over Q[mu], often rank deficient, some vanishing at mu0."""
+    """Small matrices over Q[mu], often rank deficient, some vanishing at ROOT."""
     rng = Random(seed)
-    root = poly_from_coeffs([-2 * CERTIFICATE_POINT, 2])  # 2 (mu - mu0)
+    root = poly_from_coeffs([-2 * ROOT, 2])  # 2 (mu - ROOT)
     for _ in range(count):
         nrows, ncols = rng.randint(0, MAX_SIZE), rng.randint(1, MAX_SIZE)
         rows = [[poly_from_coeffs(rng.choice((0, 0, 1, -1, 2))
@@ -144,7 +143,7 @@ def random_poly_matrices(seed, count=120):
             factor = poly_from_coeffs([rng.randint(-2, 2), rng.randint(0, 1)])
             for row in rows:
                 row[b] = poly_mul(factor, row[a])
-        if rng.random() < 0.5:  # a column that vanishes at mu0
+        if rng.random() < 0.5:  # a column that vanishes at ROOT
             b = rng.randrange(ncols)
             for row in rows:
                 row[b] = poly_mul(root, row[b])
@@ -152,27 +151,22 @@ def random_poly_matrices(seed, count=120):
 
 
 def test_rank_over_q_mu_matches_brute_force():
-    full = short_at_point = 0
+    full = []
     for rows, ncols in random_poly_matrices(6):
         rank = brute_force_rank(rows, ncols)
         assert poly_matrix_rank(rows) == rank
-        assert has_full_column_rank(rows, ncols) == (rank == ncols)
-        full += rank == ncols
-        short_at_point += rank == ncols and minor_rank(
-            [[at(p, CERTIFICATE_POINT) for p in row] for row in rows], ncols) < ncols
-    # both verdicts occur, and full rank is met where the certificate is short
-    assert full and short_at_point
+        full.append(rank == ncols)
+    # both full and deficient column ranks occur
+    assert any(full) and not all(full)
 
 
-def test_full_rank_that_vanishes_at_the_certificate_point():
-    mu_minus_mu0 = poly_from_coeffs([-CERTIFICATE_POINT, 1])
-    assert has_full_column_rank([[mu_minus_mu0]], 1)
-    assert poly_matrix_rank([[mu_minus_mu0]]) == 1
+def test_full_rank_with_a_rational_root():
+    # mu - ROOT vanishes at ROOT, yet the 1x1 matrix has full rank over Q(mu)
+    assert poly_matrix_rank([[poly_from_coeffs([-ROOT, 1])]]) == 1
 
 
 def test_proportional_columns_are_deficient():
     col = [poly_from_coeffs([1, 2]), poly_from_coeffs([0, 0, 3]), poly_from_coeffs([5])]
     factor = poly_from_coeffs([-1, 0, 1])  # mu^2 - 1
     rows = [[p, poly_mul(factor, p)] for p in col]
-    assert not has_full_column_rank(rows, 2)
     assert poly_matrix_rank(rows) == 1

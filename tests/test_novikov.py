@@ -149,6 +149,12 @@ def test_zero_is_shared_and_scalar_zero_returns_it():
     assert 0 * nov((3, "1/2")) is zero
     assert nov((3, "1/2")) * Fraction(0) is zero
     assert -zero is zero
+    one = NovikovElement.one()
+    assert NovikovElement.one() is one and one == NovikovElement([(1, 0)])
+    assert NovikovElement.term(0, "1/2") is zero
+    for q, e in ((Fraction(-3, 4), Fraction(5, 6)), (2, 0), (Fraction(1, 7), -3)):
+        assert NovikovElement.term(q, e) == NovikovElement([(q, e)])
+        assert all(isinstance(x, Fraction) for t in NovikovElement.term(q, e).items() for x in t)
 
 
 @given(elements)

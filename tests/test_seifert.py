@@ -111,7 +111,7 @@ def test_whitehead_bounds():
 
 
 def test_coprime_tuple_enumeration():
-    ts = coprime_tuples(210, (3, 4))
+    ts = coprime_tuples(210)
     assert (2, 3, 5) in ts and (2, 3, 5, 7) in ts
     assert all(len(t) in (3, 4) for t in ts)
     for t in ts:
@@ -166,7 +166,7 @@ def test_product_cap_boundary(monkeypatch):
     assert seifert.PRODUCT_CAP >= 2000
     assert sweep(seifert.PRODUCT_CAP)["mismatches"] == []
 
-    def no_tuples(*args):
+    def no_tuples(max_product):
         raise AssertionError("a tuple was checked")
 
     monkeypatch.setattr(seifert, "coprime_tuples", no_tuples)
