@@ -26,11 +26,8 @@ from .floer_datum import (
     verify_tilde_differential,
 )
 from .equivariant import (
-    BarElement,
-    CheckElement,
-    HatElement,
     Window,
-    WindowOverflowError,
+    XElement,
     check_d,
     deg_bar,
     hat_d,

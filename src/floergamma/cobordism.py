@@ -20,24 +20,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .equivariant import (
-    BarElement,
-    CheckElement,
-    HatElement,
     Window,
+    XElement,
     XPart,
     bar_basis,
-    bar_residual,
-    bar_sub,
-    check_add,
     check_basis,
     check_d,
-    check_residual,
-    check_sub,
-    hat_add,
     hat_basis,
     hat_d,
-    hat_residual,
-    hat_sub,
     inner_window,
     map_i,
     map_j,
@@ -45,6 +35,7 @@ from .equivariant import (
     mdeg_bar,
     mdeg_check,
     mdeg_hat,
+    residual,
     x_action_bar,
     x_action_check,
     x_action_hat,
@@ -260,53 +251,106 @@ def _xpart_mul(a: XPart, b: XPart, lo: int, hi: int) -> XPart:
     return out
 
 
-def hat_map(cob: CobordismDatum, e: HatElement) -> HatElement:
+def hat_map(cob: CobordismDatum, e: XElement) -> XElement:
     """Induced map on the "from" complex: (phi alpha + sum a_i W_i, poly·S)."""
-    depth = max(e.poly, default=0)
-    chain = vec_add(cob.phi.apply(e.chain), _weighted_rungs(cob, e.poly))
-    return HatElement(chain, _xpart_mul(e.poly, correction_series(cob, depth), 0, depth))
+    depth = max(e.x, default=0)
+    chain = vec_add(cob.phi.apply(e.chain), _weighted_rungs(cob, e.x))
+    return XElement(chain, _xpart_mul(e.x, correction_series(cob, depth), 0, depth))
 
 
-def check_map(cob: CobordismDatum, e: CheckElement, window: Window) -> CheckElement:
+def check_map(cob: CobordismDatum, e: XElement, window: Window) -> XElement:
     """Induced map on the "to" complex: (phi alpha, tail of alpha + tail·S)."""
     depth = window.T
     tail = vec_add(_tail(cob, _ladder(cob, e.chain, {}, depth)),
-                   _xpart_mul(e.tail, correction_series(cob, depth), -depth, -1))
-    return CheckElement(cob.phi.apply(e.chain), tail)
+                   _xpart_mul(e.x, correction_series(cob, depth), -depth, -1))
+    return XElement(cob.phi.apply(e.chain), tail)
 
 
-def bar_map(cob: CobordismDatum, z: BarElement, window: Window) -> BarElement:
+def bar_map(cob: CobordismDatum, z: XElement, window: Window) -> XElement:
     """Multiplication by the correction series, truncated to the window."""
     depth = window.T + max(window.N, 0) + 1
     series = correction_series(cob, depth)
-    return BarElement(_xpart_mul(z.coeffs, series, -window.T, window.N))
+    return XElement({}, _xpart_mul(z.x, series, -window.T, window.N))
 
 
 # Homotopies for the functoriality identities.
 
-def htpy_hat_x(cob: CobordismDatum, e: HatElement) -> HatElement:
+def htpy_hat_x(cob: CobordismDatum, e: XElement) -> XElement:
     """K(alpha, p) = (mu(alpha), delta1(alpha))."""
-    lam = apply_row(cob.delta1, e.chain)
-    return HatElement(cob.mu.apply(e.chain), {} if lam.is_zero() else {0: lam})
+    return XElement(cob.mu.apply(e.chain), {0: apply_row(cob.delta1, e.chain)})
 
 
-def htpy_check_x(cob: CobordismDatum, e: CheckElement) -> CheckElement:
+def htpy_check_x(cob: CobordismDatum, e: XElement) -> XElement:
     """L(alpha, tail) = (mu(alpha) + delta2(a_-1), 0)."""
     chain = cob.mu.apply(e.chain)
-    a = e.tail.get(-1)
+    a = e.x.get(-1)
     if a is not None:
         chain = vec_add(chain, apply_column(cob.delta2, a))
-    return CheckElement(chain, {})
+    return XElement(chain)
 
 
-def htpy_p(cob: CobordismDatum, e: HatElement, window: Window) -> BarElement:
+def htpy_p(cob: CobordismDatum, e: XElement, window: Window) -> XElement:
     """K(alpha, p) = the tail of alpha, in the bar complex."""
-    return BarElement(_tail(cob, _ladder(cob, e.chain, {}, window.T)))
+    return XElement({}, _tail(cob, _ladder(cob, e.chain, {}, window.T)))
 
 
-def htpy_i(cob: CobordismDatum, z: BarElement) -> CheckElement:
+def htpy_i(cob: CobordismDatum, z: XElement) -> XElement:
     """L(z) = (sum_{i>=0} a_i W_i, 0)."""
-    return CheckElement(_weighted_rungs(cob, z.coeffs), {})
+    return XElement(_weighted_rungs(cob, z.x))
+
+
+def _functoriality_checks(cob: CobordismDatum, window: Window):
+    """(identity, basis name, residual) of every functoriality identity, in stage order."""
+    src, tgt = cob.source, cob.target
+    win = inner_window(window)
+
+    # (1) the three maps are chain maps
+    for name, e in hat_basis(src, window, margin=False):
+        lhs = hat_d(tgt, hat_map(cob, e))
+        rhs = hat_map(cob, hat_d(src, e))
+        yield "hat_d'∘hat_map = hat_map∘hat_d", name, residual(lhs - rhs, window)
+    for name, e in check_basis(src, window, margin=False):
+        lhs = check_d(tgt, check_map(cob, e, win), win)
+        rhs = check_map(cob, check_d(src, e, win), win)
+        yield "check_d'∘check_map = check_map∘check_d", name, residual(lhs - rhs, window)
+
+    # (2) bar_map is x-linear
+    for name, z in bar_basis(window, margin=True):
+        lhs = bar_map(cob, x_action_bar(z, win), win)
+        rhs = x_action_bar(bar_map(cob, z, win), win)
+        yield "bar_map∘x = x∘bar_map", name, residual(lhs - rhs, window)
+
+    # (3) x-equivariance of hat_map and check_map up to homotopy
+    for name, e in hat_basis(src, window, margin=True):
+        lhs = (x_action_hat(tgt, hat_map(cob, e), win)
+               - hat_map(cob, x_action_hat(src, e, win)))
+        rhs = htpy_hat_x(cob, hat_d(src, e)) + hat_d(tgt, htpy_hat_x(cob, e))
+        yield ("x∘hat_map - hat_map∘x = K∘hat_d + hat_d'∘K", name,
+               residual(lhs - rhs, window))
+    for name, e in check_basis(src, window, margin=True):
+        lhs = (x_action_check(tgt, check_map(cob, e, win))
+               - check_map(cob, x_action_check(src, e), win))
+        rhs = htpy_check_x(cob, check_d(src, e, win)) + check_d(tgt, htpy_check_x(cob, e), win)
+        yield ("x∘check_map - check_map∘x = L∘check_d + check_d'∘L", name,
+               residual(lhs - rhs, window))
+
+    # (4) p'∘hat_map - bar_map∘p = K∘hat_d
+    for name, e in hat_basis(src, window, margin=False):
+        lhs = map_p(tgt, hat_map(cob, e), win) - bar_map(cob, map_p(src, e, win), win)
+        rhs = htpy_p(cob, hat_d(src, e), win)
+        yield "p'∘hat_map - bar_map∘p = K∘hat_d", name, residual(lhs - rhs, window)
+
+    # (5) j'∘check_map = hat_map∘j exactly
+    for name, e in check_basis(src, window, margin=False):
+        lhs = map_j(check_map(cob, e, win))
+        rhs = hat_map(cob, map_j(e))
+        yield "j'∘check_map = hat_map∘j", name, residual(lhs - rhs, window)
+
+    # (6) i'∘bar_map - check_map∘i = check_d'∘L
+    for name, z in bar_basis(window, margin=False):
+        lhs = map_i(tgt, bar_map(cob, z, win)) - check_map(cob, map_i(src, z), win)
+        rhs = check_d(tgt, htpy_i(cob, z), win)
+        yield "i'∘bar_map - check_map∘i = check_d'∘L", name, residual(lhs - rhs, window)
 
 
 def verify_functoriality(cob: CobordismDatum, window: Window) -> Report:
@@ -320,77 +364,8 @@ def verify_functoriality(cob: CobordismDatum, window: Window) -> Report:
     if not pre.ok:
         rep.fail(f"precondition: extended chain-map identities fail "
                  f"({pre.failures[0]})")
-        return rep
-    src, tgt = cob.source, cob.target
-    win = inner_window(window)
-
-    # (1) the three maps are chain maps
-    for name, e in hat_basis(src, window, margin=False):
-        lhs = hat_d(tgt, hat_map(cob, e))
-        rhs = hat_map(cob, hat_d(src, e))
-        rep.fail_unless_zero("hat_d'∘hat_map = hat_map∘hat_d", name,
-                             hat_residual(hat_sub(lhs, rhs), window))
-    for name, e in check_basis(src, window, margin=False):
-        lhs = check_d(tgt, check_map(cob, e, win), win)
-        rhs = check_map(cob, check_d(src, e, win), win)
-        rep.fail_unless_zero("check_d'∘check_map = check_map∘check_d", name,
-                             check_residual(check_sub(lhs, rhs), window))
-    if not rep.ok:
-        return rep
-
-    # (2) bar_map is x-linear
-    for name, z in bar_basis(window, margin=True):
-        lhs = bar_map(cob, x_action_bar(z, win), win)
-        rhs = x_action_bar(bar_map(cob, z, win), win)
-        rep.fail_unless_zero("bar_map∘x = x∘bar_map", name,
-                             bar_residual(bar_sub(lhs, rhs), window))
-    if not rep.ok:
-        return rep
-
-    # (3) x-equivariance of hat_map and check_map up to homotopy
-    for name, e in hat_basis(src, window, margin=True):
-        lhs = hat_sub(x_action_hat(tgt, hat_map(cob, e), win),
-                      hat_map(cob, x_action_hat(src, e, win)))
-        rhs = hat_add(htpy_hat_x(cob, hat_d(src, e)),
-                      hat_d(tgt, htpy_hat_x(cob, e)))
-        rep.fail_unless_zero("x∘hat_map - hat_map∘x = K∘hat_d + hat_d'∘K", name,
-                             hat_residual(hat_sub(lhs, rhs), window))
-    for name, e in check_basis(src, window, margin=True):
-        lhs = check_sub(x_action_check(tgt, check_map(cob, e, win)),
-                        check_map(cob, x_action_check(src, e), win))
-        rhs = check_add(htpy_check_x(cob, check_d(src, e, win)),
-                        check_d(tgt, htpy_check_x(cob, e), win))
-        rep.fail_unless_zero("x∘check_map - check_map∘x = L∘check_d + check_d'∘L",
-                             name, check_residual(check_sub(lhs, rhs), window))
-    if not rep.ok:
-        return rep
-
-    # (4) p'∘hat_map - bar_map∘p = K∘hat_d
-    for name, e in hat_basis(src, window, margin=False):
-        lhs = bar_sub(map_p(tgt, hat_map(cob, e), win),
-                      bar_map(cob, map_p(src, e, win), win))
-        rhs = htpy_p(cob, hat_d(src, e), win)
-        rep.fail_unless_zero("p'∘hat_map - bar_map∘p = K∘hat_d", name,
-                             bar_residual(bar_sub(lhs, rhs), window))
-    if not rep.ok:
-        return rep
-
-    # (5) j'∘check_map = hat_map∘j exactly
-    for name, e in check_basis(src, window, margin=False):
-        lhs = map_j(check_map(cob, e, win))
-        rhs = hat_map(cob, map_j(e))
-        rep.fail_unless_zero("j'∘check_map = hat_map∘j", name,
-                             hat_residual(hat_sub(lhs, rhs), window))
-    if not rep.ok:
-        return rep
-
-    # (6) i'∘bar_map - check_map∘i = check_d'∘L
-    for name, z in bar_basis(window, margin=False):
-        lhs = check_sub(map_i(tgt, bar_map(cob, z, win)),
-                        check_map(cob, map_i(src, z), win))
-        rhs = check_d(tgt, htpy_i(cob, z), win)
-        rep.fail_unless_zero("i'∘bar_map - check_map∘i = check_d'∘L", name,
-                             check_residual(check_sub(lhs, rhs), window))
+    else:
+        rep.first_nonzero(_functoriality_checks(cob, window))
     return rep
 
 
@@ -403,17 +378,11 @@ def mdeg_decay(cob: CobordismDatum, window: Window):
     win = inner_window(window)
     worst = INF
     for _, e in hat_basis(cob.source, window, margin=False):
-        img = hat_map(cob, e)
-        drop = mdeg_hat(hat_residual(img, window)) - mdeg_hat(e)
-        worst = min(worst, drop)
+        worst = min(worst, mdeg_hat(residual(hat_map(cob, e), window)) - mdeg_hat(e))
     for _, e in check_basis(cob.source, window, margin=False):
-        img = check_map(cob, e, win)
-        drop = mdeg_check(check_residual(img, window)) - mdeg_check(e)
-        worst = min(worst, drop)
+        worst = min(worst, mdeg_check(residual(check_map(cob, e, win), window)) - mdeg_check(e))
     for _, z in bar_basis(window, margin=False):
-        img = bar_map(cob, z, win)
-        drop = mdeg_bar(bar_residual(img, window)) - mdeg_bar(z)
-        worst = min(worst, drop)
+        worst = min(worst, mdeg_bar(residual(bar_map(cob, z, win), window)) - mdeg_bar(z))
     return worst
 
 

@@ -236,10 +236,15 @@ class Report:
     def fail(self, message: str):
         self.failures.append(message)
 
-    def fail_unless_zero(self, identity: str, basis_name: str, residual):
-        """Record the first identity whose residual at a basis element is nonzero."""
-        if self.ok and not residual.is_zero():
-            self.fail(f"{identity} fails at {basis_name}: residual {residual}")
+    def first_nonzero(self, checks):
+        """Record the first (identity, basis name, residual) with a nonzero residual.
+
+        `checks` is consumed lazily and no further than that residual.
+        """
+        for identity, basis_name, residual in checks:
+            if not residual.is_zero():
+                self.fail(f"{identity} fails at {basis_name}: residual {residual}")
+                return
 
     def merge(self, other: "Report"):
         self.failures.extend(other.failures)

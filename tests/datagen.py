@@ -7,10 +7,10 @@ zero differential the square-zero identities then reduce to the
 vanishing of the d2/d1 cross term, arranged by keeping one of the two
 coefficient maps zero per datum.
 
-Two transforms leave Gamma and h unchanged and make d nonzero, so they
-turn these data into tests of the differential's rows: a filtered
-unipotent change of basis inside one grading and a direct sum with an
-acyclic pair.
+Two transforms leave Gamma and h unchanged and make d nonzero: a
+filtered unipotent change of basis inside one grading and a direct sum
+with an acyclic pair.  Neither makes a value depend on d, so the
+d-essential block, whose Gamma(1) is fixed by its d rows, tests them.
 """
 
 from fractions import Fraction
@@ -136,6 +136,30 @@ def random_small_datum(rng: Random, name: str = "small") -> FloerDatum:
             d1[f"g{i}"] = NovikovElement.term(rng.choice((-1, 1)), -lifts[i])
     datum = FloerDatum(name, gens, LambdaMatrix(), u, d1, {})
     assert validate(datum).ok
+    return datum
+
+
+def d_essential_datum(rng: Random, name: str = "d_essential") -> FloerDatum:
+    """Two grading-1 generators a1, a2 with the same boundary b and distinct d1.
+
+    d(a_i) = l^(r_b - r_i) b and d1(a_i) = c_i l^(-r_i) with c_1 != c_2, so
+    the cycles of grading 1 are the multiples of a1 - a2 (in the units
+    l^(r_i)), on which d1 is c_1 - c_2 != 0.  Such a cycle needs both
+    generators, so Gamma(1) = -min(r_1, r_2); a solver that drops the d rows
+    would take the higher generator alone.  u, d2 are zero.
+    """
+    r1, r2 = random_lift(rng), random_lift(rng)
+    while r2 == r1:
+        r2 = random_lift(rng)
+    rb = max(r1, r2) + abs(random_lift(rng)) + Fraction(1, 12)
+    c1, c2 = rng.sample((-2, -1, 1, 2), 2)
+    gens = [Generator("a1", 1, r1), Generator("a2", 1, r2), Generator("b", 0, rb)]
+    d = LambdaMatrix({("a1", "b"): NovikovElement.term(1, rb - r1),
+                      ("a2", "b"): NovikovElement.term(1, rb - r2)})
+    d1 = {"a1": NovikovElement.term(c1, -r1), "a2": NovikovElement.term(c2, -r2)}
+    datum = FloerDatum(name, gens, d, LambdaMatrix(), d1, {})
+    rep = validate(datum)
+    assert rep.ok, rep.failures
     return datum
 
 

@@ -22,15 +22,27 @@ from floergamma.cobordism import (
     check_map,
     correction_series,
     hat_map,
+    htpy_check_x,
+    htpy_hat_x,
     htpy_i,
     htpy_p,
 )
 from floergamma.equivariant import (
-    BarElement,
-    CheckElement,
-    HatElement,
     Window,
+    XElement,
+    check_d,
     deg_bar,
+    hat_d,
+    htpy_h,
+    htpy_k,
+    htpy_l,
+    htpy_r,
+    map_i,
+    map_j,
+    map_p,
+    x_action_bar,
+    x_action_check,
+    x_action_hat,
 )
 from floergamma.floer_datum import (
     InputError,
@@ -83,10 +95,10 @@ def test_delta1_fixture_verifies():
 
 def test_delta1_fixture_check_map_value():
     cob = load_cobordism("delta1_sigma_2_3_5_to_s3")
-    out = check_map(cob, CheckElement(cob.source.basis_vector("alpha"), {}),
+    out = check_map(cob, XElement(cob.source.basis_vector("alpha")),
                     WINDOW)
     assert not out.chain
-    assert out.tail == {-1: nov(1, "1/120")}
+    assert out.x == {-1: nov(1, "1/120")}
 
 
 def test_scaled_phi_needs_trivial_coefficient_maps():
@@ -125,16 +137,16 @@ def test_grading_violation_is_precondition_failure():
 def test_identity_hat_map_is_identity():
     sigma = load_datum("sigma_2_3_5")
     cob = identity_cobordism(sigma)
-    e = HatElement(sigma.basis_vector("beta"), {0: nov(2, 0), 3: nov(1, "1/2")})
+    e = XElement(sigma.basis_vector("beta"), {0: nov(2, 0), 3: nov(1, "1/2")})
     assert hat_map(cob, e) == e
 
 
 def test_bar_map_scales_by_c_and_preserves_deg():
     s3 = load_datum("s3")
     cob = CobordismDatum(s3, s3, LambdaMatrix(), LambdaMatrix(), {}, {}, 3)
-    z = BarElement({-2: nov(1, "1/2"), 1: nov(2, 0)})
+    z = XElement({}, {-2: nov(1, "1/2"), 1: nov(2, 0)})
     out = bar_map(cob, z, WINDOW)
-    assert out.coeffs == {-2: nov(3, "1/2"), 1: nov(6, 0)}
+    assert out.x == {-2: nov(3, "1/2"), 1: nov(6, 0)}
     assert deg_bar(out) == deg_bar(z)
 
 
@@ -149,10 +161,10 @@ def test_bar_map_deg_preservation_random():
                 coeffs[i] = nov(rng.randint(1, 3), Fraction(rng.randint(-2, 2), 3))
         if not coeffs:
             coeffs = {0: nov(1, 0)}
-        z = BarElement(coeffs)
+        z = XElement({}, coeffs)
         assert deg_bar(bar_map(cob, z, WINDOW)) == deg_bar(z)
     delta1_cob = load_cobordism("delta1_sigma_2_3_5_to_s3")
-    z = BarElement({-3: nov(1, "1/3"), 2: nov(5, 0)})
+    z = XElement({}, {-3: nov(1, "1/3"), 2: nov(5, 0)})
     assert deg_bar(bar_map(delta1_cob, z, WINDOW)) == 2
 
 
@@ -232,27 +244,27 @@ def _ref_times_series(part, series, lo, hi):
 
 def _ref_hat_map(cob, e, series):
     chain = cob.phi.apply(e.chain)
-    for i, a in e.poly.items():
+    for i, a in e.x.items():
         chain = vec_add(chain, _ref_chain_of_slot(cob, i, a))
-    return HatElement(chain, _ref_times_series(e.poly, series, 0, max(e.poly, default=0)))
+    return XElement(chain, _ref_times_series(e.x, series, 0, max(e.x, default=0)))
 
 
 def _ref_check_map(cob, e, window, series):
     tail = vec_add(_ref_alpha_tail(cob, e.chain, window.T),
-                   _ref_times_series(e.tail, series, -window.T, -1))
-    return CheckElement(cob.phi.apply(e.chain), tail)
+                   _ref_times_series(e.x, series, -window.T, -1))
+    return XElement(cob.phi.apply(e.chain), tail)
 
 
 def _ref_bar_map(z, window, series):
-    return BarElement(_ref_times_series(z.coeffs, series, -window.T, window.N))
+    return XElement({}, _ref_times_series(z.x, series, -window.T, window.N))
 
 
 def _ref_htpy_i(cob, z):
     chain = {}
-    for i, a in z.coeffs.items():
+    for i, a in z.x.items():
         if i >= 0:
             chain = vec_add(chain, _ref_chain_of_slot(cob, i, a))
-    return CheckElement(chain, {})
+    return XElement(chain)
 
 
 def _random_el(rng):
@@ -272,35 +284,64 @@ def _random_endpoint(rng):
     return transformed_datum(rng, datum) if rng.random() < 0.5 else datum
 
 
+def _random_cobordism(rng):
+    """Arbitrary phi, mu, delta1, delta2 and c between random data with
+    nonzero u and d1 or d2; no identity needs to hold."""
+    src, tgt = _random_endpoint(rng), _random_endpoint(rng)
+    phi, mu = LambdaMatrix(), LambdaMatrix()
+    for g in src.names():
+        for h in tgt.names():
+            if rng.random() < 0.3:
+                phi.set(g, h, _random_el(rng))
+            if rng.random() < 0.3:
+                mu.set(g, h, _random_el(rng))
+    return CobordismDatum(src, tgt, phi, mu, _random_vec(rng, src.names()),
+                          _random_vec(rng, tgt.names()), rng.randint(1, 4))
+
+
 def test_maps_match_reference_double_sums():
-    # arbitrary phi, mu, delta1, delta2 and c between random data with
-    # nonzero u and d1 or d2; no identity needs to hold
     rng = Random(73)
     for _ in range(300):
-        src, tgt = _random_endpoint(rng), _random_endpoint(rng)
-        phi, mu = LambdaMatrix(), LambdaMatrix()
-        for g in src.names():
-            for h in tgt.names():
-                if rng.random() < 0.3:
-                    phi.set(g, h, _random_el(rng))
-                if rng.random() < 0.3:
-                    mu.set(g, h, _random_el(rng))
-        cob = CobordismDatum(src, tgt, phi, mu, _random_vec(rng, src.names()),
-                             _random_vec(rng, tgt.names()), rng.randint(1, 4))
+        cob = _random_cobordism(rng)
+        src = cob.source
         window = Window(rng.randint(2, 7), rng.randint(1, 5))
         T, N = window.T, window.N
         # a shallow series first, so the deep one extends the kept ladder
         assert correction_series(cob, T) == _ref_correction_series(cob, T)
         series = _ref_correction_series(cob, T + N + 1)
         assert correction_series(cob, T + N + 1) == series
-        hat = HatElement(_random_vec(rng, src.names()), _random_part(rng, 0, N))
+        hat = XElement(_random_vec(rng, src.names()), _random_part(rng, 0, N))
         assert hat_map(cob, hat) == _ref_hat_map(cob, hat, series)
-        assert htpy_p(cob, hat, window) == BarElement(_ref_alpha_tail(cob, hat.chain, T))
-        check = CheckElement(_random_vec(rng, src.names()), _random_part(rng, -T, -1))
+        assert htpy_p(cob, hat, window) == XElement({}, _ref_alpha_tail(cob, hat.chain, T))
+        check = XElement(_random_vec(rng, src.names()), _random_part(rng, -T, -1))
         assert check_map(cob, check, window) == _ref_check_map(cob, check, window, series)
-        bar = BarElement(_random_part(rng, -T, N))
+        bar = XElement({}, _random_part(rng, -T, N))
         assert bar_map(cob, bar, window) == _ref_bar_map(bar, window, series)
         assert htpy_i(cob, bar) == _ref_htpy_i(cob, bar)
+
+
+def test_maps_land_in_their_complexes():
+    # hat elements hold x^i for i >= 0, check elements i < 0, and bar
+    # elements have no chain part; inputs end below x^N so x may act
+    rng = Random(79)
+    for _ in range(60):
+        cob = _random_cobordism(rng)
+        src = cob.source
+        window = Window(rng.randint(2, 7), rng.randint(2, 5))
+        T, N = window.T, window.N
+        hat = XElement(_random_vec(rng, src.names()), _random_part(rng, 0, N - 1))
+        check = XElement(_random_vec(rng, src.names()), _random_part(rng, -T, -1))
+        bar = XElement({}, _random_part(rng, -T, N - 1))
+        hats = [hat_d(src, hat), x_action_hat(src, hat, window), map_j(check),
+                htpy_h(check), htpy_r(bar), hat_map(cob, hat), htpy_hat_x(cob, hat)]
+        checks = [check_d(src, check, window), x_action_check(src, check),
+                  map_i(src, bar), htpy_l(src, hat), check_map(cob, check, window),
+                  htpy_check_x(cob, check), htpy_i(cob, bar)]
+        bars = [x_action_bar(bar, window), map_p(src, hat, window), htpy_k(check),
+                bar_map(cob, bar, window), htpy_p(cob, hat, window)]
+        assert all(i >= 0 for e in hats for i in e.x)
+        assert all(i < 0 for e in checks for i in e.x)
+        assert not any(e.chain for e in bars)
 
 
 def test_compose_identity_laws():

@@ -7,14 +7,9 @@ import pytest
 
 from floergamma import equivariant
 from floergamma.equivariant import (
-    BarElement,
-    CheckElement,
-    HatElement,
     Window,
-    WindowOverflowError,
-    bar_add,
+    XElement,
     check_d,
-    check_sub,
     deg_bar,
     hat_d,
     htpy_k,
@@ -67,83 +62,93 @@ def test_window_bounds():
         Window(6, 0)
 
 
+def test_xelement_drops_zeros_adds_and_restricts():
+    zero = NovikovElement.zero()
+    e = XElement({"alpha": zero, "beta": one()}, {-3: one(), 0: zero, 2: nov(2, 1)})
+    assert e == XElement({"beta": one()}, {-3: one(), 2: nov(2, 1)})
+    assert (e - e).is_zero() and XElement().is_zero()
+    assert e + e == XElement({"beta": nov(2, 0)}, {-3: nov(2, 0), 2: nov(4, 1)})
+    assert e.restrict(-2, 2) == XElement({"beta": one()}, {2: nov(2, 1)})
+    assert e.restrict(0, 1) == XElement({"beta": one()})
+
+
 def test_hat_d_examples(s3, neg_sigma):
-    assert hat_d(s3, HatElement({}, {0: one(), 1: one()})).is_zero()
-    out = hat_d(neg_sigma, HatElement({}, {0: one()}))
-    assert out.chain == {"alpha_star": nov(-1, "1/120")} and not out.poly
-    out = hat_d(neg_sigma, HatElement({}, {1: one()}))
-    assert out.chain == {"beta_star": nov(-8, "49/120")} and not out.poly
+    assert hat_d(s3, XElement({}, {0: one(), 1: one()})).is_zero()
+    out = hat_d(neg_sigma, XElement({}, {0: one()}))
+    assert out.chain == {"alpha_star": nov(-1, "1/120")} and not out.x
+    out = hat_d(neg_sigma, XElement({}, {1: one()}))
+    assert out.chain == {"beta_star": nov(-8, "49/120")} and not out.x
 
 
 def test_check_d_examples(sigma, s3):
-    out = check_d(sigma, CheckElement(sigma.basis_vector("alpha"), {}), WINDOW)
-    assert not out.chain and out.tail == {-1: nov(1, "1/120")}
-    out = check_d(sigma, CheckElement(sigma.basis_vector("beta"), {}), WINDOW)
-    assert out.tail == {-2: nov(8, "49/120")}
-    assert check_d(s3, CheckElement({}, {-1: one()}), WINDOW).is_zero()
+    out = check_d(sigma, XElement(sigma.basis_vector("alpha")), WINDOW)
+    assert not out.chain and out.x == {-1: nov(1, "1/120")}
+    out = check_d(sigma, XElement(sigma.basis_vector("beta")), WINDOW)
+    assert out.x == {-2: nov(8, "49/120")}
+    assert check_d(s3, XElement({}, {-1: one()}), WINDOW).is_zero()
 
 
 def test_x_action_examples(sigma, neg_sigma):
-    out = x_action_hat(sigma, HatElement(sigma.basis_vector("beta"), {}), WINDOW)
-    assert out.chain == {"alpha": nov(8, "2/5")} and not out.poly
-    out = x_action_hat(sigma, HatElement(sigma.basis_vector("alpha"), {}), WINDOW)
-    assert not out.chain and out.poly == {0: nov(1, "1/120")}
-    out = x_action_check(neg_sigma, CheckElement({}, {-1: one()}))
-    assert out.chain == {"alpha_star": nov(1, "1/120")} and not out.tail
+    out = x_action_hat(sigma, XElement(sigma.basis_vector("beta")), WINDOW)
+    assert out.chain == {"alpha": nov(8, "2/5")} and not out.x
+    out = x_action_hat(sigma, XElement(sigma.basis_vector("alpha")), WINDOW)
+    assert not out.chain and out.x == {0: nov(1, "1/120")}
+    out = x_action_check(neg_sigma, XElement({}, {-1: one()}))
+    assert out.chain == {"alpha_star": nov(1, "1/120")} and not out.x
 
 
 def test_x_action_overflow():
     datum = load_datum("s3")
-    with pytest.raises(WindowOverflowError):
-        x_action_hat(datum, HatElement({}, {WINDOW.N: one()}), WINDOW)
-    with pytest.raises(WindowOverflowError):
-        x_action_bar(BarElement({WINDOW.N: one()}), WINDOW)
-    shifted = x_action_bar(BarElement({-WINDOW.T: one()}), WINDOW)
-    assert shifted.coeffs == {-WINDOW.T + 1: one()}
+    with pytest.raises(AssertionError):
+        x_action_hat(datum, XElement({}, {WINDOW.N: one()}), WINDOW)
+    with pytest.raises(AssertionError):
+        x_action_bar(XElement({}, {WINDOW.N: one()}), WINDOW)
+    shifted = x_action_bar(XElement({}, {-WINDOW.T: one()}), WINDOW)
+    assert shifted.x == {-WINDOW.T + 1: one()}
 
 
 def test_map_i_examples(s3, neg_sigma):
-    out = map_i(s3, BarElement({-1: one(), 2: one()}))
-    assert not out.chain and out.tail == {-1: one()}
-    out = map_i(neg_sigma, BarElement({0: one()}))
-    assert out.chain == {"alpha_star": nov(1, "1/120")} and not out.tail
-    out = map_i(neg_sigma, BarElement({1: one()}))
+    out = map_i(s3, XElement({}, {-1: one(), 2: one()}))
+    assert not out.chain and out.x == {-1: one()}
+    out = map_i(neg_sigma, XElement({}, {0: one()}))
+    assert out.chain == {"alpha_star": nov(1, "1/120")} and not out.x
+    out = map_i(neg_sigma, XElement({}, {1: one()}))
     assert out.chain == {"beta_star": nov(8, "49/120")}
 
 
 def test_map_j_examples(sigma):
-    e = CheckElement(sigma.basis_vector("alpha"), {-1: one()})
-    assert map_j(e) == HatElement(sigma.basis_vector("alpha"), {})
-    assert map_j(CheckElement({}, {-2: one()})).is_zero()
-    assert map_j(check_d(sigma, CheckElement(sigma.basis_vector("alpha"), {}),
+    e = XElement(sigma.basis_vector("alpha"), {-1: one()})
+    assert map_j(e) == XElement(sigma.basis_vector("alpha"))
+    assert map_j(XElement({}, {-2: one()})).is_zero()
+    assert map_j(check_d(sigma, XElement(sigma.basis_vector("alpha")),
                          WINDOW)).is_zero()
 
 
 def test_map_p_examples(sigma, s3):
-    out = map_p(sigma, HatElement(sigma.basis_vector("alpha"), {}), WINDOW)
-    assert out.coeffs == {-1: nov(1, "1/120")}
-    out = map_p(sigma, HatElement(sigma.basis_vector("beta"), {2: one()}), WINDOW)
-    assert out.coeffs == {-2: nov(8, "49/120"), 2: one()}
-    out = map_p(s3, HatElement({}, {0: one(), 1: one()}), WINDOW)
-    assert out.coeffs == {0: one(), 1: one()}
+    out = map_p(sigma, XElement(sigma.basis_vector("alpha")), WINDOW)
+    assert out.x == {-1: nov(1, "1/120")}
+    out = map_p(sigma, XElement(sigma.basis_vector("beta"), {2: one()}), WINDOW)
+    assert out.x == {-2: nov(8, "49/120"), 2: one()}
+    out = map_p(s3, XElement({}, {0: one(), 1: one()}), WINDOW)
+    assert out.x == {0: one(), 1: one()}
 
 
 def test_deg_and_mdeg_examples():
-    assert deg_bar(BarElement({-3: nov(1, "1/2"), 1: nov(2, 0)})) == 1
+    assert deg_bar(XElement({}, {-3: nov(1, "1/2"), 1: nov(2, 0)})) == 1
     with pytest.raises(ValueError):
-        deg_bar(BarElement({}))
-    assert mdeg_hat(HatElement({}, {0: nov(1, 1), 1: nov(1, -2)})) == -2
-    assert mdeg_check(CheckElement({}, {-2: nov(1, 3)})) == 3
-    assert mdeg_check(CheckElement({}, {})) == INF
-    assert mdeg_bar(BarElement({-3: nov(1, 5), -1: nov(1, 2)})) == 2
-    assert mdeg_bar(BarElement({-2: nov(1, 7), 1: nov(1, 4)})) == 4
-    assert mdeg_bar(BarElement({})) == INF
+        deg_bar(XElement())
+    assert mdeg_hat(XElement({}, {0: nov(1, 1), 1: nov(1, -2)})) == -2
+    assert mdeg_check(XElement({}, {-2: nov(1, 3)})) == 3
+    assert mdeg_check(XElement()) == INF
+    assert mdeg_bar(XElement({}, {-3: nov(1, 5), -1: nov(1, 2)})) == 2
+    assert mdeg_bar(XElement({}, {-2: nov(1, 7), 1: nov(1, 4)})) == 4
+    assert mdeg_bar(XElement()) == INF
 
 
 def test_mdeg_hat_prefers_poly(sigma):
-    e = HatElement(sigma.basis_vector("alpha"), {1: nov(1, 3)})
+    e = XElement(sigma.basis_vector("alpha"), {1: nov(1, 3)})
     assert mdeg_hat(e) == 3
-    e = HatElement({"alpha": nov(1, "-1/120")}, {})
+    e = XElement({"alpha": nov(1, "-1/120")})
     assert mdeg_hat(e) == Fraction(-1, 120)
 
 
@@ -190,15 +195,15 @@ def test_triangle_window_stability():
 
 def test_triangle_catches_a_sign_flipped_k(s3, monkeypatch):
     # l∘j + i∘k is then (sigma alpha, +tail): still invertible, but not ε
-    monkeypatch.setattr(equivariant, "htpy_k", lambda e: BarElement(dict(e.tail)))
+    monkeypatch.setattr(equivariant, "htpy_k", lambda e: XElement({}, dict(e.x)))
     rep = verify_triangle(s3, WINDOW)
     assert not rep.ok
     assert rep.failures[0].startswith("l∘j + i∘k = ε fails at (0, x^-1)"), rep.failures
 
 
 def test_triangle_catches_r_dropping_x0(s3, monkeypatch):
-    monkeypatch.setattr(equivariant, "htpy_r", lambda z: HatElement(
-        {}, {i: a for i, a in z.coeffs.items() if i >= 1}))
+    monkeypatch.setattr(equivariant, "htpy_r", lambda z: XElement(
+        {}, {i: a for i, a in z.x.items() if i >= 1}))
     rep = verify_triangle(s3, WINDOW)
     assert not rep.ok
     assert rep.failures[0].startswith("r∘p + j∘l = ε fails at (0, x^0)"), rep.failures
@@ -209,21 +214,21 @@ def test_pj_equals_minus_k_checkd():
     for _ in range(10):
         datum = random_datum(rng)
         for g in datum.names():
-            e = CheckElement(datum.basis_vector(g), {-1: nov(2, "1/2")})
+            e = XElement(datum.basis_vector(g), {-1: nov(2, "1/2")})
             lhs = map_p(datum, map_j(e), WINDOW)
             rhs = htpy_k(check_d(datum, e, WINDOW))
-            assert bar_add(lhs, rhs).is_zero()
+            assert (lhs + rhs).is_zero()
 
 
 def test_x_equivariance_of_i_and_p(sigma):
-    z = BarElement({0: nov(3, "1/2"), -2: one()})
+    z = XElement({}, {0: nov(3, "1/2"), -2: one()})
     lhs = map_i(sigma, x_action_bar(z, WINDOW))
     rhs = x_action_check(sigma, map_i(sigma, z))
-    assert check_sub(lhs, rhs).is_zero()
-    e = HatElement(sigma.basis_vector("beta"), {1: one()})
+    assert (lhs - rhs).is_zero()
+    e = XElement(sigma.basis_vector("beta"), {1: one()})
     lhs = map_p(sigma, x_action_hat(sigma, e, WINDOW), WINDOW)
     rhs = x_action_bar(map_p(sigma, e, WINDOW), WINDOW)
     # compare inside the window interior: the shift loses slot -T
     interior = {i for i in range(-WINDOW.T + 1, WINDOW.N + 1)}
-    assert {i: c for i, c in lhs.coeffs.items() if i in interior} == \
-        {i: c for i, c in rhs.coeffs.items() if i in interior}
+    assert {i: c for i, c in lhs.x.items() if i in interior} == \
+        {i: c for i, c in rhs.x.items() if i in interior}

@@ -6,6 +6,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from floergamma import _linalg
 from floergamma.cli import main
@@ -33,6 +34,7 @@ from floergamma.gamma import (
 from floergamma.novikov import INF, NovikovElement, mdeg_tuple
 
 from datagen import (
+    d_essential_datum,
     evaluate_at_one,
     filtered_basis_change,
     random_datum,
@@ -330,6 +332,18 @@ def test_invariance_under_filtered_basis_change_and_acyclic_pairs():
                       transformed_datum(rng, datum)):
             assert ([gamma(other, k) for k in range(-4, 5)], h_invariant(other)) \
                 == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_d_essential_block_gamma_1(seed):
+    # Gamma(1) = -min(r_1, r_2) is read off the d rows; a filtered change
+    # of basis between a1 and a2 leaves it unchanged
+    rng = Random(seed)
+    datum = d_essential_datum(rng)
+    expected = -min(datum.lift("a1"), datum.lift("a2"))
+    assert gamma(datum, 1) == expected
+    assert gamma(filtered_basis_change(rng, datum), 1) == expected
 
 
 def test_tau_bounds(sigma, neg_sigma, s3):
