@@ -24,10 +24,10 @@ from pathlib import Path
 from .cobordism import (
     cobordism_to_json,
     compose_tilde,
+    functoriality_report,
     gamma_comparison,
     load_cobordism,
     mdeg_decay,
-    verify_functoriality,
     verify_tilde_chain_map,
 )
 from .equivariant import Window, verify_triangle
@@ -162,7 +162,7 @@ def _cmd_cobordism_verify(args) -> int:
     cob = load_cobordism(args.cobordism)
     window = _parse_window(args.window)
     rep1 = verify_tilde_chain_map(cob)
-    rep2 = verify_functoriality(cob, window) if rep1.ok else None
+    rep2 = functoriality_report(cob, window) if rep1.ok else None
     decay = mdeg_decay(cob, window) if rep1.ok else None
     ok = rep1.ok and rep2 is not None and rep2.ok
     lines = [f"tilde: {'ok' if rep1.ok else rep1.failures[0]}"]

@@ -35,6 +35,7 @@ from .equivariant import (
     mdeg_bar,
     mdeg_check,
     mdeg_hat,
+    orbit_tail,
     residual,
     x_action_bar,
     x_action_check,
@@ -72,10 +73,13 @@ class CobordismDatum:
     delta1: dict[str, NovikovElement]  # source generator -> coefficient
     delta2: dict[str, NovikovElement]  # target generator -> coefficient
     c: int
-    # the d2-ladder and its tail, grown on demand by `_d2_ladder` from the
-    # fields above, which therefore must not change once a map has been applied
-    _d2_rungs: list = field(default_factory=list, init=False, repr=False, compare=False)
-    _d2_tail: XPart = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the kept ladders (rungs, tail) of d2(1) and of each source generator,
+    # grown on demand by `_grown` from the fields above, which therefore
+    # must not change once a map has been applied
+    _d2_kept: tuple = field(default_factory=lambda: ([], []), init=False,
+                           repr=False, compare=False)
+    _generators_kept: dict = field(default_factory=dict, init=False,
+                                  repr=False, compare=False)
 
     def __post_init__(self):
         if self.c < 1:
@@ -176,8 +180,8 @@ def _extend(cob: CobordismDatum, rungs: list[tuple[Vector, Vector]], depth: int)
     L_m = u'^m seed + sum_{k<m} u'^(m-1-k) mu u^k vec: Horner's rule for
     the mu double sum that every induced map carries.  The ladder of
     d2(1) seeded at delta2(1) gives the correction series and the chain
-    weights W_i = L_i of the polynomial slots; the ladder of a chain
-    alpha seeded at 0 gives the tail of alpha.
+    weights W_i = L_i of the polynomial slots; the ladder of a generator g
+    seeded at 0 gives the tail of g.
     """
     while len(rungs) < depth:
         v, rung = rungs[-1]
@@ -185,56 +189,59 @@ def _extend(cob: CobordismDatum, rungs: list[tuple[Vector, Vector]], depth: int)
                       vec_add(cob.target.apply_u(rung), cob.mu.apply(v))))
 
 
-def _ladder(cob: CobordismDatum, vec: Vector, seed: Vector,
-            depth: int) -> list[tuple[Vector, Vector]]:
-    """The rungs (u^m vec, L_m) for m < depth, L_0 = seed (see `_extend`)."""
-    rungs = [(vec, seed)]
-    _extend(cob, rungs, depth)
-    return rungs[:depth]
+def _grown(cob: CobordismDatum, ladder: tuple[list, list], depth: int) -> tuple[list, list]:
+    """The first `depth` rungs of a kept ladder (rungs, tail), and their tail.
 
-
-def _tail(cob: CobordismDatum, ladder: list[tuple[Vector, Vector]], first: int = 0) -> XPart:
-    """{x^-(m+1): delta1(u^m vec) + d1'(L_m)} over the rungs m = first, ... of a ladder."""
-    tail: XPart = {}
-    for m, (vec, rung) in enumerate(ladder, first):
-        lam = apply_row(cob.delta1, vec) + cob.target.apply_d1(rung)
-        if not lam.is_zero():
-            tail[-m - 1] = lam
-    return tail
-
-
-def _d2_ladder(cob: CobordismDatum, depth: int) -> list[tuple[Vector, Vector]]:
-    """The ladder of d2(1) seeded at delta2(1), `depth` rungs deep.
-
-    The rungs of a shallow ladder are a prefix of a deeper one, so each
-    cobordism keeps one ladder, with its tail, and extends both only when
-    a deeper ladder is asked for.  Callers must not change the rungs.
+    Tail entry m is delta1(u^m vec) + d1'(L_m), the coefficient of
+    x^-(m+1).  The rungs of a shallow ladder are a prefix of a deeper one,
+    so each ladder is kept, seeded with its first rung, and extended with
+    its tail only when a deeper one is asked for.  Callers must not change
+    either list.
     """
-    rungs = cob._d2_rungs
-    built = len(rungs)
+    rungs, tail = ladder
+    _extend(cob, rungs, depth)
+    tail.extend(apply_row(cob.delta1, vec) + cob.target.apply_d1(rung)
+                for vec, rung in rungs[len(tail):])
+    return rungs[:depth], tail[:depth]
+
+
+def _d2_ladder(cob: CobordismDatum, depth: int) -> tuple[list, list]:
+    """The ladder of d2(1) seeded at delta2(1), `depth` rungs deep, and its tail."""
+    rungs = cob._d2_kept[0]
     if not rungs:
         one = NovikovElement.one()
         rungs.append((cob.source.apply_d2(one), apply_column(cob.delta2, one)))
-    _extend(cob, rungs, depth)
-    cob._d2_tail.update(_tail(cob, rungs[built:], built))
-    return rungs[:depth]
+    return _grown(cob, cob._d2_kept, depth)
+
+
+def _generator_tail(cob: CobordismDatum, g: str, depth: int) -> list[NovikovElement]:
+    """The tail of the source generator g, x^-1 down to x^-depth (see `_grown`)."""
+    ladder = cob._generators_kept.get(g)
+    if ladder is None:
+        ladder = cob._generators_kept[g] = ([(cob.source.basis_vector(g), {})], [])
+    return _grown(cob, ladder, depth)[1]
+
+
+def _chain_tail(cob: CobordismDatum, vec: Vector, depth: int) -> XPart:
+    """The tail of a source chain down to x^-depth: its generators' tails, summed."""
+    return orbit_tail(vec, lambda g: _generator_tail(cob, g, depth))
 
 
 def _weighted_rungs(cob: CobordismDatum, part: XPart) -> Vector:
     """sum_{i>=0} a_i W_i, where W_i = L_i of the d2-ladder."""
     nonneg = {i: a for i, a in part.items() if i >= 0}
-    ladder = _d2_ladder(cob, max(nonneg, default=-1) + 1)
+    rungs, _ = _d2_ladder(cob, max(nonneg, default=-1) + 1)
     chain: Vector = {}
     for i, a in nonneg.items():
-        chain = vec_add(chain, apply_column(ladder[i][1], a))
+        chain = vec_add(chain, apply_column(rungs[i][1], a))
     return chain
 
 
 def correction_series(cob: CobordismDatum, depth: int) -> XPart:
     """The multiplier series S: c plus the tail of the d2-ladder, down to x^-depth."""
-    _d2_ladder(cob, depth)
+    _, tail = _d2_ladder(cob, depth)
     return {0: NovikovElement.term(cob.c, 0),
-            **{k: lam for k, lam in cob._d2_tail.items() if k >= -depth}}
+            **{-m - 1: lam for m, lam in enumerate(tail) if lam}}
 
 
 def _xpart_mul(a: XPart, b: XPart, lo: int, hi: int) -> XPart:
@@ -261,7 +268,7 @@ def hat_map(cob: CobordismDatum, e: XElement) -> XElement:
 def check_map(cob: CobordismDatum, e: XElement, window: Window) -> XElement:
     """Induced map on the "to" complex: (phi alpha, tail of alpha + tail·S)."""
     depth = window.T
-    tail = vec_add(_tail(cob, _ladder(cob, e.chain, {}, depth)),
+    tail = vec_add(_chain_tail(cob, e.chain, depth),
                    _xpart_mul(e.x, correction_series(cob, depth), -depth, -1))
     return XElement(cob.phi.apply(e.chain), tail)
 
@@ -291,7 +298,7 @@ def htpy_check_x(cob: CobordismDatum, e: XElement) -> XElement:
 
 def htpy_p(cob: CobordismDatum, e: XElement, window: Window) -> XElement:
     """K(alpha, p) = the tail of alpha, in the bar complex."""
-    return XElement({}, _tail(cob, _ladder(cob, e.chain, {}, window.T)))
+    return XElement({}, _chain_tail(cob, e.chain, window.T))
 
 
 def htpy_i(cob: CobordismDatum, z: XElement) -> XElement:
@@ -353,19 +360,25 @@ def _functoriality_checks(cob: CobordismDatum, window: Window):
         yield "i'∘bar_map - check_map∘i = check_d'∘L", name, residual(lhs - rhs, window)
 
 
-def verify_functoriality(cob: CobordismDatum, window: Window) -> Report:
-    """Chain-map, x-equivariance and triangle-compatibility identities.
+def functoriality_report(cob: CobordismDatum, window: Window) -> Report:
+    """The first failing chain-map, x-equivariance or triangle-compatibility
+    identity, for a cobordism that passes verify_tilde_chain_map."""
+    rep = Report()
+    rep.first_nonzero(_functoriality_checks(cob, window))
+    return rep
 
-    Precondition: verify_tilde_chain_map passes; its failure is reported
-    as a precondition failure rather than an identity report.
+
+def verify_functoriality(cob: CobordismDatum, window: Window) -> Report:
+    """functoriality_report, once verify_tilde_chain_map passes.
+
+    A failure of verify_tilde_chain_map is reported as a precondition
+    failure rather than an identity report.
     """
     pre = verify_tilde_chain_map(cob)
+    if pre.ok:
+        return functoriality_report(cob, window)
     rep = Report()
-    if not pre.ok:
-        rep.fail(f"precondition: extended chain-map identities fail "
-                 f"({pre.failures[0]})")
-    else:
-        rep.first_nonzero(_functoriality_checks(cob, window))
+    rep.fail(f"precondition: extended chain-map identities fail ({pre.failures[0]})")
     return rep
 
 

@@ -77,15 +77,23 @@ class XElement:
 # Differentials, x-actions and triangle maps
 # ---------------------------------------------------------------------------
 
+def orbit_tail(vec: Vector, orbit) -> XPart:
+    """sum_g vec[g] orbit(g)[m] x^-(m+1), by decreasing power.
+
+    `orbit(g)` lists the coefficients of one generator's tail from x^-1
+    down; slots that cancel are dropped.
+    """
+    acc: dict[int, NovikovElement] = {}
+    for g, a in vec.items():
+        for m, lam in enumerate(orbit(g)):
+            if lam:
+                acc[m] = acc[m] + a * lam if m in acc else a * lam
+    return {-m - 1: acc[m] for m in sorted(acc) if acc[m]}
+
+
 def _d1_tail(datum: FloerDatum, vec: Vector, window: Window) -> XPart:
-    """sum_{i<0} d1(u^(-i-1) vec) x^i down to x^-T."""
-    tail: XPart = {}
-    for i in range(-1, -window.T - 1, -1):
-        lam = datum.apply_d1(vec)
-        if not lam.is_zero():
-            tail[i] = lam
-        vec = datum.apply_u(vec)
-    return tail
+    """sum_{i<0} d1(u^(-i-1) vec) x^i down to x^-T, from the d1-orbits."""
+    return orbit_tail(vec, lambda g: datum.d1_orbit(g, window.T))
 
 
 def _d2_sum(datum: FloerDatum, part: XPart) -> Vector:

@@ -133,7 +133,12 @@ def apply_column(col: dict[str, NovikovElement], lam: NovikovElement) -> Vector:
 
 
 class FloerDatum:
-    """Generators, gradings, energy lifts and the four structure maps."""
+    """Generators, gradings, energy lifts and the four structure maps.
+
+    Each generator's d1-orbit (`d1_orbit`) is kept once read and grown one
+    u-step at a time, so the maps must not change once an orbit has been
+    read.
+    """
 
     def __init__(self, name: str, generators: list[Generator],
                  d: LambdaMatrix, u: LambdaMatrix,
@@ -153,6 +158,8 @@ class FloerDatum:
                 self.require(dst)
         for g in list(self.d1) + list(self.d2):
             self.require(g)
+        # generator -> [d1(u^j g) for the j reached so far, u^j g at the next j]
+        self._d1_orbits: dict[str, list] = {}
 
     def require(self, name: str):
         if name not in self._by_name:
@@ -188,6 +195,22 @@ class FloerDatum:
 
     def apply_d2(self, lam: NovikovElement) -> Vector:
         return apply_column(self.d2, lam)
+
+    def d1_orbit(self, g: str, depth: int) -> list[NovikovElement]:
+        """[d1(u^j g) for j < depth], ending early once u^j g = 0.
+
+        The orbit is kept and only grown by later calls; callers must not
+        change the list returned.
+        """
+        orbit = self._d1_orbits.get(g)
+        if orbit is None:
+            orbit = self._d1_orbits[g] = [[], self.basis_vector(g)]
+        levels, vec = orbit
+        while len(levels) < depth and vec:
+            levels.append(self.apply_d1(vec))
+            vec = self.apply_u(vec)
+        orbit[1] = vec
+        return levels if len(levels) <= depth else levels[:depth]
 
     def basis_vector(self, name: str) -> Vector:
         self.require(name)

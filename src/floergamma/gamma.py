@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 
 from ._linalg import Echelon, q_rank
 from .floer_datum import (
@@ -106,11 +106,17 @@ def _d_columns(datum: FloerDatum, gens: list[str]) -> list[dict]:
 
 
 def _d1_levels(datum: FloerDatum, gens: list[str]):
-    """Level j = [d1(u^j e_g) for g in gens], for j = 0, 1, ... while some u^j e_g != 0."""
-    vecs = [_unit(datum, g) for g in gens]
-    while any(vecs):
-        yield [datum.apply_d1(v) for v in vecs]
-        vecs = [datum.apply_u(v) for v in vecs]
+    """Level j = [d1(u^j e_g) for g in gens], for j = 0, 1, ... while some u^j e_g != 0.
+
+    e_g = l^(r_g) g, so level j is the datum's d1-orbits at j, each
+    shifted by l^(r_g); the orbits grow one level per level read.
+    """
+    for j in count():
+        orbits = [datum.d1_orbit(g, j + 1) for g in gens]
+        if all(len(orbit) <= j for orbit in orbits):
+            return
+        yield [orbit[j].shift(datum.lift(g)) if len(orbit) > j else NovikovElement.zero()
+               for g, orbit in zip(gens, orbits)]
 
 
 def _add_level(ech: Echelon, level: list[NovikovElement]) -> None:

@@ -5,7 +5,9 @@ coefficients a_i and rational exponents r_i, where l is the Novikov
 variable.  This is the coefficient field underlying all chain-level
 computations in this package.  The valuation mdeg (minimal exponent)
 drives every invariant computed downstream, so exponents are exact
-rationals throughout; floating point never enters.
+rationals throughout; floating point never enters.  Only parsed input
+goes through the canonicalising constructor: sums, products, negation,
+scaling and shifts build their sorted term tuples directly.
 
 The module also writes an element as a dense polynomial over Q in
 mu = l^(1/scale), once exponent denominators are cleared and exponents
@@ -29,6 +31,8 @@ Rat = Fraction
 ExtRat = Union[Fraction, float]
 
 Scalar = Union[Fraction, int]
+
+_ZERO = Fraction(0)
 
 
 def parse_rat(text: str) -> Fraction:
@@ -65,11 +69,13 @@ class NovikovElement:
     Term-tuple invariant: `_terms` is a tuple of (coeff, exp) pairs, both
     `Fraction`s, with strictly increasing exponents and no zero
     coefficient.  `__init__` is the one canonicalising constructor: it
-    converts, collects and sorts arbitrary input (parsed terms, products).
-    Negation, scalar multiplication, shift and addition keep the invariant
-    term by term, so they build their tuples directly (`_of`) instead of
-    canonicalising again; addition merges two sorted tuples, and `term`
-    builds its one-term tuple directly.
+    converts, collects and sorts parsed input.  Every operation keeps the
+    invariant and builds its tuple directly (`_of`) instead of
+    canonicalising again: negation, scalar multiplication, shift and a
+    monomial times an element map term by term (over a field a product of
+    nonzero coefficients is nonzero), addition merges two sorted tuples, a
+    general product collects its terms by exponent and sorts them once, and
+    `term` builds its one-term tuple directly.
     """
 
     __slots__ = ("_terms",)
@@ -164,12 +170,20 @@ class NovikovElement:
 
     def __mul__(self, other) -> "NovikovElement":
         if isinstance(other, NovikovElement):
-            prods = [
-                (c1 * c2, e1 + e2)
-                for c1, e1 in self._terms
-                for c2, e2 in other._terms
-            ]
-            return NovikovElement(prods)
+            a, b = self._terms, other._terms
+            if len(a) > len(b):
+                a, b = b, a
+            if not a:
+                return _ZERO_ELEMENT
+            if len(a) == 1:
+                (c1, e1), = a
+                return NovikovElement._of(tuple((c1 * c2, e1 + e2) for c2, e2 in b))
+            acc: dict[Fraction, Fraction] = {}
+            for c1, e1 in a:
+                for c2, e2 in b:
+                    e = e1 + e2
+                    acc[e] = acc.get(e, _ZERO) + c1 * c2
+            return NovikovElement._of(tuple((acc[e], e) for e in sorted(acc) if acc[e]))
         if isinstance(other, (int, Fraction)):
             if not other:
                 return _ZERO_ELEMENT
@@ -284,9 +298,6 @@ def poly_divexact(p: QPoly, q: QPoly) -> QPoly:
     if rem:
         raise ArithmeticError("inexact polynomial division")
     return quot
-
-
-_ZERO = Fraction(0)
 
 
 def to_rational_function(a: NovikovElement, scale: int) -> QPoly:

@@ -163,6 +163,22 @@ def d_essential_datum(rng: Random, name: str = "d_essential") -> FloerDatum:
     return datum
 
 
+def cyclic_u_datum(name: str = "cyclic_u") -> FloerDatum:
+    """a (grading 1) and b (grading 5) with u(a) = 2 l^(1/2) b and
+    u(b) = l^(1/2) a, so u is not nilpotent, and d1(a) = l^(1/2).
+
+    d1(u^j a) is 2^(j/2) l^((j+1)/2) for even j and 0 for odd j.
+    """
+    gens = [Generator("a", 1, Fraction(-1, 2)), Generator("b", 5, Fraction(-1))]
+    half = Fraction(1, 2)
+    u = LambdaMatrix({("a", "b"): NovikovElement.term(2, half),
+                      ("b", "a"): NovikovElement.term(1, half)})
+    datum = FloerDatum(name, gens, LambdaMatrix(), u, {"a": NovikovElement.term(1, half)}, {})
+    rep = validate(datum)
+    assert rep.ok, rep.failures
+    return datum
+
+
 def zero_map_datum(rng: Random, max_gens: int = 4, name: str = "blank") -> FloerDatum:
     n = rng.randint(1, max_gens)
     gens = [Generator(f"z{i}", rng.randrange(8), random_lift(rng)) for i in range(n)]

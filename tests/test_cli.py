@@ -8,9 +8,17 @@ from pathlib import Path
 
 import pytest
 
-from floergamma import floer_datum, lattice, seifert
+from floergamma import cobordism, equivariant, floer_datum, lattice, seifert
 from floergamma.cli import main
-from floergamma.floer_datum import InputError, ValidDatum, load_datum, require_valid
+from floergamma.cobordism import cobordism_to_json, identity_cobordism
+from floergamma.equivariant import XElement
+from floergamma.floer_datum import (
+    InputError,
+    ValidDatum,
+    apply_row,
+    load_datum,
+    require_valid,
+)
 from floergamma.gamma import gamma, gamma_profile, h_invariant
 from floergamma.lattice import LatticeInputError
 from floergamma.morse_minmax import NonCycleError, NullHomologousError
@@ -320,9 +328,6 @@ def test_cobordism_commands(capsys, tmp_path):
     assert code == 2  # target s3 does not match source sigma
 
     # compose the fixture with an identity written to disk, then verify
-    from floergamma.cobordism import cobordism_to_json, identity_cobordism
-    from floergamma.floer_datum import load_datum
-
     ident = tmp_path / "ident.json"
     ident.write_text(json.dumps(
         cobordism_to_json(identity_cobordism(load_datum("s3")))))
@@ -337,6 +342,35 @@ def test_cobordism_commands(capsys, tmp_path):
                        "delta1_sigma_2_3_5_to_s3", "--range", "-1..2")
     assert code == 0
     assert "nonincreasing = yes" in out and "eta_lb = n/a" in out
+
+
+# No workload job reaches a window identity's failure, since the identities
+# follow from the preconditions; wrong maps reach it and its printed line.
+
+def test_triangle_failure_line(capsys, monkeypatch):
+    monkeypatch.setattr(equivariant, "htpy_k", lambda e: XElement({}, dict(e.x)))
+    # on sigma_2_3_5 the sign-flipped k already breaks p∘j + k∘check_d = 0
+    assert run(capsys, "triangle", "sigma_2_3_5", "--window", "6,4") == (
+        1, "triangle: p∘j + k∘check_d = 0 fails at (alpha, 0): residual "
+           "XElement(chain={}, x={-1: NovikovElement(2*l^(1/120))})\n", "")
+    assert run(capsys, "triangle", "s3", "--window", "6,4") == (
+        1, "triangle: l∘j + i∘k = ε fails at (0, x^-1): residual "
+           "XElement(chain={}, x={-1: NovikovElement(2*l^(0))})\n", "")
+
+
+def test_cobordism_verify_failure_line(capsys, tmp_path, monkeypatch):
+    ident = tmp_path / "ident.json"
+    ident.write_text(json.dumps(
+        cobordism_to_json(identity_cobordism(load_datum("neg_sigma_2_3_5")))))
+    # K(alpha, p) with phi where mu belongs
+    monkeypatch.setattr(cobordism, "htpy_hat_x", lambda cob, e: XElement(
+        cob.phi.apply(e.chain), {0: apply_row(cob.delta1, e.chain)}))
+    assert run(capsys, "cobordism", "verify", str(ident), "--window", "6,4") == (
+        1, "tilde: ok\n"
+           "functoriality: x∘hat_map - hat_map∘x = K∘hat_d + hat_d'∘K fails at "
+           "(0, x^0): residual XElement(chain={'alpha_star': "
+           "NovikovElement(1*l^(1/120))}, x={})\n"
+           "mdeg_decay = 0\n", "")
 
 
 def test_json_flag_matches_text(capsys):

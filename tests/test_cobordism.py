@@ -55,6 +55,7 @@ from floergamma.floer_datum import (
 from floergamma.novikov import NovikovElement
 
 from datagen import (
+    cyclic_u_datum,
     random_datum,
     random_trivial_cobordism,
     transformed_datum,
@@ -287,7 +288,11 @@ def _random_endpoint(rng):
 def _random_cobordism(rng):
     """Arbitrary phi, mu, delta1, delta2 and c between random data with
     nonzero u and d1 or d2; no identity needs to hold."""
-    src, tgt = _random_endpoint(rng), _random_endpoint(rng)
+    return _random_maps(rng, _random_endpoint(rng), _random_endpoint(rng))
+
+
+def _random_maps(rng, src, tgt):
+    """Arbitrary phi, mu, delta1, delta2 and c from src to tgt."""
     phi, mu = LambdaMatrix(), LambdaMatrix()
     for g in src.names():
         for h in tgt.names():
@@ -318,6 +323,29 @@ def test_maps_match_reference_double_sums():
         bar = XElement({}, _random_part(rng, -T, N))
         assert bar_map(cob, bar, window) == _ref_bar_map(bar, window, series)
         assert htpy_i(cob, bar) == _ref_htpy_i(cob, bar)
+
+
+def test_kept_tails_match_reference_at_rising_then_falling_depths():
+    # one cobordism answers every depth, growing its kept ladders first and
+    # then reading prefixes of them; the cyclic endpoints never run out of u
+    rng = Random(89)
+    cobs = [_random_cobordism(rng) for _ in range(40)]
+    cobs += [_random_maps(rng, cyclic_u_datum(), cyclic_u_datum()) for _ in range(5)]
+    for cob in cobs:
+        src = cob.source
+        depths = sorted(rng.sample(range(2, 12), 3))
+        for T in depths + depths[::-1]:
+            window = Window(T, 1)
+            series = _ref_correction_series(cob, T)
+            assert correction_series(cob, T) == series
+            for g in src.names():
+                basis = src.basis_vector(g)
+                assert htpy_p(cob, XElement(basis), window) == \
+                    XElement({}, _ref_alpha_tail(cob, basis, T))
+            check = XElement(_random_vec(rng, src.names()), _random_part(rng, -T, -1))
+            assert htpy_p(cob, check, window) == \
+                XElement({}, _ref_alpha_tail(cob, check.chain, T))
+            assert check_map(cob, check, window) == _ref_check_map(cob, check, window, series)
 
 
 def test_maps_land_in_their_complexes():

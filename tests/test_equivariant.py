@@ -9,10 +9,13 @@ from floergamma import equivariant
 from floergamma.equivariant import (
     Window,
     XElement,
+    check_basis,
     check_d,
     deg_bar,
+    hat_basis,
     hat_d,
     htpy_k,
+    inner_window,
     map_i,
     map_j,
     map_p,
@@ -27,7 +30,7 @@ from floergamma.equivariant import (
 from floergamma.floer_datum import FloerDatum, Generator, LambdaMatrix, load_datum, validate
 from floergamma.novikov import INF, NovikovElement
 
-from datagen import random_datum
+from datagen import cyclic_u_datum, random_datum
 
 WINDOW = Window(6, 4)
 
@@ -207,6 +210,21 @@ def test_triangle_catches_r_dropping_x0(s3, monkeypatch):
     rep = verify_triangle(s3, WINDOW)
     assert not rep.ok
     assert rep.failures[0].startswith("r∘p + j∘l = ε fails at (0, x^0)"), rep.failures
+
+
+def test_triangle_on_kept_orbits_matches_fresh_data():
+    # u is not nilpotent, so the W(8, 6) run extends every d1-orbit that
+    # the W(6, 4) run kept, 20 levels deep, to 26 levels
+    kept = cyclic_u_datum()
+    for window in (Window(6, 4), Window(8, 6)):
+        rep = verify_triangle(kept, window)
+        assert rep.ok and rep.failures == verify_triangle(cyclic_u_datum(), window).failures
+        win = inner_window(window)
+        for _, e in check_basis(kept, window, margin=False):
+            assert check_d(kept, e, win) == check_d(cyclic_u_datum(), e, win)
+        for _, e in hat_basis(kept, window, margin=False):
+            assert map_p(kept, e, win) == map_p(cyclic_u_datum(), e, win)
+    assert len(check_d(kept, XElement(kept.basis_vector("a")), win).x) == win.T // 2
 
 
 def test_pj_equals_minus_k_checkd():

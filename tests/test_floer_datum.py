@@ -22,7 +22,7 @@ from floergamma.floer_datum import (
 )
 from floergamma.novikov import NovikovElement
 
-from datagen import evaluate_at_one, random_datum
+from datagen import cyclic_u_datum, evaluate_at_one, random_datum, transformed_datum
 
 
 def nov(c, e):
@@ -239,3 +239,39 @@ def test_duplicate_generator_names_rejected():
         FloerDatum("dup",
                    [Generator("a", 0, Fraction(0)), Generator("a", 1, Fraction(0))],
                    LambdaMatrix(), LambdaMatrix(), {}, {})
+
+
+def _direct_orbit(datum, g, depth):
+    """d1(u^j g) for j < depth by direct u-iteration, ending once u^j g = 0."""
+    orbit, vec = [], datum.basis_vector(g)
+    while len(orbit) < depth and vec:
+        orbit.append(datum.apply_d1(vec))
+        vec = datum.apply_u(vec)
+    return orbit
+
+
+def test_d1_orbit_matches_direct_u_iteration():
+    # depths rising then falling on one datum, so orbits are grown, then read
+    rng = Random(83)
+    ended = nonzero = 0
+    for _ in range(40):
+        datum = random_datum(rng)
+        if rng.random() < 0.5:
+            datum = transformed_datum(rng, datum)
+        depths = sorted(rng.sample(range(9), 3))
+        for depth in depths + depths[::-1]:
+            for g in datum.names():
+                orbit = datum.d1_orbit(g, depth)
+                assert orbit == _direct_orbit(datum, g, depth)
+                ended += len(orbit) < depth
+                nonzero += any(orbit)
+    assert ended and nonzero
+
+
+def test_d1_orbit_of_a_non_nilpotent_u_never_ends():
+    datum = cyclic_u_datum()
+    for depth in (3, 40, 7, 41):
+        orbit = datum.d1_orbit("a", depth)
+        assert orbit == _direct_orbit(datum, "a", depth)
+        assert orbit == [nov(2 ** (j // 2), Fraction(j + 1, 2)) if j % 2 == 0
+                         else NovikovElement.zero() for j in range(depth)]

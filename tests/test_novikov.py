@@ -143,6 +143,31 @@ def test_lean_operations_match_the_canonical_constructor(a, b, q):
     assert a - a == NovikovElement.zero() and (a - a).is_zero()
 
 
+monomials = st.tuples(rationals.filter(bool), rationals).map(lambda t: NovikovElement([t]))
+factors = st.one_of(elements, monomials, st.just(NovikovElement.zero()))
+
+
+@given(factors, factors)
+def test_product_matches_the_canonical_constructor(a, b):
+    product = a * b
+    assert_canonical(product)
+    assert product == NovikovElement(
+        [(c1 * c2, e1 + e2) for c1, e1 in a.items() for c2, e2 in b.items()])
+
+
+def test_product_examples():
+    one_plus_l, one_minus_l = nov((1, 0), (1, 1)), nov((1, 0), (-1, 1))
+    for product in (one_plus_l * one_minus_l, one_minus_l * one_plus_l):
+        assert_canonical(product)
+        assert product.items() == ((1, 0), (-1, 2))
+    monomial = nov((-2, "1/3"))
+    for product in (monomial * one_plus_l, one_plus_l * monomial):
+        assert_canonical(product)
+        assert product.items() == ((-2, Fraction(1, 3)), (-2, Fraction(4, 3)))
+    zero = NovikovElement.zero()
+    assert (zero * one_plus_l).is_zero() and (monomial * zero).is_zero()
+
+
 def test_zero_is_shared_and_scalar_zero_returns_it():
     zero = NovikovElement.zero()
     assert NovikovElement.zero() is zero and zero.is_zero()
