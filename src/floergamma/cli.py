@@ -260,6 +260,8 @@ def _cmd_seifert_sweep(args) -> int:
 
 
 def _cmd_lattice(args) -> int:
+    if args.e is None and (args.xi is not None or args.m is not None):
+        raise InputError("--xi and --m need --e")
     lattice = _load_gram(args.gram)
     m, vecs = minimal_vectors(lattice)
     bounds = gamma_upper_bounds_from_lattice(lattice)

@@ -51,6 +51,7 @@ from .floer_datum import (
     apply_row,
     check_keys,
     json_field,
+    kept_orbit,
     load_datum,
     map_from_json,
     map_to_json,
@@ -59,6 +60,7 @@ from .floer_datum import (
     vec_add,
     vec_sub,
     validate,
+    weighted_sum,
 )
 from .gamma import eta_lower_bound, gamma
 from .novikov import INF, NovikovElement
@@ -66,6 +68,10 @@ from .novikov import INF, NovikovElement
 
 @dataclass
 class CobordismDatum:
+    """The cobordism maps; `_ladders` keeps each source generator's ladder under
+    its name and the d2-ladder under None (`_ladder`), each ending at its
+    first zero state, so the maps must not change once a ladder is read."""
+
     source: FloerDatum
     target: FloerDatum
     phi: LambdaMatrix      # source -> target, grading preserving
@@ -73,13 +79,7 @@ class CobordismDatum:
     delta1: dict[str, NovikovElement]  # source generator -> coefficient
     delta2: dict[str, NovikovElement]  # target generator -> coefficient
     c: int
-    # the kept ladders (rungs, tail) of d2(1) and of each source generator,
-    # grown on demand by `_grown` from the fields above, which therefore
-    # must not change once a map has been applied
-    _d2_kept: tuple = field(default_factory=lambda: ([], []), init=False,
-                           repr=False, compare=False)
-    _generators_kept: dict = field(default_factory=dict, init=False,
-                                  repr=False, compare=False)
+    _ladders: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.c < 1:
@@ -173,75 +173,41 @@ def verify_tilde_chain_map(cob: CobordismDatum) -> Report:
 # Equivariant cobordism maps
 # ---------------------------------------------------------------------------
 
-def _extend(cob: CobordismDatum, rungs: list[tuple[Vector, Vector]], depth: int) -> None:
-    """Append rungs (u^m vec, L_m) to a ladder until it has `depth` of them.
+def _ladder(cob: CobordismDatum, key, depth: int) -> list[tuple[NovikovElement, Vector]]:
+    """[(delta1(v_m) + d1'(L_m), L_m) for m < depth] along one kept ladder.
 
-    L_(m+1) = u'(L_m) + mu(u^m vec), so that with L_0 = seed,
-    L_m = u'^m seed + sum_{k<m} u'^(m-1-k) mu u^k vec: Horner's rule for
-    the mu double sum that every induced map carries.  The ladder of
-    d2(1) seeded at delta2(1) gives the correction series and the chain
-    weights W_i = L_i of the polynomial slots; the ladder of a generator g
-    seeded at 0 gives the tail of g.
+    States (v_m, L_m) = (u^m vec, L_m) step by L_(m+1) = u'(L_m) + mu(v_m),
+    so L_m = u'^m L_0 + sum_{k<m} u'^(m-1-k) mu u^k vec: Horner's rule for
+    the mu double sum of every induced map.  Read m's first entry is the
+    coefficient of x^-(m+1) in the tail.  Under a source generator g the
+    ladder starts at (g, 0) and gives g's tail; under None it is the
+    d2-ladder from (d2(1), delta2(1)), giving the correction series and
+    the chain weights W_i = L_i of the polynomial slots (`kept_orbit`).
     """
-    while len(rungs) < depth:
-        v, rung = rungs[-1]
-        rungs.append((cob.source.apply_u(v),
-                      vec_add(cob.target.apply_u(rung), cob.mu.apply(v))))
-
-
-def _grown(cob: CobordismDatum, ladder: tuple[list, list], depth: int) -> tuple[list, list]:
-    """The first `depth` rungs of a kept ladder (rungs, tail), and their tail.
-
-    Tail entry m is delta1(u^m vec) + d1'(L_m), the coefficient of
-    x^-(m+1).  The rungs of a shallow ladder are a prefix of a deeper one,
-    so each ladder is kept, seeded with its first rung, and extended with
-    its tail only when a deeper one is asked for.  Callers must not change
-    either list.
-    """
-    rungs, tail = ladder
-    _extend(cob, rungs, depth)
-    tail.extend(apply_row(cob.delta1, vec) + cob.target.apply_d1(rung)
-                for vec, rung in rungs[len(tail):])
-    return rungs[:depth], tail[:depth]
-
-
-def _d2_ladder(cob: CobordismDatum, depth: int) -> tuple[list, list]:
-    """The ladder of d2(1) seeded at delta2(1), `depth` rungs deep, and its tail."""
-    rungs = cob._d2_kept[0]
-    if not rungs:
-        one = NovikovElement.one()
-        rungs.append((cob.source.apply_d2(one), apply_column(cob.delta2, one)))
-    return _grown(cob, cob._d2_kept, depth)
-
-
-def _generator_tail(cob: CobordismDatum, g: str, depth: int) -> list[NovikovElement]:
-    """The tail of the source generator g, x^-1 down to x^-depth (see `_grown`)."""
-    ladder = cob._generators_kept.get(g)
-    if ladder is None:
-        ladder = cob._generators_kept[g] = ([(cob.source.basis_vector(g), {})], [])
-    return _grown(cob, ladder, depth)[1]
+    src, tgt, one = cob.source, cob.target, NovikovElement.one()
+    return kept_orbit(
+        cob._ladders, key, depth,
+        lambda: ((src.apply_d2(one), apply_column(cob.delta2, one)) if key is None
+                 else (src.basis_vector(key), {})),
+        lambda s: (src.apply_u(s[0]), vec_add(tgt.apply_u(s[1]), cob.mu.apply(s[0]))),
+        lambda s: (apply_row(cob.delta1, s[0]) + tgt.apply_d1(s[1]), s[1]))
 
 
 def _chain_tail(cob: CobordismDatum, vec: Vector, depth: int) -> XPart:
     """The tail of a source chain down to x^-depth: its generators' tails, summed."""
-    return orbit_tail(vec, lambda g: _generator_tail(cob, g, depth))
+    return orbit_tail(vec, lambda g: [lam for lam, _ in _ladder(cob, g, depth)])
 
 
 def _weighted_rungs(cob: CobordismDatum, part: XPart) -> Vector:
     """sum_{i>=0} a_i W_i, where W_i = L_i of the d2-ladder."""
-    nonneg = {i: a for i, a in part.items() if i >= 0}
-    rungs, _ = _d2_ladder(cob, max(nonneg, default=-1) + 1)
-    chain: Vector = {}
-    for i, a in nonneg.items():
-        chain = vec_add(chain, apply_column(rungs[i][1], a))
-    return chain
+    ladder = _ladder(cob, None, max(part, default=-1) + 1)
+    return weighted_sum([rung for _, rung in ladder], part)
 
 
 def correction_series(cob: CobordismDatum, depth: int) -> XPart:
     """The multiplier series S: c plus the tail of the d2-ladder, down to x^-depth."""
-    _, tail = _d2_ladder(cob, depth)
     return {0: NovikovElement.term(cob.c, 0),
-            **{-m - 1: lam for m, lam in enumerate(tail) if lam}}
+            **{-m - 1: lam for m, (lam, _) in enumerate(_ladder(cob, None, depth)) if lam}}
 
 
 def _xpart_mul(a: XPart, b: XPart, lo: int, hi: int) -> XPart:

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .floer_datum import FloerDatum, Report, Vector, validate, vec_add, vec_neg, vec_sub
+from .floer_datum import (FloerDatum, Report, Vector, validate, vec_add, vec_neg, vec_sub,
+                          weighted_sum)
 from .novikov import INF, ExtRat, NovikovElement, mdeg_tuple
 
 
@@ -97,13 +98,8 @@ def _d1_tail(datum: FloerDatum, vec: Vector, window: Window) -> XPart:
 
 
 def _d2_sum(datum: FloerDatum, part: XPart) -> Vector:
-    """sum_{i>=0} u^i d2(a_i), by Horner's rule from the top slot down."""
-    chain: Vector = {}
-    for i in range(max(part, default=-1), -1, -1):
-        chain = datum.apply_u(chain)
-        if i in part:
-            chain = vec_add(chain, datum.apply_d2(part[i]))
-    return chain
+    """sum_{i>=0} u^i d2(a_i) = sum_{i>=0} a_i · u^i d2(1), from the d2-orbit."""
+    return weighted_sum(datum.d2_orbit(max(part, default=-1) + 1), part)
 
 
 def hat_d(datum: FloerDatum, e: XElement) -> XElement:

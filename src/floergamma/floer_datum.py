@@ -132,12 +132,40 @@ def apply_column(col: dict[str, NovikovElement], lam: NovikovElement) -> Vector:
     return out
 
 
+def weighted_sum(vectors: list[Vector], part: dict[int, NovikovElement]) -> Vector:
+    """sum_i part[i] · vectors[i] over the slots i >= 0; a slot past the list is zero."""
+    out: Vector = {}
+    for i, a in part.items():
+        if 0 <= i < len(vectors):
+            out = vec_add(out, apply_column(vectors[i], a))
+    return out
+
+
+def kept_orbit(kept: dict, key, depth: int, seed, step, read) -> list:
+    """[read(s_j) for j < depth], where s_0 = seed() and s_(j+1) = step(s_j).
+
+    A state is a tuple of chain vectors.  kept[key] holds the reads so far
+    and the next state, grown only on demand; the list ends at the first
+    all-zero state, which is exact since step and read are linear.  The
+    maps behind them must not change, nor callers change the list returned.
+    """
+    entry = kept.get(key)
+    if entry is None:
+        entry = kept[key] = [[], seed()]
+    reads, state = entry
+    while len(reads) < depth and any(state):
+        reads.append(read(state))
+        state = step(state)
+    entry[1] = state
+    return reads if len(reads) <= depth else reads[:max(depth, 0)]
+
+
 class FloerDatum:
     """Generators, gradings, energy lifts and the four structure maps.
 
-    Each generator's d1-orbit (`d1_orbit`) is kept once read and grown one
-    u-step at a time, so the maps must not change once an orbit has been
-    read.
+    `_orbits` keeps each generator's d1-orbit [d1(u^j g)] under its name
+    and the d2-orbit [u^i d2(1)] under None (`kept_orbit`): each ends at its
+    first zero u^j g or u^i d2(1), and the maps must not change once read.
     """
 
     def __init__(self, name: str, generators: list[Generator],
@@ -158,8 +186,7 @@ class FloerDatum:
                 self.require(dst)
         for g in list(self.d1) + list(self.d2):
             self.require(g)
-        # generator -> [d1(u^j g) for the j reached so far, u^j g at the next j]
-        self._d1_orbits: dict[str, list] = {}
+        self._orbits: dict = {}
 
     def require(self, name: str):
         if name not in self._by_name:
@@ -185,11 +212,6 @@ class FloerDatum:
     def apply_u(self, vec: Vector) -> Vector:
         return self.u.apply(vec)
 
-    def apply_u_power(self, vec: Vector, power: int) -> Vector:
-        for _ in range(power):
-            vec = self.u.apply(vec)
-        return vec
-
     def apply_d1(self, vec: Vector) -> NovikovElement:
         return apply_row(self.d1, vec)
 
@@ -197,20 +219,15 @@ class FloerDatum:
         return apply_column(self.d2, lam)
 
     def d1_orbit(self, g: str, depth: int) -> list[NovikovElement]:
-        """[d1(u^j g) for j < depth], ending early once u^j g = 0.
+        """[d1(u^j g) for j < depth], ending early once u^j g = 0."""
+        return kept_orbit(self._orbits, g, depth, lambda: (self.basis_vector(g),),
+                          lambda s: (self.apply_u(s[0]),), lambda s: self.apply_d1(s[0]))
 
-        The orbit is kept and only grown by later calls; callers must not
-        change the list returned.
-        """
-        orbit = self._d1_orbits.get(g)
-        if orbit is None:
-            orbit = self._d1_orbits[g] = [[], self.basis_vector(g)]
-        levels, vec = orbit
-        while len(levels) < depth and vec:
-            levels.append(self.apply_d1(vec))
-            vec = self.apply_u(vec)
-        orbit[1] = vec
-        return levels if len(levels) <= depth else levels[:depth]
+    def d2_orbit(self, depth: int) -> list[Vector]:
+        """[u^i d2(1) for i < depth], ending early once u^i d2(1) = 0."""
+        return kept_orbit(self._orbits, None, depth,
+                          lambda: (self.apply_d2(NovikovElement.one()),),
+                          lambda s: (self.apply_u(s[0]),), lambda s: s[0])
 
     def basis_vector(self, name: str) -> Vector:
         self.require(name)

@@ -36,6 +36,15 @@ k-1 to one incremental echelon form raises its rank.  One pass per parity,
 stopped when the rank fills the class, the tower vanishes or k passes
 1 + 4n, gives every feasible degree k >= 1 at once.
 
+Stabilisation for k <= 0.  The q-columns are shifts of the datum's kept
+d2-orbit [u^i d2(1)] (`FloerDatum.d2_orbit`).  If it ends, at the first
+u^m d2(1) = 0, every later u^i d2(1) is zero, and Gamma(k) = 0 for every
+k <= -m: one of i = m, m+1 has the parity of k and is at most -k
+(i = m when k = -m), so q_i is an unknown whose column is zero, q_i = 1
+with alpha = 0 is a solution, and the rank test on the q columns returns
+0.  No branch of its own is needed, and the q-columns of any k cost at
+most m u-applications, once per datum.
+
 All arithmetic is exact over Q.
 """
 
@@ -87,9 +96,9 @@ def _unit(datum: FloerDatum, g: str) -> dict:
     return {g: NovikovElement.term(1, datum.lift(g))}
 
 
-def _keyed(image: dict, sign: int = 1) -> dict:
-    """A chain vector's coefficients keyed by (generator, exponent)."""
-    return {(h, e): sign * c for h, el in image.items() for c, e in el.items()}
+def _keyed(image: dict, sign: int = 1, shift: Fraction = Fraction(0)) -> dict:
+    """The coefficients of sign · l^shift · image keyed by (generator, exponent)."""
+    return {(h, e + shift): sign * c for h, el in image.items() for c, e in el.items()}
 
 
 def _rows(columns: list[dict]) -> list[dict[int, Fraction]]:
@@ -153,13 +162,17 @@ def _gamma_positive(datum: FloerDatum, k: int, want_witness: bool):
 
 
 def _nonpositive_system(datum: FloerDatum, k: int):
-    """Sparse rows of d(alpha) - sum_i u^i d2(a_i): q columns, then the class."""
+    """Sparse rows of d(alpha) - sum_i u^i d2(a_i): q columns, then the class.
+
+    The maps are Lambda-linear, so the column of q_i is
+    -l^((-k-i)/2) · u^i d2(1), a shift of entry i of the datum's kept
+    d2-orbit; past the orbit's end u^i d2(1) = 0 and the column is empty.
+    """
     gens = _grading_class(datum, k)
     q_indices = [i for i in range(0, -k + 1) if (i - k) % 2 == 0]
-    columns = [
-        _keyed(datum.apply_u_power(
-            datum.apply_d2(NovikovElement.term(1, Fraction(-k - i, 2))), i), -1)
-        for i in q_indices]
+    orbit = datum.d2_orbit(-k + 1)
+    columns = [_keyed(orbit[i], -1, Fraction(-k - i, 2)) if i < len(orbit) else {}
+               for i in q_indices]
     columns += _d_columns(datum, gens)
     return gens, q_indices, _rows(columns)
 

@@ -35,6 +35,24 @@ def evaluate_at_one(el: NovikovElement) -> Fraction:
     return sum((c for c, _ in el.items()), Fraction(0))
 
 
+def apply_u_power(datum: FloerDatum, vec: dict, power: int) -> dict:
+    """u^power vec by direct iteration, the reference for every kept u-orbit."""
+    for _ in range(power):
+        vec = datum.apply_u(vec)
+    return vec
+
+
+def count_u_applications(*data: FloerDatum) -> list[int]:
+    """From now on, count every application of each datum's u into counter[0]."""
+    counter = [0]
+    for datum in data:
+        def counted(vec, apply=datum.u.apply):
+            counter[0] += 1
+            return apply(vec)
+        datum.u.apply = counted
+    return counter
+
+
 def random_lift(rng: Random) -> Fraction:
     den = rng.choice(DENOMINATORS)
     num = rng.randint(-3 * den, 3 * den)
@@ -163,17 +181,24 @@ def d_essential_datum(rng: Random, name: str = "d_essential") -> FloerDatum:
     return datum
 
 
-def cyclic_u_datum(name: str = "cyclic_u") -> FloerDatum:
-    """a (grading 1) and b (grading 5) with u(a) = 2 l^(1/2) b and
-    u(b) = l^(1/2) a, so u is not nilpotent, and d1(a) = l^(1/2).
+def cyclic_u_datum(name: str = "cyclic_u", family: str = "d1") -> FloerDatum:
+    """a and b with u(a) = 2 l^(1/2) b and u(b) = l^(1/2) a, so u is not
+    nilpotent.
 
-    d1(u^j a) is 2^(j/2) l^((j+1)/2) for even j and 0 for odd j.
+    In the d1 family a has grading 1 and b grading 5, and d1(a) = l^(1/2):
+    d1(u^j a) is 2^(j/2) l^((j+1)/2) for even j and 0 for odd j.  In the
+    d2 family a has grading 4 and b grading 0, and d2(1) = l^(1/2) a:
+    u^j d2(1) is 2^ceil(j/2) l^((j+1)/2) times a for even j and b for odd j.
     """
-    gens = [Generator("a", 1, Fraction(-1, 2)), Generator("b", 5, Fraction(-1))]
     half = Fraction(1, 2)
     u = LambdaMatrix({("a", "b"): NovikovElement.term(2, half),
                       ("b", "a"): NovikovElement.term(1, half)})
-    datum = FloerDatum(name, gens, LambdaMatrix(), u, {"a": NovikovElement.term(1, half)}, {})
+    if family == "d1":
+        gens = [Generator("a", 1, -half), Generator("b", 5, Fraction(-1))]
+        datum = FloerDatum(name, gens, LambdaMatrix(), u, {"a": NovikovElement.term(1, half)}, {})
+    else:
+        gens = [Generator("a", 4, half), Generator("b", 0, Fraction(1))]
+        datum = FloerDatum(name, gens, LambdaMatrix(), u, {}, {"a": NovikovElement.term(1, half)})
     rep = validate(datum)
     assert rep.ok, rep.failures
     return datum

@@ -251,6 +251,14 @@ def test_lattice_command(capsys, tmp_path):
     assert "signed_sum = 2" in out and "n0 = 2" in out
 
 
+def test_lattice_class_flags_without_e_are_refused(capsys, tmp_path):
+    d22 = tmp_path / "d22.json"
+    d22.write_text(json.dumps({"gram": [[-2, 0], [0, -2]]}))
+    for flags in (["--xi", "1,0", "--m", "3"], ["--xi", "1,0"], ["--m", "-3"]):
+        code, out, err = run(capsys, "lattice", str(d22), *flags)
+        assert code == 2 and out == "" and "--xi and --m need --e" in err
+
+
 def test_lattice_command_walks_once_per_bound(capsys, tmp_path, monkeypatch):
     # one walk answers m, the minimal vectors and the bound; --e walks
     # again only because |Q(e)| exceeds that walk's bound

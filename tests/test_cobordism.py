@@ -55,6 +55,8 @@ from floergamma.floer_datum import (
 from floergamma.novikov import NovikovElement
 
 from datagen import (
+    apply_u_power,
+    count_u_applications,
     cyclic_u_datum,
     random_datum,
     random_trivial_cobordism,
@@ -92,6 +94,18 @@ def test_delta1_fixture_verifies():
     assert verify_tilde_chain_map(cob).ok
     rep = verify_functoriality(cob, WINDOW)
     assert rep.ok, rep.failures
+
+
+def test_functoriality_u_work_grows_linearly_in_the_window():
+    # every ladder and d1-orbit is kept and ends once it reaches zero, so
+    # the u-applications per unit of T + N do not grow with the window
+    per_slot = []
+    for T, N in ((30, 20), (60, 40), (120, 80)):
+        cob = load_cobordism("delta1_sigma_2_3_5_to_s3")
+        counter = count_u_applications(cob.source, cob.target)
+        assert verify_functoriality(cob, Window(T, N)).ok
+        per_slot.append(counter[0] / (T + N))
+    assert per_slot[2] <= per_slot[1] <= per_slot[0]
 
 
 def test_delta1_fixture_check_map_value():
@@ -200,7 +214,7 @@ def _ref_correction_series(cob, depth):
         acc = acc + tgt.apply_d1(delta2_tower[m - 1])
         for k in range(1, m):
             vec = cob.mu.apply(d2_tower[k - 1])
-            acc = acc + tgt.apply_d1(tgt.apply_u_power(vec, m - k - 1))
+            acc = acc + tgt.apply_d1(apply_u_power(tgt, vec, m - k - 1))
         if not acc.is_zero():
             series[-m] = acc
     return series
@@ -214,7 +228,7 @@ def _ref_alpha_tail(cob, alpha, depth):
     for m in range(1, depth + 1):
         lam = apply_row(cob.delta1, tower[m - 1])
         for k in range(1, m):
-            vec = tgt.apply_u_power(cob.mu.apply(tower[k - 1]), m - k - 1)
+            vec = apply_u_power(tgt, cob.mu.apply(tower[k - 1]), m - k - 1)
             lam = lam + tgt.apply_d1(vec)
         if not lam.is_zero():
             tail[-m] = lam
@@ -224,10 +238,10 @@ def _ref_alpha_tail(cob, alpha, depth):
 def _ref_chain_of_slot(cob, i, a):
     """u'^i delta2(a) + sum_{k<i} u'^k mu(u^(i-1-k) d2(a))."""
     src, tgt = cob.source, cob.target
-    chain = tgt.apply_u_power(apply_column(cob.delta2, a), i)
+    chain = apply_u_power(tgt, apply_column(cob.delta2, a), i)
     for k in range(i):
-        vec = cob.mu.apply(src.apply_u_power(src.apply_d2(a), i - 1 - k))
-        chain = vec_add(chain, tgt.apply_u_power(vec, k))
+        vec = cob.mu.apply(apply_u_power(src, src.apply_d2(a), i - 1 - k))
+        chain = vec_add(chain, apply_u_power(tgt, vec, k))
     return chain
 
 

@@ -241,37 +241,54 @@ def test_duplicate_generator_names_rejected():
                    LambdaMatrix(), LambdaMatrix(), {}, {})
 
 
-def _direct_orbit(datum, g, depth):
-    """d1(u^j g) for j < depth by direct u-iteration, ending once u^j g = 0."""
-    orbit, vec = [], datum.basis_vector(g)
+def _direct_orbit(datum, vec, depth, read):
+    """read(u^j vec) for j < depth by direct u-iteration, ending once u^j vec = 0."""
+    orbit = []
     while len(orbit) < depth and vec:
-        orbit.append(datum.apply_d1(vec))
+        orbit.append(read(vec))
         vec = datum.apply_u(vec)
     return orbit
 
 
+def _kept_and_direct_orbits(datum, depth):
+    """(kept, directly iterated) for each generator's d1-orbit and the d2-orbit."""
+    for g in datum.names():
+        yield (datum.d1_orbit(g, depth),
+               _direct_orbit(datum, datum.basis_vector(g), depth, datum.apply_d1))
+    yield (datum.d2_orbit(depth),
+           _direct_orbit(datum, datum.apply_d2(NovikovElement.one()), depth, dict))
+
+
 def test_d1_orbit_matches_direct_u_iteration():
-    # depths rising then falling on one datum, so orbits are grown, then read
+    # depths rising then falling on one datum, so orbits are grown, then read;
+    # the d1-orbits of every generator and the d2-orbit alike
     rng = Random(83)
-    ended = nonzero = 0
+    ended = nonzero = ended_d2 = nonzero_d2 = 0
     for _ in range(40):
         datum = random_datum(rng)
         if rng.random() < 0.5:
             datum = transformed_datum(rng, datum)
         depths = sorted(rng.sample(range(9), 3))
         for depth in depths + depths[::-1]:
-            for g in datum.names():
-                orbit = datum.d1_orbit(g, depth)
-                assert orbit == _direct_orbit(datum, g, depth)
+            orbits = list(_kept_and_direct_orbits(datum, depth))
+            for orbit, direct in orbits:
+                assert orbit == direct
                 ended += len(orbit) < depth
                 nonzero += any(orbit)
-    assert ended and nonzero
+            d2_orbit = orbits[-1][0]
+            ended_d2 += len(d2_orbit) < depth
+            nonzero_d2 += any(d2_orbit)
+    assert ended and nonzero and ended_d2 and nonzero_d2
 
 
 def test_d1_orbit_of_a_non_nilpotent_u_never_ends():
-    datum = cyclic_u_datum()
+    datum, mirror = cyclic_u_datum(), cyclic_u_datum(family="d2")
     for depth in (3, 40, 7, 41):
-        orbit = datum.d1_orbit("a", depth)
-        assert orbit == _direct_orbit(datum, "a", depth)
+        orbit, direct = next(_kept_and_direct_orbits(datum, depth))
+        assert orbit == direct
         assert orbit == [nov(2 ** (j // 2), Fraction(j + 1, 2)) if j % 2 == 0
                          else NovikovElement.zero() for j in range(depth)]
+        orbit, direct = list(_kept_and_direct_orbits(mirror, depth))[-1]
+        assert orbit == direct
+        assert orbit == [{"ab"[j % 2]: nov(2 ** ((j + 1) // 2), Fraction(j + 1, 2))}
+                         for j in range(depth)]

@@ -34,6 +34,8 @@ from floergamma.gamma import (
 from floergamma.novikov import INF, NovikovElement, mdeg_tuple
 
 from datagen import (
+    apply_u_power,
+    count_u_applications,
     d_essential_datum,
     evaluate_at_one,
     filtered_basis_change,
@@ -94,6 +96,19 @@ def test_golden_value_remark(remark):
     assert gamma(remark, 0) == Fraction(1, 4)
     assert gamma(remark, 1) == INF
     assert gamma_profile(remark, 0, 1) == [(0, Fraction(1, 4)), (1, INF)]
+
+
+def test_golden_values_of_a_d_row_meeting_u_d2():
+    # d(a) = u d2(1) = l^(r_c) c.  At k = -1 the column of q_1 is
+    # -l^((-k-1)/2) u d2(1) = -l^0 u d2(1), which alpha = l^(r_a) a meets,
+    # so Gamma(-1) = -r_a; a column shifted by another power of l is met by
+    # no alpha and gives inf.  At k = -3 and -2, u^3 d2(1) = u^2 d2(1) = 0.
+    ra, rb, rc = Fraction(-1, 2), Fraction(1, 3), Fraction(5, 6)
+    gens = [Generator("a", 1, ra), Generator("b", 4, rb), Generator("c", 0, rc)]
+    d = LambdaMatrix({("a", "c"): NovikovElement.term(1, rc - ra)})
+    u = LambdaMatrix({("b", "c"): NovikovElement.term(1, rc - rb)})
+    datum = FloerDatum("d_meets_u_d2", gens, d, u, {}, {"b": NovikovElement.term(1, rb)})
+    assert [gamma(datum, k) for k in range(-3, 1)] == [0, 0, -ra, INF]
 
 
 def test_profiles(sigma, s3):
@@ -169,7 +184,7 @@ def test_witness_soundness(sigma, neg_sigma, remark):
                     if q == 0:
                         continue
                     lam = NovikovElement.term(q, Fraction(-k - i, 2))
-                    rhs = vec_add(rhs, datum.apply_u_power(datum.apply_d2(lam), i))
+                    rhs = vec_add(rhs, apply_u_power(datum, datum.apply_d2(lam), i))
                 lhs = datum.apply_d(alpha)
                 assert lhs == {g: el for g, el in rhs.items() if not el.is_zero()}
                 assert value == max(Fraction(0), -mdeg_tuple(alpha.values()))
@@ -344,6 +359,34 @@ def test_d_essential_block_gamma_1(seed):
     expected = -min(datum.lift("a1"), datum.lift("a2"))
     assert gamma(datum, 1) == expected
     assert gamma(filtered_basis_change(rng, datum), 1) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_gamma_vanishes_from_the_end_of_the_d2_orbit_down(seed, transform):
+    # u raises every energy lift of generated data, so the d2-orbit ends at
+    # some m <= n, and Gamma(k) = 0 for every k <= -m (gamma module docstring)
+    rng = Random(seed)
+    datum = random_datum(rng)
+    if transform:
+        datum = transformed_datum(rng, datum)
+    n = len(datum.generators)
+    m = len(datum.d2_orbit(n + 1))
+    assert m <= n
+    for k in range(-m - 4, -m + 1):
+        assert gamma(datum, k) == 0
+
+
+def test_gamma_nonpositive_u_work_does_not_grow_with_k():
+    # the q-columns of Gamma(k <= 0) are shifts of one kept d2-orbit, which
+    # ends after two entries on neg_sigma_2_3_5
+    counts = []
+    for k in (-50, -200, -800):
+        datum = load_datum("neg_sigma_2_3_5")
+        counter = count_u_applications(datum)
+        assert gamma(datum, k) == 0
+        counts.append(counter[0])
+    assert counts[0] == counts[1] == counts[2]
 
 
 def test_tau_bounds(sigma, neg_sigma, s3):
