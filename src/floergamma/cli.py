@@ -184,7 +184,10 @@ def _cmd_cobordism_compose(args) -> int:
     second = load_cobordism(args.second)
     composed = compose_tilde(first, second)
     obj = cobordism_to_json(composed)
-    Path(args.output).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    try:
+        Path(args.output).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    except OSError as exc:
+        raise InputError(f"cannot write {args.output}: {exc}") from exc
     _emit(args, [f"written {args.output}"], {"written": args.output, "c": composed.c})
     return 0
 

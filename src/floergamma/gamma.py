@@ -42,8 +42,11 @@ u^m d2(1) = 0, every later u^i d2(1) is zero, and Gamma(k) = 0 for every
 k <= -m: one of i = m, m+1 has the parity of k and is at most -k
 (i = m when k = -m), so q_i is an unknown whose column is zero, q_i = 1
 with alpha = 0 is a solution, and the rank test on the q columns returns
-0.  No branch of its own is needed, and the q-columns of any k cost at
-most m u-applications, once per datum.
+0.  No branch of its own is needed.  The q-columns stop at the orbit's
+end: only i <= min(-k, m + 1) are built, which keeps that first empty
+column of k's parity, and with it the first free column, the value and
+the witness.  So any k builds at most m/2 + 2 q-columns, whatever |k|,
+from at most m u-applications, made once per datum.
 
 All arithmetic is exact over Q.
 """
@@ -167,10 +170,13 @@ def _nonpositive_system(datum: FloerDatum, k: int):
     The maps are Lambda-linear, so the column of q_i is
     -l^((-k-i)/2) · u^i d2(1), a shift of entry i of the datum's kept
     d2-orbit; past the orbit's end u^i d2(1) = 0 and the column is empty.
+    The q-indices stop at min(-k, m + 1) for an orbit of m entries: the
+    first empty column of k's parity is among them, and the later ones
+    change no pivot before it (module docstring).
     """
     gens = _grading_class(datum, k)
-    q_indices = [i for i in range(0, -k + 1) if (i - k) % 2 == 0]
     orbit = datum.d2_orbit(-k + 1)
+    q_indices = [i for i in range(0, min(-k, len(orbit) + 1) + 1) if (i - k) % 2 == 0]
     columns = [_keyed(orbit[i], -1, Fraction(-k - i, 2)) if i < len(orbit) else {}
                for i in q_indices]
     columns += _d_columns(datum, gens)

@@ -1,10 +1,12 @@
 """Negative-definite lattice computations: minimal norm, signed sums over
 equal-norm congruent classes, and the resulting upper bounds.
 
-Vectors are enumerated exactly: the positive-definite form -Q is put in
-exact rational Cholesky form and a branch-and-bound walk visits every
-integer vector within a norm bound, so vector lists are complete by
-construction rather than sampled.
+Each lattice is factored exactly once: its constructor puts the form -Q
+in exact rational Cholesky (LDL^T) form, and reads definiteness off the
+pivots of that factor (Sylvester's criterion, see _cholesky).  Every walk
+reads the kept factor: a branch-and-bound walk visits every integer
+vector within a norm bound, so vector lists are complete by construction
+rather than sampled.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ RANK_CAP = 12
 # A walk that visits more nodes than this (partial vectors, the root and
 # the complete vectors included) is refused, whatever the rank and bound:
 # the count grows like bound^(n/2).  On a 2-core x86-64 VM with CPython
-# 3.11, E8 at bound 8 visits 48,615 nodes in about 1.9 s, and -I_12 at
-# bound 5 visits 84,981 in about 3.9 s.
+# 3.11.7, E8 at bound 8 visits 48,615 nodes in 1.4-2.0 s, and -I_12 at
+# bound 5 visits 84,981 in 3.7-4.6 s (the spread of nine runs each).
 WALK_CAP = 50_000
 
 
@@ -55,17 +57,9 @@ class LatticeData:
         # (bound, representatives) of the widest walk so far; see
         # enumerate_up_to_norm.  Safe to keep since gram is immutable.
         self._widest: tuple[int, list] | None = None
-        if not self._negative_definite():
+        self._factor = _cholesky([[-x for x in row] for row in g])
+        if self._factor is None:
             raise LatticeInputError("Gram matrix is not negative definite")
-
-    def _negative_definite(self) -> bool:
-        # -G positive definite iff all leading principal minors positive.
-        n = self.rank
-        neg = [[-self.gram[i][j] for j in range(n)] for i in range(n)]
-        for k in range(1, n + 1):
-            if _int_det([row[:k] for row in neg[:k]]) <= 0:
-                return False
-        return True
 
     def q(self, v) -> int:
         """Q(v) = v^T gram v (a non-positive integer)."""
@@ -81,32 +75,23 @@ class LatticeData:
         return total
 
 
-def _int_det(rows) -> int:
-    """Integer determinant by fraction-free elimination."""
-    m = [list(map(int, r)) for r in rows]
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1] if n else 1
+def _cholesky(p):
+    """q with P(v) = sum_i q[i][i] (v_i + sum_{j>i} q[i][j] v_j)^2, exact.
 
-
-def _cholesky(p: list[list[Fraction]]):
-    """q with P(v) = sum_i q[i][i] (v_i + sum_{j>i} q[i][j] v_j)^2, exact."""
+    None when the symmetric integer matrix P is not positive definite.
+    Without row exchanges, the pivot q[i][i] met at step i is the last
+    diagonal entry of a Schur complement, D_(i+1) / D_i, where D_k is the
+    k-th leading principal minor of P (D_0 = 1), as long as the pivots
+    before it are nonzero.  So the pivots are all positive exactly when
+    every leading minor is, which by Sylvester's criterion is when P is
+    positive definite; and at the first pivot <= 0, D_1, ..., D_i > 0 and
+    D_(i+1) <= 0, so P is not.
+    """
     n = len(p)
-    q = [[Fraction(p[i][j]) for j in range(n)] for i in range(n)]
+    q = [[Fraction(x) for x in row] for row in p]
     for i in range(n):
+        if q[i][i] <= 0:
+            return None
         for j in range(i + 1, n):
             q[j][i] = q[i][j]
             q[i][j] = q[i][j] / q[i][i]
@@ -117,15 +102,8 @@ def _cholesky(p: list[list[Fraction]]):
 
 
 def _floor_sqrt(fr: Fraction) -> int:
-    """Largest integer s with s^2 <= fr (fr >= 0)."""
-    if fr < 0:
-        raise ValueError("negative radicand")
-    s = math.isqrt(fr.numerator // fr.denominator)
-    while Fraction((s + 1) * (s + 1)) <= fr:
-        s += 1
-    while Fraction(s * s) > fr:
-        s -= 1
-    return s
+    """Largest integer s with s^2 <= fr (fr >= 0); s^2 <= fr iff s^2 <= floor(fr)."""
+    return math.isqrt(fr.numerator // fr.denominator)
 
 
 def enumerate_up_to_norm(L: LatticeData, bound: int):
@@ -147,10 +125,9 @@ def enumerate_up_to_norm(L: LatticeData, bound: int):
 
 
 def _walk(L: LatticeData, bound: int):
-    """The Fincke-Pohst walk behind enumerate_up_to_norm."""
+    """The Fincke-Pohst walk behind enumerate_up_to_norm, on the kept factor."""
     n = L.rank
-    p = [[Fraction(-L.gram[i][j]) for j in range(n)] for i in range(n)]
-    q = _cholesky(p)
+    q = L._factor
     found: list[tuple[tuple[int, ...], int]] = []
     v = [0] * n
     nodes = 0
@@ -235,17 +212,7 @@ def signed_sum_even(L: LatticeData, e) -> int:
     qe = L.q(list(e))
     if qe % 2 != 0:
         raise LatticeInputError(f"Q(e) = {qe} is odd; use the weighted sum")
-    if -qe < 2:
-        raise LatticeInputError(f"|Q(e)| = {-qe} must be at least 2")
-    cls, witness = _class_pairs(L, e)
-    if witness is not None:
-        raise LatticeInputError(
-            f"e is not minimal in its class: {witness} has smaller norm")
-    total = 0
-    for v in cls:
-        half = [(x + y) // 2 for x, y in zip(e, v)]
-        total += -1 if L.q(half) % 2 else 1
-    return total
+    return _class_sum(L, e, qe, (0,) * L.rank, 0)
 
 
 def signed_sum_odd(L: LatticeData, e, xi, m: int) -> int:
@@ -261,6 +228,11 @@ def signed_sum_odd(L: LatticeData, e, xi, m: int) -> int:
     qe = L.q(list(e))
     if (qe - m) % 2 != 0:
         raise LatticeInputError(f"parity mismatch: Q(e) = {qe}, m = {m}")
+    return _class_sum(L, e, qe, xi, m)
+
+
+def _class_sum(L: LatticeData, e, qe: int, xi, m: int) -> int:
+    """The body of both signed sums; the even one is xi = 0, m = 0 (0^0 = 1)."""
     if -qe < 2:
         raise LatticeInputError(f"|Q(e)| = {-qe} must be at least 2")
     if len(xi) != L.rank:
@@ -291,10 +263,8 @@ def bound_from_class(L: LatticeData, e, xi=None, m: int | None = None):
         total = signed_sum_even(L, e)
         n0 = -qe // 2
     elif xi is not None and m is not None:
-        total = signed_sum_odd(L, e, xi, m)
-        n0 = (-qe - m) // 2 if (-qe - m) % 2 == 0 else None
-        if n0 is None:
-            raise LatticeInputError("parity mismatch in n0")
+        total = signed_sum_odd(L, e, xi, m)  # refuses an odd -Q(e) - m
+        n0 = (-qe - m) // 2
     else:
         raise LatticeInputError("xi and m must be given together")
     if total == 0:

@@ -355,6 +355,18 @@ def test_cobordism_commands(capsys, tmp_path):
 # No workload job reaches a window identity's failure, since the identities
 # follow from the preconditions; wrong maps reach it and its printed line.
 
+def test_cobordism_compose_to_an_unwritable_path_exits_2(capsys, tmp_path):
+    cob = tmp_path / "cob.json"
+    cob.write_text(json.dumps({"source": "s3", "target": "s3", "c": 1}))
+    for out_path in (tmp_path / "missing" / "composed.json", tmp_path):
+        code, out, err = run(capsys, "cobordism", "compose", str(cob), str(cob),
+                             "-o", str(out_path))
+        assert code == 2 and out == "", out_path
+        assert err.startswith(f"error: cannot write {out_path}: ") and "Traceback" not in err
+        assert len(err.splitlines()) == 1
+    assert not (tmp_path / "missing").exists()
+
+
 def test_triangle_failure_line(capsys, monkeypatch):
     monkeypatch.setattr(equivariant, "htpy_k", lambda e: XElement({}, dict(e.x)))
     # on sigma_2_3_5 the sign-flipped k already breaks p∘j + k∘check_d = 0

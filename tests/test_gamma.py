@@ -1,5 +1,6 @@
 """The invariant: golden values, monotonicity, h, bounds, oracle agreement."""
 
+import importlib
 import itertools
 import json
 from fractions import Fraction
@@ -387,6 +388,47 @@ def test_gamma_nonpositive_u_work_does_not_grow_with_k():
         assert gamma(datum, k) == 0
         counts.append(counter[0])
     assert counts[0] == counts[1] == counts[2]
+
+
+def test_gamma_nonpositive_q_columns_do_not_grow_with_k(monkeypatch):
+    # the q-columns stop at the d2-orbit's end (two entries on
+    # neg_sigma_2_3_5): i = 0 and i = 2 of k's parity, whatever |k|
+    gamma_module = importlib.import_module("floergamma.gamma")  # not the function
+    built = []
+    system = gamma_module._nonpositive_system
+
+    def counted(datum, k):
+        gens, q_indices, rows = system(datum, k)
+        built.append(len(q_indices))
+        return gens, q_indices, rows
+
+    monkeypatch.setattr(gamma_module, "_nonpositive_system", counted)
+    datum = load_datum("neg_sigma_2_3_5")
+    for k in (-50, -200, -800):
+        value, witness = gamma(datum, k, want_witness=True)
+        assert value == 0 and len(witness.a_tuple) == -k + 1
+    assert built == [2, 2, 2]
+
+
+def test_gamma_nonpositive_keeps_value_and_witness_without_later_empty_columns(
+        monkeypatch):
+    # padding the d2-orbit with zero entries up to the asked depth restores
+    # every empty q-column up to i = -k; value and witness must not change
+    rng = Random(53)
+    data = [load_datum("neg_sigma_2_3_5"), load_datum("sigma_2_3_5")]
+    data += [random_datum(rng) for _ in range(30)]
+    data += [transformed_datum(rng, datum) for datum in data[2:12]]
+    cases = [(datum, k) for datum in data
+             for k in range(-len(datum.d2_orbit(len(datum.generators) + 1)) - 4, 1)]
+    stopped = [gamma(datum, k, want_witness=True) for datum, k in cases]
+    orbit = FloerDatum.d2_orbit
+
+    def padded(self, depth):
+        kept = orbit(self, depth)
+        return kept + [{}] * (depth - len(kept))
+
+    monkeypatch.setattr(FloerDatum, "d2_orbit", padded)
+    assert [gamma(datum, k, want_witness=True) for datum, k in cases] == stopped
 
 
 def test_tau_bounds(sigma, neg_sigma, s3):

@@ -1,5 +1,6 @@
 """Lattice enumeration, signed class sums and the derived bounds."""
 
+import math
 from fractions import Fraction
 from random import Random
 
@@ -52,6 +53,125 @@ def test_validation():
     for gram in ([[-2.7]], [[-2.0]], [["-2"]], [[True]], [-2], "[[-2]]"):
         with pytest.raises(LatticeInputError):
             LatticeData(gram)
+
+
+def _int_det(rows) -> int:
+    """Integer determinant by fraction-free (Bareiss) elimination."""
+    m = [list(map(int, r)) for r in rows]
+    n = len(m)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if pivot is None:
+                return 0
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1] if n else 1
+
+
+def _leibniz_det(rows) -> int:
+    from itertools import permutations
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i in range(n):
+            term *= rows[i][perm[i]]
+        total += term
+    return total
+
+
+def _negative_definite_by_minors(gram) -> bool:
+    # Sylvester: -G is positive definite iff its leading principal minors are
+    neg = [[-x for x in row] for row in gram]
+    return all(_int_det([row[:k] for row in neg[:k]]) > 0
+               for k in range(1, len(gram) + 1))
+
+
+def _random_gram(rng: Random, n: int, kind: str):
+    if kind == "indefinite":
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                g[i][j] = g[j][i] = rng.randint(-3, 2)
+        return g
+    # -(M^T M + I) is definite; -(M^T M) with fewer rows than columns is
+    # semidefinite and singular
+    rows = n if kind == "definite" else rng.randint(0, n - 1)
+    m = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rows)]
+    shift = 1 if kind == "definite" else 0
+    return [[-(sum(r[i] * r[j] for r in m) + (shift if i == j else 0))
+             for j in range(n)] for i in range(n)]
+
+
+def test_int_det_reference_matches_leibniz():
+    rng = Random(101)
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        assert _int_det(rows) == _leibniz_det(rows)
+
+
+def test_constructor_refuses_exactly_as_the_leading_minors():
+    rng = Random(103)
+    grams = [[[-1, 1], [1, -1]], [[0]], [[-1, 0], [0, 0]], [[0, 0], [0, -1]],
+             [[-2, 2], [2, -2]], [[-1, 0], [0, 1]]]
+    grams += [_random_gram(rng, rng.randint(1, 8), kind)
+              for kind in ("definite", "semidefinite", "indefinite") for _ in range(40)]
+    verdicts = set()
+    for gram in grams:
+        expected = _negative_definite_by_minors(gram)
+        verdicts.add(expected)
+        if expected:
+            assert LatticeData(gram).gram == tuple(map(tuple, gram))
+        else:
+            with pytest.raises(LatticeInputError, match="^Gram matrix is not negative definite$"):
+                LatticeData(gram)
+    assert verdicts == {True, False}
+
+
+def test_floor_sqrt_against_brute_force():
+    from floergamma.lattice import _floor_sqrt
+
+    def brute(fr):
+        return max(s for s in range(0, math.isqrt(math.ceil(fr)) + 2) if s * s <= fr)
+
+    for s in range(0, 60):
+        square = s * s
+        for fr in (Fraction(square), Fraction(square) - Fraction(1, 7),
+                   Fraction(square * 1000 - 1, 1000), Fraction(square) + Fraction(1, 3)):
+            if fr >= 0:
+                assert _floor_sqrt(fr) == brute(fr), fr
+    for s in (10**6, 10**20 + 7):
+        assert _floor_sqrt(Fraction(s * s)) == s
+        assert _floor_sqrt(Fraction(s * s * 97 - 1, 97)) == s - 1
+    with pytest.raises(ValueError):
+        _floor_sqrt(Fraction(-1, 2))
+
+
+def test_one_factor_per_lattice(monkeypatch):
+    # the constructor factors once; walks at two rising bounds and both
+    # signed sums read that factor
+    factor = lattice._cholesky
+    walk = lattice._walk
+    factors, walks = [], []
+    monkeypatch.setattr(lattice, "_cholesky", lambda p: factors.append(1) or factor(p))
+    monkeypatch.setattr(lattice, "_walk", lambda L, b: walks.append(b) or walk(L, b))
+    L = diag(-2, -2)
+    assert minimal_norm(L) == 2
+    assert len(enumerate_up_to_norm(L, 4)) == 4
+    assert signed_sum_even(L, (1, 1)) == 2
+    assert signed_sum_odd(L, (1, 1), (1, 0), 2) == 2
+    assert walks == [2, 4]
+    assert factors == [1]
 
 
 def test_minimal_norm_examples(e8):
@@ -157,7 +277,6 @@ def _fraction_inverse(m):
 
 
 def _isqrt_ceil(fr: Fraction) -> int:
-    import math
     s = math.isqrt(fr.numerator // fr.denominator)
     while Fraction(s * s) < fr:
         s += 1
