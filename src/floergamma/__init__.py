@@ -19,7 +19,6 @@ from .floer_datum import (
     datum_from_json,
     datum_to_json,
     load_datum,
-    project_homogeneous,
     validate,
     validate_homogeneity,
     validate_structure,
@@ -29,7 +28,6 @@ from .equivariant import (
     Window,
     XElement,
     check_d,
-    deg_bar,
     hat_d,
     map_i,
     map_j,

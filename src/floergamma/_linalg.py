@@ -9,7 +9,10 @@ distinct free columns (the Gamma threshold).  The RREF of a row space is
 unique, so the kernel basis, the solutions and the residues read from it
 do not depend on the order rows arrived in.  `q_rank`, `q_kernel_basis`,
 `q_solve` and `Echelon.reduce` (the residue of a row, which the Morse
-min-max reads) are readers of that one form.
+min-max reads) are readers of that one form.  Every row operation is one
+call of `novikov.lincomb`, the package's accumulation kernel: a reduction
+subtracts the multiples of all stored rows at once, and an insertion
+clears its pivot column from each stored row.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .novikov import POLY_ONE, QPoly, poly_divexact, poly_mul, poly_sub
+from .novikov import POLY_ONE, QPoly, lincomb, poly_divexact, poly_mul, poly_sub
 
 SparseRow = dict[int, Fraction]
 Row = Union[Sequence[Fraction], SparseRow]
@@ -44,14 +47,8 @@ class Echelon:
         entries = row.items() if isinstance(row, dict) else enumerate(row)
         row = {c: Fraction(v) for c, v in entries if v}
         # stored rows vanish on each other's pivots, so all multiples are read at once
-        for p, f in [(p, row[p]) for p in row if p in self.rows]:
-            for c, v in self.rows[p].items():
-                w = row.get(c, 0) - f * v
-                if w:
-                    row[c] = w
-                else:
-                    row.pop(c, None)
-        return row
+        return lincomb([(None, row)]
+                       + [(-row[p], self.rows[p]) for p in row if p in self.rows])
 
     def add(self, row: Row) -> bool:
         """Insert a row, dense or sparse; True when the rank grew."""
@@ -61,15 +58,10 @@ class Echelon:
         pivot = min(row)
         inv = 1 / row[pivot]
         row = {c: v * inv for c, v in row.items()}
-        for other in self.rows.values():
+        for p, other in self.rows.items():
             f = other.get(pivot)
             if f:
-                for c, v in row.items():
-                    w = other.get(c, 0) - f * v
-                    if w:
-                        other[c] = w
-                    else:
-                        del other[c]
+                self.rows[p] = lincomb(((None, other), (-f, row)))
         self.rows[pivot] = row
         return True
 

@@ -6,11 +6,12 @@ value prints as "inf".  Exit codes: 0 success or verification pass,
 1 verification failure, 2 malformed input or a datum the calculators
 refuse.  Every refusal is an InputError (the lattice, Seifert and Morse
 refusals subclass it), apart from the two inconsistency errors of the
-Gamma layer, and prints one "error:" line.  The verifiers report a datum
-that fails validate as a failed precondition, exit 1.  Input files are
-read by path, or else as the bundled fixture of that name.  Every
-subcommand accepts --json for a machine-readable object carrying the
-same values.
+Gamma layer, and prints one "error:" line: among them a --window or
+--range past its cap, and a gamma-compare cobordism that is not a chain
+map.  The verifiers report a datum that fails validate as a failed
+precondition, exit 1.  Input files are read by path, or else as the
+bundled fixture of that name.  Every subcommand accepts --json for a
+machine-readable object carrying the same values.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .cobordism import (
     verify_tilde_chain_map,
 )
 from .equivariant import Window, verify_triangle
-from .floer_datum import InputError, load_datum, read_json, validate
+from .floer_datum import InputError, load_datum, read_json, require_valid, validate
 from .gamma import (
     DatumInconsistencyError,
     MonotonicityError,
@@ -78,15 +79,33 @@ def _emit(args, lines: list[str], payload: dict) -> None:
             print(line)
 
 
+# Caps on the two work axes of the command line, checked before any Gamma
+# or identity is computed.  Times are whole processes on a 2-core VM with
+# Python 3.11.
+#
+# WINDOW_CAP bounds T + N, in which the verifiers' work is linear: at the
+# cap `triangle sigma_2_3_5` takes 0.75 s and `cobordism verify
+# delta1_sigma_2_3_5_to_s3` 1.1-1.3 s.  RANGE_CAP bounds
+# (B - A + 1) * max(1, generators), 10-15 µs of Gamma per unit:
+# `gamma neg_sigma_2_3_5 --range -20000..20000` is 80,002 units and takes
+# 1.0-1.3 s.
+WINDOW_CAP = 2000
+RANGE_CAP = 100_000
+
+
 def _parse_window(text: str) -> Window:
     try:
         t, n = text.split(",")
-        return Window(int(t), int(n))
+        window = Window(int(t), int(n))
     except (ValueError, TypeError) as exc:
         raise InputError(f"bad window {text!r}; expected T,N") from exc
+    if window.T + window.N > WINDOW_CAP:
+        raise InputError(f"window {text!r} has T + N above the cap {WINDOW_CAP}")
+    return window
 
 
-def _parse_range(text: str) -> tuple[int, int]:
+def _parse_range(text: str, *data) -> tuple[int, int]:
+    """A..B, refused past RANGE_CAP units counted on the largest datum."""
     try:
         a, _, b = text.partition("..")
         lo, hi = int(a), int(b)
@@ -94,6 +113,10 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise InputError(f"bad range {text!r}; expected A..B") from exc
     if lo > hi:
         raise InputError(f"bad range {text!r}; lower end exceeds upper end")
+    units = (hi - lo + 1) * max([1] + [len(d.generators) for d in data])
+    if units > RANGE_CAP:
+        raise InputError(f"range {text!r} is {units} units of work (width times "
+                         f"generators), above the cap {RANGE_CAP}")
     return lo, hi
 
 
@@ -128,7 +151,7 @@ def _cmd_gamma(args) -> int:
     if args.k is not None:
         values = [(args.k, gamma(datum, args.k))]
     else:
-        values = gamma_profile(datum, *_parse_range(args.range))
+        values = gamma_profile(datum, *_parse_range(args.range, datum))
     lines = [f"gamma({k}) = {format_extrat(v)}" for k, v in values]
     _emit(args, lines, {"gamma": {str(k): v for k, v in values}})
     return 0
@@ -194,7 +217,11 @@ def _cmd_cobordism_compose(args) -> int:
 
 def _cmd_cobordism_compare(args) -> int:
     cob = load_cobordism(args.cobordism)
-    lo, hi = _parse_range(args.range)
+    lo, hi = _parse_range(args.range, cob.source, cob.target)
+    cob.source, cob.target = require_valid(cob.source), require_valid(cob.target)
+    rep = verify_tilde_chain_map(cob)
+    if not rep.ok:
+        raise InputError(f"cobordism is not a chain map: {rep.failures[0]}")
     result = gamma_comparison(cob, lo, hi)
     lines = []
     for row in result["rows"]:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from .floer_datum import (FloerDatum, Report, Vector, validate, vec_add, vec_neg, vec_sub,
                           weighted_sum)
-from .novikov import INF, ExtRat, NovikovElement, mdeg_tuple
+from .novikov import INF, ExtRat, NovikovElement, lincomb, mdeg_tuple
 
 
 @dataclass(frozen=True)
@@ -57,6 +57,8 @@ class XElement:
     x: XPart = field(default_factory=dict)
 
     def __post_init__(self):
+        # Parts built by `lincomb` have no zero entries already; the filter is
+        # for parts a caller writes out by hand.
         object.__setattr__(self, "chain", {g: v for g, v in self.chain.items() if not v.is_zero()})
         object.__setattr__(self, "x", {i: a for i, a in self.x.items() if not a.is_zero()})
 
@@ -84,12 +86,8 @@ def orbit_tail(vec: Vector, orbit) -> XPart:
     `orbit(g)` lists the coefficients of one generator's tail from x^-1
     down; slots that cancel are dropped.
     """
-    acc: dict[int, NovikovElement] = {}
-    for g, a in vec.items():
-        for m, lam in enumerate(orbit(g)):
-            if lam:
-                acc[m] = acc[m] + a * lam if m in acc else a * lam
-    return {-m - 1: acc[m] for m in sorted(acc) if acc[m]}
+    acc = lincomb((a, dict(enumerate(orbit(g)))) for g, a in vec.items())
+    return {-m - 1: acc[m] for m in sorted(acc)}
 
 
 def _d1_tail(datum: FloerDatum, vec: Vector, window: Window) -> XPart:
@@ -121,20 +119,15 @@ def x_action_hat(datum: FloerDatum, e: XElement, window: Window) -> XElement:
     powers are <= 0.
     """
     assert all(i < window.N for i in e.x), "x-action pushes a coefficient past x^N"
-    poly = {i + 1: a for i, a in e.x.items()}
-    lam = datum.apply_d1(e.chain)
-    if not lam.is_zero():
-        poly[0] = poly.get(0, NovikovElement.zero()) + lam
+    poly = vec_add({i + 1: a for i, a in e.x.items()}, {0: datum.apply_d1(e.chain)})
     return XElement(datum.apply_u(e.chain), poly)
 
 
 def x_action_check(datum: FloerDatum, e: XElement) -> XElement:
     """x . (alpha, tail) = (u alpha + d2(a_-1), tail shifted up)."""
-    chain = datum.apply_u(e.chain)
-    a_minus1 = e.x.get(-1)
-    if a_minus1 is not None:
-        chain = vec_add(chain, datum.apply_d2(a_minus1))
-    return XElement(chain, {i + 1: a for i, a in e.x.items() if i <= -2})
+    a_minus1 = e.x.get(-1, NovikovElement.zero())
+    return XElement(vec_add(datum.apply_u(e.chain), datum.apply_d2(a_minus1)),
+                    {i + 1: a for i, a in e.x.items() if i <= -2})
 
 
 def x_action_bar(e: XElement, window: Window) -> XElement:
@@ -195,13 +188,6 @@ def _epsilon(datum: FloerDatum, e: XElement) -> XElement:
 # ---------------------------------------------------------------------------
 # Degree and mdeg extensions
 # ---------------------------------------------------------------------------
-
-def deg_bar(z: XElement) -> int:
-    """Largest x-power with a nonzero coefficient; errors on zero."""
-    if z.is_zero():
-        raise ValueError("Deg of the zero element is undefined")
-    return max(z.x)
-
 
 def mdeg_hat(e: XElement) -> ExtRat:
     return mdeg_tuple((e.x or e.chain).values())

@@ -21,7 +21,7 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-from .novikov import NovikovElement, format_rat, parse_rat
+from .novikov import NovikovElement, format_rat, lincomb, parse_rat
 
 
 class InputError(ValueError):
@@ -67,17 +67,7 @@ class LambdaMatrix:
         return not self._by_source
 
     def apply(self, vec: dict[str, NovikovElement]) -> dict[str, NovikovElement]:
-        out: dict[str, NovikovElement] = {}
-        for src, coeff in vec.items():
-            if coeff.is_zero():
-                continue
-            for dst, el in self._by_source.get(src, {}).items():
-                acc = out.get(dst, NovikovElement.zero()) + coeff * el
-                if acc.is_zero():
-                    out.pop(dst, None)
-                else:
-                    out[dst] = acc
-        return out
+        return lincomb((coeff, self._by_source.get(src, {})) for src, coeff in vec.items())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LambdaMatrix):
@@ -95,25 +85,21 @@ Vector = dict[str, NovikovElement]
 
 
 def vec_add(a: Vector, b: Vector) -> Vector:
-    out = dict(a)
-    for g, el in b.items():
-        acc = out.get(g, NovikovElement.zero()) + el
-        if acc.is_zero():
-            out.pop(g, None)
-        else:
-            out[g] = acc
-    return out
+    return lincomb(((None, a), (None, b)))
 
 
 def vec_neg(a: Vector) -> Vector:
     return {g: -el for g, el in a.items()}
 
 def vec_sub(a: Vector, b: Vector) -> Vector:
-    return vec_add(a, vec_neg(b))
+    return lincomb(((None, a), (-1, b)))
 
 
 def apply_row(row: dict[str, NovikovElement], vec: Vector) -> NovikovElement:
-    """A one-sided map into the coefficients (d1, delta1), stored by source."""
+    """A one-sided map into the coefficients (d1, delta1), stored by source.
+
+    A scalar dot product: it sums elements, so it keeps no dict for `lincomb`.
+    """
     out = NovikovElement.zero()
     for g, coeff in vec.items():
         el = row.get(g)
@@ -124,21 +110,12 @@ def apply_row(row: dict[str, NovikovElement], vec: Vector) -> NovikovElement:
 
 def apply_column(col: dict[str, NovikovElement], lam: NovikovElement) -> Vector:
     """A one-sided map out of the coefficients (d2, delta2), stored by target."""
-    out: Vector = {}
-    for g, el in col.items():
-        w = lam * el
-        if not w.is_zero():
-            out[g] = w
-    return out
+    return lincomb(((lam, col),))
 
 
 def weighted_sum(vectors: list[Vector], part: dict[int, NovikovElement]) -> Vector:
     """sum_i part[i] · vectors[i] over the slots i >= 0; a slot past the list is zero."""
-    out: Vector = {}
-    for i, a in part.items():
-        if 0 <= i < len(vectors):
-            out = vec_add(out, apply_column(vectors[i], a))
-    return out
+    return lincomb((a, vectors[i]) for i, a in part.items() if 0 <= i < len(vectors))
 
 
 def kept_orbit(kept: dict, key, depth: int, seed, step, read) -> list:
@@ -254,13 +231,6 @@ class HomogeneousVector:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coefficients.values())
-
-    def to_element(self, datum: FloerDatum) -> Vector:
-        out: Vector = {}
-        for g, s in self.coefficients.items():
-            if s != 0:
-                out[g] = NovikovElement.term(s, self.weight_shift + datum.lift(g))
-        return out
 
 
 class Report:
@@ -399,24 +369,6 @@ def require_valid(datum: FloerDatum) -> ValidDatum:
     valid = object.__new__(ValidDatum)
     valid.__dict__.update(vars(datum))
     return valid
-
-
-def project_homogeneous(datum: FloerDatum, element: Vector,
-                        weight_shift: Fraction, residue: int) -> HomogeneousVector:
-    """Projection onto homogeneous vectors of the given weight.
-
-    For a generator g of the matching grading residue, only the
-    coefficient of l^(weight_shift + r_g) survives.
-    """
-    weight_shift = Fraction(weight_shift)
-    coeffs: dict[str, Fraction] = {}
-    for g, el in element.items():
-        if datum.grading(g) % 8 != residue % 8:
-            continue
-        c = el.coefficient(weight_shift + datum.lift(g))
-        if c != 0:
-            coeffs[g] = c
-    return HomogeneousVector(coeffs, residue % 8, weight_shift)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,11 @@ rationals throughout; floating point never enters.  Only parsed input
 goes through the canonicalising constructor: sums, products, negation,
 scaling and shifts build their sorted term tuples directly.
 
+`lincomb` is the package's one accumulation kernel, sum c·v over sparse
+dicts v with zero entries dropped: it collects the terms of parsed input
+and of a general product, and sums every chain vector, x-part and
+echelon row.
+
 The module also writes an element as a dense polynomial over Q in
 mu = l^(1/scale), once exponent denominators are cleared and exponents
 shifted to be non-negative.  The rank of a matrix of such polynomials
@@ -47,6 +52,28 @@ def parse_rat(text: str) -> Fraction:
     return value
 
 
+def lincomb(terms: Iterable[tuple]) -> dict:
+    """sum c·v over (c, v) pairs of a coefficient and a sparse dict; c None is 1.
+
+    Zero entries are dropped, zeros already in an input included.  When an
+    entry cancels its key is removed, so a later term that brings the key
+    back puts it at the end; otherwise keys keep the order they first
+    appear in.  Verifiers print residuals in this order.
+    """
+    out: dict = {}
+    for c, vec in terms:
+        for k, v in vec.items():
+            if c is not None:
+                v = c * v
+            if k in out:
+                v = out[k] + v
+            if v:
+                out[k] = v
+            else:
+                out.pop(k, None)
+    return out
+
+
 def format_rat(value: Fraction) -> str:
     """Render a rational in the canonical "p/q" (or "p") form."""
     return str(value)
@@ -74,21 +101,15 @@ class NovikovElement:
     canonicalising again: negation, scalar multiplication, shift and a
     monomial times an element map term by term (over a field a product of
     nonzero coefficients is nonzero), addition merges two sorted tuples, a
-    general product collects its terms by exponent and sorts them once, and
-    `term` builds its one-term tuple directly.
+    general product collects its terms by exponent (`lincomb`) and sorts
+    them once, and `term` builds its one-term tuple directly.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Iterable[tuple[Fraction, Fraction]] = ()):
-        acc: dict[Fraction, Fraction] = {}
-        for coeff, exp in terms:
-            coeff = Fraction(coeff)
-            exp = Fraction(exp)
-            acc[exp] = acc.get(exp, Fraction(0)) + coeff
-        self._terms = tuple(
-            (acc[e], e) for e in sorted(acc) if acc[e] != 0
-        )
+        acc = lincomb((None, {Fraction(e): Fraction(c)}) for c, e in terms)
+        self._terms = tuple((acc[e], e) for e in sorted(acc))
 
     @classmethod
     def _of(cls, terms: tuple) -> "NovikovElement":
@@ -138,6 +159,7 @@ class NovikovElement:
             return self
         if not a:
             return other
+        # A merge of two sorted tuples, not `lincomb`: it needs no dict and no sort.
         out = []
         i = j = 0
         while i < len(a) and j < len(b):
@@ -178,12 +200,8 @@ class NovikovElement:
             if len(a) == 1:
                 (c1, e1), = a
                 return NovikovElement._of(tuple((c1 * c2, e1 + e2) for c2, e2 in b))
-            acc: dict[Fraction, Fraction] = {}
-            for c1, e1 in a:
-                for c2, e2 in b:
-                    e = e1 + e2
-                    acc[e] = acc.get(e, _ZERO) + c1 * c2
-            return NovikovElement._of(tuple((acc[e], e) for e in sorted(acc) if acc[e]))
+            acc = lincomb((c1, {e1 + e2: c2 for c2, e2 in b}) for c1, e1 in a)
+            return NovikovElement._of(tuple((acc[e], e) for e in sorted(acc)))
         if isinstance(other, (int, Fraction)):
             if not other:
                 return _ZERO_ELEMENT
@@ -234,7 +252,9 @@ def mdeg_tuple(elements: Iterable[NovikovElement]) -> ExtRat:
 
 
 # ---------------------------------------------------------------------------
-# Dense polynomials over Q in mu = l^(1/scale).
+# Dense polynomials over Q in mu = l^(1/scale).  Their dense coefficient
+# loops stay as they are, outside `lincomb`: the benchmark traces this layer
+# by name.
 # ---------------------------------------------------------------------------
 
 QPoly = tuple  # coefficient tuple, index = degree, no trailing zeros

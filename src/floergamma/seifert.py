@@ -82,11 +82,6 @@ def seifert_invariants(a) -> SeifertInvariants:
     return SeifertInvariants(a, prod, tuple(betas), b_tuple, b, r)
 
 
-def r_invariant(a) -> int:
-    """R by the exact closed form 2b - 3."""
-    return seifert_invariants(a).r
-
-
 # The cotangent audit refuses a tuple whose double sum has more than this
 # many terms, sum(a_i - 1): about one second of work on a 2-core x86-64 VM
 # with CPython 3.11.

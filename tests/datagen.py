@@ -11,15 +11,20 @@ Two transforms leave Gamma and h unchanged and make d nonzero: a
 filtered unipotent change of basis inside one grading and a direct sum
 with an acyclic pair.  Neither makes a value depend on d, so the
 d-essential block, whose Gamma(1) is fixed by its d rows, tests them.
+
+The module also keeps the readers that only tests need: homogeneous
+projection and its inverse, and the x-degree of a bar element.
 """
 
 from fractions import Fraction
 from random import Random
 
 from floergamma.cobordism import CobordismDatum
+from floergamma.equivariant import XElement
 from floergamma.floer_datum import (
     FloerDatum,
     Generator,
+    HomogeneousVector,
     LambdaMatrix,
     validate,
     vec_add,
@@ -289,3 +294,34 @@ def random_trivial_cobordism(rng: Random, datum: FloerDatum) -> CobordismDatum:
               for g in names if datum.grading(g) == 4 and rng.random() < 0.5}
     return CobordismDatum(datum, datum, phi, mu, delta1, delta2,
                           rng.randint(1, 4))
+
+
+def project_homogeneous(datum: FloerDatum, element: dict,
+                        weight_shift: Fraction, residue: int) -> HomogeneousVector:
+    """Projection onto homogeneous vectors of the given weight.
+
+    For a generator g of the matching grading residue, only the
+    coefficient of l^(weight_shift + r_g) survives.
+    """
+    weight_shift = Fraction(weight_shift)
+    coeffs: dict[str, Fraction] = {}
+    for g, el in element.items():
+        if datum.grading(g) % 8 != residue % 8:
+            continue
+        c = el.coefficient(weight_shift + datum.lift(g))
+        if c != 0:
+            coeffs[g] = c
+    return HomogeneousVector(coeffs, residue % 8, weight_shift)
+
+
+def to_element(hv: HomogeneousVector, datum: FloerDatum) -> dict:
+    """The chain vector sum_g s_g l^(shift + r_g) g that hv stands for."""
+    return {g: NovikovElement.term(s, hv.weight_shift + datum.lift(g))
+            for g, s in hv.coefficients.items() if s}
+
+
+def deg_bar(z: XElement) -> int:
+    """Largest x-power with a nonzero coefficient; errors on zero."""
+    if z.is_zero():
+        raise ValueError("Deg of the zero element is undefined")
+    return max(z.x)

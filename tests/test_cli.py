@@ -8,12 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from floergamma import cobordism, equivariant, floer_datum, lattice, seifert
+from floergamma import cli, cobordism, equivariant, floer_datum, lattice, seifert
 from floergamma.cli import main
 from floergamma.cobordism import cobordism_to_json, identity_cobordism
 from floergamma.equivariant import XElement
 from floergamma.floer_datum import (
     InputError,
+    Report,
     ValidDatum,
     apply_row,
     load_datum,
@@ -401,6 +402,135 @@ def test_json_flag_matches_text(capsys):
     assert json.loads(out) == {"h": -1}
     code, out, _ = run(capsys, "bounds", "neg_sigma_2_3_5", "--json")
     assert json.loads(out) == {"tau_lb": "71/120", "tau_prime_lb": "2/5"}
+
+
+CIRCLE = {"name": "circle", "boundary": [],
+          "generators": [{"name": "m", "index": 0, "value": "0"},
+                         {"name": "M", "index": 1, "value": "1"}]}
+COMPARE_ROWS = [{"k": k, "ok": True, "source": v, "target": v}
+                for k, v in ((-1, "0"), (0, "0"), (1, "inf"), (2, "inf"))]
+JSON_CASES = [
+    (["validate", "sigma_2_3_5"], {"failures": [], "ok": True}),
+    (["triangle", "sigma_2_3_5", "--window", "6,4"], {"failures": [], "ok": True}),
+    (["cobordism", "verify", "delta1_sigma_2_3_5_to_s3", "--window", "6,4"],
+     {"functoriality_failures": [], "mdeg_decay": "0", "ok": True, "tilde_failures": []}),
+    (["cobordism", "compose", "delta1_sigma_2_3_5_to_s3", "{tmp}/s3_id.json",
+      "-o", "{tmp}/composed.json"], {"c": 1, "written": "{tmp}/composed.json"}),
+    (["cobordism", "gamma-compare", "delta1_sigma_2_3_5_to_s3", "--range", "-1..2"],
+     {"eta_lower_bound": None, "nonincreasing": True, "rows": COMPARE_ROWS}),
+    (["seifert", "r", "2", "3", "5"], {"R": 1, "b": 2, "b_tuple": [-1, 1, 1], "beta": [1, 2, 4]}),
+    (["seifert", "gamma", "2,3,11", "2,3,5"],
+     {"dominant": [2, 3, 11], "h_lower": 0, "range_max": 1, "value": "1/264"}),
+    (["seifert", "whitehead", "2", "3"],
+     {"candidates": ["1/552", "1/276", "1/264"], "lower": "1/552", "upper": "1/264"}),
+    (["seifert", "sweep", "--max-product", "150"], {"checked": 19, "mismatches": []}),
+    (["lattice", "{tmp}/d22.json", "--e", "1,1"],
+     {"bound": "1/2", "class_bound": {"bound": "1", "n0": 2, "signed_sum": 2}, "m": 2,
+      "minimal_vectors": 4, "q_e": -4, "range_max": 1}),
+    (["morse", "eval", "{tmp}/circle.json", "--class", "M:1"], {"f": "1"}),
+]
+
+
+def _leaves(value) -> set[str]:
+    """Every scalar of a JSON value as text, and the length of every array."""
+    if isinstance(value, dict):
+        return set().union(*map(_leaves, value.values()))
+    if isinstance(value, list):
+        return {str(len(value))}.union(*map(_leaves, value))
+    return {str(value)}
+
+
+@pytest.mark.parametrize("argv, expected", JSON_CASES,
+                         ids=[" ".join(argv[:2 if argv[0] in ("cobordism", "seifert", "morse")
+                                             else 1]) for argv, _ in JSON_CASES])
+def test_json_of_every_other_subcommand_carries_its_text_values(capsys, tmp_path, argv,
+                                                                expected):
+    (tmp_path / "s3_id.json").write_text(json.dumps(
+        cobordism_to_json(identity_cobordism(load_datum("s3")))))
+    (tmp_path / "d22.json").write_text(json.dumps({"gram": [[-2, 0], [0, -2]]}))
+    (tmp_path / "circle.json").write_text(json.dumps(CIRCLE))
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    code, text, _ = run(capsys, *argv)
+    assert code == 0
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == 0 and err == "" and out.endswith("\n") and out.count("\n") == 1
+    payload = json.loads(out)
+    assert payload == json.loads(json.dumps(expected).replace("{tmp}", str(tmp_path)))
+    # each number a text line prints after " = " is a value of the object
+    leaves = _leaves(payload)
+    for line in text.splitlines():
+        _, eq, rhs = line.partition(" = ")
+        for token in rhs.replace(",", " ").split() if eq else ():
+            if token[0].isdigit() or token[0] == "-" or token == "inf":
+                assert token in leaves, (line, token)
+
+
+def test_gamma_compare_refuses_a_cobordism_that_is_not_a_chain_map(capsys, tmp_path,
+                                                                   monkeypatch):
+    cob = tmp_path / "reversed.json"
+    cob.write_text(json.dumps({"source": "sigma_2_3_5", "target": "neg_sigma_2_3_5", "c": 1}))
+    code, out, _ = run(capsys, "cobordism", "verify", str(cob), "--window", "6,4")
+    assert code == 1 and out.startswith("tilde: identity (2) ")
+    monkeypatch.setattr(cli, "gamma_comparison", lambda *a: pytest.fail("compared"))
+    code, out, err = run(capsys, "cobordism", "gamma-compare", str(cob), "--range", "-2..2")
+    assert code == 2 and out == ""
+    assert err == ("error: cobordism is not a chain map: identity (2) d1'∘phi = "
+                   "delta1∘d + c·d1 fails at alpha: -1*l^(1/120)\n")
+
+
+def _refuse_work(monkeypatch, *names):
+    for name in names:
+        monkeypatch.setattr(cli, name, lambda *a, name=name: pytest.fail(f"{name} ran"))
+
+
+def test_window_cap_boundary(capsys, tmp_path, monkeypatch):
+    cap = cli.WINDOW_CAP
+    windows = []
+    monkeypatch.setattr(cli, "verify_triangle", lambda d, w: windows.append(w) or Report())
+    monkeypatch.setattr(cli, "functoriality_report", lambda c, w: windows.append(w) or Report())
+    monkeypatch.setattr(cli, "mdeg_decay", lambda c, w: 0)
+    for argv in (["triangle", "sigma_2_3_5"],
+                 ["cobordism", "verify", "delta1_sigma_2_3_5_to_s3"]):
+        for window in (f"{cap - 1},1", f"2,{cap - 2}"):
+            assert run(capsys, *argv, "--window", window)[0] == 0
+        assert [(w.T, w.N) for w in windows] == [(cap - 1, 1), (2, cap - 2)]
+        windows.clear()
+    _refuse_work(monkeypatch, "verify_triangle", "verify_tilde_chain_map",
+                 "functoriality_report", "mdeg_decay")
+    for argv in (["triangle", "sigma_2_3_5"],
+                 ["cobordism", "verify", "delta1_sigma_2_3_5_to_s3"]):
+        for window in (f"{cap},1", f"2,{cap - 1}", f"{10 * cap},{10 * cap}"):
+            code, out, err = run(capsys, *argv, "--window", window)
+            assert code == 2 and out == ""
+            assert err == f"error: window '{window}' has T + N above the cap {cap}\n"
+
+
+def test_range_cap_boundary(capsys, tmp_path, monkeypatch):
+    cap = cli.RANGE_CAP
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"source": "s3", "target": "s3", "c": 1}))
+    growing = tmp_path / "growing.json"
+    growing.write_text(json.dumps({"source": "s3", "target": "sigma_2_3_5", "c": 1}))
+    # (command, input) and the widest range admitted: the width times the
+    # generators of the larger datum, at least one, stays within the cap
+    cases = [(["gamma", "neg_sigma_2_3_5"], cap // 2), (["gamma", "s3"], cap),
+             (["cobordism", "gamma-compare", "delta1_sigma_2_3_5_to_s3"], cap // 2),
+             (["cobordism", "gamma-compare", str(empty)], cap),
+             (["cobordism", "gamma-compare", str(growing)], cap // 2)]
+    seen = []
+    monkeypatch.setattr(cli, "gamma_profile", lambda d, lo, hi: seen.append((lo, hi)) or [])
+    monkeypatch.setattr(cli, "gamma_comparison", lambda c, lo, hi: seen.append((lo, hi)) or {
+        "rows": [], "nonincreasing": True, "eta_lower_bound": None})
+    for argv, width in cases[:-1]:
+        assert run(capsys, *argv, "--range", f"{1 - width}..0")[0] == 0
+        assert seen.pop() == (1 - width, 0)
+    _refuse_work(monkeypatch, "gamma_profile", "gamma_comparison", "verify_tilde_chain_map")
+    for argv, width in cases:
+        code, out, err = run(capsys, *argv, "--range", f"{-width}..0")
+        assert code == 2 and out == "", argv
+        units = (width + 1) * (2 if width < cap else 1)
+        assert err == (f"error: range '{-width}..0' is {units} units of work (width "
+                       f"times generators), above the cap {cap}\n"), argv
 
 
 def test_determinism(capsys):

@@ -31,7 +31,6 @@ from floergamma.equivariant import (
     Window,
     XElement,
     check_d,
-    deg_bar,
     hat_d,
     htpy_h,
     htpy_k,
@@ -58,6 +57,7 @@ from datagen import (
     apply_u_power,
     count_u_applications,
     cyclic_u_datum,
+    deg_bar,
     random_datum,
     random_trivial_cobordism,
     transformed_datum,

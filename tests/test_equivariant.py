@@ -11,7 +11,6 @@ from floergamma.equivariant import (
     XElement,
     check_basis,
     check_d,
-    deg_bar,
     hat_basis,
     hat_d,
     htpy_k,
@@ -30,7 +29,7 @@ from floergamma.equivariant import (
 from floergamma.floer_datum import FloerDatum, Generator, LambdaMatrix, load_datum, validate
 from floergamma.novikov import INF, NovikovElement
 
-from datagen import cyclic_u_datum, random_datum
+from datagen import cyclic_u_datum, deg_bar, random_datum
 
 WINDOW = Window(6, 4)
 

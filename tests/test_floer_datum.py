@@ -14,7 +14,6 @@ from floergamma.floer_datum import (
     datum_from_json,
     datum_to_json,
     load_datum,
-    project_homogeneous,
     validate,
     validate_homogeneity,
     validate_structure,
@@ -22,7 +21,14 @@ from floergamma.floer_datum import (
 )
 from floergamma.novikov import NovikovElement
 
-from datagen import cyclic_u_datum, evaluate_at_one, random_datum, transformed_datum
+from datagen import (
+    cyclic_u_datum,
+    evaluate_at_one,
+    project_homogeneous,
+    random_datum,
+    to_element,
+    transformed_datum,
+)
 
 
 def nov(c, e):
@@ -103,7 +109,7 @@ def test_projection_examples(sigma):
 
 def test_projection_round_trip(sigma):
     hv = project_homogeneous(sigma, {"beta": nov(5, "-49/120")}, Fraction(0), 5)
-    assert hv.to_element(sigma) == {"beta": nov(5, "-49/120")}
+    assert to_element(hv, sigma) == {"beta": nov(5, "-49/120")}
 
 
 def test_projection_commutes_with_maps():
@@ -118,17 +124,17 @@ def test_projection_commutes_with_maps():
                     nov(rng.randint(-2, 2), datum.lift(g) + 1)
         for res in range(8):
             proj = project_homogeneous(datum, elem, Fraction(0), res)
-            lhs_d = datum.apply_d(proj.to_element(datum))
-            rhs_d = project_homogeneous(
-                datum, datum.apply_d(elem), Fraction(0), res - 1).to_element(datum)
+            lhs_d = datum.apply_d(to_element(proj, datum))
+            rhs_d = to_element(project_homogeneous(
+                datum, datum.apply_d(elem), Fraction(0), res - 1), datum)
             assert lhs_d == rhs_d
-            lhs_u = datum.apply_u(proj.to_element(datum))
-            rhs_u = project_homogeneous(
-                datum, datum.apply_u(elem), Fraction(0), res - 4).to_element(datum)
+            lhs_u = datum.apply_u(to_element(proj, datum))
+            rhs_u = to_element(project_homogeneous(
+                datum, datum.apply_u(elem), Fraction(0), res - 4), datum)
             assert lhs_u == rhs_u
         # d1 against the scalar projection onto the l^0 coefficient
         proj1 = project_homogeneous(datum, elem, Fraction(0), 1)
-        lhs = datum.apply_d1(proj1.to_element(datum))
+        lhs = datum.apply_d1(to_element(proj1, datum))
         rhs = datum.apply_d1(elem).coefficient(0)
         assert lhs.coefficient(0) == rhs
 
@@ -144,12 +150,12 @@ def test_images_stay_homogeneous():
                 datum,
                 {g: nov(c, datum.lift(g)) for g, c in coeffs.items() if c},
                 Fraction(0), res)
-            img = datum.apply_d(hv.to_element(datum))
+            img = datum.apply_d(to_element(hv, datum))
             back = project_homogeneous(datum, img, Fraction(0), res - 1)
-            assert back.to_element(datum) == img
-            img_u = datum.apply_u(hv.to_element(datum))
+            assert to_element(back, datum) == img
+            img_u = datum.apply_u(to_element(hv, datum))
             back_u = project_homogeneous(datum, img_u, Fraction(0), res - 4)
-            assert back_u.to_element(datum) == img_u
+            assert to_element(back_u, datum) == img_u
 
 
 def test_evaluation_at_one_preserves_identities():

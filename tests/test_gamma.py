@@ -42,6 +42,7 @@ from datagen import (
     filtered_basis_change,
     random_datum,
     random_small_datum,
+    to_element,
     transformed_datum,
     with_acyclic_pair,
 )
@@ -168,7 +169,7 @@ def test_witness_soundness(sigma, neg_sigma, remark):
                 continue
             if witness is None:
                 continue
-            alpha = witness.alpha.to_element(datum)
+            alpha = to_element(witness.alpha, datum)
             if k >= 1:
                 assert not datum.apply_d(alpha)
                 vec = alpha

@@ -10,6 +10,7 @@ from floergamma.novikov import (
     NovikovElement,
     common_scale,
     format_extrat,
+    lincomb,
     mdeg_tuple,
     parse_rat,
     to_rational_function,
@@ -191,3 +192,48 @@ def test_rational_function_round_trip(a):
     at = {int(e * scale): c for c, e in shifted.items()}
     assert len(poly) == (max(at) + 1 if at else 0)
     assert all(c == at.get(i, 0) for i, c in enumerate(poly))
+
+
+# -- lincomb, the accumulation kernel ------------------------------------------
+
+def reference_lincomb(terms) -> list:
+    """sum c·v term by term, as (key, value) pairs.
+
+    A key's value is its total over all terms; a key stands where its running
+    sum last turned nonzero, so a key that cancels and comes back moves back.
+    """
+    total, since = {}, {}
+    products = ((k, v if c is None else c * v) for c, vec in terms for k, v in vec.items())
+    for n, (k, v) in enumerate(products):
+        before = total.get(k)
+        total[k] = v if before is None else before + v
+        if total[k] and not before:
+            since[k] = n
+    return sorted(((k, v) for k, v in total.items() if v), key=lambda kv: since[kv[0]])
+
+
+small_rationals = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 2))
+small_monomials = st.tuples(small_rationals, st.sampled_from([0, Fraction(1, 2)])).map(
+    lambda t: NovikovElement([t]))
+fraction_terms = st.tuples(st.none() | small_rationals,
+                           st.dictionaries(st.integers(0, 4), small_rationals, max_size=4))
+novikov_terms = st.tuples(
+    st.none() | small_monomials | elements,
+    st.dictionaries(st.sampled_from("abc"), small_monomials | factors, max_size=3))
+
+
+@given(st.lists(fraction_terms, max_size=6) | st.lists(novikov_terms, max_size=6))
+def test_lincomb_matches_a_term_by_term_sum(terms):
+    out = lincomb(terms)
+    assert list(out.items()) == reference_lincomb(terms)
+    assert all(out.values())
+
+
+def test_lincomb_moves_a_key_that_cancels_and_comes_back_to_the_end():
+    a, b = Fraction(1), Fraction(2)
+    out = lincomb([(None, {"x": a, "y": b}), (-1, {"x": a}), (Fraction(3), {"x": a})])
+    assert list(out.items()) == [("y", b), ("x", Fraction(3))]
+    out = lincomb([(None, {"x": a, "y": b}), (None, {"x": a})])
+    assert list(out.items()) == [("x", Fraction(2)), ("y", b)]
+    assert lincomb([(None, {"z": Fraction(0)}), (Fraction(0), {"w": a})]) == {}
+    assert lincomb([]) == {}

@@ -12,7 +12,6 @@ from floergamma.seifert import (
     cotangent_error_bound,
     furuta_independence,
     gamma_prediction,
-    r_invariant,
     r_invariant_cotangent,
     seifert_invariants,
     sweep,
@@ -48,28 +47,28 @@ def test_input_validation():
 
 
 def test_order_insensitivity():
-    assert r_invariant((5, 2, 3)) == r_invariant((2, 3, 5)) == 1
+    assert seifert_invariants((5, 2, 3)).r == seifert_invariants((2, 3, 5)).r == 1
 
 
 def test_cotangent_matches_closed_form():
     for t in ((2, 3, 5), (2, 3, 7), (2, 3, 5, 7), (3, 5, 7), (2, 5, 9)):
-        assert r_invariant_cotangent(t) == r_invariant(t), t
+        assert r_invariant_cotangent(t) == seifert_invariants(t).r, t
 
 
 def test_pqk_families():
     for p, q, k in ((2, 3, 1), (2, 3, 2), (2, 5, 1), (3, 4, 1)):
-        assert r_invariant((p, q, p * q * k - 1)) == 1
-        assert r_invariant((p, q, p * q * k + 1)) == -1
+        assert seifert_invariants((p, q, p * q * k - 1)).r == 1
+        assert seifert_invariants((p, q, p * q * k + 1)).r == -1
 
 
 def test_large_r_family_values():
     # length-5 instance of the iterated construction: both formulas agree
     # and the value is an odd integer (the family note R = n stays unasserted)
     t = (2, 3, 5, 29, 869)
-    closed = r_invariant(t)
+    closed = seifert_invariants(t).r
     assert closed == r_invariant_cotangent(t)
     assert closed % 2 == 1 and closed >= -1
-    assert r_invariant((2, 3, 5)) == 1  # length-3 instance, R = 1
+    assert seifert_invariants((2, 3, 5)).r == 1  # length-3 instance, R = 1
 
 
 def test_gamma_prediction_examples():
@@ -136,7 +135,7 @@ def test_float_audit_oracle():
     tuples = coprime_tuples(2000)
     assert len(tuples) == 1194
     for t in (*tuples, *AUDIT_EXTRA):
-        exact = r_invariant(t)
+        exact = seifert_invariants(t).r
         bound = cotangent_error_bound(t)
         assert bound < 0.25, t
         assert r_invariant_cotangent(t) == exact, t
@@ -152,7 +151,7 @@ def test_float_audit_refuses_a_bound_of_one_quarter(monkeypatch):
 
 def test_term_cap_boundary(monkeypatch):
     monkeypatch.setattr(seifert, "TERM_CAP", 27)
-    assert r_invariant_cotangent((2, 3, 25)) == r_invariant((2, 3, 25))  # 27 terms
+    assert r_invariant_cotangent((2, 3, 25)) == seifert_invariants((2, 3, 25)).r  # 27 terms
 
     def no_sum(a):
         raise AssertionError("the sum was computed")
