@@ -91,8 +91,9 @@ def vec_add(a: Vector, b: Vector) -> Vector:
 def vec_neg(a: Vector) -> Vector:
     return {g: -el for g, el in a.items()}
 
+
 def vec_sub(a: Vector, b: Vector) -> Vector:
-    return lincomb(((None, a), (-1, b)))
+    return lincomb(((None, a), (None, vec_neg(b))))
 
 
 def apply_row(row: dict[str, NovikovElement], vec: Vector) -> NovikovElement:
@@ -228,9 +229,6 @@ class HomogeneousVector:
     coefficients: dict[str, Fraction]
     residue: int
     weight_shift: Fraction
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coefficients.values())
 
 
 class Report:

@@ -3,10 +3,18 @@ equal-norm congruent classes, and the resulting upper bounds.
 
 Each lattice is factored exactly once: its constructor puts the form -Q
 in exact rational Cholesky (LDL^T) form, and reads definiteness off the
-pivots of that factor (Sylvester's criterion, see _cholesky).  Every walk
-reads the kept factor: a branch-and-bound walk visits every integer
-vector within a norm bound, so vector lists are complete by construction
-rather than sampled.
+pivots of that factor (Sylvester's criterion, see _cholesky).  It then
+clears the factor's denominators (_cleared) and keeps only that integer
+form: with den_i the lcm of the denominators of row i above the diagonal,
+num_ij = den_i q[i][j] and S the lcm of the denominators of every
+q[i][i] / den_i^2,
+
+    S |Q(v)| = sum_i W_i (den_i v_i + sum_{j>i} num_ij v_j)^2,
+    W_i = S q[i][i] / den_i^2,
+
+all integers.  Every walk reads the kept form: a branch-and-bound walk
+visits every integer vector within a norm bound in integer arithmetic, so
+vector lists are complete by construction rather than sampled.
 """
 
 from __future__ import annotations
@@ -26,8 +34,8 @@ RANK_CAP = 12
 # A walk that visits more nodes than this (partial vectors, the root and
 # the complete vectors included) is refused, whatever the rank and bound:
 # the count grows like bound^(n/2).  On a 2-core x86-64 VM with CPython
-# 3.11.7, E8 at bound 8 visits 48,615 nodes in 1.4-2.0 s, and -I_12 at
-# bound 5 visits 84,981 in 3.7-4.6 s (the spread of nine runs each).
+# 3.11.7, E8 at bound 8 visits 48,615 nodes in 0.07-0.14 s, and -I_12 at
+# bound 5 visits 84,981 in 0.14-0.29 s (the spread of 18 runs each).
 WALK_CAP = 50_000
 
 
@@ -57,9 +65,10 @@ class LatticeData:
         # (bound, representatives) of the widest walk so far; see
         # enumerate_up_to_norm.  Safe to keep since gram is immutable.
         self._widest: tuple[int, list] | None = None
-        self._factor = _cholesky([[-x for x in row] for row in g])
-        if self._factor is None:
+        factor = _cholesky([[-x for x in row] for row in g])
+        if factor is None:
             raise LatticeInputError("Gram matrix is not negative definite")
+        self._form = _cleared(factor)
 
     def q(self, v) -> int:
         """Q(v) = v^T gram v (a non-positive integer)."""
@@ -101,9 +110,18 @@ def _cholesky(p):
     return q
 
 
-def _floor_sqrt(fr: Fraction) -> int:
-    """Largest integer s with s^2 <= fr (fr >= 0); s^2 <= fr iff s^2 <= floor(fr)."""
-    return math.isqrt(fr.numerator // fr.denominator)
+def _cleared(q):
+    """The integer form (rows, dens, weights, S) of the factor q; see the module.
+
+    rows[i] lists (j, num_ij) for the j > i with num_ij != 0.
+    """
+    n = len(q)
+    dens = [math.lcm(*(q[i][j].denominator for j in range(i + 1, n))) for i in range(n)]
+    rows = [tuple((j, int(q[i][j] * dens[i])) for j in range(i + 1, n) if q[i][j])
+            for i in range(n)]
+    diag = [q[i][i] / (dens[i] * dens[i]) for i in range(n)]
+    scale = math.lcm(*(d.denominator for d in diag))
+    return rows, dens, [int(d * scale) for d in diag], scale
 
 
 def enumerate_up_to_norm(L: LatticeData, bound: int):
@@ -125,35 +143,41 @@ def enumerate_up_to_norm(L: LatticeData, bound: int):
 
 
 def _walk(L: LatticeData, bound: int):
-    """The Fincke-Pohst walk behind enumerate_up_to_norm, on the kept factor."""
-    n = L.rank
-    q = L._factor
+    """The Fincke-Pohst walk behind enumerate_up_to_norm, on the kept integer form.
+
+    It carries the integer remainder R = S (bound - |Q|) of the levels set
+    so far.  At level i, with c = sum_{j>i} num_ij v_j, the admissible v_i
+    are the t with W_i (den_i t + c)^2 <= R, that is |den_i t + c| <= s for
+    s = isqrt(R // W_i) (x^2 <= R / W_i iff x^2 <= floor(R / W_i) for an
+    integer x), so exactly ceil((-s - c) / den_i) <= t <= floor((s - c) / den_i).
+    At a leaf |Q(v)| = (bound S - R) / S, and v = 0 exactly when R = bound S.
+    """
+    rows, dens, weights, scale = L._form
+    top = bound * scale
     found: list[tuple[tuple[int, ...], int]] = []
-    v = [0] * n
+    v = [0] * L.rank
     nodes = 0
 
-    def walk(i: int, remaining: Fraction):
+    def walk(i: int, rem: int):
         nonlocal nodes
         nodes += 1
         if nodes > WALK_CAP:
             raise LatticeInputError(
                 f"the walk to norm {bound} visits more than {WALK_CAP} nodes, the cap")
         if i < 0:
-            if any(v):
-                norm = -L.q(v)
-                found.append((tuple(v), -norm))
+            if rem < top:
+                found.append((tuple(v), (rem - top) // scale))
             return
-        center = -sum(q[i][j] * v[j] for j in range(i + 1, n))
-        s = _floor_sqrt(remaining / q[i][i])
-        # safe outer range, each candidate tested exactly
-        for t in range(math.floor(center) - s - 1, math.ceil(center) + s + 2):
-            used = q[i][i] * (Fraction(t) - center) ** 2
-            if used <= remaining:
-                v[i] = t
-                walk(i - 1, remaining - used)
+        c = sum(num * v[j] for j, num in rows[i])
+        den, w = dens[i], weights[i]
+        s = math.isqrt(rem // w)
+        for t in range(-((s + c) // den), (s - c) // den + 1):
+            v[i] = t
+            x = den * t + c
+            walk(i - 1, rem - w * x * x)
         v[i] = 0
 
-    walk(n - 1, Fraction(bound))
+    walk(L.rank - 1, top)
     # one representative per pair: first nonzero coordinate positive
     reps = []
     for vec, norm in found:

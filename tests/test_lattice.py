@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 import pytest
@@ -138,25 +139,6 @@ def test_constructor_refuses_exactly_as_the_leading_minors():
     assert verdicts == {True, False}
 
 
-def test_floor_sqrt_against_brute_force():
-    from floergamma.lattice import _floor_sqrt
-
-    def brute(fr):
-        return max(s for s in range(0, math.isqrt(math.ceil(fr)) + 2) if s * s <= fr)
-
-    for s in range(0, 60):
-        square = s * s
-        for fr in (Fraction(square), Fraction(square) - Fraction(1, 7),
-                   Fraction(square * 1000 - 1, 1000), Fraction(square) + Fraction(1, 3)):
-            if fr >= 0:
-                assert _floor_sqrt(fr) == brute(fr), fr
-    for s in (10**6, 10**20 + 7):
-        assert _floor_sqrt(Fraction(s * s)) == s
-        assert _floor_sqrt(Fraction(s * s * 97 - 1, 97)) == s - 1
-    with pytest.raises(ValueError):
-        _floor_sqrt(Fraction(-1, 2))
-
-
 def test_one_factor_per_lattice(monkeypatch):
     # the constructor factors once; walks at two rising bounds and both
     # signed sums read that factor
@@ -240,24 +222,30 @@ def random_neg_def(rng: Random, n: int) -> LatticeData:
 
 
 def test_box_oracle_agreement():
-    # independent exhaustive box enumeration bounded via the exact inverse
+    # the walk equals an independent exhaustive enumeration, order and norms
+    # included: for P = -G, |v_i| <= sqrt(bound (P^-1)_ii) bounds the box,
+    # and the documented order is lexicographic in (v[n-1], ..., v[0])
     rng = Random(79)
-    for _ in range(15):
-        n = rng.randint(1, 3)
+    on_bound = cleared = 0
+    for _ in range(40):
+        n = rng.randint(1, 5)
         L = random_neg_def(rng, n)
-        bound = minimal_norm(L) + rng.randint(0, 3)
         inv = _fraction_inverse([[Fraction(-x) for x in row] for row in L.gram])
-        radius = max(abs(v) for row in inv for v in row) * n * bound
-        box = _isqrt_ceil(radius)
-        expected = set()
-        from itertools import product
-        for vec in product(range(-box, box + 1), repeat=n):
-            if any(vec) and -L.q(list(vec)) <= bound:
-                lead = next(x for x in vec if x != 0)
-                if lead > 0:
-                    expected.add(vec)
-        got = {v for v, _ in enumerate_up_to_norm(L, bound)}
-        assert got == expected
+        _, dens, _, scale = L._form
+        cleared += scale > 1 or any(d > 1 for d in dens)
+        m = minimal_norm(L)
+        for bound in range(m, m + 5):
+            sides = [range(-r, r + 1) for r in (_isqrt_ceil(bound * inv[i][i]) for i in range(n))]
+            expected = []
+            for vec in product(*sides):
+                q = L.q(vec)
+                if any(vec) and -q <= bound and next(x for x in vec if x) > 0:
+                    expected.append((vec, q))
+            expected.sort(key=lambda pair: tuple(reversed(pair[0])))
+            assert enumerate_up_to_norm(LatticeData(L.gram), bound) == expected
+            on_bound += sum(-q == bound for _, q in expected)
+    # the exact ranges end at |Q(v)| = bound; the cleared form is not trivial
+    assert on_bound > 0 and cleared > 0
 
 
 def _fraction_inverse(m):
@@ -326,6 +314,16 @@ def test_walk_cap_boundary(monkeypatch):
     monkeypatch.setattr(lattice, "WALK_CAP", 12)
     with pytest.raises(LatticeInputError, match="more than 12 nodes"):
         signed_sum_even(diag(-1, -1), (1, 1))
+
+
+def test_e8_walk_node_count(monkeypatch):
+    # E8 at bound 8 visits 48,615 nodes: the root and one per admissible
+    # value at each level, complete vectors included
+    monkeypatch.setattr(lattice, "WALK_CAP", 48_615)
+    assert len(enumerate_up_to_norm(LatticeData(e8_gram()), 8)) == 13_320
+    monkeypatch.setattr(lattice, "WALK_CAP", 48_614)
+    with pytest.raises(LatticeInputError, match="more than 48614 nodes"):
+        enumerate_up_to_norm(LatticeData(e8_gram()), 8)
 
 
 def test_signed_sum_odd_examples():
