@@ -7,11 +7,12 @@ value prints as "inf".  Exit codes: 0 success or verification pass,
 refuse.  Every refusal is an InputError (the lattice, Seifert and Morse
 refusals subclass it), apart from the two inconsistency errors of the
 Gamma layer, and prints one "error:" line: among them a --window or
---range past its cap, and a gamma-compare cobordism that is not a chain
-map.  The verifiers report a datum that fails validate as a failed
-precondition, exit 1.  Input files are read by path, or else as the
-bundled fixture of that name.  Every subcommand accepts --json for a
-machine-readable object carrying the same values.
+--range past its cap, a gamma-compare cobordism that is not a chain map,
+and a Gamma that needs more than gamma.ORBIT_CAP u-steps on a u-orbit
+that has not ended by then.  The verifiers report a datum that fails
+validate as a failed precondition, exit 1.  Input files are read by
+path, or else as the bundled fixture of that name.  Every subcommand
+accepts --json for a machine-readable object carrying the same values.
 """
 
 from __future__ import annotations
@@ -71,12 +72,22 @@ def _jsonable(value):
     return value
 
 
-def _emit(args, lines: list[str], payload: dict) -> None:
+def _text(value) -> str:
+    if isinstance(value, (list, tuple)):
+        return ",".join(map(str, value))
+    return format_extrat(value)
+
+
+def _emit(args, payload: dict, lines: list[str] | None = None) -> None:
+    """Print the payload as JSON, or else the lines; by default "key = value"
+    per payload key."""
     if args.json:
         print(json.dumps(_jsonable(payload), sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
+        return
+    if lines is None:
+        lines = [f"{key} = {_text(value)}" for key, value in payload.items()]
+    for line in lines:
+        print(line)
 
 
 # Caps on the two work axes of the command line, checked before any Gamma
@@ -137,10 +148,9 @@ def _load_gram(path: str) -> LatticeData:
 # -- subcommand handlers -----------------------------------------------------
 
 def _cmd_validate(args) -> int:
-    datum = load_datum(args.datum)
-    rep = validate(datum)
+    rep = validate(load_datum(args.datum))
     lines = [f"validate: {'ok' if rep.ok else 'fail'}"] + rep.failures
-    _emit(args, lines, {"ok": rep.ok, "failures": rep.failures})
+    _emit(args, {"ok": rep.ok, "failures": rep.failures}, lines)
     return 0 if rep.ok else 1
 
 
@@ -152,32 +162,26 @@ def _cmd_gamma(args) -> int:
         values = [(args.k, gamma(datum, args.k))]
     else:
         values = gamma_profile(datum, *_parse_range(args.range, datum))
-    lines = [f"gamma({k}) = {format_extrat(v)}" for k, v in values]
-    _emit(args, lines, {"gamma": {str(k): v for k, v in values}})
+    _emit(args, {"gamma": {str(k): v for k, v in values}},
+          [f"gamma({k}) = {format_extrat(v)}" for k, v in values])
     return 0
 
 
 def _cmd_h(args) -> int:
-    datum = load_datum(args.datum)
-    h = h_invariant(datum)
-    _emit(args, [f"h = {h}"], {"h": h})
+    _emit(args, {"h": h_invariant(load_datum(args.datum))})
     return 0
 
 
 def _cmd_bounds(args) -> int:
     datum = load_datum(args.datum)
-    tau = tau_lower_bound(datum)
-    tau_prime = tau_prime_lower_bound(datum)
-    lines = [f"tau_lb = {tau}", f"tau_prime_lb = {tau_prime}"]
-    _emit(args, lines, {"tau_lb": tau, "tau_prime_lb": tau_prime})
+    _emit(args, {"tau_lb": tau_lower_bound(datum), "tau_prime_lb": tau_prime_lower_bound(datum)})
     return 0
 
 
 def _cmd_triangle(args) -> int:
-    datum = load_datum(args.datum)
-    rep = verify_triangle(datum, _parse_window(args.window))
-    lines = ["triangle: ok"] if rep.ok else [f"triangle: {rep.failures[0]}"]
-    _emit(args, lines, {"ok": rep.ok, "failures": rep.failures})
+    rep = verify_triangle(load_datum(args.datum), _parse_window(args.window))
+    _emit(args, {"ok": rep.ok, "failures": rep.failures},
+          ["triangle: ok"] if rep.ok else [f"triangle: {rep.failures[0]}"])
     return 0 if rep.ok else 1
 
 
@@ -193,25 +197,23 @@ def _cmd_cobordism_verify(args) -> int:
         lines.append(f"functoriality: {'ok' if rep2.ok else rep2.failures[0]}")
     if decay is not None:
         lines.append(f"mdeg_decay = {format_extrat(decay)}")
-    _emit(args, lines, {
+    _emit(args, {
         "ok": ok,
         "tilde_failures": rep1.failures,
         "functoriality_failures": rep2.failures if rep2 else None,
         "mdeg_decay": decay,
-    })
+    }, lines)
     return 0 if ok else 1
 
 
 def _cmd_cobordism_compose(args) -> int:
-    first = load_cobordism(args.first)
-    second = load_cobordism(args.second)
-    composed = compose_tilde(first, second)
+    composed = compose_tilde(load_cobordism(args.first), load_cobordism(args.second))
     obj = cobordism_to_json(composed)
     try:
         Path(args.output).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
     except OSError as exc:
         raise InputError(f"cannot write {args.output}: {exc}") from exc
-    _emit(args, [f"written {args.output}"], {"written": args.output, "c": composed.c})
+    _emit(args, {"written": args.output, "c": composed.c}, [f"written {args.output}"])
     return 0
 
 
@@ -223,16 +225,13 @@ def _cmd_cobordism_compare(args) -> int:
     if not rep.ok:
         raise InputError(f"cobordism is not a chain map: {rep.failures[0]}")
     result = gamma_comparison(cob, lo, hi)
-    lines = []
-    for row in result["rows"]:
-        lines.append(
-            f"compare({row['k']}) = source {format_extrat(row['source'])} "
-            f"target {format_extrat(row['target'])} "
-            f"{'ok' if row['ok'] else 'violated'}")
+    lines = [f"compare({row['k']}) = source {format_extrat(row['source'])} "
+             f"target {format_extrat(row['target'])} {'ok' if row['ok'] else 'violated'}"
+             for row in result["rows"]]
     lines.append(f"nonincreasing = {'yes' if result['nonincreasing'] else 'no'}")
     eta = result["eta_lower_bound"]
     lines.append(f"eta_lb = {format_extrat(eta) if eta is not None else 'n/a'}")
-    _emit(args, lines, result)
+    _emit(args, result, lines)
     return 0
 
 
@@ -243,38 +242,20 @@ def _cmd_seifert_r(args) -> int:
         print(f"cross-formula mismatch: closed {inv.r}, cotangent {cot}",
               file=sys.stderr)
         return 1
-    lines = [
-        f"R = {inv.r}",
-        f"b = {inv.b}",
-        f"beta = {','.join(map(str, inv.beta_tuple))}",
-        f"b_tuple = {','.join(map(str, inv.b_tuple))}",
-    ]
-    _emit(args, lines, {"R": inv.r, "b": inv.b, "beta": list(inv.beta_tuple),
-                        "b_tuple": list(inv.b_tuple)})
+    _emit(args, {"R": inv.r, "b": inv.b, "beta": list(inv.beta_tuple),
+                 "b_tuple": list(inv.b_tuple)})
     return 0
 
 
 def _cmd_seifert_gamma(args) -> int:
     pred = gamma_prediction([_parse_int_vector(t) for t in args.tuples])
-    lines = [
-        f"value = {pred.value}",
-        f"range_max = {pred.range_max}",
-        f"h_lower = {pred.h_lower}",
-        f"dominant = {','.join(map(str, pred.dominant))}",
-    ]
-    _emit(args, lines, {"value": pred.value, "range_max": pred.range_max,
-                        "h_lower": pred.h_lower, "dominant": list(pred.dominant)})
+    _emit(args, {"value": pred.value, "range_max": pred.range_max,
+                 "h_lower": pred.h_lower, "dominant": list(pred.dominant)})
     return 0
 
 
 def _cmd_seifert_whitehead(args) -> int:
-    res = whitehead_double_bounds(args.p, args.q)
-    lines = [
-        f"lower = {res['lower']}",
-        f"upper = {res['upper']}",
-        f"candidates = {','.join(str(c) for c in res['candidates'])}",
-    ]
-    _emit(args, lines, res)
+    _emit(args, whitehead_double_bounds(args.p, args.q))
     return 0
 
 
@@ -284,8 +265,8 @@ def _cmd_seifert_sweep(args) -> int:
              f"mismatches = {len(res['mismatches'])}"]
     for t, exact, got in res["mismatches"]:
         lines.append(f"mismatch {','.join(map(str, t))}: closed {exact}, got {got}")
-    _emit(args, lines, {"checked": res["checked"],
-                        "mismatches": [list(map(str, m)) for m in res["mismatches"]]})
+    _emit(args, {"checked": res["checked"],
+                 "mismatches": [list(map(str, m)) for m in res["mismatches"]]}, lines)
     return 0 if not res["mismatches"] else 1
 
 
@@ -325,16 +306,58 @@ def _cmd_lattice(args) -> int:
             lines.append(f"n0 = {res['n0']}")
             lines.append(f"class_bound = {res['bound']}")
             payload["class_bound"] = res
-    _emit(args, lines, payload)
+    _emit(args, payload, lines)
     return 0
 
 
 def _cmd_morse_eval(args) -> int:
-    complex_ = load_morse(args.complex)
-    chain = parse_class(getattr(args, "class"))
-    value = evaluate_class(complex_, chain)
-    _emit(args, [f"f = {value}"], {"f": value})
+    _emit(args, {"f": evaluate_class(load_morse(args.complex),
+                                     parse_class(getattr(args, "class")))})
     return 0
+
+
+def _arg(*names, **kwargs) -> tuple:
+    return names, kwargs
+
+
+_DATUM = _arg("datum")
+_WINDOW = _arg("--window", required=True, metavar="T,N")
+
+# One entry per parser below the root: (command path, help, handler,
+# arguments).  An entry without a handler is a group whose subcommands
+# follow it; every command also takes --json, after its own arguments.
+COMMANDS = (
+    (("validate",), "validate a datum file", _cmd_validate, [_DATUM]),
+    (("gamma",), "evaluate the invariant", _cmd_gamma,
+     [_DATUM, _arg("--k", type=int), _arg("--range", metavar="A..B")]),
+    (("h",), "the h-invariant", _cmd_h, [_DATUM]),
+    (("bounds",), "arithmetic spectral lower bounds", _cmd_bounds, [_DATUM]),
+    (("triangle",), "verify the equivariant exact triangle", _cmd_triangle,
+     [_DATUM, _WINDOW]),
+    (("cobordism",), "cobordism map operations", None, []),
+    (("cobordism", "verify"), "verify chain-map and functoriality identities",
+     _cmd_cobordism_verify, [_arg("cobordism"), _WINDOW]),
+    (("cobordism", "compose"), "compose two cobordism data", _cmd_cobordism_compose,
+     [_arg("first"), _arg("second"), _arg("-o", "--output", required=True)]),
+    (("cobordism", "gamma-compare"), "compare the invariant across a cobordism",
+     _cmd_cobordism_compare,
+     [_arg("cobordism"), _arg("--range", required=True, metavar="A..B")]),
+    (("seifert",), "Seifert orbit calculators", None, []),
+    (("seifert", "r"), "R-invariant and orbit data", _cmd_seifert_r,
+     [_arg("orbit", type=int, nargs="+", metavar="A")]),
+    (("seifert", "gamma"), "invariant prediction for a connected sum", _cmd_seifert_gamma,
+     [_arg("tuples", nargs="+", metavar="A1,A2,...")]),
+    (("seifert", "whitehead"), "bounds for Whitehead doubles of torus knots",
+     _cmd_seifert_whitehead, [_arg("p", type=int), _arg("q", type=int)]),
+    (("seifert", "sweep"), "cross-formula audit over bounded orbit tuples",
+     _cmd_seifert_sweep, [_arg("--max-product", type=int, default=2000)]),
+    (("lattice",), "negative-definite lattice bounds", _cmd_lattice,
+     [_arg("gram"), _arg("--e", metavar="V1,V2,..."), _arg("--xi", metavar="W1,W2,..."),
+      _arg("--m", type=int)]),
+    (("morse",), "Morse complex evaluation", None, []),
+    (("morse", "eval"), "min-max value of a homology class", _cmd_morse_eval,
+     [_arg("complex"), _arg("--class", required=True, dest="class")]),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -342,102 +365,17 @@ def build_parser() -> argparse.ArgumentParser:
         prog="floergamma",
         description="Exact calculators for chain-level homology cobordism invariants",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_json(p):
+    groups = {(): parser.add_subparsers(dest="command", required=True)}
+    for path, help_, func, arguments in COMMANDS:
+        p = groups[path[:-1]].add_parser(path[-1], help=help_)
+        if func is None:
+            groups[path] = p.add_subparsers(dest="subcommand", required=True)
+            continue
+        for names, kwargs in arguments:
+            p.add_argument(*names, **kwargs)
         p.add_argument("--json", action="store_true",
                        help="emit a machine-readable JSON object")
-
-    p = sub.add_parser("validate", help="validate a datum file")
-    p.add_argument("datum")
-    add_json(p)
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("gamma", help="evaluate the invariant")
-    p.add_argument("datum")
-    p.add_argument("--k", type=int)
-    p.add_argument("--range", metavar="A..B")
-    add_json(p)
-    p.set_defaults(func=_cmd_gamma)
-
-    p = sub.add_parser("h", help="the h-invariant")
-    p.add_argument("datum")
-    add_json(p)
-    p.set_defaults(func=_cmd_h)
-
-    p = sub.add_parser("bounds", help="arithmetic spectral lower bounds")
-    p.add_argument("datum")
-    add_json(p)
-    p.set_defaults(func=_cmd_bounds)
-
-    p = sub.add_parser("triangle", help="verify the equivariant exact triangle")
-    p.add_argument("datum")
-    p.add_argument("--window", required=True, metavar="T,N")
-    add_json(p)
-    p.set_defaults(func=_cmd_triangle)
-
-    cob = sub.add_parser("cobordism", help="cobordism map operations")
-    cob_sub = cob.add_subparsers(dest="subcommand", required=True)
-
-    p = cob_sub.add_parser("verify", help="verify chain-map and functoriality identities")
-    p.add_argument("cobordism")
-    p.add_argument("--window", required=True, metavar="T,N")
-    add_json(p)
-    p.set_defaults(func=_cmd_cobordism_verify)
-
-    p = cob_sub.add_parser("compose", help="compose two cobordism data")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.add_argument("-o", "--output", required=True)
-    add_json(p)
-    p.set_defaults(func=_cmd_cobordism_compose)
-
-    p = cob_sub.add_parser("gamma-compare", help="compare the invariant across a cobordism")
-    p.add_argument("cobordism")
-    p.add_argument("--range", required=True, metavar="A..B")
-    add_json(p)
-    p.set_defaults(func=_cmd_cobordism_compare)
-
-    sei = sub.add_parser("seifert", help="Seifert orbit calculators")
-    sei_sub = sei.add_subparsers(dest="subcommand", required=True)
-
-    p = sei_sub.add_parser("r", help="R-invariant and orbit data")
-    p.add_argument("orbit", type=int, nargs="+", metavar="A")
-    add_json(p)
-    p.set_defaults(func=_cmd_seifert_r)
-
-    p = sei_sub.add_parser("gamma", help="invariant prediction for a connected sum")
-    p.add_argument("tuples", nargs="+", metavar="A1,A2,...")
-    add_json(p)
-    p.set_defaults(func=_cmd_seifert_gamma)
-
-    p = sei_sub.add_parser("whitehead", help="bounds for Whitehead doubles of torus knots")
-    p.add_argument("p", type=int)
-    p.add_argument("q", type=int)
-    add_json(p)
-    p.set_defaults(func=_cmd_seifert_whitehead)
-
-    p = sei_sub.add_parser("sweep", help="cross-formula audit over bounded orbit tuples")
-    p.add_argument("--max-product", type=int, default=2000)
-    add_json(p)
-    p.set_defaults(func=_cmd_seifert_sweep)
-
-    p = sub.add_parser("lattice", help="negative-definite lattice bounds")
-    p.add_argument("gram")
-    p.add_argument("--e", metavar="V1,V2,...")
-    p.add_argument("--xi", metavar="W1,W2,...")
-    p.add_argument("--m", type=int)
-    add_json(p)
-    p.set_defaults(func=_cmd_lattice)
-
-    mor = sub.add_parser("morse", help="Morse complex evaluation")
-    mor_sub = mor.add_subparsers(dest="subcommand", required=True)
-    p = mor_sub.add_parser("eval", help="min-max value of a homology class")
-    p.add_argument("complex")
-    p.add_argument("--class", required=True, dest="class")
-    add_json(p)
-    p.set_defaults(func=_cmd_morse_eval)
-
+        p.set_defaults(func=func)
     return parser
 
 

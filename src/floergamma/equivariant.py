@@ -84,9 +84,10 @@ def orbit_tail(vec: Vector, orbit) -> XPart:
     """sum_g vec[g] orbit(g)[m] x^-(m+1), by decreasing power.
 
     `orbit(g)` lists the coefficients of one generator's tail from x^-1
-    down; slots that cancel are dropped.
+    down; zero slots are skipped and slots that cancel are dropped.
     """
-    acc = lincomb((a, dict(enumerate(orbit(g)))) for g, a in vec.items())
+    acc = lincomb((a, {m: lam for m, lam in enumerate(orbit(g)) if lam})
+                  for g, a in vec.items())
     return {-m - 1: acc[m] for m in sorted(acc)}
 
 
@@ -125,9 +126,10 @@ def x_action_hat(datum: FloerDatum, e: XElement, window: Window) -> XElement:
 
 def x_action_check(datum: FloerDatum, e: XElement) -> XElement:
     """x . (alpha, tail) = (u alpha + d2(a_-1), tail shifted up)."""
-    a_minus1 = e.x.get(-1, NovikovElement.zero())
-    return XElement(vec_add(datum.apply_u(e.chain), datum.apply_d2(a_minus1)),
-                    {i + 1: a for i, a in e.x.items() if i <= -2})
+    chain = datum.apply_u(e.chain)
+    if -1 in e.x:
+        chain = vec_add(chain, datum.apply_d2(e.x[-1]))
+    return XElement(chain, {i + 1: a for i, a in e.x.items() if i <= -2})
 
 
 def x_action_bar(e: XElement, window: Window) -> XElement:

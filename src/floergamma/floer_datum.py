@@ -54,9 +54,6 @@ class LambdaMatrix:
             return
         self._by_source.setdefault(src, {})[dst] = el
 
-    def entry(self, src: str, dst: str) -> NovikovElement:
-        return self._by_source.get(src, {}).get(dst, NovikovElement.zero())
-
     def entries(self):
         for src in sorted(self._by_source):
             row = self._by_source[src]

@@ -32,10 +32,7 @@ from typing import Iterable, Union
 #: subtraction against exact Fractions behave as expected (inf - q = inf).
 INF = math.inf
 
-Rat = Fraction
 ExtRat = Union[Fraction, float]
-
-Scalar = Union[Fraction, int]
 
 _ZERO = Fraction(0)
 

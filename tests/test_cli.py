@@ -1,5 +1,6 @@
 """CLI contract: output vocabulary, exit codes, determinism, round trips."""
 
+import argparse
 import json
 import math
 import subprocess
@@ -17,13 +18,15 @@ from floergamma.floer_datum import (
     Report,
     ValidDatum,
     apply_row,
+    datum_to_json,
     load_datum,
     require_valid,
 )
-from floergamma.gamma import gamma, gamma_profile, h_invariant
+from floergamma.gamma import ORBIT_CAP, gamma, gamma_profile, h_invariant
 from floergamma.lattice import LatticeInputError
 from floergamma.morse_minmax import NonCycleError, NullHomologousError
 from floergamma.seifert import SeifertInputError
+from datagen import cyclic_u_datum
 from test_lattice import e8_gram
 
 
@@ -531,6 +534,90 @@ def test_range_cap_boundary(capsys, tmp_path, monkeypatch):
         units = (width + 1) * (2 if width < cap else 1)
         assert err == (f"error: range '{-width}..0' is {units} units of work (width "
                        f"times generators), above the cap {cap}\n"), argv
+
+
+def test_orbit_cap_boundary_on_a_u_that_is_not_nilpotent(capsys, tmp_path):
+    cap = ORBIT_CAP
+    # (family, last k admitted, first k refused, a k of the other sign):
+    # Gamma(k <= 0) reads the d2-orbit, Gamma(k >= 1) the d1-orbits of k's
+    # class; the d1 family has d2 = 0 and the d2 family an empty class for
+    # k >= 1, so the orbits the other sign reads end at once
+    for family, last, refused, other in (("d2", -cap, -cap - 1, 10 * cap),
+                                         ("d1", cap + 1, cap + 2, -10 * cap)):
+        path = tmp_path / f"cyclic_{family}.json"
+        path.write_text(json.dumps(datum_to_json(cyclic_u_datum(family=family))))
+        code, out, _ = run(capsys, "gamma", str(path), "--k", str(last))
+        assert code == 0 and out.startswith(f"gamma({last}) = "), family
+        code, out, err = run(capsys, "gamma", str(path), "--k", str(refused))
+        assert code == 2 and out == "", family
+        assert err == (f"error: gamma({refused}) needs {cap + 1} u-steps on a u-orbit "
+                       f"that has not ended within {cap}, the cap\n"), family
+        code, out, _ = run(capsys, "gamma", str(path), "--k", str(other))
+        assert code == 0 and out.startswith(f"gamma({other}) = "), family
+
+
+# Every action of the root parser, the 3 groups and the 14 commands:
+# (option strings, dest, nargs, type, default, required, metavar, choices, help)
+_HELP = (("-h", "--help"), "help", 0, None, argparse.SUPPRESS, False, None, None,
+         "show this help message and exit")
+_JSON = (("--json",), "json", 0, None, False, False, None, None,
+         "emit a machine-readable JSON object")
+_DATUM = ((), "datum", None, None, None, True, None, None, None)
+_WINDOW = (("--window",), "window", None, None, None, True, "T,N", None, None)
+PARSER_SURFACE = {
+    "": [_HELP, ((), "command", "A...", None, None, True, None,
+                 ["validate", "gamma", "h", "bounds", "triangle", "cobordism", "seifert",
+                  "lattice", "morse"], None)],
+    "validate": [_HELP, _DATUM, _JSON],
+    "gamma": [_HELP, _DATUM, (("--k",), "k", None, "int", None, False, None, None, None),
+              (("--range",), "range", None, None, None, False, "A..B", None, None), _JSON],
+    "h": [_HELP, _DATUM, _JSON],
+    "bounds": [_HELP, _DATUM, _JSON],
+    "triangle": [_HELP, _DATUM, _WINDOW, _JSON],
+    "cobordism": [_HELP, ((), "subcommand", "A...", None, None, True, None,
+                          ["verify", "compose", "gamma-compare"], None)],
+    "cobordism verify": [_HELP, ((), "cobordism", None, None, None, True, None, None, None),
+                         _WINDOW, _JSON],
+    "cobordism compose": [_HELP, ((), "first", None, None, None, True, None, None, None),
+                          ((), "second", None, None, None, True, None, None, None),
+                          (("-o", "--output"), "output", None, None, None, True, None, None,
+                           None), _JSON],
+    "cobordism gamma-compare": [
+        _HELP, ((), "cobordism", None, None, None, True, None, None, None),
+        (("--range",), "range", None, None, None, True, "A..B", None, None), _JSON],
+    "seifert": [_HELP, ((), "subcommand", "A...", None, None, True, None,
+                        ["r", "gamma", "whitehead", "sweep"], None)],
+    "seifert r": [_HELP, ((), "orbit", "+", "int", None, True, "A", None, None), _JSON],
+    "seifert gamma": [_HELP, ((), "tuples", "+", None, None, True, "A1,A2,...", None, None),
+                      _JSON],
+    "seifert whitehead": [_HELP, ((), "p", None, "int", None, True, None, None, None),
+                          ((), "q", None, "int", None, True, None, None, None), _JSON],
+    "seifert sweep": [_HELP, (("--max-product",), "max_product", None, "int", 2000, False,
+                              None, None, None), _JSON],
+    "lattice": [_HELP, ((), "gram", None, None, None, True, None, None, None),
+                (("--e",), "e", None, None, None, False, "V1,V2,...", None, None),
+                (("--xi",), "xi", None, None, None, False, "W1,W2,...", None, None),
+                (("--m",), "m", None, "int", None, False, None, None, None), _JSON],
+    "morse": [_HELP, ((), "subcommand", "A...", None, None, True, None, ["eval"], None)],
+    "morse eval": [_HELP, ((), "complex", None, None, None, True, None, None, None),
+                   (("--class",), "class", None, None, None, True, None, None, None), _JSON],
+}
+
+
+def _parser_surface(parser, path=()) -> dict:
+    rows = {" ".join(path): [
+        (tuple(a.option_strings), a.dest, a.nargs, getattr(a.type, "__name__", a.type),
+         a.default, a.required, a.metavar, list(a.choices) if a.choices else None, a.help)
+        for a in parser._actions]}
+    for a in parser._actions:
+        if isinstance(a.choices, dict):
+            for name, sub in a.choices.items():
+                rows.update(_parser_surface(sub, path + (name,)))
+    return rows
+
+
+def test_parser_surface_is_pinned():
+    assert _parser_surface(cli.build_parser()) == PARSER_SURFACE
 
 
 def test_determinism(capsys):
