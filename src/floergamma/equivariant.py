@@ -22,7 +22,7 @@ bookkeeping; it is recorded here once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .floer_datum import (FloerDatum, Report, Vector, validate, vec_add, vec_neg, vec_sub,
                           weighted_sum)
@@ -44,23 +44,33 @@ class Window:
 XPart = dict[int, NovikovElement]
 
 
-@dataclass(frozen=True)
 class XElement:
     """A chain part plus sum a_i x^i, with zero entries dropped.
 
     The complex an element lives in fixes its x-range: the hat complex
     holds i >= 0, the check complex i < 0, and the bar complex every i
     with an empty chain part.
+
+    A plain slotted class, not a dataclass: the verifiers build tens of
+    thousands per pass.  Nothing mutates an element once built; equality
+    and repr are those of a dataclass over (chain, x).
     """
 
-    chain: Vector = field(default_factory=dict)
-    x: XPart = field(default_factory=dict)
+    __slots__ = ("chain", "x")
 
-    def __post_init__(self):
+    def __init__(self, chain: Vector | None = None, x: XPart | None = None):
         # Parts built by `lincomb` have no zero entries already; the filter is
         # for parts a caller writes out by hand.
-        object.__setattr__(self, "chain", {g: v for g, v in self.chain.items() if not v.is_zero()})
-        object.__setattr__(self, "x", {i: a for i, a in self.x.items() if not a.is_zero()})
+        self.chain = {g: v for g, v in chain.items() if v} if chain else {}
+        self.x = {i: a for i, a in x.items() if a} if x else {}
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.chain == other.chain and self.x == other.x
+
+    def __repr__(self) -> str:
+        return f"XElement(chain={self.chain!r}, x={self.x!r})"
 
     def __add__(self, other: "XElement") -> "XElement":
         return XElement(vec_add(self.chain, other.chain), vec_add(self.x, other.x))

@@ -250,10 +250,21 @@ def gamma(datum: FloerDatum, k: int, want_witness: bool = False):
 
 
 def gamma_profile(datum: FloerDatum, k_min: int, k_max: int):
-    """Per-k gamma over [k_min, k_max]; asserts monotone non-decreasing."""
+    """Per-k gamma over [k_min, k_max]; asserts monotone non-decreasing.
+
+    A range that reaches past ORBIT_CAP u-steps on an orbit that has not
+    ended is refused before any Gamma is computed.  Past the cap, whether
+    Gamma(k) is refused depends only on k's sign and, for k >= 1, on its
+    parity (the grading class), so k_min and the first two k past the cap
+    decide it, and the refusal names the first k refused.
+    """
     datum = require_valid(datum)
     if k_min > k_max:
         raise ValueError("k_min must not exceed k_max")
+    first_past = max(k_min, ORBIT_CAP + 2)
+    for k in (k_min, first_past, first_past + 1):
+        if k <= k_max:
+            _require_bounded_orbits(datum, k)
     profile = [(k, gamma(datum, k)) for k in range(k_min, k_max + 1)]
     for (k0, v0), (k1, v1) in zip(profile, profile[1:]):
         if not (v0 <= v1):
@@ -348,11 +359,17 @@ def tau_lower_bound(datum: FloerDatum) -> Fraction:
 
 def tau_prime_lower_bound(datum: FloerDatum) -> Fraction:
     """min over ordered generator pairs of the positive representative of
-    r_g' - r_g mod 1 (the difference 0 contributes 1)."""
+    r_g' - r_g mod 1 (the difference 0 contributes 1).
+
+    That is the least gap between cyclically adjacent residues r mod 1:
+    sorted, the gaps are the neighbours' differences and the wrap-around
+    r_min + 1 - r_max, which is 1 when there is one residue.
+    """
     if not datum.generators:
         raise InputError("empty datum has no irreducible classes")
-    lifts = [g.energy_lift for g in datum.generators]
-    return min(_positive_fractional(r2 - r1) for r1 in lifts for r2 in lifts)
+    residues = sorted({_nonnegative_fractional(g.energy_lift) for g in datum.generators})
+    return min([residues[0] + 1 - residues[-1]]
+               + [b - a for a, b in zip(residues, residues[1:])])
 
 
 def eta_lower_bound(source: FloerDatum, target: FloerDatum) -> Fraction:

@@ -6,8 +6,12 @@ variable.  This is the coefficient field underlying all chain-level
 computations in this package.  The valuation mdeg (minimal exponent)
 drives every invariant computed downstream, so exponents are exact
 rationals throughout; floating point never enters.  Only parsed input
-goes through the canonicalising constructor: sums, products, negation,
-scaling and shifts build their sorted term tuples directly.
+goes through the canonicalising constructor, and a one-term input skips
+its collect-and-sort: sums, products, negation, scaling and shifts build
+their sorted term tuples directly, and a product with the shared unit
+`one()` returns the other operand.
+Text is read by `parse_rat`, which handles the canonical "p/q" with
+`int` and leaves every other spelling to `Fraction`.
 
 `lincomb` is the package's one accumulation kernel, sum c·v over sparse
 dicts v with zero entries dropped: it collects the terms of parsed input
@@ -38,9 +42,20 @@ _ZERO = Fraction(0)
 
 
 def parse_rat(text: str) -> Fraction:
-    """Parse the canonical text form of a rational: "p/q" or "p"."""
+    """Parse the canonical text form of a rational: "p/q" or "p".
+
+    ASCII "p", "-p", "p/q" and "-p/q" with q nonzero are read by `int`
+    directly; anything else (spaces, a "+", decimals, exponents,
+    underscores, non-ASCII digits) goes through `Fraction(text)`, which
+    accepts or refuses it.
+    """
     if not isinstance(text, str):
         raise ValueError(f"not a rational string: {text!r}")
+    num, slash, den = text.partition("/")
+    if text.isascii() and num.removeprefix("-").isdigit() and (not slash or den.isdigit()):
+        q = int(den) if slash else 1
+        if q:
+            return Fraction(int(num), q)
     text = text.strip()
     try:
         value = Fraction(text)
@@ -93,18 +108,27 @@ class NovikovElement:
     Term-tuple invariant: `_terms` is a tuple of (coeff, exp) pairs, both
     `Fraction`s, with strictly increasing exponents and no zero
     coefficient.  `__init__` is the one canonicalising constructor: it
-    converts, collects and sorts parsed input.  Every operation keeps the
-    invariant and builds its tuple directly (`_of`) instead of
-    canonicalising again: negation, scalar multiplication, shift and a
-    monomial times an element map term by term (over a field a product of
-    nonzero coefficients is nonzero), addition merges two sorted tuples, a
-    general product collects its terms by exponent (`lincomb`) and sorts
-    them once, and `term` builds its one-term tuple directly.
+    converts, collects and sorts parsed input; a single term needs no
+    collecting or sorting, so it keeps the term, or none if its
+    coefficient is zero.  Every operation keeps the invariant and builds
+    its tuple directly (`_of`) instead of canonicalising again: negation,
+    scalar multiplication, shift and a monomial times an element map term
+    by term (over a field a product of nonzero coefficients is nonzero),
+    addition merges two sorted tuples, a general product collects its
+    terms by exponent (`lincomb`) and sorts them once, and `term` builds
+    its one-term tuple directly.  A product with `one()` on either side
+    returns the other operand itself.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Iterable[tuple[Fraction, Fraction]] = ()):
+        terms = tuple(terms)
+        if len(terms) == 1:
+            (c, e), = terms
+            e, c = Fraction(e), Fraction(c)
+            self._terms = ((c, e),) if c else ()
+            return
         acc = lincomb((None, {Fraction(e): Fraction(c)}) for c, e in terms)
         self._terms = tuple((acc[e], e) for e in sorted(acc))
 
@@ -189,6 +213,10 @@ class NovikovElement:
 
     def __mul__(self, other) -> "NovikovElement":
         if isinstance(other, NovikovElement):
+            if self is _ONE_ELEMENT:
+                return other
+            if other is _ONE_ELEMENT:
+                return self
             a, b = self._terms, other._terms
             if len(a) > len(b):
                 a, b = b, a

@@ -13,7 +13,8 @@ with an acyclic pair.  Neither makes a value depend on d, so the
 d-essential block, whose Gamma(1) is fixed by its d rows, tests them.
 
 The module also keeps the readers that only tests need: homogeneous
-projection and its inverse, and the x-degree of a bar element.
+projection and its inverse, the x-degree of a bar element, and the
+quadratic reference for the tau' bound.
 """
 
 from fractions import Fraction
@@ -56,6 +57,14 @@ def count_u_applications(*data: FloerDatum) -> list[int]:
             return apply(vec)
         datum.u.apply = counted
     return counter
+
+
+def tau_prime_by_pairs(datum: FloerDatum) -> Fraction:
+    """The double loop over ordered generator pairs, the reference for
+    gamma.tau_prime_lower_bound: the least positive representative of
+    r_g' - r_g mod 1, where a difference of 0 counts as 1."""
+    lifts = [g.energy_lift for g in datum.generators]
+    return min((r2 - r1) % 1 or Fraction(1) for r1 in lifts for r2 in lifts)
 
 
 def random_lift(rng: Random) -> Fraction:

@@ -1,6 +1,7 @@
 """CLI contract: output vocabulary, exit codes, determinism, round trips."""
 
 import argparse
+import importlib
 import json
 import math
 import subprocess
@@ -554,6 +555,30 @@ def test_orbit_cap_boundary_on_a_u_that_is_not_nilpotent(capsys, tmp_path):
                        f"that has not ended within {cap}, the cap\n"), family
         code, out, _ = run(capsys, "gamma", str(path), "--k", str(other))
         assert code == 0 and out.startswith(f"gamma({other}) = "), family
+
+
+def test_a_range_past_the_orbit_cap_is_refused_before_any_gamma(capsys, tmp_path,
+                                                                monkeypatch):
+    gamma_module = importlib.import_module("floergamma.gamma")  # not the function
+    calls = []
+    monkeypatch.setattr(gamma_module, "gamma", lambda d, k: calls.append(k) or 0)
+    cap = ORBIT_CAP
+    paths = {}
+    for family in ("d1", "d2"):
+        paths[family] = tmp_path / f"cyclic_{family}.json"
+        paths[family].write_text(json.dumps(datum_to_json(cyclic_u_datum(family=family))))
+    # each refusal names the first k the range reaches past the cap
+    for family, lo, hi, refused, steps in (("d1", 1, 49999, cap + 2, cap + 1),
+                                           ("d1", cap + 3, 49999, cap + 3, cap + 2),
+                                           ("d1", -10 * cap, cap + 2, cap + 2, cap + 1),
+                                           ("d2", -49999, 0, -49999, 49999),
+                                           ("d2", -cap - 1, 10 * cap, -cap - 1, cap + 1)):
+        code, out, err = run(capsys, "gamma", str(paths[family]), "--range", f"{lo}..{hi}")
+        assert (code, out, calls) == (2, "", [])
+        assert err == (f"error: gamma({refused}) needs {steps} u-steps on a u-orbit "
+                       f"that has not ended within {cap}, the cap\n")
+    assert run(capsys, "gamma", str(paths["d1"]), "--range", f"1..{cap + 1}")[0] == 0
+    assert calls == list(range(1, cap + 2))
 
 
 # Every action of the root parser, the 3 groups and the 14 commands:

@@ -42,6 +42,7 @@ from datagen import (
     filtered_basis_change,
     random_datum,
     random_small_datum,
+    tau_prime_by_pairs,
     to_element,
     transformed_datum,
     with_acyclic_pair,
@@ -450,6 +451,14 @@ def test_tau_prime_bounds(sigma, neg_sigma):
     one_gen = FloerDatum("one", [Generator("a", 1, Fraction(-1, 4))],
                          LambdaMatrix(), LambdaMatrix(), {}, {})
     assert tau_prime_lower_bound(one_gen) == 1
+
+
+@given(st.lists(st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12)),
+                min_size=1, max_size=12))
+def test_tau_prime_matches_the_double_loop(lifts):
+    datum = FloerDatum("lifts", [Generator(f"g{i}", 1, r) for i, r in enumerate(lifts)],
+                       LambdaMatrix(), LambdaMatrix(), {}, {})
+    assert tau_prime_lower_bound(datum) == tau_prime_by_pairs(datum)
 
 
 def test_eta_bounds(sigma, neg_sigma, s3):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from floergamma.floer_datum import InputError, json_field
 from floergamma.novikov import (
     INF,
     NovikovElement,
@@ -92,6 +93,43 @@ def test_text_forms():
         parse_rat("1/0")
 
 
+@given(st.from_regex(r"-?[0-9]{1,30}(/[0-9]{1,30})?", fullmatch=True))
+def test_parse_rat_reads_p_over_q_as_fraction_does(text):
+    try:
+        expected = Fraction(text)
+    except ZeroDivisionError:
+        with pytest.raises(ValueError, match="not a rational"):
+            parse_rat(text)
+    else:
+        value = parse_rat(text)
+        assert value == expected and type(value) is Fraction
+
+
+# Spellings outside ASCII "p", "-p", "p/q", "-p/q" with q nonzero: read by
+# Fraction, or refused with the message a Fraction refusal has always given.
+NOT_FAST = [" 3/4 ", "-0", "+1", "1.5", "1e3", "1_0", "3/-4", "--3", "1/0", "\u0663", "",
+            "/", "-"]
+
+
+def test_parse_rat_leaves_other_spellings_to_fraction():
+    refused = set()
+    for text in NOT_FAST:
+        try:
+            expected = Fraction(text.strip())
+        except (ValueError, ZeroDivisionError):
+            refused.add(text)
+            with pytest.raises(InputError) as exc:
+                json_field({"coeff": text}, "coeff", Fraction, "term")
+            assert str(exc.value) == f"term: not a rational: {text.strip()!r}"
+            assert "int()" not in str(exc.value.__cause__.__cause__)
+        else:
+            assert json_field({"coeff": text}, "coeff", Fraction, "term") == expected
+    # Python 3.10's Fraction refuses underscores; later ones read them
+    assert refused - {"1_0"} == {"3/-4", "--3", "1/0", "", "/", "-"}
+    assert parse_rat(" 3/4 ") == Fraction(3, 4) and parse_rat("-0") == 0
+    assert parse_rat("+1") == 1 and parse_rat("1e3") == 1000
+
+
 @given(elements, elements)
 def test_mdeg_multiplicative(a, b):
     if a.is_zero() or b.is_zero():
@@ -167,6 +205,21 @@ def test_product_examples():
         assert product.items() == ((-2, Fraction(1, 3)), (-2, Fraction(4, 3)))
     zero = NovikovElement.zero()
     assert (zero * one_plus_l).is_zero() and (monomial * zero).is_zero()
+
+
+@given(factors)
+def test_a_product_with_one_returns_the_other_operand(x):
+    one = NovikovElement.one()
+    assert one * x is x and x * one is x
+
+
+@given(rationals | st.just(Fraction(0)), rationals)
+def test_one_parsed_term_matches_the_collecting_constructor(c, e):
+    # a second term at the same exponent with coefficient 0 takes the
+    # collect-and-sort path, and leaves the value unchanged
+    el = NovikovElement([(c, e)])
+    assert_canonical(el)
+    assert el.items() == NovikovElement([(c, e), (0, e)]).items()
 
 
 def test_zero_is_shared_and_scalar_zero_returns_it():
