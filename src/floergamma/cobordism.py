@@ -1,9 +1,9 @@
 """Cobordism-induced maps between chain data and their verification.
 
-A cobordism datum carries the grading-preserving map phi, the degree -3
-correction mu, the boundary corrections delta1 and delta2 and the
-positive integer c counting the first integral homology of the
-cobordism.  Stacked as
+A cobordism datum carries the maps of `COBORDISM_MAPS` (phi, the
+correction mu and the boundary corrections delta1 and delta2, read as in
+`floer_datum`) and the positive integer c counting the first integral
+homology of the cobordism.  Stacked as
 
     [[phi, 0, 0], [delta1, c, 0], [mu, delta2, phi]]
 
@@ -12,6 +12,8 @@ four component identities of that equation are verified exactly.  The
 induced maps on the three equivariant complexes, the homotopies
 measuring their x-equivariance and their compatibility with the triangle
 maps are implemented from the same data and verified on window bases.
+Its JSON object holds "source" and "target" (datum paths or fixture
+names), "c" and the maps in the `floer_datum` format.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from .floer_datum import (
     apply_column,
     apply_row,
     check_keys,
+    grading_report,
     json_field,
     kept_orbit,
     load_datum,
@@ -58,6 +61,7 @@ from .floer_datum import (
     map_to_json,
     read_json,
     require_valid,
+    store_maps,
     vec_add,
     vec_sub,
     validate,
@@ -65,6 +69,9 @@ from .floer_datum import (
 )
 from .gamma import eta_lower_bound, gamma
 from .novikov import INF, NovikovElement, lincomb
+
+#: The maps of a cobordism, as `floer_datum.DATUM_MAPS`.
+COBORDISM_MAPS = (("phi", "", 0), ("mu", "", 3), ("delta1", "from", 1), ("delta2", "to", 4))
 
 
 @dataclass
@@ -75,26 +82,18 @@ class CobordismDatum:
 
     source: FloerDatum
     target: FloerDatum
-    phi: LambdaMatrix      # source -> target, grading preserving
-    mu: LambdaMatrix       # source -> target, degree -3
-    delta1: dict[str, NovikovElement]  # source generator -> coefficient
-    delta2: dict[str, NovikovElement]  # target generator -> coefficient
+    phi: LambdaMatrix
+    mu: LambdaMatrix
+    delta1: dict[str, NovikovElement]
+    delta2: dict[str, NovikovElement]
     c: int
     _ladders: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.c < 1:
             raise InputError("c must be a positive integer")
-        self.delta1 = {g: el for g, el in self.delta1.items() if not el.is_zero()}
-        self.delta2 = {g: el for g, el in self.delta2.items() if not el.is_zero()}
-        for m in (self.phi, self.mu):
-            for src, dst, _ in m.entries():
-                self.source.require(src)
-                self.target.require(dst)
-        for g in self.delta1:
-            self.source.require(g)
-        for g in self.delta2:
-            self.target.require(g)
+        store_maps(self, COBORDISM_MAPS, [getattr(self, key) for key, _, _ in COBORDISM_MAPS],
+                   self.source, self.target)
 
 
 def identity_cobordism(datum: FloerDatum) -> CobordismDatum:
@@ -105,7 +104,7 @@ def identity_cobordism(datum: FloerDatum) -> CobordismDatum:
 
 
 def validate_cobordism(cob: CobordismDatum) -> Report:
-    """Grading constraints on the four maps plus endpoint validity.
+    """The grading rule of every map entry plus endpoint validity.
 
     An endpoint that is a ValidDatum passed validate when it was built.
     """
@@ -113,18 +112,7 @@ def validate_cobordism(cob: CobordismDatum) -> Report:
     for d, side in ((cob.source, "source"), (cob.target, "target")):
         for msg in [] if isinstance(d, ValidDatum) else validate(d).failures:
             rep.fail(f"{side} datum: {msg}")
-    for src, dst, _ in cob.phi.entries():
-        if cob.source.grading(src) != cob.target.grading(dst):
-            rep.fail(f"phi entry {src}->{dst} does not preserve grading")
-    for src, dst, _ in cob.mu.entries():
-        if (cob.source.grading(src) - 3) % 8 != cob.target.grading(dst):
-            rep.fail(f"mu entry {src}->{dst} does not drop grading by 3")
-    for g in sorted(cob.delta1):
-        if cob.source.grading(g) != 1:
-            rep.fail(f"delta1 supported on {g} of grading != 1")
-    for g in sorted(cob.delta2):
-        if cob.target.grading(g) != 4:
-            rep.fail(f"delta2 lands on {g} of grading != 4")
+    grading_report(rep, COBORDISM_MAPS, cob, cob.source, cob.target)
     return rep
 
 
@@ -363,24 +351,17 @@ def compose_tilde(first: CobordismDatum, second: CobordismDatum) -> CobordismDat
     """
     if not first.target.structurally_equal(second.source):
         raise InputError("composition mismatch: first.target != second.source")
-    phi = LambdaMatrix()
-    mu = LambdaMatrix()
+    phi, mu, delta1 = LambdaMatrix(), LambdaMatrix(), {}
     for g in first.source.names():
         basis = first.source.basis_vector(g)
-        for h, el in second.phi.apply(first.phi.apply(basis)).items():
+        phi_g, delta1_g = first.phi.apply(basis), apply_row(first.delta1, basis)
+        for h, el in second.phi.apply(phi_g).items():
             phi.set(g, h, el)
-        acc = lincomb(((None, second.mu.apply(first.phi.apply(basis))),
-                       (apply_row(first.delta1, basis), second.delta2),
+        acc = lincomb(((None, second.mu.apply(phi_g)), (delta1_g, second.delta2),
                        (None, second.phi.apply(first.mu.apply(basis)))))
         for h, el in acc.items():
             mu.set(g, h, el)
-    delta1 = {}
-    for g in first.source.names():
-        basis = first.source.basis_vector(g)
-        lam = apply_row(second.delta1, first.phi.apply(basis))
-        lam = lam + second.c * apply_row(first.delta1, basis)
-        if not lam.is_zero():
-            delta1[g] = lam
+        delta1[g] = apply_row(second.delta1, phi_g) + second.c * delta1_g
     delta2 = lincomb(((None, second.phi.apply(first.delta2)), (first.c, second.delta2)))
     return CobordismDatum(first.source, second.target, phi, mu,
                           delta1, delta2, first.c * second.c)
@@ -415,13 +396,11 @@ def gamma_comparison(cob: CobordismDatum, k_min: int, k_max: int) -> dict:
 # ---------------------------------------------------------------------------
 
 def cobordism_from_json(obj) -> CobordismDatum:
-    check_keys(obj, {"source", "target", "c", "phi", "mu", "delta1", "delta2"},
+    check_keys(obj, {"source", "target", "c", *(key for key, _, _ in COBORDISM_MAPS)},
                "cobordism")
     return CobordismDatum(load_datum(json_field(obj, "source", str, "cobordism")),
                           load_datum(json_field(obj, "target", str, "cobordism")),
-                          map_from_json(obj, "phi"), map_from_json(obj, "mu"),
-                          map_from_json(obj, "delta1", "from"),
-                          map_from_json(obj, "delta2", "to"),
+                          *(map_from_json(obj, key, end) for key, end, _ in COBORDISM_MAPS),
                           json_field(obj, "c", int, "cobordism"))
 
 
@@ -430,10 +409,7 @@ def cobordism_to_json(cob: CobordismDatum) -> dict:
         "source": cob.source.name,
         "target": cob.target.name,
         "c": cob.c,
-        "phi": map_to_json(cob.phi),
-        "mu": map_to_json(cob.mu),
-        "delta1": map_to_json(cob.delta1, "from"),
-        "delta2": map_to_json(cob.delta2, "to"),
+        **{key: map_to_json(getattr(cob, key), end) for key, end, _ in COBORDISM_MAPS},
     }
 
 

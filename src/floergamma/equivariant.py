@@ -15,7 +15,7 @@ identity on a spanning set of window basis elements, restricted to
 x-degrees where shifting cannot leak out of the window.
 
 Convention: the polynomial/Laurent variable x acts with Floer degree -4
-(it interleaves the degree -4 operator u), and the generator of the
+(it interleaves the operator u), and the generator of the
 polynomial summand sits in degree 0.  Nothing downstream depends on this
 bookkeeping; it is recorded here once.
 """

@@ -1,16 +1,27 @@
 """Finite chain-level model of an integral homology sphere.
 
 A datum consists of named generators carrying a mod-8 grading and a
-rational energy lift, together with four structure maps over the Novikov
-coefficients: the differential d (degree -1), the degree -4 operator u,
-the map d1 into the coefficient field (supported on grading 1) and the
-map d2 out of it (landing in grading 4).  Stacking them as
+rational energy lift, together with the structure maps of `DATUM_MAPS`
+over the Novikov coefficients Λ.  Stacking them as
 
     [[d, 0, 0], [d1, 0, 0], [u, d2, -d]]
 
-gives the extended differential whose square-zero identities every valid
-datum must satisfy; validation checks them entry by entry in exact
-arithmetic, along with the weight compatibility of every stored exponent.
+gives the extended differential on C ⊕ Λ ⊕ C.  A row of the table gives
+a map's field and JSON key, the end keying a one-sided map ("from" into
+Λ, "to" out of it, "" for a matrix map) and its grading drop mod 8.  With
+Λ at grading 0 and lift 0, validation checks in exact arithmetic that
+every entry src -> dst has (gr(src) - drop) % 8 == gr(dst), that
+lift(src) + e - lift(dst) is an integer for each of its exponents e, and
+the square-zero identities of the extended differential.
+
+JSON format: {"name", "generators": [{"name", "grading" (0..7),
+"energy_lift"}], and per map an optional array (absent is the zero map)
+of entries {"from", "to", "terms"}, or {end, "terms"} if one-sided};
+"terms" is [{"coeff", "exp"}], the sum of coeff · l^exp.  Rationals are
+strings, "p/q" or "p" (or any spelling `Fraction` reads), never numbers.
+Unknown keys or generators and a repeated entry (two with the same ends
+in one map) are refused with `InputError`.  `cobordism` reads its maps
+the same way.
 """
 
 from __future__ import annotations
@@ -22,6 +33,10 @@ from importlib import resources
 from pathlib import Path
 
 from .novikov import NovikovElement, format_rat, lincomb, parse_rat
+
+#: The structure maps of a datum: (field and JSON key, end keying a one-sided
+#: map or "" for a matrix map, grading drop mod 8).
+DATUM_MAPS = (("d", "", 1), ("u", "", 4), ("d1", "from", 1), ("d2", "to", 4))
 
 
 class InputError(ValueError):
@@ -76,6 +91,33 @@ class LambdaMatrix:
             yield (src, dst), el
 
 
+def map_entries(m, end: str = ""):
+    """(src, dst, element) for each entry of a stored map, in sorted order: a
+    LambdaMatrix, or a dict keyed by `end` whose other end, Λ, is None."""
+    if not end:
+        return m.entries()
+    return ((None, g, el) if end == "to" else (g, None, el) for g, el in sorted(m.items()))
+
+
+def entry_label(key: str, src, dst) -> str:
+    """How messages name an entry: "d entry a->b", or "d1 entry at a" if one-sided."""
+    return f"{key} entry {src}->{dst}" if src and dst else f"{key} entry at {src or dst}"
+
+
+def store_maps(holder, maps, values, source: "FloerDatum", target: "FloerDatum"):
+    """Set the tabled maps on `holder`, dropping zero entries of a one-sided map;
+    refuse an entry whose source end `source` lacks, or target end `target`."""
+    for (key, end, _), m in zip(maps, values):
+        if end:
+            m = {g: el for g, el in m.items() if not el.is_zero()}
+        setattr(holder, key, m)
+        for src, dst, _ in map_entries(m, end):
+            if src is not None:
+                source.require(src)
+            if dst is not None:
+                target.require(dst)
+
+
 # The vec_* helpers below also serve the x-parts of the equivariant
 # complexes, whose keys are x-powers (ints) instead of generator names.
 Vector = dict[str, NovikovElement]
@@ -94,10 +136,7 @@ def vec_sub(a: Vector, b: Vector) -> Vector:
 
 
 def apply_row(row: dict[str, NovikovElement], vec: Vector) -> NovikovElement:
-    """A one-sided map into the coefficients (d1, delta1), stored by source.
-
-    A scalar dot product: it sums elements, so it keeps no dict for `lincomb`.
-    """
+    """A map into Λ applied to a vector: a dot product, with no dict for `lincomb`."""
     out = NovikovElement.zero()
     for g, coeff in vec.items():
         el = row.get(g)
@@ -107,7 +146,7 @@ def apply_row(row: dict[str, NovikovElement], vec: Vector) -> NovikovElement:
 
 
 def apply_column(col: dict[str, NovikovElement], lam: NovikovElement) -> Vector:
-    """A one-sided map out of the coefficients (d2, delta2), stored by target."""
+    """A map out of Λ applied to a coefficient."""
     return lincomb(((lam, col),))
 
 
@@ -136,7 +175,7 @@ def kept_orbit(kept: dict, key, depth: int, seed, step, read) -> list:
 
 
 class FloerDatum:
-    """Generators, gradings, energy lifts and the four structure maps.
+    """Generators, gradings, energy lifts and the structure maps of `DATUM_MAPS`.
 
     `_orbits` keeps each generator's d1-orbit [d1(u^j g)] under its name
     and the d2-orbit [u^i d2(1)] under None (`kept_orbit`): each ends at its
@@ -151,16 +190,7 @@ class FloerDatum:
         self._by_name = {g.name: g for g in generators}
         if len(self._by_name) != len(generators):
             raise InputError("generator names must be unique")
-        self.d = d
-        self.u = u
-        self.d1 = {g: el for g, el in d1.items() if not el.is_zero()}
-        self.d2 = {g: el for g, el in d2.items() if not el.is_zero()}
-        for m in (d, u):
-            for src, dst, _ in m.entries():
-                self.require(src)
-                self.require(dst)
-        for g in list(self.d1) + list(self.d2):
-            self.require(g)
+        store_maps(self, DATUM_MAPS, (d, u, d1, d2), self, self)
         self._orbits: dict = {}
 
     def require(self, name: str):
@@ -212,10 +242,7 @@ class FloerDatum:
         return (
             [(g.name, g.grading, g.energy_lift) for g in self.generators]
             == [(g.name, g.grading, g.energy_lift) for g in other.generators]
-            and self.d == other.d
-            and self.u == other.u
-            and self.d1 == other.d1
-            and self.d2 == other.d2
+            and all(getattr(self, key) == getattr(other, key) for key, _, _ in DATUM_MAPS)
         )
 
 
@@ -258,6 +285,25 @@ class Report:
         return "ok" if self.ok else "; ".join(self.failures)
 
 
+def grading_report(rep: Report, maps, holder, source: FloerDatum, target: FloerDatum):
+    """Record each entry of the tabled maps on `holder` that breaks its grading
+    rule, src graded in `source` and dst in `target` (module docstring)."""
+    for key, end, drop in maps:
+        for src, dst, _ in map_entries(getattr(holder, key), end):
+            have = source.grading(src) if src else 0
+            got = target.grading(dst) if dst else 0
+            want = (have - drop) % 8
+            if got == want:
+                continue
+            if end == "from":
+                rep.fail(f"{key} supported on {src} of grading {have} != {drop % 8}")
+            elif end == "to":
+                rep.fail(f"{key} lands on {dst} of grading {got} != {want}")
+            else:
+                rule = f"drop grading by {drop}" if drop else "preserve grading"
+                rep.fail(f"{entry_label(key, src, dst)} does not {rule}")
+
+
 def verify_tilde_differential(datum: FloerDatum) -> Report:
     """Check the four component identities of the squared extended differential.
 
@@ -289,47 +335,23 @@ def verify_tilde_differential(datum: FloerDatum) -> Report:
 
 
 def validate_structure(datum: FloerDatum) -> Report:
-    """Grading-degree constraints of the four maps, then the square-zero identities."""
+    """The grading rule of every map entry, then the square-zero identities."""
     rep = Report()
-    for src, dst, _ in datum.d.entries():
-        if (datum.grading(src) - 1) % 8 != datum.grading(dst):
-            rep.fail(f"d entry {src}->{dst} does not drop grading by 1")
-    for src, dst, _ in datum.u.entries():
-        if (datum.grading(src) - 4) % 8 != datum.grading(dst):
-            rep.fail(f"u entry {src}->{dst} does not drop grading by 4")
-    for g in sorted(datum.d1):
-        if datum.grading(g) != 1:
-            rep.fail(f"d1 supported on {g} of grading {datum.grading(g)} != 1")
-    for g in sorted(datum.d2):
-        if datum.grading(g) != 4:
-            rep.fail(f"d2 lands on {g} of grading {datum.grading(g)} != 4")
+    grading_report(rep, DATUM_MAPS, datum, datum, datum)
     rep.merge(verify_tilde_differential(datum))
     return rep
 
 
 def validate_homogeneity(datum: FloerDatum) -> Report:
-    """Weight compatibility: every stored exponent respects the energy lifts mod 1."""
+    """The weight rule of every exponent of every map entry (module docstring)."""
     rep = Report()
-
-    def congruent(x: Fraction) -> bool:
-        return x.denominator == 1
-
-    for src, dst, el in datum.d.entries():
-        for _, e in el.items():
-            if not congruent(datum.lift(src) + e - datum.lift(dst)):
-                rep.fail(f"d entry {src}->{dst}: exponent {e} breaks weight congruence")
-    for src, dst, el in datum.u.entries():
-        for _, e in el.items():
-            if not congruent(datum.lift(src) + e - datum.lift(dst)):
-                rep.fail(f"u entry {src}->{dst}: exponent {e} breaks weight congruence")
-    for g in sorted(datum.d1):
-        for _, e in datum.d1[g].items():
-            if not congruent(datum.lift(g) + e):
-                rep.fail(f"d1 entry at {g}: exponent {e} breaks weight congruence")
-    for g in sorted(datum.d2):
-        for _, e in datum.d2[g].items():
-            if not congruent(e - datum.lift(g)):
-                rep.fail(f"d2 entry at {g}: exponent {e} breaks weight congruence")
+    for key, end, _ in DATUM_MAPS:
+        for src, dst, el in map_entries(getattr(datum, key), end):
+            offset = (datum.lift(src) if src else 0) - (datum.lift(dst) if dst else 0)
+            for _, e in el.items():
+                if (offset + e).denominator != 1:
+                    rep.fail(f"{entry_label(key, src, dst)}: exponent {e} "
+                             "breaks weight congruence")
     return rep
 
 
@@ -412,34 +434,32 @@ def _terms_from_json(items: list, where: str) -> NovikovElement:
     return NovikovElement(terms)
 
 
-def _terms_to_json(el: NovikovElement) -> list[dict]:
-    return [{"coeff": format_rat(c), "exp": format_rat(e)} for c, e in el.items()]
-
-
 def map_from_json(obj: dict, key: str, end: str = ""):
     """The map stored under obj[key]; an absent key is the zero map.
 
     A matrix map is an array of {"from", "to", "terms"} objects and reads
     into a LambdaMatrix.  Given `end` ("from" or "to"), a one-sided map is
     an array of {end, "terms"} objects and reads into a dict by generator.
+    A second entry with the same ends is refused.
     """
     ends = (end,) if end else ("from", "to")
     where = f"{key} entry"
     out = {}
     for e in json_field(obj, key, list, "input", default=[]):
         check_keys(e, {*ends, "terms"}, where)
-        names = tuple(json_field(e, x, str, where) for x in ends)
-        out[names[0] if end else names] = _terms_from_json(
-            json_field(e, "terms", list, where), key)
+        src, dst = (json_field(e, x, str, where) if x in ends else None for x in ("from", "to"))
+        at = dst if end == "to" else src if end else (src, dst)
+        if at in out:
+            raise InputError(f"repeated {entry_label(key, src, dst)}")
+        out[at] = _terms_from_json(json_field(e, "terms", list, where), key)
     return out if end else LambdaMatrix(out)
 
 
 def map_to_json(m, end: str = "") -> list[dict]:
     """Inverse of map_from_json."""
-    if not end:
-        return [{"from": s, "to": t, "terms": _terms_to_json(el)}
-                for s, t, el in m.entries()]
-    return [{end: g, "terms": _terms_to_json(el)} for g, el in sorted(m.items())]
+    return [{**{x: g for x, g in (("from", src), ("to", dst)) if g is not None},
+             "terms": [{"coeff": format_rat(c), "exp": format_rat(e)} for c, e in el.items()]}
+            for src, dst, el in map_entries(m, end)]
 
 
 def read_json(path_or_name: str, what: str):
@@ -457,7 +477,7 @@ def read_json(path_or_name: str, what: str):
 
 
 def datum_from_json(obj) -> FloerDatum:
-    check_keys(obj, {"name", "generators", "d", "u", "d1", "d2"}, "datum")
+    check_keys(obj, {"name", "generators", *(key for key, _, _ in DATUM_MAPS)}, "datum")
     name = json_field(obj, "name", str, "datum")
     generators = []
     for g in json_field(obj, "generators", list, "datum"):
@@ -465,8 +485,8 @@ def datum_from_json(obj) -> FloerDatum:
         generators.append(Generator(json_field(g, "name", str, "generator"),
                                     json_field(g, "grading", int, "generator"),
                                     json_field(g, "energy_lift", Fraction, "generator")))
-    return FloerDatum(name, generators, map_from_json(obj, "d"), map_from_json(obj, "u"),
-                      map_from_json(obj, "d1", "from"), map_from_json(obj, "d2", "to"))
+    return FloerDatum(name, generators,
+                      *(map_from_json(obj, key, end) for key, end, _ in DATUM_MAPS))
 
 
 def datum_to_json(datum: FloerDatum) -> dict:
@@ -477,10 +497,7 @@ def datum_to_json(datum: FloerDatum) -> dict:
              "energy_lift": format_rat(g.energy_lift)}
             for g in datum.generators
         ],
-        "d": map_to_json(datum.d),
-        "u": map_to_json(datum.u),
-        "d1": map_to_json(datum.d1, "from"),
-        "d2": map_to_json(datum.d2, "to"),
+        **{key: map_to_json(getattr(datum, key), end) for key, end, _ in DATUM_MAPS},
     }
 
 

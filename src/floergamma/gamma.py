@@ -282,8 +282,8 @@ def _largest_positive_degree(datum: FloerDatum, k_top: int) -> int | None:
 
     One incremental pass over the class: degree j+1 is feasible when tower
     level j raises the rank of the d rows and the levels below.  Levels
-    with j+1 of the other parity vanish when d1 lives on grading 1 and u
-    lowers grading by 4, as validate demands, so they never raise it.
+    with j+1 of the other parity vanish under the grading rules of
+    `DATUM_MAPS`, which validate enforces, so they never raise it.
     """
     gens = _grading_class(datum, k_top)
     ech = Echelon(_rows(_d_columns(datum, gens)))

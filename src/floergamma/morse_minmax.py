@@ -131,6 +131,8 @@ def morse_from_json(obj) -> MorseComplex:
         where = "boundary entry"
         check_keys(e, {"from", "to", "coeff"}, where)
         ends = (json_field(e, "from", str, where), json_field(e, "to", str, where))
+        if ends in boundary:
+            raise InputError(f"repeated boundary entry {ends[0]}->{ends[1]}")
         boundary[ends] = json_field(e, "coeff", int, where)
     return MorseComplex(gens, boundary, obj.get("name", ""))
 

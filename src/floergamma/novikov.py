@@ -41,6 +41,10 @@ ExtRat = Union[Fraction, float]
 _ZERO = Fraction(0)
 
 
+def _rat(x) -> Fraction:
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
 def parse_rat(text: str) -> Fraction:
     """Parse the canonical text form of a rational: "p/q" or "p".
 
@@ -108,7 +112,7 @@ class NovikovElement:
     Term-tuple invariant: `_terms` is a tuple of (coeff, exp) pairs, both
     `Fraction`s, with strictly increasing exponents and no zero
     coefficient.  `__init__` is the one canonicalising constructor: it
-    converts, collects and sorts parsed input; a single term needs no
+    converts non-Fractions, collects and sorts input; a single term needs no
     collecting or sorting, so it keeps the term, or none if its
     coefficient is zero.  Every operation keeps the invariant and builds
     its tuple directly (`_of`) instead of canonicalising again: negation,
@@ -126,10 +130,10 @@ class NovikovElement:
         terms = tuple(terms)
         if len(terms) == 1:
             (c, e), = terms
-            e, c = Fraction(e), Fraction(c)
+            e, c = _rat(e), _rat(c)
             self._terms = ((c, e),) if c else ()
             return
-        acc = lincomb((None, {Fraction(e): Fraction(c)}) for c, e in terms)
+        acc = lincomb((None, {_rat(e): _rat(c)}) for c, e in terms)
         self._terms = tuple((acc[e], e) for e in sorted(acc))
 
     @classmethod

@@ -13,11 +13,13 @@ with an acyclic pair.  Neither makes a value depend on d, so the
 d-essential block, whose Gamma(1) is fixed by its d rows, tests them.
 
 The module also keeps the readers that only tests need: homogeneous
-projection and its inverse, the x-degree of a bar element, and the
-quadratic reference for the tau' bound.
+projection and its inverse, the x-degree of a bar element, the
+quadratic reference for the tau' bound, and the list of bundled fixtures.
 """
 
+import json
 from fractions import Fraction
+from importlib import resources
 from random import Random
 
 from floergamma.cobordism import CobordismDatum
@@ -34,6 +36,13 @@ from floergamma.floer_datum import (
 from floergamma.novikov import NovikovElement
 
 DENOMINATORS = (2, 3, 4, 5, 6, 8, 12)
+
+
+def bundled_fixtures() -> list[tuple[str, dict]]:
+    """(name, parsed JSON) of every fixture the package ships, by name."""
+    files = (resources.files("floergamma") / "fixtures").iterdir()
+    return [(f.name.removesuffix(".json"), json.loads(f.read_text()))
+            for f in sorted(files, key=lambda f: f.name) if f.name.endswith(".json")]
 
 
 def evaluate_at_one(el: NovikovElement) -> Fraction:

@@ -117,6 +117,29 @@ def test_refused_data_exit_2(capsys, tmp_path):
         "source": "s3", "target": "s3", "c": 1,
         "phi": [{"from": "nope", "to": "theta", "terms": [{"coeff": "1", "exp": "0"}]}],
     }))
+    # a second map entry with the same ends: the last one used to win silently
+    # (gamma(1) = inf here where the first entry alone gives 1/2, and a
+    # boundary -1 after +1 made b a boundary)
+    one_term = [{"coeff": "1", "exp": "1/2"}]
+    repeated = {
+        "d1": {"name": "rep", "d1": [{"from": "a", "terms": one_term},
+                                     {"from": "a", "terms": [{"coeff": "0", "exp": "0"}]}],
+               "generators": [{"name": "a", "grading": 1, "energy_lift": "-1/2"}]},
+        "d": {"name": "rep", "d": [{"from": "a", "to": "b", "terms": [{"coeff": c, "exp": "0"}]}
+                                   for c in ("1", "-1")],
+              "generators": [{"name": "a", "grading": 5, "energy_lift": "0"},
+                             {"name": "b", "grading": 4, "energy_lift": "0"}]},
+        "morse": {"boundary": [{"from": "a", "to": "b", "coeff": c} for c in (1, -1)],
+                  "generators": [{"name": "a", "index": 1, "value": "2"},
+                                 {"name": "b", "index": 0, "value": "1"}]}}
+    path = {name: str(tmp_path / f"repeated_{name}.json") for name in repeated}
+    for name, obj in repeated.items():
+        Path(path[name]).write_text(json.dumps(obj))
+    for argv, label in ((["gamma", path["d1"], "--k", "1"], "d1 entry at a"),
+                        (["validate", path["d"]], "d entry a->b"),
+                        (["morse", "eval", path["morse"], "--class", "b:1"],
+                         "boundary entry a->b")):
+        assert run(capsys, *argv) == (2, "", f"error: repeated {label}\n"), argv
     composed = tmp_path / "composed.json"
     for argv in (["gamma", str(broken), "--k", "1"],
                  ["gamma", str(broken), "--range", "-4..4"],

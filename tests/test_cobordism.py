@@ -14,6 +14,7 @@ from floergamma.cobordism import (
     identity_cobordism,
     load_cobordism,
     mdeg_decay,
+    validate_cobordism,
     verify_functoriality,
     verify_tilde_chain_map,
 )
@@ -44,6 +45,8 @@ from floergamma.equivariant import (
     x_action_hat,
 )
 from floergamma.floer_datum import (
+    FloerDatum,
+    Generator,
     InputError,
     LambdaMatrix,
     apply_column,
@@ -55,6 +58,7 @@ from floergamma.novikov import NovikovElement
 
 from datagen import (
     apply_u_power,
+    bundled_fixtures,
     count_u_applications,
     cyclic_u_datum,
     deg_bar,
@@ -476,11 +480,18 @@ def test_mdeg_decay_measurement():
 
 
 def test_cobordism_json_round_trip():
+    data = [(name, obj) for name, obj in bundled_fixtures() if "source" in obj]
+    assert [name for name, _ in data] == ["delta1_sigma_2_3_5_to_s3"]
+    for name, stored in data:
+        cob = load_cobordism(name)
+        obj = cobordism_to_json(cob)
+        again = cobordism_from_json(obj)
+        assert _cobordisms_equal(cob, again), name
+        assert again.source.structurally_equal(cob.source), name
+        assert again.target.structurally_equal(cob.target), name
+        assert cobordism_to_json(again) == obj == stored, name
     cob = load_cobordism("delta1_sigma_2_3_5_to_s3")
     obj = cobordism_to_json(cob)
-    again = cobordism_from_json(obj)
-    assert _cobordisms_equal(cob, again)
-    assert again.source.structurally_equal(cob.source)
     obj["mystery"] = True
     with pytest.raises(InputError):
         cobordism_from_json(obj)
@@ -502,3 +513,31 @@ def test_cobordism_json_round_trip():
         obj[key] = value
         with pytest.raises(InputError):
             cobordism_from_json(obj)
+    # a second entry with the same ends is refused before its generators are looked up
+    zero = [{"coeff": "0", "exp": "0"}]
+    for key, ends, label in (("phi", {"from": "alpha", "to": "x"}, "phi entry alpha->x"),
+                             ("mu", {"from": "alpha", "to": "x"}, "mu entry alpha->x"),
+                             ("delta1", {"from": "alpha"}, "delta1 entry at alpha"),
+                             ("delta2", {"to": "x"}, "delta2 entry at x")):
+        obj = cobordism_to_json(cob)
+        obj[key] = [dict(ends, terms=one), dict(ends, terms=zero)]
+        with pytest.raises(InputError, match=f"^repeated {label}$"):
+            cobordism_from_json(obj)
+
+
+@pytest.mark.parametrize("key, gradings, text", [
+    ("phi", (1, 4), "phi entry a->b does not preserve grading"),
+    ("mu", (1, 1), "mu entry a->b does not drop grading by 3"),
+    ("delta1", (5, 4), "delta1 supported on a of grading 5 != 1"),
+    ("delta2", (1, 5), "delta2 lands on b of grading 5 != 4"),
+])
+def test_one_cobordism_entry_breaking_its_grading_rule_is_named_exactly(key, gradings, text):
+    # one generator each: a in the source, b in the target
+    source, target = (FloerDatum(g, [Generator(g, gr, Fraction(0))], LambdaMatrix(),
+                                 LambdaMatrix(), {}, {}) for g, gr in zip("ab", gradings))
+    one = NovikovElement.one()
+    maps = {"phi": LambdaMatrix(), "mu": LambdaMatrix(), "delta1": {}, "delta2": {}}
+    maps[key] = {"delta1": {"a": one}, "delta2": {"b": one}}.get(
+        key, LambdaMatrix({("a", "b"): one}))
+    cob = CobordismDatum(source, target, c=1, **maps)
+    assert validate_cobordism(cob).failures == [text]

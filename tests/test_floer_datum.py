@@ -22,6 +22,7 @@ from floergamma.floer_datum import (
 from floergamma.novikov import NovikovElement
 
 from datagen import (
+    bundled_fixtures,
     cyclic_u_datum,
     evaluate_at_one,
     project_homogeneous,
@@ -192,10 +193,41 @@ def test_evaluation_at_one_preserves_identities():
         assert all(v == 0 for row in ud_du for v in row)
 
 
-def test_json_round_trip(sigma):
-    obj = datum_to_json(sigma)
-    again = datum_from_json(json.loads(json.dumps(obj)))
-    assert again.structurally_equal(sigma)
+def test_json_round_trip():
+    data = [(name, obj) for name, obj in bundled_fixtures() if "source" not in obj]
+    assert len(data) == 5
+    for name, stored in data:
+        datum = load_datum(name)
+        obj = datum_to_json(datum)
+        again = datum_from_json(json.loads(json.dumps(obj)))
+        assert again.structurally_equal(datum), name
+        assert datum_to_json(again) == obj == stored, name
+
+
+@pytest.mark.parametrize("gens, key, ends, exp, check, text", [
+    ([("a", 1, "0"), ("b", 1, "0")], "d", {"from": "a", "to": "b"}, "0",
+     validate_structure, "d entry a->b does not drop grading by 1"),
+    ([("a", 1, "0"), ("b", 1, "0")], "u", {"from": "a", "to": "b"}, "0",
+     validate_structure, "u entry a->b does not drop grading by 4"),
+    ([("a", 5, "0")], "d1", {"from": "a"}, "0",
+     validate_structure, "d1 supported on a of grading 5 != 1"),
+    ([("a", 5, "0")], "d2", {"to": "a"}, "0",
+     validate_structure, "d2 lands on a of grading 5 != 4"),
+    ([("a", 1, "0"), ("b", 0, "1/2")], "d", {"from": "a", "to": "b"}, "0",
+     validate_homogeneity, "d entry a->b: exponent 0 breaks weight congruence"),
+    ([("a", 4, "0"), ("b", 0, "1/3")], "u", {"from": "a", "to": "b"}, "1",
+     validate_homogeneity, "u entry a->b: exponent 1 breaks weight congruence"),
+    ([("a", 1, "0")], "d1", {"from": "a"}, "1/2",
+     validate_homogeneity, "d1 entry at a: exponent 1/2 breaks weight congruence"),
+    ([("a", 4, "1/3")], "d2", {"to": "a"}, "0",
+     validate_homogeneity, "d2 entry at a: exponent 0 breaks weight congruence"),
+])
+def test_one_entry_breaking_its_grading_or_weight_rule_is_named_exactly(
+        gens, key, ends, exp, check, text):
+    obj = {"name": "x", "generators": [{"name": n, "grading": g, "energy_lift": r}
+                                       for n, g, r in gens],
+           key: [dict(ends, terms=[{"coeff": "1", "exp": exp}])]}
+    assert check(datum_from_json(obj)).failures == [text]
 
 
 def test_json_rejects_unknown_keys():
@@ -237,6 +269,17 @@ def test_json_rejects_bad_values():
         bad = dict(base, generators=[gen])
         bad[field] = value
         with pytest.raises(InputError):
+            datum_from_json(bad)
+    # a second entry with the same ends is refused, neither summed nor overwritten,
+    # even when it is zero
+    zero = dict(term, coeff="0")
+    for field, ends, label in (("d", {"from": "a", "to": "a"}, "d entry a->a"),
+                               ("u", {"from": "a", "to": "a"}, "u entry a->a"),
+                               ("d1", {"from": "a"}, "d1 entry at a"),
+                               ("d2", {"to": "a"}, "d2 entry at a")):
+        bad = dict(base, generators=[gen])
+        bad[field] = [dict(ends, terms=[term]), dict(ends, terms=[zero])]
+        with pytest.raises(InputError, match=f"^repeated {label}$"):
             datum_from_json(bad)
 
 

@@ -221,5 +221,10 @@ def test_json_and_class_parsing(tmp_path):
     obj["spurious"] = 1
     with pytest.raises(InputError):
         morse_from_json(obj)
+    # a second boundary entry with the same ends is refused, not overwritten
+    del obj["spurious"]
+    obj["boundary"] = [{"from": "M", "to": "m", "coeff": c} for c in (1, -1)]
+    with pytest.raises(InputError, match="^repeated boundary entry M->m$"):
+        morse_from_json(obj)
     with pytest.raises(InputError):
         parse_class("m=1")

@@ -222,6 +222,18 @@ def test_one_parsed_term_matches_the_collecting_constructor(c, e):
     assert el.items() == NovikovElement([(c, e), (0, e)]).items()
 
 
+def test_the_constructor_keeps_fractions_and_converts_other_input():
+    terms = [(parse_rat("3/4"), parse_rat("1/2")), (parse_rat("-2"), parse_rat("-1/3"))]
+    for given_terms in (terms[:1], terms):
+        kept = NovikovElement(given_terms).items()
+        assert all(x is y for got, want in zip(kept, sorted(given_terms, key=lambda t: t[1]))
+                   for x, y in zip(got, want))
+    for raw in ([(1, "1/2")], [(3, 2), ("1/3", 0)]):
+        el = NovikovElement(raw)
+        assert all(type(x) is Fraction for term in el.items() for x in term)
+        assert el == nov(*raw)
+
+
 def test_zero_is_shared_and_scalar_zero_returns_it():
     zero = NovikovElement.zero()
     assert NovikovElement.zero() is zero and zero.is_zero()
