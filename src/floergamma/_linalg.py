@@ -1,5 +1,4 @@
-"""Small exact linear algebra kernel: one sparse echelon form over Q and
-fraction-free (Bareiss) elimination over Q[mu].
+"""Small exact linear algebra kernel: one sparse echelon form over Q.
 
 Rows over Q arrive dense (a sequence) or sparse (a map column -> value).
 `Echelon` keeps them as sparse maps in fully reduced row echelon form
@@ -9,10 +8,12 @@ distinct free columns (the Gamma threshold).  The RREF of a row space is
 unique, so the kernel basis, the solutions and the residues read from it
 do not depend on the order rows arrived in.  `q_rank`, `q_kernel_basis`,
 `q_solve` and `Echelon.reduce` (the residue of a row, which the Morse
-min-max reads) are readers of that one form.  Every row operation is one
-call of `novikov.lincomb`, the package's accumulation kernel: a reduction
-subtracts the multiples of all stored rows at once, and an insertion
-clears its pivot column from each stored row.
+min-max reads) are readers of that one form, and so is the rank over
+Q(mu), `poly_matrix_rank`, taken at enough rational points of mu.  Every
+row operation is one call of `novikov.lincomb`, the package's
+accumulation kernel: a reduction subtracts the multiples of all stored
+rows at once, and an insertion clears its pivot column from each stored
+row.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .novikov import POLY_ONE, QPoly, lincomb, poly_divexact, poly_mul, poly_sub
+from .novikov import QPoly, lincomb
 
 SparseRow = dict[int, Fraction]
 Row = Union[Sequence[Fraction], SparseRow]
@@ -109,38 +110,20 @@ def q_solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] |
 
 
 def poly_matrix_rank(rows: list[list[QPoly]]) -> int:
-    """Rank over the fraction field Q(mu), via fraction-free elimination.
+    """Rank over the fraction field Q(mu): the largest rank over Q at mu = 0..r·D.
 
-    Bareiss updates keep every intermediate entry a polynomial; the exact
-    divisions are guaranteed by the algorithm.
+    r = min(rows, columns) and D is the largest entry degree.  The rank
+    over Q(mu) is the size of a largest nonzero minor, a polynomial of
+    degree at most r·D, so it vanishes at no more than r·D of these points;
+    at no point is the rank larger.
     """
-    mat = [list(r) for r in rows if any(p for p in r)]
-    if not mat:
-        return 0
-    width = len(mat[0])
+    width = max((len(r) for r in rows), default=0)
+    full = min(len(rows), width)
+    degree = max((len(p) - 1 for r in rows for p in r), default=0)
     rank = 0
-    col = 0
-    prev: QPoly = POLY_ONE
-    while rank < len(mat) and col < width:
-        pivot = None
-        for i in range(rank, len(mat)):
-            if mat[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            col += 1
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        pv = mat[rank][col]
-        for i in range(rank + 1, len(mat)):
-            row = mat[i]
-            for j in range(width):
-                if j == col:
-                    continue
-                num = poly_sub(poly_mul(row[j], pv), poly_mul(row[col], mat[rank][j]))
-                row[j] = poly_divexact(num, prev)
-            row[col] = ()
-        prev = pv
-        rank += 1
-        col += 1
+    for mu in range(full * degree + 1):
+        at_mu = [[sum(c * mu ** i for i, c in enumerate(p)) for p in r] for r in rows]
+        rank = max(rank, Echelon(at_mu).rank)
+        if rank == full:
+            break
     return rank

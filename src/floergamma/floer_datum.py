@@ -17,11 +17,12 @@ the square-zero identities of the extended differential.
 JSON format: {"name", "generators": [{"name", "grading" (0..7),
 "energy_lift"}], and per map an optional array (absent is the zero map)
 of entries {"from", "to", "terms"}, or {end, "terms"} if one-sided};
-"terms" is [{"coeff", "exp"}], the sum of coeff · l^exp.  Rationals are
-strings, "p/q" or "p" (or any spelling `Fraction` reads), never numbers.
-Unknown keys or generators and a repeated entry (two with the same ends
-in one map) are refused with `InputError`.  `cobordism` reads its maps
-the same way.
+"terms" is [{"coeff", "exp"}], the sum of coeff · l^exp over distinct
+exponents.  Rationals are strings, "p/q" or "p" (or any spelling
+`Fraction` reads, up to `novikov.MAX_DIGITS` digits), never numbers.
+Unknown keys or generators, a repeated entry (two with the same ends in
+one map) and a repeated exponent within one entry are refused with
+`InputError`.  `cobordism` reads its maps the same way.
 """
 
 from __future__ import annotations
@@ -425,13 +426,17 @@ def json_field(obj: dict, key: str, kind: type, where: str, default=_REQUIRED):
     return value
 
 
-def _terms_from_json(items: list, where: str) -> NovikovElement:
-    terms = []
+def _terms_from_json(items: list, where: str, label: str) -> NovikovElement:
+    """The element of one entry, named `label`; a repeated exponent is refused."""
+    terms = {}
     for t in items:
         check_keys(t, {"coeff", "exp"}, f"{where} term")
-        terms.append((json_field(t, "coeff", Fraction, where),
-                      json_field(t, "exp", Fraction, where)))
-    return NovikovElement(terms)
+        coeff = json_field(t, "coeff", Fraction, where)
+        exp = json_field(t, "exp", Fraction, where)
+        if exp in terms:
+            raise InputError(f"repeated exponent {format_rat(exp)} in {label}")
+        terms[exp] = coeff
+    return NovikovElement((c, e) for e, c in terms.items())
 
 
 def map_from_json(obj: dict, key: str, end: str = ""):
@@ -449,9 +454,10 @@ def map_from_json(obj: dict, key: str, end: str = ""):
         check_keys(e, {*ends, "terms"}, where)
         src, dst = (json_field(e, x, str, where) if x in ends else None for x in ("from", "to"))
         at = dst if end == "to" else src if end else (src, dst)
+        label = entry_label(key, src, dst)
         if at in out:
-            raise InputError(f"repeated {entry_label(key, src, dst)}")
-        out[at] = _terms_from_json(json_field(e, "terms", list, where), key)
+            raise InputError(f"repeated {label}")
+        out[at] = _terms_from_json(json_field(e, "terms", list, where), key, label)
     return out if end else LambdaMatrix(out)
 
 

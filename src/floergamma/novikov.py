@@ -11,24 +11,27 @@ its collect-and-sort: sums, products, negation, scaling and shifts build
 their sorted term tuples directly, and a product with the shared unit
 `one()` returns the other operand.
 Text is read by `parse_rat`, which handles the canonical "p/q" with
-`int` and leaves every other spelling to `Fraction`.
+`int`, leaves every other spelling to `Fraction` and refuses a value of
+more than MAX_DIGITS digits.
 
 `lincomb` is the package's one accumulation kernel, sum c·v over sparse
 dicts v with zero entries dropped: it collects the terms of parsed input
 and of a general product, and sums every chain vector, x-part and
 echelon row.
 
-The module also writes an element as a dense polynomial over Q in
-mu = l^(1/scale), once exponent denominators are cleared and exponents
-shifted to be non-negative.  The rank of a matrix of such polynomials
-over the field Q(mu) is the rank over the Novikov coefficients; the
-linear algebra kernel takes it by fraction-free elimination, so no
-rational-function arithmetic is needed.
+The module also writes an element as the coefficient tuple of a
+polynomial over Q in mu = l^(1/scale), once exponent denominators are
+cleared and exponents shifted to be non-negative.  The rank of a matrix
+of such polynomials over the field Q(mu) is the rank over the Novikov
+coefficients; `_linalg.poly_matrix_rank` takes it over Q at enough
+rational values of mu, so no polynomial or rational-function arithmetic
+is needed.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -39,6 +42,12 @@ INF = math.inf
 ExtRat = Union[Fraction, float]
 
 _ZERO = Fraction(0)
+
+#: Most digits `parse_rat` reads in a numerator or denominator: Python's
+#: default limit for converting between int and str, so each value prints.
+MAX_DIGITS = 4300
+_TOO_BIG = 10 ** MAX_DIGITS
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\Z")
 
 
 def _rat(x) -> Fraction:
@@ -51,7 +60,10 @@ def parse_rat(text: str) -> Fraction:
     ASCII "p", "-p", "p/q" and "-p/q" with q nonzero are read by `int`
     directly; anything else (spaces, a "+", decimals, exponents,
     underscores, non-ASCII digits) goes through `Fraction(text)`, which
-    accepts or refuses it.
+    accepts or refuses it.  A value whose numerator or denominator has more
+    than MAX_DIGITS digits is refused.  An exponent spelling is sized before
+    `Fraction` expands 10^exponent: one whose exponent exceeds MAX_DIGITS
+    plus the digits before it is refused unread, a zero included.
     """
     if not isinstance(text, str):
         raise ValueError(f"not a rational string: {text!r}")
@@ -61,8 +73,13 @@ def parse_rat(text: str) -> Fraction:
         if q:
             return Fraction(int(num), q)
     text = text.strip()
+    exp = _EXPONENT.search(text)
     try:
+        if exp and abs(int(exp[1])) > MAX_DIGITS + sum(c.isdigit() for c in text[:exp.start()]):
+            raise ValueError("exponent too large")
         value = Fraction(text)
+        if abs(value.numerator) >= _TOO_BIG or value.denominator >= _TOO_BIG:
+            raise ValueError("too many digits")
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational: {text!r}") from exc
     return value
@@ -280,73 +297,7 @@ def mdeg_tuple(elements: Iterable[NovikovElement]) -> ExtRat:
     return best
 
 
-# ---------------------------------------------------------------------------
-# Dense polynomials over Q in mu = l^(1/scale).  Their dense coefficient
-# loops stay as they are, outside `lincomb`: the benchmark traces this layer
-# by name.
-# ---------------------------------------------------------------------------
-
 QPoly = tuple  # coefficient tuple, index = degree, no trailing zeros
-
-POLY_ZERO: QPoly = ()
-POLY_ONE: QPoly = (Fraction(1),)
-
-
-def poly_from_coeffs(coeffs: Iterable) -> QPoly:
-    cs = [Fraction(c) for c in coeffs]
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
-
-
-def poly_add(p: QPoly, q: QPoly) -> QPoly:
-    n = max(len(p), len(q))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(p):
-        out[i] += c
-    for i, c in enumerate(q):
-        out[i] += c
-    return poly_from_coeffs(out)
-
-
-def poly_neg(p: QPoly) -> QPoly:
-    return tuple(-c for c in p)
-
-def poly_sub(p: QPoly, q: QPoly) -> QPoly:
-    return poly_add(p, poly_neg(q))
-
-
-def poly_mul(p: QPoly, q: QPoly) -> QPoly:
-    if not p or not q:
-        return POLY_ZERO
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return poly_from_coeffs(out)
-
-
-def poly_divmod(p: QPoly, q: QPoly) -> tuple[QPoly, QPoly]:
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p)
-    quot = [Fraction(0)] * max(0, len(p) - len(q) + 1)
-    lead = q[-1]
-    for i in range(len(rem) - len(q), -1, -1):
-        c = rem[i + len(q) - 1] / lead
-        if c == 0:
-            continue
-        quot[i] = c
-        for j, b in enumerate(q):
-            rem[i + j] -= c * b
-    return poly_from_coeffs(quot), poly_from_coeffs(rem)
-
-
-def poly_divexact(p: QPoly, q: QPoly) -> QPoly:
-    quot, rem = poly_divmod(p, q)
-    if rem:
-        raise ArithmeticError("inexact polynomial division")
-    return quot
 
 
 def to_rational_function(a: NovikovElement, scale: int) -> QPoly:
@@ -369,7 +320,7 @@ def to_rational_function(a: NovikovElement, scale: int) -> QPoly:
             raise ValueError(f"exponent {e} is negative; shift before embedding")
         coeffs[int(k)] = c
     if not coeffs:
-        return POLY_ZERO
+        return ()
     return tuple(coeffs.get(i, _ZERO) for i in range(max(coeffs) + 1))
 
 

@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -132,10 +133,14 @@ def test_refused_data_exit_2(capsys, tmp_path):
         "morse": {"boundary": [{"from": "a", "to": "b", "coeff": c} for c in (1, -1)],
                   "generators": [{"name": "a", "index": 1, "value": "2"},
                                  {"name": "b", "index": 0, "value": "1"}]}}
+    # two terms with one exponent used to sum: gamma(1) = inf where either gives 1/2
+    repeated["exp"] = dict(repeated["d1"], d1=[
+        {"from": "a", "terms": [*one_term, {"coeff": "-1", "exp": "1/2"}]}])
     path = {name: str(tmp_path / f"repeated_{name}.json") for name in repeated}
     for name, obj in repeated.items():
         Path(path[name]).write_text(json.dumps(obj))
     for argv, label in ((["gamma", path["d1"], "--k", "1"], "d1 entry at a"),
+                        (["gamma", path["exp"], "--k", "1"], "exponent 1/2 in d1 entry at a"),
                         (["validate", path["d"]], "d entry a->b"),
                         (["morse", "eval", path["morse"], "--class", "b:1"],
                          "boundary entry a->b")):
@@ -157,6 +162,31 @@ def test_refused_data_exit_2(capsys, tmp_path):
         assert code == 2 and out == "", argv
         assert err.startswith("error:") and "Traceback" not in err, argv
     assert not composed.exists()
+
+
+def test_oversized_rationals_exit_2_quickly(capsys, tmp_path):
+    # Fraction expands 1eN to 10^N before anything checks it: "1e99999999" did
+    # not finish in a minute, and "1e5000" was read, then failed to print
+    def datum(lift, exp):
+        return {"name": "big", "generators": [{"name": "a", "grading": 1, "energy_lift": lift}],
+                "d1": [{"from": "a", "terms": [{"coeff": "1", "exp": exp}]}]}
+    circle = tmp_path / "circle.json"
+    circle.write_text(json.dumps({"generators": [{"name": "a", "index": 0, "value": "0"}]}))
+    for i, (lift, exp) in enumerate((("1e9999999", "0"), ("1e99999999", "0"),
+                                     ("1e5000", "-1e5000"), ("0", "1e-5000"))):
+        path = tmp_path / f"big{i}.json"
+        path.write_text(json.dumps(datum(lift, exp)))
+        big = lift if lift != "0" else exp
+        for argv in (["validate", str(path)], ["gamma", str(path), "--k", "1"],
+                     ["bounds", str(path)], ["morse", "eval", str(circle), "--class", f"a:{big}"]):
+            start = time.perf_counter()
+            code, out, err = run(capsys, *argv)
+            assert time.perf_counter() - start < 1, argv
+            assert (code, out) == (2, "") and f"not a rational: '{big}'" in err, argv
+    # the largest exponents that stay within the digit limit are still read
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(datum("-1e4299", "1e4299")))
+    assert run(capsys, "validate", str(path))[0] == 0
 
 
 def test_each_datum_is_validated_once(capsys, monkeypatch):

@@ -281,6 +281,14 @@ def test_json_rejects_bad_values():
         bad[field] = [dict(ends, terms=[term]), dict(ends, terms=[zero])]
         with pytest.raises(InputError, match=f"^repeated {label}$"):
             datum_from_json(bad)
+    # so is a repeated exponent within one entry: summing the terms made this d1 zero
+    bad = dict(base, generators=[gen], d1=[{"from": "a", "terms": [term, dict(term, coeff="-1")]}])
+    with pytest.raises(InputError, match="^repeated exponent 1/2 in d1 entry at a$"):
+        datum_from_json(bad)
+    # a coefficient is read before the exponent, so a bad one is named first
+    bad["d1"][0]["terms"][1]["coeff"] = "x"
+    with pytest.raises(InputError, match="^d1: not a rational: 'x'$"):
+        datum_from_json(bad)
 
 
 def test_duplicate_generator_names_rejected():

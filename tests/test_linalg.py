@@ -11,7 +11,7 @@ from floergamma._linalg import (
     q_rank,
     q_solve,
 )
-from floergamma.novikov import poly_from_coeffs, poly_mul
+from floergamma.novikov import NovikovElement, to_rational_function
 
 
 def det(m):
@@ -105,7 +105,7 @@ def test_echelon_reports_rank_growth_and_stays_reduced():
 
 
 # ---------------------------------------------------------------------------
-# Rank over Q(mu): Bareiss elimination
+# Rank over Q(mu): Echelon ranks at rational points of mu
 # ---------------------------------------------------------------------------
 
 MAX_SIZE = 4
@@ -129,25 +129,33 @@ def brute_force_rank(rows, ncols):
                for x in points)
 
 
+def poly(coeffs):
+    """A Novikov element with exponents 0, 1, ...; products are then polynomial products."""
+    return NovikovElement((c, i) for i, c in enumerate(coeffs))
+
+
+def as_polys(rows):
+    return [[to_rational_function(el, 1) for el in row] for row in rows]
+
+
 def random_poly_matrices(seed, count=120):
     """Small matrices over Q[mu], often rank deficient, some vanishing at ROOT."""
     rng = Random(seed)
-    root = poly_from_coeffs([-2 * ROOT, 2])  # 2 (mu - ROOT)
+    root = poly([-2 * ROOT, 2])  # 2 (mu - ROOT)
     for _ in range(count):
         nrows, ncols = rng.randint(0, MAX_SIZE), rng.randint(1, MAX_SIZE)
-        rows = [[poly_from_coeffs(rng.choice((0, 0, 1, -1, 2))
-                                  for _ in range(rng.randint(0, 3)))
+        rows = [[poly(rng.choice((0, 0, 1, -1, 2)) for _ in range(rng.randint(0, 3)))
                  for _ in range(ncols)] for _ in range(nrows)]
         if ncols >= 2 and rng.random() < 0.3:  # a column proportional to another
             a, b = rng.sample(range(ncols), 2)
-            factor = poly_from_coeffs([rng.randint(-2, 2), rng.randint(0, 1)])
+            factor = poly([rng.randint(-2, 2), rng.randint(0, 1)])
             for row in rows:
-                row[b] = poly_mul(factor, row[a])
+                row[b] = factor * row[a]
         if rng.random() < 0.5:  # a column that vanishes at ROOT
             b = rng.randrange(ncols)
             for row in rows:
-                row[b] = poly_mul(root, row[b])
-        yield rows, ncols
+                row[b] = root * row[b]
+        yield as_polys(rows), ncols
 
 
 def test_rank_over_q_mu_matches_brute_force():
@@ -162,11 +170,22 @@ def test_rank_over_q_mu_matches_brute_force():
 
 def test_full_rank_with_a_rational_root():
     # mu - ROOT vanishes at ROOT, yet the 1x1 matrix has full rank over Q(mu)
-    assert poly_matrix_rank([[poly_from_coeffs([-ROOT, 1])]]) == 1
+    assert poly_matrix_rank(as_polys([[poly([-ROOT, 1])]])) == 1
 
 
 def test_proportional_columns_are_deficient():
-    col = [poly_from_coeffs([1, 2]), poly_from_coeffs([0, 0, 3]), poly_from_coeffs([5])]
-    factor = poly_from_coeffs([-1, 0, 1])  # mu^2 - 1
-    rows = [[p, poly_mul(factor, p)] for p in col]
-    assert poly_matrix_rank(rows) == 1
+    col = [poly([1, 2]), poly([0, 0, 3]), poly([5])]
+    factor = poly([-1, 0, 1])  # mu^2 - 1
+    assert poly_matrix_rank(as_polys([[p, factor * p] for p in col])) == 1
+
+
+def test_rank_needs_every_evaluation_point():
+    # p vanishes at mu = 0..D-1 and q at D..2D-1, so diag(p, q) has rank 1 at
+    # each of the first 2D points and rank 2 only at the last, mu = r·D = 2D
+    for degree in range(1, 5):
+        p, q = NovikovElement.one(), NovikovElement.one()
+        for i in range(degree):
+            p, q = p * poly([-i, 1]), q * poly([-degree - i, 1])
+        zero = NovikovElement.zero()
+        assert poly_matrix_rank(as_polys([[p, zero], [zero, q]])) == 2
+        assert poly_matrix_rank(as_polys([[p]])) == 1

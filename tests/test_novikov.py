@@ -130,6 +130,16 @@ def test_parse_rat_leaves_other_spellings_to_fraction():
     assert parse_rat("+1") == 1 and parse_rat("1e3") == 1000
 
 
+def test_parse_rat_refuses_more_digits_than_the_limit():
+    assert parse_rat("1e4299") == 10 ** 4299 and parse_rat("-1e-4299") == Fraction(-1, 10 ** 4299)
+    assert parse_rat("12.5e4298") == 125 * 10 ** 4297  # 4300 digits
+    # sized from the exponent before Fraction would expand it, a zero included
+    for text in ("1e4300", "1e-4300", "12.5e4299", "1e5000", "1e-5000", "0e99999999",
+                 "1e9999999", "1e99999999", "1E+99999999", "1e9_999_999"):
+        with pytest.raises(ValueError, match="^not a rational"):
+            parse_rat(text)
+
+
 @given(elements, elements)
 def test_mdeg_multiplicative(a, b):
     if a.is_zero() or b.is_zero():
