@@ -8,11 +8,13 @@ refuse.  Every refusal is an InputError (the lattice, Seifert and Morse
 refusals subclass it), apart from the two inconsistency errors of the
 Gamma layer, and prints one "error:" line: among them a --window or
 --range past its cap, a gamma-compare cobordism that is not a chain map,
-and a Gamma that needs more than gamma.ORBIT_CAP u-steps on a u-orbit
-that has not ended by then.  The verifiers report a datum that fails
-validate as a failed precondition, exit 1.  Input files are read by
-path, or else as the bundled fixture of that name.  Every subcommand
-accepts --json for a machine-readable object carrying the same values.
+a Gamma that needs more than gamma.ORBIT_CAP u-steps on a u-orbit that
+has not ended by then, and a rational too long to print
+(novikov.format_rat, which text and --json output both go through).
+The verifiers report a datum that fails validate as a failed
+precondition, exit 1.  Input files are read by path, or else as the
+bundled fixture of that name.  Every subcommand accepts --json for a
+machine-readable object carrying the same values.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from .lattice import (
     minimal_vectors,
 )
 from .morse_minmax import evaluate_class, load_morse, parse_class
-from .novikov import INF, format_extrat
+from .novikov import INF, format_extrat, format_rat
 from .seifert import (
     gamma_prediction,
     r_invariant_cotangent,
@@ -62,7 +64,7 @@ from .seifert import (
 
 def _jsonable(value):
     if isinstance(value, Fraction):
-        return str(value)
+        return format_rat(value)
     if value == INF:
         return "inf"
     if isinstance(value, dict):

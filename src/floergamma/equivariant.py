@@ -22,23 +22,35 @@ bookkeeping; it is recorded here once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .floer_datum import (FloerDatum, Report, Vector, validate, vec_add, vec_neg, vec_sub,
                           weighted_sum)
 from .novikov import INF, ExtRat, NovikovElement, lincomb, mdeg_tuple
 
 
-@dataclass(frozen=True)
 class Window:
-    """Laurent truncation bounds: slots x^-T .. x^N."""
+    """Laurent truncation bounds: slots x^-T .. x^N.
 
-    T: int
-    N: int
+    Equality, hash and repr are those of a frozen dataclass over (T, N).
+    """
 
-    def __post_init__(self):
-        if self.T < 2 or self.N < 1:
+    __slots__ = ("T", "N")
+
+    def __init__(self, T: int, N: int):
+        if T < 2 or N < 1:
             raise ValueError("window needs T >= 2 and N >= 1")
+        self.T = T
+        self.N = N
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.T, self.N) == (other.T, other.N)
+
+    def __hash__(self) -> int:
+        return hash((self.T, self.N))
+
+    def __repr__(self) -> str:
+        return f"Window(T={self.T!r}, N={self.N!r})"
 
 
 XPart = dict[int, NovikovElement]
@@ -51,9 +63,9 @@ class XElement:
     holds i >= 0, the check complex i < 0, and the bar complex every i
     with an empty chain part.
 
-    A plain slotted class, not a dataclass: the verifiers build tens of
-    thousands per pass.  Nothing mutates an element once built; equality
-    and repr are those of a dataclass over (chain, x).
+    A plain slotted class: the verifiers build tens of thousands per pass.
+    Nothing mutates an element once built; equality and repr are those of
+    a dataclass over (chain, x).
     """
 
     __slots__ = ("chain", "x")

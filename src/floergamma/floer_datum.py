@@ -19,7 +19,8 @@ JSON format: {"name", "generators": [{"name", "grading" (0..7),
 of entries {"from", "to", "terms"}, or {end, "terms"} if one-sided};
 "terms" is [{"coeff", "exp"}], the sum of coeff · l^exp over distinct
 exponents.  Rationals are strings, "p/q" or "p" (or any spelling
-`Fraction` reads, up to `novikov.MAX_DIGITS` digits), never numbers.
+`Fraction` reads, up to `novikov.MAX_DIGITS` digits and
+`novikov.MAX_SPELLING` characters), never numbers.
 Unknown keys or generators, a repeated entry (two with the same ends in
 one map) and a repeated exponent within one entry are refused with
 `InputError`.  `cobordism` reads its maps the same way.
@@ -28,33 +29,52 @@ one map) and a repeated exponent within one entry are refused with
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
-from .novikov import NovikovElement, format_rat, lincomb, parse_rat
+from .novikov import InputError, NovikovElement, format_rat, lincomb, parse_rat
 
 #: The structure maps of a datum: (field and JSON key, end keying a one-sided
 #: map or "" for a matrix map, grading drop mod 8).
 DATUM_MAPS = (("d", "", 1), ("u", "", 4), ("d1", "from", 1), ("d2", "to", 4))
 
 
-class InputError(ValueError):
-    """Malformed user input (bad JSON, schema violation, bad flags)."""
-
-
-@dataclass(frozen=True)
 class Generator:
-    name: str
-    grading: int          # residue mod 8
-    energy_lift: Fraction
+    """A named generator: its grading (a residue mod 8) and energy lift.
 
-    def __post_init__(self):
-        if not self.name:
+    A plain slotted class: `FloerDatum.grading` and `lift` read its fields
+    on every Gamma and triangle path.  Nothing mutates a generator once
+    built; equality, hash and repr are those of a frozen dataclass over
+    (name, grading, energy_lift).
+    """
+
+    __slots__ = ("name", "grading", "energy_lift")
+
+    def __init__(self, name: str, grading: int, energy_lift: Fraction):
+        if not name:
             raise InputError("generator name must be nonempty")
-        if not 0 <= self.grading <= 7:
-            raise InputError(f"grading of {self.name!r} must be in 0..7")
+        if not 0 <= grading <= 7:
+            raise InputError(f"grading of {name!r} must be in 0..7")
+        self.name = name
+        self.grading = grading
+        self.energy_lift = energy_lift
+
+    def _key(self) -> tuple:
+        return self.name, self.grading, self.energy_lift
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"Generator(name={self.name!r}, grading={self.grading!r}, "
+                f"energy_lift={self.energy_lift!r})")
 
 
 class LambdaMatrix:
@@ -241,14 +261,12 @@ class FloerDatum:
 
     def structurally_equal(self, other: "FloerDatum") -> bool:
         return (
-            [(g.name, g.grading, g.energy_lift) for g in self.generators]
-            == [(g.name, g.grading, g.energy_lift) for g in other.generators]
+            self.generators == other.generators
             and all(getattr(self, key) == getattr(other, key) for key, _, _ in DATUM_MAPS)
         )
 
 
-@dataclass(frozen=True)
-class HomogeneousVector:
+class HomogeneousVector(NamedTuple):
     """Rational combination sum_g s_g l^(shift + r_g) g over one grading residue."""
 
     coefficients: dict[str, Fraction]

@@ -53,9 +53,9 @@ All arithmetic is exact over Q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
+from typing import NamedTuple
 
 from ._linalg import Echelon, q_rank
 from .floer_datum import (
@@ -91,8 +91,7 @@ class DatumInconsistencyError(RuntimeError):
     """The feasible-set search produced a structurally impossible answer."""
 
 
-@dataclass(frozen=True)
-class SpecialSolution:
+class SpecialSolution(NamedTuple):
     """Witness of feasibility behind a finite gamma value."""
 
     k: int

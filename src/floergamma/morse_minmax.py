@@ -13,8 +13,8 @@ and a zero residue means sigma is a boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from ._linalg import Echelon
 from .floer_datum import InputError, check_keys, json_field, read_json
@@ -29,8 +29,7 @@ class NullHomologousError(InputError):
     pass
 
 
-@dataclass(frozen=True)
-class MorseGenerator:
+class MorseGenerator(NamedTuple):
     name: str
     index: int
     value: Fraction

@@ -12,7 +12,9 @@ their sorted term tuples directly, and a product with the shared unit
 `one()` returns the other operand.
 Text is read by `parse_rat`, which handles the canonical "p/q" with
 `int`, leaves every other spelling to `Fraction` and refuses a value of
-more than MAX_DIGITS digits.
+more than MAX_DIGITS digits, or a spelling too long to name one.
+`format_rat` writes a rational back and refuses, with `InputError`, one
+of more than MAX_DIGITS digits, which Python would not print.
 
 `lincomb` is the package's one accumulation kernel, sum c·v over sparse
 dicts v with zero entries dropped: it collects the terms of parsed input
@@ -43,11 +45,22 @@ ExtRat = Union[Fraction, float]
 
 _ZERO = Fraction(0)
 
-#: Most digits `parse_rat` reads in a numerator or denominator: Python's
-#: default limit for converting between int and str, so each value prints.
+#: Most digits `parse_rat` reads and `format_rat` writes in a numerator or
+#: denominator: Python's default limit for converting between int and str.
 MAX_DIGITS = 4300
 _TOO_BIG = 10 ** MAX_DIGITS
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\Z")
+
+#: Longest spelling `parse_rat` reads.  A value within MAX_DIGITS has a
+#: decimal spelling of at most MAX_DIGITS digits before the point and
+#: log2(10) * MAX_DIGITS < 3.33 * MAX_DIGITS after it (a denominator 2^a 5^b
+#: below 10^MAX_DIGITS has a, b below that), so only padding is refused.
+MAX_SPELLING = 5 * MAX_DIGITS
+
+
+class InputError(ValueError):
+    """Malformed user input (bad JSON, schema violation, bad flags), or a
+    value too long to print."""
 
 
 def _rat(x) -> Fraction:
@@ -63,10 +76,15 @@ def parse_rat(text: str) -> Fraction:
     accepts or refuses it.  A value whose numerator or denominator has more
     than MAX_DIGITS digits is refused.  An exponent spelling is sized before
     `Fraction` expands 10^exponent: one whose exponent exceeds MAX_DIGITS
-    plus the digits before it is refused unread, a zero included.
+    plus the digits before it is refused unread, a zero included.  So is a
+    spelling longer than MAX_SPELLING characters, quoted by its first
+    characters and its length.
     """
     if not isinstance(text, str):
         raise ValueError(f"not a rational string: {text!r}")
+    if len(text) > MAX_SPELLING:
+        raise ValueError(f"not a rational: {text[:20]!r}... has {len(text)} characters, "
+                         f"above {MAX_SPELLING}")
     num, slash, den = text.partition("/")
     if text.isascii() and num.removeprefix("-").isdigit() and (not slash or den.isdigit()):
         q = int(den) if slash else 1
@@ -108,7 +126,14 @@ def lincomb(terms: Iterable[tuple]) -> dict:
 
 
 def format_rat(value: Fraction) -> str:
-    """Render a rational in the canonical "p/q" (or "p") form."""
+    """Render a rational in the canonical "p/q" (or "p") form.
+
+    One with more than MAX_DIGITS digits in its numerator or denominator
+    is refused with `InputError`, since `str` would raise.
+    """
+    if isinstance(value, Fraction) and (abs(value.numerator) >= _TOO_BIG
+                                        or value.denominator >= _TOO_BIG):
+        raise InputError(f"a rational of more than {MAX_DIGITS} digits is too long to print")
     return str(value)
 
 
@@ -277,7 +302,7 @@ class NovikovElement:
     def __str__(self) -> str:
         if not self._terms:
             return "0"
-        return "+".join(f"{c}*l^({e})" for c, e in self._terms)
+        return "+".join(f"{format_rat(c)}*l^({format_rat(e)})" for c, e in self._terms)
 
     def __repr__(self) -> str:
         return f"NovikovElement({self})"

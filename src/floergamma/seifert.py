@@ -16,9 +16,9 @@ knots.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from .floer_datum import InputError
 
@@ -39,8 +39,7 @@ def _validate_tuple(a: tuple[int, ...]) -> tuple[int, ...]:
     return a
 
 
-@dataclass(frozen=True)
-class SeifertInvariants:
+class SeifertInvariants(NamedTuple):
     a: tuple[int, ...]
     product: int
     beta_tuple: tuple[int, ...]
@@ -174,8 +173,7 @@ def r_invariant_cotangent(a) -> int:
     return nearest
 
 
-@dataclass(frozen=True)
-class GammaPrediction:
+class GammaPrediction(NamedTuple):
     value: Fraction
     range_max: int
     h_lower: int

@@ -189,6 +189,43 @@ def test_oversized_rationals_exit_2_quickly(capsys, tmp_path):
     assert run(capsys, "validate", str(path))[0] == 0
 
 
+def test_a_long_decimal_spelling_is_refused_unread(capsys, tmp_path):
+    # Fraction computed 10^3000001 before refusing this (1.45 s), and the
+    # error line echoed all 3 MB of it
+    spelling = "0." + "0" * 3_000_000 + "1"
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"name": "long", "generators": [
+        {"name": "a", "grading": 1, "energy_lift": spelling}]}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "validate", str(path))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "") and len(err) < 200
+    assert err == ("error: generator: not a rational: '0.000000000000000000'... "
+                   "has 3000003 characters, above 21500\n")
+
+
+def _long_lift_datum(path, *lifts):
+    path.write_text(json.dumps({"name": path.stem, "generators": [
+        {"name": f"g{i}", "grading": 1, "energy_lift": lift} for i, lift in enumerate(lifts)]}))
+    return str(path)
+
+
+def test_a_value_too_long_to_print_exits_2(capsys, tmp_path):
+    # each lift is within the digit limit, but their difference is not: bounds
+    # used to exit 1 with a traceback from Fraction.__str__
+    tenth, third = "1/1" + "0" * 4299, "1/" + "3" * 4300
+    both = _long_lift_datum(tmp_path / "both.json", tenth, third)
+    assert run(capsys, "validate", both) == (0, "validate: ok\n", "")
+    cob = tmp_path / "cob.json"
+    cob.write_text(json.dumps({"source": _long_lift_datum(tmp_path / "src.json", tenth),
+                               "target": _long_lift_datum(tmp_path / "tgt.json", third),
+                               "c": 1}))
+    refusal = "error: a rational of more than 4300 digits is too long to print\n"
+    for argv in (["bounds", both], ["cobordism", "gamma-compare", str(cob), "--range", "1..1"]):
+        for flags in ([], ["--json"]):
+            assert run(capsys, *argv, *flags) == (2, "", refusal), argv + flags
+
+
 def test_each_datum_is_validated_once(capsys, monkeypatch):
     calls = []
     original = floer_datum.validate
@@ -279,6 +316,18 @@ def test_import_needs_only_the_standard_library():
             "new = {m.split('.')[0] for m in set(sys.modules) - before}\n"
             "print(sorted(new - sys.stdlib_module_names - {'floergamma'}))\n")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, cwd=src, check=True)
+    assert res.stdout == "[]\n"
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # dataclasses, with the inspect, ast and dis it imports, was a sixth of
+    # the import time of the command line
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys\n"
+            "import floergamma.cli\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
+    res = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                          text=True, cwd=src, check=True)
     assert res.stdout == "[]\n"
 

@@ -91,6 +91,24 @@ def test_s3_to_s3_with_any_c():
         cob = CobordismDatum(s3, s3, LambdaMatrix(), LambdaMatrix(), {}, {}, c)
         assert verify_tilde_chain_map(cob).ok
         assert verify_functoriality(cob, WINDOW).ok
+    for c in (0, -1):
+        with pytest.raises(InputError) as exc:
+            CobordismDatum(s3, s3, LambdaMatrix(), LambdaMatrix(), {}, {}, c)
+        assert str(exc.value) == "c must be a positive integer"
+
+
+def test_cobordism_equality_and_repr_leave_the_kept_ladders_out():
+    s3 = load_datum("s3")
+    cob = identity_cobordism(s3)
+    assert cob == identity_cobordism(s3)
+    assert cob != CobordismDatum(s3, s3, cob.phi, LambdaMatrix(), {}, {}, 2)
+    with pytest.raises(TypeError):
+        hash(cob)
+    before = repr(cob)
+    assert before.startswith("CobordismDatum(source=") and before.endswith(", c=1)")
+    assert "_ladders" not in before
+    mdeg_decay(cob, WINDOW)  # keeps the d2-ladder
+    assert cob._ladders and repr(cob) == before and cob == identity_cobordism(s3)
 
 
 def test_delta1_fixture_verifies():

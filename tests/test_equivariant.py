@@ -58,10 +58,12 @@ def neg_sigma():
 
 
 def test_window_bounds():
-    with pytest.raises(ValueError):
-        Window(1, 4)
-    with pytest.raises(ValueError):
-        Window(6, 0)
+    for t, n in ((1, 4), (6, 0)):
+        with pytest.raises(ValueError, match=r"^window needs T >= 2 and N >= 1$"):
+            Window(t, n)
+    assert Window(6, 4) == Window(6, 4) and hash(Window(6, 4)) == hash(Window(6, 4))
+    assert Window(6, 4) != Window(4, 6) and Window(6, 4) != (6, 4)
+    assert repr(Window(6, 4)) == "Window(T=6, N=4)"
 
 
 def test_xelement_drops_zeros_adds_and_restricts():

@@ -46,6 +46,22 @@ def neg_sigma():
     return load_datum("neg_sigma_2_3_5")
 
 
+def test_generator_refusals_equality_and_repr():
+    for args, message in ((("", 1), "generator name must be nonempty"),
+                          (("a", 8), "grading of 'a' must be in 0..7"),
+                          (("a", -1), "grading of 'a' must be in 0..7")):
+        with pytest.raises(InputError) as exc:
+            Generator(*args, Fraction(0))
+        assert str(exc.value) == message
+    g = Generator("a", 1, Fraction(-1, 2))
+    assert g == Generator("a", 1, Fraction(-1, 2))
+    assert hash(g) == hash(Generator("a", 1, Fraction(-1, 2)))
+    for other in (Generator("b", 1, Fraction(-1, 2)), Generator("a", 5, Fraction(-1, 2)),
+                  Generator("a", 1, Fraction(1, 2)), ("a", 1, Fraction(-1, 2))):
+        assert g != other
+    assert repr(g) == "Generator(name='a', grading=1, energy_lift=Fraction(-1, 2))"
+
+
 def test_fixture_corpus_validates():
     for name in ("s3", "sigma_2_3_5", "neg_sigma_2_3_5", "remark_nonpositive",
                  "sigma_2_3_5_d1_zero"):

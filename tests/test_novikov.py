@@ -8,9 +8,11 @@ from hypothesis import given, strategies as st
 from floergamma.floer_datum import InputError, json_field
 from floergamma.novikov import (
     INF,
+    MAX_SPELLING,
     NovikovElement,
     common_scale,
     format_extrat,
+    format_rat,
     lincomb,
     mdeg_tuple,
     parse_rat,
@@ -138,6 +140,25 @@ def test_parse_rat_refuses_more_digits_than_the_limit():
                  "1e9999999", "1e99999999", "1E+99999999", "1e9_999_999"):
         with pytest.raises(ValueError, match="^not a rational"):
             parse_rat(text)
+
+
+def test_parse_rat_refuses_a_spelling_longer_than_the_cap_unread():
+    padded = " " * (MAX_SPELLING - 3) + "3/4"
+    assert parse_rat(padded) == Fraction(3, 4)
+    with pytest.raises(ValueError) as exc:
+        parse_rat(" " + padded)
+    assert str(exc.value) == f"not a rational: {' ' * 20!r}... has {MAX_SPELLING + 1} " \
+                             f"characters, above {MAX_SPELLING}"
+
+
+def test_format_rat_refuses_a_value_too_long_to_print():
+    assert format_rat(Fraction(-(10 ** 4300 - 1), 10 ** 4300 - 1)) == "-1"
+    assert format_rat(Fraction(1, 10 ** 4300 - 1)) == "1/" + "9" * 4300
+    for value in (Fraction(10 ** 4300), Fraction(-(10 ** 4300)), Fraction(1, 10 ** 4300)):
+        with pytest.raises(InputError, match="too long to print"):
+            format_rat(value)
+        with pytest.raises(InputError, match="too long to print"):
+            str(NovikovElement.term(value, 0))
 
 
 @given(elements, elements)
