@@ -9,8 +9,10 @@ refusals subclass it), apart from the two inconsistency errors of the
 Gamma layer, and prints one "error:" line: among them a --window or
 --range past its cap, a gamma-compare cobordism that is not a chain map,
 a Gamma that needs more than gamma.ORBIT_CAP u-steps on a u-orbit that
-has not ended by then, and a rational too long to print
-(novikov.format_rat, which text and --json output both go through).
+has not ended by then, a lattice class vector of the wrong length, and a
+rational or int too long to print (novikov.format_rat: text, --json and
+the file `cobordism compose` writes all go through it, the file before
+it is opened).
 The verifiers report a datum that fails validate as a failed
 precondition, exit 1.  Input files are read by path, or else as the
 bundled fixture of that name.  Every subcommand accepts --json for a
@@ -23,7 +25,6 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from .cobordism import (
     cobordism_to_json,
@@ -65,6 +66,9 @@ from .seifert import (
 def _jsonable(value):
     if isinstance(value, Fraction):
         return format_rat(value)
+    if isinstance(value, int):
+        format_rat(value)  # an int stays one, once it is known to print
+        return value
     if value == INF:
         return "inf"
     if isinstance(value, dict):
@@ -80,11 +84,17 @@ def _text(value) -> str:
     return format_extrat(value)
 
 
+def _dumps(obj, **kwargs) -> str:
+    """JSON text of `obj`, every rational and int in it refused by format_rat
+    if too long to print."""
+    return json.dumps(_jsonable(obj), sort_keys=True, **kwargs)
+
+
 def _emit(args, payload: dict, lines: list[str] | None = None) -> None:
     """Print the payload as JSON, or else the lines; by default "key = value"
     per payload key."""
     if args.json:
-        print(json.dumps(_jsonable(payload), sort_keys=True))
+        print(_dumps(payload))
         return
     if lines is None:
         lines = [f"{key} = {_text(value)}" for key, value in payload.items()]
@@ -210,9 +220,10 @@ def _cmd_cobordism_verify(args) -> int:
 
 def _cmd_cobordism_compose(args) -> int:
     composed = compose_tilde(load_cobordism(args.first), load_cobordism(args.second))
-    obj = cobordism_to_json(composed)
+    text = _dumps(cobordism_to_json(composed), indent=2) + "\n"
     try:
-        Path(args.output).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+        with open(args.output, "w") as f:
+            f.write(text)
     except OSError as exc:
         raise InputError(f"cannot write {args.output}: {exc}") from exc
     _emit(args, {"written": args.output, "c": composed.c}, [f"written {args.output}"])
@@ -290,14 +301,8 @@ def _cmd_lattice(args) -> int:
         payload["range_max"] = bounds["range_max"]
     if args.e is not None:
         e = _parse_int_vector(args.e)
-        if len(e) != lattice.rank:
-            raise InputError("--e has wrong length")
-        if (args.xi is None) != (args.m is None):
-            raise InputError("--xi and --m must be given together")
-        if args.xi is not None:
-            res = bound_from_class(lattice, e, _parse_int_vector(args.xi), args.m)
-        else:
-            res = bound_from_class(lattice, e)
+        xi = None if args.xi is None else _parse_int_vector(args.xi)
+        res = bound_from_class(lattice, e, xi, args.m)
         lines.append(f"Q(e) = {lattice.q(list(e))}")
         payload["q_e"] = lattice.q(list(e))
         if res is None:

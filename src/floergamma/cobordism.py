@@ -46,6 +46,7 @@ from .floer_datum import (
     FloerDatum,
     InputError,
     LambdaMatrix,
+    Record,
     Report,
     ValidDatum,
     Vector,
@@ -73,17 +74,18 @@ from .novikov import INF, NovikovElement, lincomb
 COBORDISM_MAPS = (("phi", "", 0), ("mu", "", 3), ("delta1", "from", 1), ("delta2", "to", 4))
 
 
-class CobordismDatum:
+class CobordismDatum(Record):
     """The cobordism maps; `_ladders` keeps each source generator's ladder under
     its name and the d2-ladder under None (`_ladder`), each ending at its
     first zero state, so the maps must not change once a ladder is read.
 
-    Equality and repr are those of a dataclass over the constructor's
-    fields, `_ladders` left out; like one, a cobordism is not hashable.
+    A `Record` over the constructor's fields, `_ladders` left out; it is
+    mutable, so not hashable.
     """
 
     __slots__ = ("source", "target", "phi", "mu", "delta1", "delta2", "c", "_ladders")
     _FIELDS = __slots__[:-1]
+    __hash__ = None
 
     def __init__(self, source: FloerDatum, target: FloerDatum, phi: LambdaMatrix,
                  mu: LambdaMatrix, delta1: dict[str, NovikovElement],
@@ -93,20 +95,6 @@ class CobordismDatum:
         self.source, self.target, self.c = source, target, c
         self._ladders: dict = {}
         store_maps(self, COBORDISM_MAPS, [phi, mu, delta1, delta2], source, target)
-
-    def _values(self) -> list:
-        return [getattr(self, key) for key in self._FIELDS]
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{key}={value!r}" for key, value in zip(self._FIELDS, self._values()))
-        return f"CobordismDatum({fields})"
 
 
 def identity_cobordism(datum: FloerDatum) -> CobordismDatum:

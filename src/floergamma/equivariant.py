@@ -22,16 +22,13 @@ bookkeeping; it is recorded here once.
 
 from __future__ import annotations
 
-from .floer_datum import (FloerDatum, Report, Vector, validate, vec_add, vec_neg, vec_sub,
-                          weighted_sum)
+from .floer_datum import (FloerDatum, Record, Report, Vector, validate, vec_add, vec_neg,
+                          vec_sub, weighted_sum)
 from .novikov import INF, ExtRat, NovikovElement, lincomb, mdeg_tuple
 
 
-class Window:
-    """Laurent truncation bounds: slots x^-T .. x^N.
-
-    Equality, hash and repr are those of a frozen dataclass over (T, N).
-    """
+class Window(Record):
+    """Laurent truncation bounds: slots x^-T .. x^N, a `Record`."""
 
     __slots__ = ("T", "N")
 
@@ -41,48 +38,30 @@ class Window:
         self.T = T
         self.N = N
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.T, self.N) == (other.T, other.N)
-
-    def __hash__(self) -> int:
-        return hash((self.T, self.N))
-
-    def __repr__(self) -> str:
-        return f"Window(T={self.T!r}, N={self.N!r})"
-
 
 XPart = dict[int, NovikovElement]
 
 
-class XElement:
+class XElement(Record):
     """A chain part plus sum a_i x^i, with zero entries dropped.
 
     The complex an element lives in fixes its x-range: the hat complex
     holds i >= 0, the check complex i < 0, and the bar complex every i
     with an empty chain part.
 
-    A plain slotted class: the verifiers build tens of thousands per pass.
-    Nothing mutates an element once built; equality and repr are those of
-    a dataclass over (chain, x).
+    A slotted `Record`, since the verifiers build tens of thousands per
+    pass.  Nothing mutates an element once built, but its parts are dicts,
+    so it is not hashable.
     """
 
     __slots__ = ("chain", "x")
+    __hash__ = None
 
     def __init__(self, chain: Vector | None = None, x: XPart | None = None):
         # Parts built by `lincomb` have no zero entries already; the filter is
         # for parts a caller writes out by hand.
         self.chain = {g: v for g, v in chain.items() if v} if chain else {}
         self.x = {i: a for i, a in x.items() if a} if x else {}
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.chain == other.chain and self.x == other.x
-
-    def __repr__(self) -> str:
-        return f"XElement(chain={self.chain!r}, x={self.x!r})"
 
     def __add__(self, other: "XElement") -> "XElement":
         return XElement(vec_add(self.chain, other.chain), vec_add(self.x, other.x))

@@ -29,9 +29,8 @@ one map) and a repeated exponent within one entry are refused with
 from __future__ import annotations
 
 import json
+import os
 from fractions import Fraction
-from importlib import resources
-from pathlib import Path
 from typing import NamedTuple
 
 from .novikov import InputError, NovikovElement, format_rat, lincomb, parse_rat
@@ -41,13 +40,39 @@ from .novikov import InputError, NovikovElement, format_rat, lincomb, parse_rat
 DATUM_MAPS = (("d", "", 1), ("u", "", 4), ("d1", "from", 1), ("d2", "to", 4))
 
 
-class Generator:
+class Record:
+    """Base of the slotted records: equality, hash and repr are those of a
+    frozen dataclass over `_FIELDS`, which defaults to the slots.  Only
+    instances of one class compare equal; a subclass that is mutable, or
+    holds dicts, sets `__hash__ = None`.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._FIELDS = cls.__dict__.get("_FIELDS", cls.__slots__)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, key) for key in self._FIELDS)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{key}={value!r}" for key, value in zip(self._FIELDS, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Generator(Record):
     """A named generator: its grading (a residue mod 8) and energy lift.
 
-    A plain slotted class: `FloerDatum.grading` and `lift` read its fields
-    on every Gamma and triangle path.  Nothing mutates a generator once
-    built; equality, hash and repr are those of a frozen dataclass over
-    (name, grading, energy_lift).
+    A `Record`: `FloerDatum.grading` and `lift` read its slots on every
+    Gamma and triangle path, and nothing mutates a generator once built.
     """
 
     __slots__ = ("name", "grading", "energy_lift")
@@ -60,21 +85,6 @@ class Generator:
         self.name = name
         self.grading = grading
         self.energy_lift = energy_lift
-
-    def _key(self) -> tuple:
-        return self.name, self.grading, self.energy_lift
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (f"Generator(name={self.name!r}, grading={self.grading!r}, "
-                f"energy_lift={self.energy_lift!r})")
 
 
 class LambdaMatrix:
@@ -412,6 +422,7 @@ def require_valid(datum: FloerDatum) -> ValidDatum:
 # ---------------------------------------------------------------------------
 
 _REQUIRED = object()
+_FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 _KINDS = {str: "a string", int: "an integer", list: "an array"}
 
 
@@ -488,14 +499,15 @@ def map_to_json(m, end: str = "") -> list[dict]:
 
 def read_json(path_or_name: str, what: str):
     """Parse the JSON file at a path, or else the bundled fixture of that name."""
-    p = Path(path_or_name)
-    if not p.exists():
-        name = p.stem if p.suffix == ".json" else path_or_name
-        p = resources.files("floergamma") / "fixtures" / f"{name}.json"
-        if not p.is_file():
+    path = path_or_name
+    if not os.path.exists(path):
+        stem, suffix = os.path.splitext(os.path.basename(path))
+        path = os.path.join(_FIXTURES, f"{stem if suffix == '.json' else path}.json")
+        if not os.path.isfile(path):
             raise InputError(f"no such {what} file or fixture: {path_or_name}")
     try:
-        return json.loads(p.read_text())
+        with open(path) as f:
+            return json.load(f)
     except (OSError, ValueError) as exc:
         raise InputError(f"cannot read {what} {path_or_name}: {exc}") from exc
 

@@ -66,9 +66,7 @@ from .floer_datum import (
     Report,
     require_valid,
 )
-from .novikov import INF, ExtRat, NovikovElement
-
-GammaValue = ExtRat  # Fraction, or INF
+from .novikov import INF, NovikovElement
 
 # Gamma(k) reads u^j up to j = -k on the d2-orbit (k <= 0), or up to
 # j = k - 1 on the d1-orbits of k's class (k >= 1).  Where u is nilpotent

@@ -210,6 +210,14 @@ def gamma_upper_bounds_from_lattice(L: LatticeData):
     return {"bound": Fraction(m, 4), "range_max": m // 2, "minimal_norm": m}
 
 
+def _vector(L: LatticeData, v, name: str) -> tuple[int, ...]:
+    """v as a tuple of ints, refused unless it has one entry per basis vector."""
+    v = tuple(int(x) for x in v)
+    if len(v) != L.rank:
+        raise LatticeInputError(f"{name} has wrong length")
+    return v
+
+
 def _class_pairs(L: LatticeData, e):
     """One representative per pair {e', -e'} with e' = e mod 2, Q(e') = Q(e).
 
@@ -232,7 +240,7 @@ def _class_pairs(L: LatticeData, e):
 
 def signed_sum_even(L: LatticeData, e) -> int:
     """sum over the class pairs of (-1)^Q((e + e')/2), Q(e) even."""
-    e = tuple(int(x) for x in e)
+    e = _vector(L, e, "e")
     qe = L.q(list(e))
     if qe % 2 != 0:
         raise LatticeInputError(f"Q(e) = {qe} is odd; use the weighted sum")
@@ -245,8 +253,7 @@ def signed_sum_odd(L: LatticeData, e, xi, m: int) -> int:
     The parity hypothesis Q(e) = m mod 2 makes the chosen representative
     of each pair irrelevant.
     """
-    e = tuple(int(x) for x in e)
-    xi = tuple(int(x) for x in xi)
+    e = _vector(L, e, "e")
     if m < 0:
         raise LatticeInputError("m must be a non-negative integer")
     qe = L.q(list(e))
@@ -259,8 +266,7 @@ def _class_sum(L: LatticeData, e, qe: int, xi, m: int) -> int:
     """The body of both signed sums; the even one is xi = 0, m = 0 (0^0 = 1)."""
     if -qe < 2:
         raise LatticeInputError(f"|Q(e)| = {-qe} must be at least 2")
-    if len(xi) != L.rank:
-        raise LatticeInputError("xi has wrong length")
+    xi = _vector(L, xi, "xi")
     cls, witness = _class_pairs(L, e)
     if witness is not None:
         raise LatticeInputError(
@@ -281,7 +287,7 @@ def bound_from_class(L: LatticeData, e, xi=None, m: int | None = None):
     them the weighted sum applies with n0 = -(Q(e) + m)/2.  A vanishing
     sum yields no conclusion.
     """
-    e = tuple(int(x) for x in e)
+    e = _vector(L, e, "e")
     qe = L.q(list(e))
     if xi is None and m is None:
         total = signed_sum_even(L, e)

@@ -13,8 +13,9 @@ their sorted term tuples directly, and a product with the shared unit
 Text is read by `parse_rat`, which handles the canonical "p/q" with
 `int`, leaves every other spelling to `Fraction` and refuses a value of
 more than MAX_DIGITS digits, or a spelling too long to name one.
-`format_rat` writes a rational back and refuses, with `InputError`, one
-of more than MAX_DIGITS digits, which Python would not print.
+`format_rat` writes a rational or an int back and refuses, with
+`InputError`, one of more than MAX_DIGITS digits, which Python would not
+print.
 
 `lincomb` is the package's one accumulation kernel, sum c·v over sparse
 dicts v with zero entries dropped: it collects the terms of parsed input
@@ -73,8 +74,8 @@ def parse_rat(text: str) -> Fraction:
     ASCII "p", "-p", "p/q" and "-p/q" with q nonzero are read by `int`
     directly; anything else (spaces, a "+", decimals, exponents,
     underscores, non-ASCII digits) goes through `Fraction(text)`, which
-    accepts or refuses it.  A value whose numerator or denominator has more
-    than MAX_DIGITS digits is refused.  An exponent spelling is sized before
+    accepts or refuses it.  On either path, a value whose numerator or
+    denominator has more than MAX_DIGITS digits is refused.  An exponent spelling is sized before
     `Fraction` expands 10^exponent: one whose exponent exceeds MAX_DIGITS
     plus the digits before it is refused unread, a zero included.  So is a
     spelling longer than MAX_SPELLING characters, quoted by its first
@@ -86,16 +87,16 @@ def parse_rat(text: str) -> Fraction:
         raise ValueError(f"not a rational: {text[:20]!r}... has {len(text)} characters, "
                          f"above {MAX_SPELLING}")
     num, slash, den = text.partition("/")
-    if text.isascii() and num.removeprefix("-").isdigit() and (not slash or den.isdigit()):
-        q = int(den) if slash else 1
-        if q:
-            return Fraction(int(num), q)
+    canonical = text.isascii() and num.removeprefix("-").isdigit() and (not slash or den.isdigit())
     text = text.strip()
-    exp = _EXPONENT.search(text)
     try:
-        if exp and abs(int(exp[1])) > MAX_DIGITS + sum(c.isdigit() for c in text[:exp.start()]):
-            raise ValueError("exponent too large")
-        value = Fraction(text)
+        if canonical and (q := int(den) if slash else 1):
+            value = Fraction(int(num), q)
+        else:
+            exp = _EXPONENT.search(text)
+            if exp and abs(int(exp[1])) > MAX_DIGITS + sum(c.isdigit() for c in text[:exp.start()]):
+                raise ValueError("exponent too large")
+            value = Fraction(text)
         if abs(value.numerator) >= _TOO_BIG or value.denominator >= _TOO_BIG:
             raise ValueError("too many digits")
     except (ValueError, ZeroDivisionError) as exc:
@@ -125,14 +126,14 @@ def lincomb(terms: Iterable[tuple]) -> dict:
     return out
 
 
-def format_rat(value: Fraction) -> str:
-    """Render a rational in the canonical "p/q" (or "p") form.
+def format_rat(value: Fraction | int) -> str:
+    """Render a rational or an int in the canonical "p/q" (or "p") form.
 
     One with more than MAX_DIGITS digits in its numerator or denominator
     is refused with `InputError`, since `str` would raise.
     """
-    if isinstance(value, Fraction) and (abs(value.numerator) >= _TOO_BIG
-                                        or value.denominator >= _TOO_BIG):
+    if isinstance(value, (Fraction, int)) and (abs(value.numerator) >= _TOO_BIG
+                                               or value.denominator >= _TOO_BIG):
         raise InputError(f"a rational of more than {MAX_DIGITS} digits is too long to print")
     return str(value)
 

@@ -320,16 +320,27 @@ def test_import_needs_only_the_standard_library():
     assert res.stdout == "[]\n"
 
 
-def test_import_loads_neither_dataclasses_nor_inspect():
-    # dataclasses, with the inspect, ast and dis it imports, was a sixth of
-    # the import time of the command line
+def _loaded_by_cli_import(*modules) -> str:
+    """The sorted list of `modules` a fresh `import floergamma.cli` loads,
+    without site, as printed."""
     src = Path(__file__).resolve().parent.parent / "src"
     code = ("import sys\n"
             "import floergamma.cli\n"
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
+            f"print(sorted({set(modules)!r} & set(sys.modules)))\n")
     res = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                          text=True, cwd=src, check=True)
-    assert res.stdout == "[]\n"
+    return res.stdout
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # dataclasses, with the inspect, ast and dis it imports, was a sixth of
+    # the import time of the command line
+    assert _loaded_by_cli_import("dataclasses", "inspect") == "[]\n"
+
+
+def test_import_loads_neither_importlib_resources_nor_pathlib():
+    # bundled fixtures are found with os.path, next to the package
+    assert _loaded_by_cli_import("importlib.resources", "pathlib") == "[]\n"
 
 
 def test_lattice_command(capsys, tmp_path):
@@ -364,6 +375,17 @@ def test_lattice_class_flags_without_e_are_refused(capsys, tmp_path):
     for flags in (["--xi", "1,0", "--m", "3"], ["--xi", "1,0"], ["--m", "-3"]):
         code, out, err = run(capsys, "lattice", str(d22), *flags)
         assert code == 2 and out == "" and "--xi and --m need --e" in err
+
+
+def test_lattice_class_vectors_are_checked_by_the_lattice_layer(capsys, tmp_path):
+    d22 = tmp_path / "d22.json"
+    d22.write_text(json.dumps({"gram": [[-2, 0], [0, -2]]}))
+    for flags, message in ((["--e", "1"], "e has wrong length"),
+                           (["--e", "1,1,1"], "e has wrong length"),
+                           (["--e", "1,1", "--xi", "1"], "xi and m must be given together"),
+                           (["--e", "1,1", "--m", "0"], "xi and m must be given together"),
+                           (["--e", "1,1", "--xi", "1", "--m", "0"], "xi has wrong length")):
+        assert run(capsys, "lattice", str(d22), *flags) == (2, "", f"error: {message}\n"), flags
 
 
 def test_lattice_command_walks_once_per_bound(capsys, tmp_path, monkeypatch):
@@ -472,6 +494,18 @@ def test_cobordism_compose_to_an_unwritable_path_exits_2(capsys, tmp_path):
         assert err.startswith(f"error: cannot write {out_path}: ") and "Traceback" not in err
         assert len(err.splitlines()) == 1
     assert not (tmp_path / "missing").exists()
+
+
+def test_compose_refuses_a_c_too_long_to_print_before_writing(capsys, tmp_path):
+    # c * c has 8,600 digits: json.dumps raised, exit 1 with a traceback
+    cob = tmp_path / "cob.json"
+    cob.write_text('{"source": "s3", "target": "s3", "c": ' + "9" * 4300 + "}")
+    out_path = tmp_path / "composed.json"
+    for flags in ([], ["--json"]):
+        assert run(capsys, "cobordism", "compose", str(cob), str(cob), "-o", str(out_path),
+                   *flags) == (2, "", "error: a rational of more than 4300 digits is too "
+                                      "long to print\n"), flags
+        assert not out_path.exists()
 
 
 def test_triangle_failure_line(capsys, monkeypatch):

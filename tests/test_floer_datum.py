@@ -6,11 +6,14 @@ from random import Random
 
 import pytest
 
+from floergamma.cobordism import identity_cobordism
+from floergamma.equivariant import Window, XElement
 from floergamma.floer_datum import (
     FloerDatum,
     Generator,
     InputError,
     LambdaMatrix,
+    Record,
     datum_from_json,
     datum_to_json,
     load_datum,
@@ -20,6 +23,8 @@ from floergamma.floer_datum import (
     verify_tilde_differential,
 )
 from floergamma.novikov import NovikovElement
+
+one = NovikovElement.one
 
 from datagen import (
     bundled_fixtures,
@@ -60,6 +65,18 @@ def test_generator_refusals_equality_and_repr():
                   Generator("a", 1, Fraction(1, 2)), ("a", 1, Fraction(-1, 2))):
         assert g != other
     assert repr(g) == "Generator(name='a', grading=1, energy_lift=Fraction(-1, 2))"
+
+
+def test_records_have_no_dict_and_the_mutable_ones_no_hash():
+    s3 = load_datum("s3")
+    records = (Generator("a", 1, Fraction(0)), Window(6, 4), XElement({}, {0: one()}),
+               identity_cobordism(s3))
+    for record in records:
+        assert isinstance(record, Record) and not hasattr(record, "__dict__"), record
+    for record in records[2:]:
+        with pytest.raises(TypeError):
+            hash(record)
+    assert repr(records[2]) == f"XElement(chain={{}}, x={{0: {one()!r}}})"
 
 
 def test_fixture_corpus_validates():

@@ -401,6 +401,22 @@ def test_bound_from_class_examples(e8):
     assert res == {"n0": 1, "bound": Fraction(3, 4), "signed_sum": -1}
 
 
+def test_class_vectors_of_the_wrong_length_are_refused():
+    # a short e raised IndexError and a long one lost its last entries
+    d22 = diag(-2, -2)
+    for e in ((1,), (1, 1, 1)):
+        for call in (lambda: bound_from_class(d22, e), lambda: signed_sum_even(d22, e),
+                     lambda: signed_sum_odd(d22, e, (1, 0), 0)):
+            with pytest.raises(LatticeInputError, match=r"^e has wrong length$"):
+                call()
+    for xi in ((1,), (1, 0, 0)):
+        with pytest.raises(LatticeInputError, match=r"^xi has wrong length$"):
+            bound_from_class(d22, (1, 1), xi, 0)
+    for xi, m in (((1, 0), None), (None, 0)):
+        with pytest.raises(LatticeInputError, match=r"^xi and m must be given together$"):
+            bound_from_class(d22, (1, 1), xi, m)
+
+
 def test_bound_consistency_with_minimal_norm(e8):
     # at a minimal vector with even norm, the class bound reproduces the
     # global bound whenever the signed sum does not vanish

@@ -142,6 +142,16 @@ def test_parse_rat_refuses_more_digits_than_the_limit():
             parse_rat(text)
 
 
+def test_parse_rat_refuses_too_many_digits_on_either_path():
+    # the canonical path read "p" with int() unchecked, so Python's own
+    # int-limit text reached the error line
+    assert parse_rat("1" * 4300) == int("1" * 4300)
+    for text in ("1" * 5000, "-" + "1" * 5000, "1/" + "3" * 4301, "1" * 4301 + "/7"):
+        with pytest.raises(ValueError) as exc:
+            parse_rat(text)
+        assert str(exc.value) == f"not a rational: {text!r}"
+
+
 def test_parse_rat_refuses_a_spelling_longer_than_the_cap_unread():
     padded = " " * (MAX_SPELLING - 3) + "3/4"
     assert parse_rat(padded) == Fraction(3, 4)
@@ -154,7 +164,9 @@ def test_parse_rat_refuses_a_spelling_longer_than_the_cap_unread():
 def test_format_rat_refuses_a_value_too_long_to_print():
     assert format_rat(Fraction(-(10 ** 4300 - 1), 10 ** 4300 - 1)) == "-1"
     assert format_rat(Fraction(1, 10 ** 4300 - 1)) == "1/" + "9" * 4300
-    for value in (Fraction(10 ** 4300), Fraction(-(10 ** 4300)), Fraction(1, 10 ** 4300)):
+    assert format_rat(10 ** 4300 - 1) == "9" * 4300
+    for value in (Fraction(10 ** 4300), Fraction(-(10 ** 4300)), Fraction(1, 10 ** 4300),
+                  10 ** 4300, -(10 ** 4300)):
         with pytest.raises(InputError, match="too long to print"):
             format_rat(value)
         with pytest.raises(InputError, match="too long to print"):
