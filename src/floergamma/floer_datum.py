@@ -14,6 +14,13 @@ every entry src -> dst has (gr(src) - drop) % 8 == gr(dst), that
 lift(src) + e - lift(dst) is an integer for each of its exponents e, and
 the square-zero identities of the extended differential.
 
+The identities read each generator's stored d, u and d1 rows once and
+skip a generator with no outgoing entry, all its images being zero.  The
+weight rule is decided in integers: with n/q = lift(dst) - lift(src) left
+unreduced, q·e.den must divide e.num·q - n·e.den.  (Reduced a/b + c/d ∈ Z
+forces b = d, so e needs the reduced difference's denominator; the
+unreduced form skips that reduction and every per-exponent `Fraction`.)
+
 JSON format: {"name", "generators": [{"name", "grading" (0..7),
 "energy_lift"}], and per map an optional array (absent is the zero map)
 of entries {"from", "to", "terms"}, or {end, "terms"} if one-sided};
@@ -38,6 +45,7 @@ from .novikov import InputError, NovikovElement, format_rat, lincomb, parse_rat
 #: The structure maps of a datum: (field and JSON key, end keying a one-sided
 #: map or "" for a matrix map, grading drop mod 8).
 DATUM_MAPS = (("d", "", 1), ("u", "", 4), ("d1", "from", 1), ("d2", "to", 4))
+_NO_ENTRIES: dict = {}  # the row of a source with no entry; never written to
 
 
 class Record:
@@ -109,8 +117,12 @@ class LambdaMatrix:
     def is_zero(self) -> bool:
         return not self._by_source
 
+    def row(self, src: str) -> dict[str, NovikovElement]:
+        """The stored image of src, read-only, or an empty dict."""
+        return self._by_source.get(src, _NO_ENTRIES)
+
     def apply(self, vec: dict[str, NovikovElement]) -> dict[str, NovikovElement]:
-        return lincomb((coeff, self._by_source.get(src, {})) for src, coeff in vec.items())
+        return lincomb((coeff, self._by_source.get(src, _NO_ENTRIES)) for src, coeff in vec.items())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LambdaMatrix):
@@ -338,27 +350,31 @@ def verify_tilde_differential(datum: FloerDatum) -> Report:
 
     Squaring [[d,0,0],[d1,0,0],[u,d2,-d]] forces, entry by entry:
     d(d(g)) = 0, d1(d(g)) = 0, d(d2(1)) = 0 and
-    u(d(g)) - d(u(g)) + d2(d1(g)) = 0 for every generator g.
+    u(d(g)) - d(u(g)) + d2(d1(g)) = 0 for every generator g, built from g's
+    stored d, u and d1 rows; a generator with none is skipped (all zero).
     """
-    rep = Report()
+    rep, zero = Report(), NovikovElement.zero()
+    d, u, d1, d2 = datum.d, datum.u, datum.d1, datum.d2
     for g in datum.names():
-        basis = datum.basis_vector(g)
-        dd = datum.apply_d(datum.apply_d(basis))
-        for h, el in sorted(dd.items()):
-            rep.fail(f"d∘d != 0 at {g}->{h}: residual {el}")
-        d1d = datum.apply_d1(datum.apply_d(basis))
-        if not d1d.is_zero():
-            rep.fail(f"d1∘d != 0 at {g}: residual {d1d}")
-        lhs = vec_add(
-            vec_sub(datum.apply_u(datum.apply_d(basis)),
-                    datum.apply_d(datum.apply_u(basis))),
-            datum.apply_d2(datum.apply_d1(basis)),
-        )
-        for h, el in sorted(lhs.items()):
-            if not el.is_zero():
-                rep.fail(f"u∘d - d∘u + d2∘d1 != 0 at {g}->{h}: residual {el}")
-    dd2 = datum.apply_d(datum.apply_d2(NovikovElement.one()))
-    for h, el in sorted(dd2.items()):
+        d_g, u_g, d1_g = d.row(g), u.row(g), d1.get(g)
+        if not (d_g or u_g or d1_g):
+            continue
+        ud = {}
+        if d_g:
+            for h, el in sorted(d.apply(d_g).items()):
+                rep.fail(f"d∘d != 0 at {g}->{h}: residual {el}")
+            d1d = apply_row(d1, d_g)
+            if not d1d.is_zero():
+                rep.fail(f"d1∘d != 0 at {g}: residual {d1d}")
+            ud = u.apply(d_g)
+        if d1_g:
+            ud = lincomb(((None, ud), (d1_g, d2)))
+        du = d.apply(u_g)
+        for h in sorted(ud.keys() | du.keys()):
+            if ud.get(h) != du.get(h):
+                rep.fail(f"u∘d - d∘u + d2∘d1 != 0 at {g}->{h}: "
+                         f"residual {ud.get(h, zero) - du.get(h, zero)}")
+    for h, el in sorted(d.apply(d2).items()):
         rep.fail(f"d∘d2 != 0 at ->{h}: residual {el}")
     return rep
 
@@ -372,13 +388,20 @@ def validate_structure(datum: FloerDatum) -> Report:
 
 
 def validate_homogeneity(datum: FloerDatum) -> Report:
-    """The weight rule of every exponent of every map entry (module docstring)."""
+    """The weight rule of every exponent of every map entry, in integers: e
+    passes when q·e.den divides e.num·q - n·e.den, n/q being the unreduced
+    lift(dst) - lift(src), with Λ's lift 0 (module docstring)."""
     rep = Report()
+    lifts = {g.name: (g.energy_lift.numerator, g.energy_lift.denominator)
+             for g in datum.generators}
+    lifts[None] = (0, 1)
     for key, end, _ in DATUM_MAPS:
         for src, dst, el in map_entries(getattr(datum, key), end):
-            offset = (datum.lift(src) if src else 0) - (datum.lift(dst) if dst else 0)
+            (a, b), (c, d) = lifts[src], lifts[dst]
+            n, q = c * b - a * d, b * d
             for _, e in el.items():
-                if (offset + e).denominator != 1:
+                den = e.denominator
+                if (e.numerator * q - n * den) % (q * den):
                     rep.fail(f"{entry_label(key, src, dst)}: exponent {e} "
                              "breaks weight congruence")
     return rep
@@ -424,15 +447,15 @@ def require_valid(datum: FloerDatum) -> ValidDatum:
 _REQUIRED = object()
 _FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 _KINDS = {str: "a string", int: "an integer", list: "an array"}
+_TERM_KEYS, _GENERATOR_KEYS = {"coeff", "exp"}, {"name", "grading", "energy_lift"}
 
 
 def check_keys(obj, allowed: set[str], where: str) -> None:
     """Refuse anything but a JSON object whose keys all lie in `allowed`."""
     if not isinstance(obj, dict):
         raise InputError(f"{where} must be a JSON object")
-    unknown = set(obj) - allowed
-    if unknown:
-        raise InputError(f"unknown key {sorted(unknown)[0]!r} in {where}")
+    if not obj.keys() <= allowed:
+        raise InputError(f"unknown key {sorted(obj.keys() - allowed)[0]!r} in {where}")
 
 
 def json_field(obj: dict, key: str, kind: type, where: str, default=_REQUIRED):
@@ -456,10 +479,15 @@ def json_field(obj: dict, key: str, kind: type, where: str, default=_REQUIRED):
 
 
 def _terms_from_json(items: list, where: str, label: str) -> NovikovElement:
-    """The element of one entry, named `label`; a repeated exponent is refused."""
+    """The element of one entry, named `label`; a repeated exponent is refused.
+    A one-term entry, the common case, is read without the exponent dict."""
+    if len(items) == 1:
+        check_keys(items[0], _TERM_KEYS, f"{where} term")
+        return NovikovElement(((json_field(items[0], "coeff", Fraction, where),
+                                json_field(items[0], "exp", Fraction, where)),))
     terms = {}
     for t in items:
-        check_keys(t, {"coeff", "exp"}, f"{where} term")
+        check_keys(t, _TERM_KEYS, f"{where} term")
         coeff = json_field(t, "coeff", Fraction, where)
         exp = json_field(t, "exp", Fraction, where)
         if exp in terms:
@@ -477,10 +505,10 @@ def map_from_json(obj: dict, key: str, end: str = ""):
     A second entry with the same ends is refused.
     """
     ends = (end,) if end else ("from", "to")
-    where = f"{key} entry"
+    where, allowed = f"{key} entry", {*ends, "terms"}
     out = {}
     for e in json_field(obj, key, list, "input", default=[]):
-        check_keys(e, {*ends, "terms"}, where)
+        check_keys(e, allowed, where)
         src, dst = (json_field(e, x, str, where) if x in ends else None for x in ("from", "to"))
         at = dst if end == "to" else src if end else (src, dst)
         label = entry_label(key, src, dst)
@@ -517,7 +545,7 @@ def datum_from_json(obj) -> FloerDatum:
     name = json_field(obj, "name", str, "datum")
     generators = []
     for g in json_field(obj, "generators", list, "datum"):
-        check_keys(g, {"name", "grading", "energy_lift"}, "generator")
+        check_keys(g, _GENERATOR_KEYS, "generator")
         generators.append(Generator(json_field(g, "name", str, "generator"),
                                     json_field(g, "grading", int, "generator"),
                                     json_field(g, "energy_lift", Fraction, "generator")))

@@ -78,14 +78,13 @@ def parse_rat(text: str) -> Fraction:
     denominator has more than MAX_DIGITS digits is refused.  An exponent spelling is sized before
     `Fraction` expands 10^exponent: one whose exponent exceeds MAX_DIGITS
     plus the digits before it is refused unread, a zero included.  So is a
-    spelling longer than MAX_SPELLING characters, quoted by its first
-    characters and its length.
+    spelling longer than MAX_SPELLING characters.  A refusal quotes a
+    spelling of over 40 characters by its first 20 and its length.
     """
     if not isinstance(text, str):
         raise ValueError(f"not a rational string: {text!r}")
     if len(text) > MAX_SPELLING:
-        raise ValueError(f"not a rational: {text[:20]!r}... has {len(text)} characters, "
-                         f"above {MAX_SPELLING}")
+        raise ValueError(f"not a rational: {_quote(text)}, above {MAX_SPELLING}")
     num, slash, den = text.partition("/")
     canonical = text.isascii() and num.removeprefix("-").isdigit() and (not slash or den.isdigit())
     text = text.strip()
@@ -100,8 +99,13 @@ def parse_rat(text: str) -> Fraction:
         if abs(value.numerator) >= _TOO_BIG or value.denominator >= _TOO_BIG:
             raise ValueError("too many digits")
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational: {text!r}") from exc
+        raise ValueError(f"not a rational: {_quote(text)}") from exc
     return value
+
+
+def _quote(text: str) -> str:
+    """A spelling in full up to 40 characters, else its first 20 and its length."""
+    return repr(text) if len(text) <= 40 else f"{text[:20]!r}... has {len(text)} characters"
 
 
 def lincomb(terms: Iterable[tuple]) -> dict:

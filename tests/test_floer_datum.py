@@ -5,10 +5,12 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from floergamma.cobordism import identity_cobordism
 from floergamma.equivariant import Window, XElement
 from floergamma.floer_datum import (
+    DATUM_MAPS,
     FloerDatum,
     Generator,
     InputError,
@@ -322,6 +324,37 @@ def test_json_rejects_bad_values():
     bad["d1"][0]["terms"][1]["coeff"] = "x"
     with pytest.raises(InputError, match="^d1: not a rational: 'x'$"):
         datum_from_json(bad)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.fractions(max_denominator=12), st.fractions(max_denominator=12)),
+                max_size=4, unique_by=lambda t: t[1]))
+def test_an_entry_reads_to_the_element_of_its_terms(terms):
+    # one-term entries skip the exponent dict; every entry reads as the
+    # canonicalising constructor reads its terms
+    obj = {"name": "x", "generators": [{"name": "a", "grading": 1, "energy_lift": "0"}],
+           "d1": [{"from": "a", "terms": [{"coeff": str(c), "exp": str(e)} for c, e in terms]}]}
+    read = datum_from_json(obj).d1.get("a", NovikovElement.zero())
+    assert read.items() == NovikovElement(terms).items()
+    assert all(type(x) is Fraction for term in read.items() for x in term)
+
+
+def test_the_one_term_reader_keeps_its_refusals_and_builds_through_init(monkeypatch):
+    base = {"name": "x", "generators": [{"name": "a", "grading": 1, "energy_lift": "0"}]}
+    term = {"coeff": "1", "exp": "1/2"}
+    for terms, message in (([dict(term, x=1)], "unknown key 'x' in d1 term"),
+                           ([term, dict(term, y=2)], "unknown key 'y' in d1 term"),
+                           ([term, dict(term, exp="2/4")],
+                            "repeated exponent 1/2 in d1 entry at a")):
+        with pytest.raises(InputError) as exc:
+            datum_from_json(dict(base, d1=[{"from": "a", "terms": terms}]))
+        assert str(exc.value) == message
+    # the benchmark counts parsed elements at NovikovElement.__init__
+    obj, calls, init = datum_to_json(load_datum("sigma_2_3_5")), [], NovikovElement.__init__
+    monkeypatch.setattr(NovikovElement, "__init__",
+                        lambda self, terms=(): calls.append(1) or init(self, terms))
+    datum_from_json(obj)
+    assert len(calls) == sum(len(obj[key]) for key, _, _ in DATUM_MAPS) > 0
 
 
 def test_duplicate_generator_names_rejected():

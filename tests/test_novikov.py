@@ -149,7 +149,18 @@ def test_parse_rat_refuses_too_many_digits_on_either_path():
     for text in ("1" * 5000, "-" + "1" * 5000, "1/" + "3" * 4301, "1" * 4301 + "/7"):
         with pytest.raises(ValueError) as exc:
             parse_rat(text)
-        assert str(exc.value) == f"not a rational: {text!r}"
+        assert str(exc.value) == f"not a rational: {text[:20]!r}... has {len(text)} characters"
+
+
+def test_a_refusal_quotes_a_spelling_of_over_40_characters_by_its_head_and_length():
+    # the whole spelling was quoted up to MAX_SPELLING: a 4,338-byte error line
+    for text, quoted in (("x" * 40, repr("x" * 40)),
+                         ("x" * 41, f"{'x' * 20!r}... has 41 characters"),
+                         ("1" + "0" * 4300, f"{'1' + '0' * 19!r}... has 4301 characters"),
+                         ("1/" + "3" * 21000, f"{'1/' + '3' * 18!r}... has 21002 characters")):
+        with pytest.raises(InputError) as exc:
+            json_field({"lift": text}, "lift", Fraction, "generator")
+        assert str(exc.value) == f"generator: not a rational: {quoted}"
 
 
 def test_parse_rat_refuses_a_spelling_longer_than_the_cap_unread():
