@@ -9,10 +9,10 @@ refusals subclass it), apart from the two inconsistency errors of the
 Gamma layer, and prints one "error:" line: among them a --window or
 --range past its cap, a gamma-compare cobordism that is not a chain map,
 a Gamma that needs more than gamma.ORBIT_CAP u-steps on a u-orbit that
-has not ended by then, a lattice class vector of the wrong length, and a
-rational or int too long to print (novikov.format_rat: text, --json and
-the file `cobordism compose` writes all go through it, the file before
-it is opened).
+has not ended by then, a lattice class vector of the wrong length, a
+Seifert orbit tuple longer than seifert.LENGTH_CAP, and a rational or int
+too long to print (novikov.format_rat: text, --json and the file
+`cobordism compose` writes all go through it, the file before it is opened).
 The verifiers report a datum that fails validate as a failed
 precondition, exit 1.  Input files are read by path, or else as the
 bundled fixture of that name.  Every subcommand accepts --json for a
@@ -185,7 +185,7 @@ def _cmd_h(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    datum = load_datum(args.datum)
+    datum = require_valid(load_datum(args.datum))
     _emit(args, {"tau_lb": tau_lower_bound(datum), "tau_prime_lb": tau_prime_lower_bound(datum)})
     return 0
 

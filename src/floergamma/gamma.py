@@ -62,7 +62,6 @@ from .floer_datum import (
     FloerDatum,
     HomogeneousVector,
     InputError,
-    InvalidDatumError,
     Report,
     require_valid,
 )
@@ -349,6 +348,7 @@ def _nonnegative_fractional(x: Fraction) -> Fraction:
 
 def tau_lower_bound(datum: FloerDatum) -> Fraction:
     """min { r > 0 : r = -r_g mod 1 for some generator g }."""
+    datum = require_valid(datum)
     if not datum.generators:
         raise InputError("empty datum has no irreducible classes")
     return min(_positive_fractional(-g.energy_lift) for g in datum.generators)
@@ -362,6 +362,7 @@ def tau_prime_lower_bound(datum: FloerDatum) -> Fraction:
     sorted, the gaps are the neighbours' differences and the wrap-around
     r_min + 1 - r_max, which is 1 when there is one residue.
     """
+    datum = require_valid(datum)
     if not datum.generators:
         raise InputError("empty datum has no irreducible classes")
     residues = sorted({_nonnegative_fractional(g.energy_lift) for g in datum.generators})

@@ -9,6 +9,10 @@ The residue is a representative that vanishes on every pivot column; any
 other adds a nonzero w of the row span, which leads at a pivot, so it leads
 no later than the residue's leading column l.  The value is the one at l,
 and a zero residue means sigma is a boundary.
+
+The boundary is kept once, as rows by source, and read through
+`novikov.lincomb`: d(chain) is one lincomb of rows, the check d∘d = 0 one
+lincomb per source, and the reduction one `Echelon` of the rows.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import NamedTuple
 
 from ._linalg import Echelon
 from .floer_datum import InputError, check_keys, json_field, read_json
-from .novikov import parse_rat
+from .novikov import lincomb, parse_rat
 
 
 class NonCycleError(InputError):
@@ -38,26 +42,25 @@ class MorseGenerator(NamedTuple):
 class MorseComplex:
     """Critical points with indices and values, plus an integer boundary.
 
-    Construction validates that the boundary drops the index by exactly
-    one, strictly decreases the value along every nonzero entry, and
-    squares to zero.
+    `rows[src][dst]` is the nonzero coefficient of dst in d(src).  The pass
+    that builds the rows checks that each entry drops the index by exactly
+    one and strictly decreases the value; then d∘d = 0 is checked per source.
     """
 
     def __init__(self, generators, boundary: dict[tuple[str, str], int],
                  name: str = ""):
         self.name = name
-        self.generators = [
-            g if isinstance(g, MorseGenerator) else MorseGenerator(*g)
-            for g in generators
-        ]
+        self.generators = [MorseGenerator(*g) for g in generators]
         self._by_name = {g.name: g for g in self.generators}
         if len(self._by_name) != len(self.generators):
             raise InputError("generator names must be unique")
         for g in self.generators:
             if g.index < 0:
                 raise InputError(f"negative index on {g.name}")
-        self.boundary = {k: int(c) for k, c in boundary.items() if c != 0}
-        for (src, dst), _ in self.boundary.items():
+        self.rows: dict[str, dict[str, int]] = {}
+        for (src, dst), c in boundary.items():
+            if c == 0:
+                continue
             if src not in self._by_name or dst not in self._by_name:
                 raise InputError(f"boundary entry {src}->{dst} names unknown generators")
             if self._by_name[src].index - 1 != self._by_name[dst].index:
@@ -65,32 +68,17 @@ class MorseComplex:
             if not self._by_name[src].value > self._by_name[dst].value:
                 raise InputError(
                     f"boundary entry {src}->{dst} does not decrease the value")
-        bad = self._square()
-        if bad:
-            src, dst, c = bad
-            raise InputError(f"boundary does not square to zero at {src}->{dst}: {c}")
-
-    def _square(self):
-        acc: dict[tuple[str, str], int] = {}
-        for (a, b), c1 in self.boundary.items():
-            for (b2, c), c2 in self.boundary.items():
-                if b == b2:
-                    acc[(a, c)] = acc.get((a, c), 0) + c1 * c2
-        for (a, c), v in acc.items():
-            if v != 0:
-                return a, c, v
-        return None
+            self.rows.setdefault(src, {})[dst] = int(c)
+        for src, row in self.rows.items():
+            if square := self.apply_boundary(row):
+                dst, c = next(iter(square.items()))
+                raise InputError(f"boundary does not square to zero at {src}->{dst}: {c}")
 
     def names(self) -> list[str]:
         return [g.name for g in self.generators]
 
-    def apply_boundary(self, chain: dict[str, Fraction]) -> dict[str, Fraction]:
-        out: dict[str, Fraction] = {}
-        for (src, dst), c in self.boundary.items():
-            s = chain.get(src)
-            if s:
-                out[dst] = out.get(dst, Fraction(0)) + s * c
-        return {g: v for g, v in out.items() if v != 0}
+    def apply_boundary(self, chain: dict) -> dict:
+        return lincomb((c, self.rows[g]) for g, c in chain.items() if g in self.rows)
 
 
 def evaluate_class(M: MorseComplex, sigma) -> Fraction:
@@ -108,10 +96,8 @@ def evaluate_class(M: MorseComplex, sigma) -> Fraction:
         raise NonCycleError(f"input chain is not a cycle: boundary {bdry}")
     order = sorted(M.generators, key=lambda g: g.value, reverse=True)
     column = {g.name: j for j, g in enumerate(order)}
-    rows: dict[str, dict[int, int]] = {}
-    for (src, dst), c in M.boundary.items():
-        rows.setdefault(src, {})[column[dst]] = c
-    residue = Echelon(rows.values()).reduce({column[g]: c for g, c in chain.items()})
+    rows = ({column[dst]: c for dst, c in row.items()} for row in M.rows.values())
+    residue = Echelon(rows).reduce({column[g]: c for g, c in chain.items()})
     if not residue:
         raise NullHomologousError("input cycle is a boundary")
     return order[min(residue)].value

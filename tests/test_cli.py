@@ -66,6 +66,22 @@ def test_h_and_bounds(capsys):
     assert out.splitlines() == ["tau_lb = 1/120", "tau_prime_lb = 2/5"]
 
 
+def test_bounds_refuses_a_datum_that_h_refuses(capsys, tmp_path):
+    # d: a -> b and d1(b) != 0, so validate fails with d1∘d != 0 at a
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "name": "bad",
+        "generators": [{"name": "a", "grading": 2, "energy_lift": "-3/2"},
+                       {"name": "b", "grading": 1, "energy_lift": "-1/2"}],
+        "d": [{"from": "a", "to": "b", "terms": [{"coeff": "1", "exp": "1"}]}],
+        "d1": [{"from": "b", "terms": [{"coeff": "1", "exp": "1/2"}]}],
+    }))
+    code, out, h_err = run(capsys, "h", str(bad))
+    assert code == 2 and out == ""
+    assert h_err.startswith("error: datum 'bad' fails validation: ") and "d1∘d != 0 at a" in h_err
+    assert run(capsys, "bounds", str(bad)) == (2, "", h_err)
+
+
 def test_validate_exit_codes(capsys, tmp_path):
     code, out, _ = run(capsys, "validate", "sigma_2_3_5")
     assert code == 0 and out.startswith("validate: ok")
@@ -294,6 +310,14 @@ def test_seifert_commands(capsys):
     code, out, err = run(capsys, "seifert", "sweep", "--max-product",
                          str(seifert.PRODUCT_CAP + 1))
     assert code == 2 and out == "" and "cap" in err
+
+
+def test_seifert_r_over_the_length_cap_exits_2_with_a_short_line(capsys):
+    primes = [p for p in range(2, 60_000) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    code, out, err = run(capsys, "seifert", "r", *map(str, primes[:6000]))
+    assert code == 2 and out == ""
+    assert err == (f"error: orbit tuple (2, 3, 5, 7, ...) of 6000 integers is longer than"
+                   f" the cap {seifert.LENGTH_CAP}\n")
 
 
 def test_seifert_r_over_the_term_cap_exits_2(capsys, monkeypatch):

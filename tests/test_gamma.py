@@ -14,6 +14,7 @@ from floergamma.cli import main
 from floergamma.floer_datum import (
     FloerDatum,
     Generator,
+    InvalidDatumError,
     LambdaMatrix,
     datum_to_json,
     load_datum,
@@ -21,7 +22,6 @@ from floergamma.floer_datum import (
 )
 from floergamma.gamma import (
     DatumInconsistencyError,
-    InvalidDatumError,
     _first_kernel_hit,
     check_cs_trichotomy,
     eta_lower_bound,

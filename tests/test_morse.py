@@ -1,11 +1,14 @@
 """Min-max evaluation against brute-force and rank oracles and the self-indexing law."""
 
 import itertools
+import re
 from fractions import Fraction as F
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from floergamma._linalg import Echelon
 from floergamma.floer_datum import InputError
 from floergamma.morse_minmax import (
     MorseComplex,
@@ -66,7 +69,7 @@ def brute_force(M: MorseComplex, sigma, bound=2):
     values = {g.name: g.value for g in M.generators}
     chain = {g: F(c) for g, c in sigma.items() if c}
     best = None
-    uppers = [g for g in names if any((g, h) in M.boundary for h in names)]
+    uppers = [g for g in names if g in M.rows]
     for combo in itertools.product(range(-bound, bound + 1), repeat=len(uppers)):
         tau = {g: F(c) for g, c in zip(uppers, combo)}
         bdry = M.apply_boundary(tau)
@@ -101,11 +104,16 @@ def random_complex(rng: Random, max_gens: int = 10) -> MorseComplex:
     return MorseComplex([(n_, i_, v_) for n_, i_, v_ in gens], boundary)
 
 
+def pairs(M: MorseComplex) -> dict[tuple[str, str], int]:
+    """The stored rows as the (source, target) -> coefficient map the constructor reads."""
+    return {(src, dst): c for src, row in M.rows.items() for dst, c in row.items()}
+
+
 def is_boundary(M: MorseComplex, sigma) -> bool:
     """rank [d | sigma] = rank d, by minors: sigma lies in the image of d."""
-    sources = sorted({src for src, _ in M.boundary})
-    support = sorted({dst for _, dst in M.boundary} | set(sigma))
-    d = [[F(M.boundary.get((src, g), 0)) for src in sources] for g in support]
+    sources = sorted(M.rows)
+    support = sorted({dst for row in M.rows.values() for dst in row} | set(sigma))
+    d = [[F(M.rows[src].get(g, 0)) for src in sources] for g in support]
     augmented = [row + [F(sigma.get(g, 0))] for row, g in zip(d, support)]
     return minor_rank(augmented, len(sources) + 1) == minor_rank(d, len(sources))
 
@@ -170,9 +178,9 @@ def test_value_moves_at_most_the_largest_offset():
                 for g in M.generators]
         values = {g.name: g.value for g in gens}
         # the offsets must keep the boundary value-decreasing
-        if not sigma or any(values[src] <= values[dst] for src, dst in M.boundary):
+        if not sigma or any(values[src] <= values[dst] for src, dst in pairs(M)):
             continue
-        shifted = MorseComplex(gens, M.boundary)
+        shifted = MorseComplex(gens, pairs(M))
         sup = max(abs(new.value - g.value) for new, g in zip(gens, M.generators))
         try:
             value = evaluate_class(M, sigma)
@@ -228,3 +236,86 @@ def test_json_and_class_parsing(tmp_path):
         morse_from_json(obj)
     with pytest.raises(InputError):
         parse_class("m=1")
+
+
+# References: the boundary kept as (source, target) pairs, as it once was.
+# d∘d scans every pair of entries and d(chain) scans every entry.
+
+def square_by_pair_scan(boundary) -> dict[tuple[str, str], int]:
+    """The nonzero entries of d∘d, found by scanning every pair of entries."""
+    acc: dict[tuple[str, str], int] = {}
+    for (a, b), c1 in boundary.items():
+        for (b2, c), c2 in boundary.items():
+            if b == b2:
+                acc[(a, c)] = acc.get((a, c), 0) + c1 * c2
+    return {k: v for k, v in acc.items() if v}
+
+
+def boundary_by_entry_scan(boundary, chain) -> dict[str, F]:
+    out: dict[str, F] = {}
+    for (src, dst), c in boundary.items():
+        s = chain.get(src)
+        if s:
+            out[dst] = out.get(dst, F(0)) + s * c
+    return {g: v for g, v in out.items() if v != 0}
+
+
+def evaluate_by_pairs(gens, boundary, sigma) -> F:
+    """evaluate_class on the pair map: rows regrouped from the pairs by source."""
+    chain = {g: F(c) for g, c in sigma.items() if c != 0}
+    if boundary_by_entry_scan(boundary, chain):
+        raise NonCycleError("not a cycle")
+    order = sorted((MorseGenerator(*g) for g in gens), key=lambda g: g.value, reverse=True)
+    column = {g.name: j for j, g in enumerate(order)}
+    rows: dict[str, dict[int, int]] = {}
+    for (src, dst), c in boundary.items():
+        rows.setdefault(src, {})[column[dst]] = c
+    residue = Echelon(rows.values()).reduce({column[g]: c for g, c in chain.items()})
+    if not residue:
+        raise NullHomologousError("a boundary")
+    return order[min(residue)].value
+
+
+@st.composite
+def layered_complexes(draw):
+    """Generators of index 0..2 with entries along every index drop that lowers
+    the value, coefficients in -2..2 (zero included), so d∘d is often nonzero;
+    and a chain on the generators, a cycle or not."""
+    n = draw(st.integers(2, 9))
+    gens = [(f"c{i}", draw(st.integers(0, 2)), F(draw(st.integers(0, 6)))) for i in range(n)]
+    allowed = [(s, d) for s, si, sv in gens for d, di, dv in gens if si == di + 1 and sv > dv]
+    chosen = draw(st.lists(st.sampled_from(allowed), unique=True)) if allowed else []
+    boundary = {ends: draw(st.integers(-2, 2)) for ends in chosen}
+    sigma = {g: draw(st.integers(-2, 2)) for g, _, _ in gens if draw(st.booleans())}
+    return gens, boundary, sigma
+
+
+@given(layered_complexes())
+@example(([("a", 0, F(0)), ("c", 1, F(1)), ("e", 2, F(2))], {("c", "a"): 1, ("e", "c"): 1},
+          {"a": 1}))
+@example(([("x", 0, F(0)), ("y", 0, F(2)), ("z", 1, F(3)), ("w", 2, F(4))],
+          {("z", "x"): 1, ("z", "y"): -1, ("w", "z"): 0}, {"y": 1}))
+@settings(max_examples=300, deadline=None)
+def test_rows_agree_with_the_pair_scan_references(case):
+    gens, boundary, sigma = case
+    nonzero = {ends: c for ends, c in boundary.items() if c}
+    square = square_by_pair_scan(nonzero)
+    try:
+        M = MorseComplex(gens, boundary)
+    except InputError as exc:
+        named = re.fullmatch(r"boundary does not square to zero at (\w+)->(\w+): (-?\d+)",
+                             str(exc))
+        assert named and square.get((named[1], named[2])) == int(named[3])
+        return
+    assert not square
+    assert pairs(M) == nonzero
+    chain = {g: F(c) for g, c in sigma.items()}
+    assert M.apply_boundary(chain) == boundary_by_entry_scan(nonzero, chain)
+    try:
+        expected = evaluate_by_pairs(gens, nonzero, sigma)
+    except InputError as exc:
+        with pytest.raises(InputError) as got:
+            evaluate_class(M, sigma)
+        assert type(got.value) is type(exc)
+    else:
+        assert evaluate_class(M, sigma) == expected

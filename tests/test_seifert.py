@@ -161,6 +161,41 @@ def test_term_cap_boundary(monkeypatch):
         r_invariant_cotangent((3, 5, 23))  # 28 terms
 
 
+def test_length_cap_refuses_before_the_pairwise_check(monkeypatch):
+    def no_gcd(x, y):
+        raise AssertionError("a pair was checked")
+
+    monkeypatch.setattr(seifert.math, "gcd", no_gcd)
+    # a repeated entry would fail the pairwise check; the length is refused first
+    too_long = (2,) * (seifert.LENGTH_CAP + 1)
+    message = f"orbit tuple (2, 2, 2, 2, ...) of {seifert.LENGTH_CAP + 1} integers " \
+              f"is longer than the cap {seifert.LENGTH_CAP}"
+    for calculator in (seifert_invariants, r_invariant_cotangent):
+        with pytest.raises(SeifertInputError) as info:
+            calculator(too_long)
+        assert str(info.value) == message
+
+
+def test_length_cap_loses_no_tuple_under_the_term_cap():
+    # n pairwise coprime integers >= 2 have n distinct least prime factors,
+    # so their sum is at least that of the first n primes
+    primes = [p for p in range(2, 10_000) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    assert sum(p - 1 for p in primes[:836]) > seifert.TERM_CAP
+    assert seifert.LENGTH_CAP >= 835
+
+
+def test_a_long_tuple_is_named_by_its_first_entries_and_length(monkeypatch):
+    monkeypatch.setattr(seifert, "TERM_CAP", 20)
+    a = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+    with pytest.raises(SeifertInputError) as info:
+        r_invariant_cotangent(a)
+    assert str(info.value) == ("cotangent sum for (2, 3, 5, 7, ...) of 9 integers has 91 terms,"
+                               " above the cap 20")
+    with pytest.raises(SeifertInputError) as info:
+        r_invariant_cotangent(a[:8])
+    assert str(info.value).startswith("cotangent sum for (2, 3, 5, 7, 11, 13, 17, 19) has")
+
+
 def test_product_cap_boundary(monkeypatch):
     assert seifert.PRODUCT_CAP >= 2000
     assert sweep(seifert.PRODUCT_CAP)["mismatches"] == []
