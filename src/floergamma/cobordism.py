@@ -11,7 +11,8 @@ it must intertwine the extended differentials of source and target; the
 four component identities of that equation are verified exactly.  The
 induced maps on the three equivariant complexes, the homotopies
 measuring their x-equivariance and their compatibility with the triangle
-maps are implemented from the same data and verified on window bases.
+maps are implemented from the same data and verified on window bases,
+each image built once and a residual only where two sides differ.
 Its JSON object holds "source" and "target" (datum paths or fixture
 names), "c" and the maps in the `floer_datum` format.
 """
@@ -36,6 +37,7 @@ from .equivariant import (
     mdeg_bar,
     mdeg_check,
     mdeg_hat,
+    once,
     orbit_tail,
     residual,
     x_action_bar,
@@ -77,14 +79,15 @@ COBORDISM_MAPS = (("phi", "", 0), ("mu", "", 3), ("delta1", "from", 1), ("delta2
 class CobordismDatum(Record):
     """The cobordism maps; `_ladders` keeps each source generator's ladder under
     its name and the d2-ladder under None (`_ladder`), each ending at its
-    first zero state, so the maps must not change once a ladder is read.
+    first zero state, and `_kept` the correction series (`_series`) and basis
+    images (`_images`), so the maps must not change once either is read.
 
-    A `Record` over the constructor's fields, `_ladders` left out; it is
+    A `Record` over the constructor's fields, not the kept ones; it is
     mutable, so not hashable.
     """
 
-    __slots__ = ("source", "target", "phi", "mu", "delta1", "delta2", "c", "_ladders")
-    _FIELDS = __slots__[:-1]
+    __slots__ = ("source", "target", "phi", "mu", "delta1", "delta2", "c", "_ladders", "_kept")
+    _FIELDS = __slots__[:-2]
     __hash__ = None
 
     def __init__(self, source: FloerDatum, target: FloerDatum, phi: LambdaMatrix,
@@ -94,6 +97,7 @@ class CobordismDatum(Record):
             raise InputError("c must be a positive integer")
         self.source, self.target, self.c = source, target, c
         self._ladders: dict = {}
+        self._kept: dict = {}
         store_maps(self, COBORDISM_MAPS, [phi, mu, delta1, delta2], source, target)
 
 
@@ -199,6 +203,12 @@ def correction_series(cob: CobordismDatum, depth: int) -> XPart:
             **{-m - 1: lam for m, (lam, _) in enumerate(_ladder(cob, None, depth)) if lam}}
 
 
+def _series(cob: CobordismDatum, depth: int) -> XPart:
+    """correction_series, built once per depth and kept on the cobordism."""
+    kept = cob._kept.setdefault("series", {})
+    return kept[depth] if depth in kept else kept.setdefault(depth, correction_series(cob, depth))
+
+
 def _xpart_mul(a: XPart, b: XPart, lo: int, hi: int) -> XPart:
     return lincomb((ai, {i + j: bj for j, bj in b.items() if lo <= i + j <= hi})
                    for i, ai in a.items())
@@ -208,21 +218,20 @@ def hat_map(cob: CobordismDatum, e: XElement) -> XElement:
     """Induced map on the "from" complex: (phi alpha + sum a_i W_i, poly·S)."""
     depth = max(e.x, default=0)
     chain = vec_add(cob.phi.apply(e.chain), _weighted_rungs(cob, e.x))
-    return XElement(chain, _xpart_mul(e.x, correction_series(cob, depth), 0, depth))
+    return XElement(chain, _xpart_mul(e.x, _series(cob, depth), 0, depth))
 
 
 def check_map(cob: CobordismDatum, e: XElement, window: Window) -> XElement:
     """Induced map on the "to" complex: (phi alpha, tail of alpha + tail·S)."""
     depth = window.T
     tail = vec_add(_chain_tail(cob, e.chain, depth),
-                   _xpart_mul(e.x, correction_series(cob, depth), -depth, -1))
+                   _xpart_mul(e.x, _series(cob, depth), -depth, -1))
     return XElement(cob.phi.apply(e.chain), tail)
 
 
 def bar_map(cob: CobordismDatum, z: XElement, window: Window) -> XElement:
     """Multiplication by the correction series, truncated to the window."""
-    depth = window.T + max(window.N, 0) + 1
-    series = correction_series(cob, depth)
+    series = _series(cob, window.T + max(window.N, 0) + 1)
     return XElement({}, _xpart_mul(z.x, series, -window.T, window.N))
 
 
@@ -249,58 +258,65 @@ def htpy_i(cob: CobordismDatum, z: XElement) -> XElement:
     return XElement(_weighted_rungs(cob, z.x))
 
 
+def _images(cob: CobordismDatum, window: Window) -> tuple:
+    """`once` for hat_map, check_map and bar_map on the inner window, kept on `cob`."""
+    win = inner_window(window)
+    kept = cob._kept.setdefault(win, ({}, {}, {}))
+    return (once(lambda e: hat_map(cob, e), kept[0]),
+            once(lambda e: check_map(cob, e, win), kept[1]),
+            once(lambda z: bar_map(cob, z, win), kept[2]))
+
+
 def _functoriality_checks(cob: CobordismDatum, window: Window):
     """(identity, basis name, residual) of every functoriality identity, in stage order."""
     src, tgt = cob.source, cob.target
     win = inner_window(window)
+    lo, hi = -window.T + 2, window.N
+    H, C, B = _images(cob, window)
+    hd, cd = once(lambda e: hat_d(src, e), {}), once(lambda e: check_d(src, e, win), {})
 
     # (1) the three maps are chain maps
     for name, e in hat_basis(src, window, margin=False):
-        lhs = hat_d(tgt, hat_map(cob, e))
-        rhs = hat_map(cob, hat_d(src, e))
-        yield "hat_d'∘hat_map = hat_map∘hat_d", name, residual(lhs - rhs, window)
+        yield ("hat_d'∘hat_map = hat_map∘hat_d", name,
+               residual(hat_d(tgt, H(name, e)), hat_map(cob, hd(name, e)), lo, hi))
     for name, e in check_basis(src, window, margin=False):
-        lhs = check_d(tgt, check_map(cob, e, win), win)
-        rhs = check_map(cob, check_d(src, e, win), win)
-        yield "check_d'∘check_map = check_map∘check_d", name, residual(lhs - rhs, window)
+        lhs = check_d(tgt, C(name, e), win)
+        yield ("check_d'∘check_map = check_map∘check_d", name,
+               residual(lhs, check_map(cob, cd(name, e), win), lo, hi))
 
     # (2) bar_map is x-linear
     for name, z in bar_basis(window, margin=True):
-        lhs = bar_map(cob, x_action_bar(z, win), win)
-        rhs = x_action_bar(bar_map(cob, z, win), win)
-        yield "bar_map∘x = x∘bar_map", name, residual(lhs - rhs, window)
+        lhs, rhs = bar_map(cob, x_action_bar(z, win), win), x_action_bar(B(name, z), win)
+        yield "bar_map∘x = x∘bar_map", name, residual(lhs, rhs, lo, hi)
 
     # (3) x-equivariance of hat_map and check_map up to homotopy
     for name, e in hat_basis(src, window, margin=True):
-        lhs = (x_action_hat(tgt, hat_map(cob, e), win)
-               - hat_map(cob, x_action_hat(src, e, win)))
-        rhs = htpy_hat_x(cob, hat_d(src, e)) + hat_d(tgt, htpy_hat_x(cob, e))
+        lhs = x_action_hat(tgt, H(name, e), win) - hat_map(cob, x_action_hat(src, e, win))
+        rhs = htpy_hat_x(cob, hd(name, e)) + hat_d(tgt, htpy_hat_x(cob, e))
         yield ("x∘hat_map - hat_map∘x = K∘hat_d + hat_d'∘K", name,
-               residual(lhs - rhs, window))
+               residual(lhs, rhs, lo, hi))
     for name, e in check_basis(src, window, margin=True):
-        lhs = (x_action_check(tgt, check_map(cob, e, win))
-               - check_map(cob, x_action_check(src, e), win))
-        rhs = htpy_check_x(cob, check_d(src, e, win)) + check_d(tgt, htpy_check_x(cob, e), win)
+        lhs = x_action_check(tgt, C(name, e)) - check_map(cob, x_action_check(src, e), win)
+        rhs = htpy_check_x(cob, cd(name, e)) + check_d(tgt, htpy_check_x(cob, e), win)
         yield ("x∘check_map - check_map∘x = L∘check_d + check_d'∘L", name,
-               residual(lhs - rhs, window))
+               residual(lhs, rhs, lo, hi))
 
     # (4) p'∘hat_map - bar_map∘p = K∘hat_d
     for name, e in hat_basis(src, window, margin=False):
-        lhs = map_p(tgt, hat_map(cob, e), win) - bar_map(cob, map_p(src, e, win), win)
-        rhs = htpy_p(cob, hat_d(src, e), win)
-        yield "p'∘hat_map - bar_map∘p = K∘hat_d", name, residual(lhs - rhs, window)
+        lhs = map_p(tgt, H(name, e), win) - bar_map(cob, map_p(src, e, win), win)
+        yield ("p'∘hat_map - bar_map∘p = K∘hat_d", name,
+               residual(lhs, htpy_p(cob, hd(name, e), win), lo, hi))
 
     # (5) j'∘check_map = hat_map∘j exactly
     for name, e in check_basis(src, window, margin=False):
-        lhs = map_j(check_map(cob, e, win))
-        rhs = hat_map(cob, map_j(e))
-        yield "j'∘check_map = hat_map∘j", name, residual(lhs - rhs, window)
+        yield ("j'∘check_map = hat_map∘j", name,
+               residual(map_j(C(name, e)), hat_map(cob, map_j(e)), lo, hi))
 
     # (6) i'∘bar_map - check_map∘i = check_d'∘L
     for name, z in bar_basis(window, margin=False):
-        lhs = map_i(tgt, bar_map(cob, z, win)) - check_map(cob, map_i(src, z), win)
-        rhs = check_d(tgt, htpy_i(cob, z), win)
-        yield "i'∘bar_map - check_map∘i = check_d'∘L", name, residual(lhs - rhs, window)
+        lhs = map_i(tgt, B(name, z)) - check_map(cob, map_i(src, z), win)
+        yield ("i'∘bar_map - check_map∘i = check_d'∘L", name,
+               residual(lhs, check_d(tgt, htpy_i(cob, z), win), lo, hi))
 
 
 def functoriality_report(cob: CobordismDatum, window: Window) -> Report:
@@ -331,15 +347,13 @@ def mdeg_decay(cob: CobordismDatum, window: Window):
     Reports the measured decay of the three equivariant maps; +inf when
     every basis image vanishes.
     """
-    win = inner_window(window)
-    worst = INF
-    for _, e in hat_basis(cob.source, window, margin=False):
-        worst = min(worst, mdeg_hat(residual(hat_map(cob, e), window)) - mdeg_hat(e))
-    for _, e in check_basis(cob.source, window, margin=False):
-        worst = min(worst, mdeg_check(residual(check_map(cob, e, win), window)) - mdeg_check(e))
-    for _, z in bar_basis(window, margin=False):
-        worst = min(worst, mdeg_bar(residual(bar_map(cob, z, win), window)) - mdeg_bar(z))
-    return worst
+    lo, hi = -window.T + 2, window.N
+    H, C, B = _images(cob, window)
+    images = ((hat_basis(cob.source, window, margin=False), H, mdeg_hat),
+              (check_basis(cob.source, window, margin=False), C, mdeg_check),
+              (bar_basis(window, margin=False), B, mdeg_bar))
+    return min((mdeg(image(name, e).restrict(lo, hi)) - mdeg(e)
+                for basis, image, mdeg in images for name, e in basis), default=INF)
 
 
 # ---------------------------------------------------------------------------

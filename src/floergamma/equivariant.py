@@ -12,7 +12,9 @@ The triangle maps i, j, p between them, the x-actions, and the
 homotopies entering the exactness argument are all implemented as exact
 formulas on a finite window x^-T .. x^N; verification checks every
 identity on a spanning set of window basis elements, restricted to
-x-degrees where shifting cannot leak out of the window.
+x-degrees where shifting cannot leak out of the window.  A verifier call
+builds each basis image once (`once`), and a residual only where an
+identity's two sides differ (`residual`).
 
 Convention: the polynomial/Laurent variable x acts with Floer degree -4
 (it interleaves the operator u), and the generator of the
@@ -51,30 +53,38 @@ class XElement(Record):
 
     A slotted `Record`, since the verifiers build tens of thousands per
     pass.  Nothing mutates an element once built, but its parts are dicts,
-    so it is not hashable.
+    so it is not hashable.  The constructor drops zero entries; this
+    module's operations and maps build zero-free parts and skip that (`_of`).
     """
 
     __slots__ = ("chain", "x")
     __hash__ = None
 
     def __init__(self, chain: Vector | None = None, x: XPart | None = None):
-        # Parts built by `lincomb` have no zero entries already; the filter is
-        # for parts a caller writes out by hand.
         self.chain = {g: v for g, v in chain.items() if v} if chain else {}
         self.x = {i: a for i, a in x.items() if a} if x else {}
 
+    @classmethod
+    def _of(cls, chain: Vector, x: XPart) -> "XElement":
+        e = object.__new__(cls)
+        e.chain, e.x = chain, x
+        return e
+
     def __add__(self, other: "XElement") -> "XElement":
-        return XElement(vec_add(self.chain, other.chain), vec_add(self.x, other.x))
+        return XElement._of(vec_add(self.chain, other.chain), vec_add(self.x, other.x))
 
     def __sub__(self, other: "XElement") -> "XElement":
-        return XElement(vec_sub(self.chain, other.chain), vec_sub(self.x, other.x))
+        return XElement._of(vec_sub(self.chain, other.chain), vec_sub(self.x, other.x))
+
+    def __neg__(self) -> "XElement":
+        return XElement._of(vec_neg(self.chain), vec_neg(self.x))
 
     def is_zero(self) -> bool:
         return not self.chain and not self.x
 
     def restrict(self, lo: int, hi: int) -> "XElement":
         """The same chain part, with the x-powers outside lo..hi dropped."""
-        return XElement(self.chain, {i: a for i, a in self.x.items() if lo <= i <= hi})
+        return XElement._of(self.chain, {i: a for i, a in self.x.items() if lo <= i <= hi})
 
 
 # ---------------------------------------------------------------------------
@@ -104,12 +114,12 @@ def _d2_sum(datum: FloerDatum, part: XPart) -> Vector:
 
 def hat_d(datum: FloerDatum, e: XElement) -> XElement:
     """(alpha, sum a_i x^i) -> (d alpha - sum u^i d2(a_i), 0)."""
-    return XElement(vec_sub(datum.apply_d(e.chain), _d2_sum(datum, e.x)))
+    return XElement._of(vec_sub(datum.apply_d(e.chain), _d2_sum(datum, e.x)), {})
 
 
 def check_d(datum: FloerDatum, e: XElement, window: Window) -> XElement:
     """(alpha, tail) -> (d alpha, sum_{i<0} d1(u^(-i-1) alpha) x^i)."""
-    return XElement(datum.apply_d(e.chain), _d1_tail(datum, e.chain, window))
+    return XElement._of(datum.apply_d(e.chain), _d1_tail(datum, e.chain, window))
 
 
 def x_action_hat(datum: FloerDatum, e: XElement, window: Window) -> XElement:
@@ -121,8 +131,9 @@ def x_action_hat(datum: FloerDatum, e: XElement, window: Window) -> XElement:
     powers are <= 0.
     """
     assert all(i < window.N for i in e.x), "x-action pushes a coefficient past x^N"
-    poly = vec_add({i + 1: a for i, a in e.x.items()}, {0: datum.apply_d1(e.chain)})
-    return XElement(datum.apply_u(e.chain), poly)
+    d1 = datum.apply_d1(e.chain)
+    poly = vec_add({i + 1: a for i, a in e.x.items()}, {0: d1} if d1 else {})
+    return XElement._of(datum.apply_u(e.chain), poly)
 
 
 def x_action_check(datum: FloerDatum, e: XElement) -> XElement:
@@ -130,28 +141,28 @@ def x_action_check(datum: FloerDatum, e: XElement) -> XElement:
     chain = datum.apply_u(e.chain)
     if -1 in e.x:
         chain = vec_add(chain, datum.apply_d2(e.x[-1]))
-    return XElement(chain, {i + 1: a for i, a in e.x.items() if i <= -2})
+    return XElement._of(chain, {i + 1: a for i, a in e.x.items() if i <= -2})
 
 
 def x_action_bar(e: XElement, window: Window) -> XElement:
     """Coefficient shift, for coefficients ending below x^N (see x_action_hat)."""
     assert all(i < window.N for i in e.x), "x-action pushes a coefficient past x^N"
-    return XElement({}, {i + 1: a for i, a in e.x.items()})
+    return XElement._of({}, {i + 1: a for i, a in e.x.items()})
 
 
 def map_i(datum: FloerDatum, z: XElement) -> XElement:
     """i(sum a_i x^i) = (sum_{i>=0} u^i d2(a_i), negative part of z)."""
-    return XElement(_d2_sum(datum, z.x), {i: a for i, a in z.x.items() if i < 0})
+    return XElement._of(_d2_sum(datum, z.x), {i: a for i, a in z.x.items() if i < 0})
 
 
 def map_j(e: XElement) -> XElement:
     """j(alpha, tail) = (alpha, 0)."""
-    return XElement(e.chain)
+    return XElement._of(e.chain, {})
 
 
 def map_p(datum: FloerDatum, e: XElement, window: Window) -> XElement:
     """p(alpha, p) = sum_{i<0} d1(u^(-i-1) alpha) x^i + p."""
-    return XElement({}, {**_d1_tail(datum, e.chain, window), **e.x})
+    return XElement._of({}, {**_d1_tail(datum, e.chain, window), **e.x})
 
 
 # Homotopies entering the exactness argument.
@@ -159,12 +170,12 @@ def map_p(datum: FloerDatum, e: XElement, window: Window) -> XElement:
 def htpy_h(e: XElement) -> XElement:
     """h(alpha, tail) = (0, -a_-1)."""
     a = e.x.get(-1)
-    return XElement({}, {} if a is None else {0: -a})
+    return XElement._of({}, {} if a is None else {0: -a})
 
 
 def htpy_k(e: XElement) -> XElement:
     """k(alpha, tail) = -tail."""
-    return XElement({}, vec_neg(e.x))
+    return XElement._of({}, vec_neg(e.x))
 
 
 def _grading_sign(datum: FloerDatum, chain: Vector) -> Vector:
@@ -174,18 +185,18 @@ def _grading_sign(datum: FloerDatum, chain: Vector) -> Vector:
 
 def htpy_l(datum: FloerDatum, e: XElement) -> XElement:
     """l(alpha, p) = (sigma alpha, 0)."""
-    return XElement(_grading_sign(datum, e.chain))
+    return XElement._of(_grading_sign(datum, e.chain), {})
 
 
 def htpy_r(z: XElement) -> XElement:
     """r(sum a_i x^i) = (0, non-negative part)."""
-    return XElement({}, {i: a for i, a in z.x.items() if i >= 0})
+    return XElement._of({}, {i: a for i, a in z.x.items() if i >= 0})
 
 
 def _epsilon(datum: FloerDatum, e: XElement) -> XElement:
     """The grading involution: sigma on the chain part, -1 on negative x-powers."""
-    return XElement(_grading_sign(datum, e.chain),
-                    {i: a if i >= 0 else -a for i, a in e.x.items()})
+    return XElement._of(_grading_sign(datum, e.chain),
+                        {i: a if i >= 0 else -a for i, a in e.x.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -226,86 +237,94 @@ def inner_window(window: Window) -> Window:
 def hat_basis(datum: FloerDatum, window: Window, margin: bool):
     top = window.N - 2 if margin else window.N
     for g in datum.names():
-        yield f"({g}, 0)", XElement(datum.basis_vector(g))
+        yield f"({g}, 0)", XElement._of(datum.basis_vector(g), {})
     for i in range(0, top + 1):
-        yield f"(0, x^{i})", XElement({}, {i: NovikovElement.one()})
+        yield f"(0, x^{i})", XElement._of({}, {i: NovikovElement.one()})
 
 
 def check_basis(datum: FloerDatum, window: Window, margin: bool):
     bottom = -window.T + 2 if margin else -window.T
     for g in datum.names():
-        yield f"({g}, 0)", XElement(datum.basis_vector(g))
+        yield f"({g}, 0)", XElement._of(datum.basis_vector(g), {})
     for i in range(-1, bottom - 1, -1):
-        yield f"(0, x^{i})", XElement({}, {i: NovikovElement.one()})
+        yield f"(0, x^{i})", XElement._of({}, {i: NovikovElement.one()})
 
 
 def bar_basis(window: Window, margin: bool):
     lo = -window.T + 2 if margin else -window.T
     hi = window.N - 2 if margin else window.N
     for i in range(lo, hi + 1):
-        yield f"x^{i}", XElement({}, {i: NovikovElement.one()})
+        yield f"x^{i}", XElement._of({}, {i: NovikovElement.one()})
 
 
-def residual(e: XElement, window: Window) -> XElement:
-    """The x-powers -T+2 .. N of an identity's two sides, where both are exact.
+def residual(lhs: XElement, rhs: XElement, lo: int, hi: int) -> XElement:
+    """lhs - rhs on the x-powers lo..hi, subtracted only if the sides differ there.
 
-    A hat element has no negative powers and a check element no
-    non-negative ones, so this is the hat band 0..N and the check band
-    -T+2..-1 at once.
+    The verifiers' band is -T+2..N, where both sides are exact: the hat band
+    0..N and the check band -T+2..-1 at once.  Restriction is linear and a
+    key occurs at most once per side, so this is (lhs - rhs).restrict(lo, hi)
+    with the same key order.
     """
-    return e.restrict(-window.T + 2, window.N)
+    a, b = lhs.restrict(lo, hi), rhs.restrict(lo, hi)
+    return XElement._of({}, {}) if a.chain == b.chain and a.x == b.x else a - b
+
+
+def once(f, kept: dict):
+    """(name, basis element) -> f(element), built on the name's first use, then kept."""
+    return lambda name, e: kept[name] if name in kept else kept.setdefault(name, f(e))
 
 
 def _triangle_checks(datum: FloerDatum, window: Window):
-    """(identity, basis name, residual) of every triangle identity, in stage order."""
+    """(identity, basis name, residual) of every triangle identity, in stage order;
+    "A + B = 0" compares A with -B, as A - (-B) is the sum term for term."""
     win = inner_window(window)
+    lo, hi = -window.T + 2, window.N
+    hd, p = once(lambda e: hat_d(datum, e), {}), once(lambda e: map_p(datum, e, win), {})
+    cd, i = once(lambda e: check_d(datum, e, win), {}), once(lambda z: map_i(datum, z), {})
 
     # (1) squared differentials
     for name, e in hat_basis(datum, window, margin=False):
-        yield "hat_d∘hat_d = 0", name, hat_d(datum, hat_d(datum, e))
+        yield "hat_d∘hat_d = 0", name, hat_d(datum, hd(name, e))
     for name, e in check_basis(datum, window, margin=False):
-        yield ("check_d∘check_d = 0", name,
-               residual(check_d(datum, check_d(datum, e, win), win), window))
+        yield "check_d∘check_d = 0", name, check_d(datum, cd(name, e), win).restrict(lo, hi)
 
     # (2) i and p are x-equivariant
     for name, z in bar_basis(window, margin=True):
         lhs = map_i(datum, x_action_bar(z, win))
-        rhs = x_action_check(datum, map_i(datum, z))
-        yield "i∘x = x∘i", name, residual(lhs - rhs, window)
+        yield "i∘x = x∘i", name, residual(lhs, x_action_check(datum, i(name, z)), lo, hi)
     for name, e in hat_basis(datum, window, margin=True):
         lhs = map_p(datum, x_action_hat(datum, e, win), win)
-        rhs = x_action_bar(map_p(datum, e, win), win)
-        yield "p∘x = x∘p", name, residual(lhs - rhs, window)
+        yield "p∘x = x∘p", name, residual(lhs, x_action_bar(p(name, e), win), lo, hi)
 
     # (3) j commutes with x up to the homotopy h
     for name, e in check_basis(datum, window, margin=True):
         lhs = map_j(x_action_check(datum, e)) - x_action_hat(datum, map_j(e), win)
-        rhs = hat_d(datum, htpy_h(e)) + htpy_h(check_d(datum, e, win))
-        yield "j∘x - x∘j = hat_d∘h + h∘check_d", name, residual(lhs - rhs, window)
+        rhs = hat_d(datum, htpy_h(e)) + htpy_h(cd(name, e))
+        yield "j∘x - x∘j = hat_d∘h + h∘check_d", name, residual(lhs, rhs, lo, hi)
 
     # (4) null-homotopy identities for the splitting maps
     for name, e in check_basis(datum, window, margin=False):
-        total = map_p(datum, map_j(e), win) + htpy_k(check_d(datum, e, win))
-        yield "p∘j + k∘check_d = 0", name, residual(total, window)
+        yield ("p∘j + k∘check_d = 0", name,
+               residual(map_p(datum, map_j(e), win), -htpy_k(cd(name, e)), lo, hi))
     for name, e in hat_basis(datum, window, margin=False):
-        total = (map_i(datum, map_p(datum, e, win)) + htpy_l(datum, hat_d(datum, e))
-                 + check_d(datum, htpy_l(datum, e), win))
-        yield "i∘p + l∘hat_d + check_d∘l = 0", name, residual(total, window)
+        lhs = map_i(datum, p(name, e)) + htpy_l(datum, hd(name, e))
+        yield ("i∘p + l∘hat_d + check_d∘l = 0", name,
+               residual(lhs, -check_d(datum, htpy_l(datum, e), win), lo, hi))
     for name, z in bar_basis(window, margin=False):
-        yield "j∘i + hat_d∘r = 0", name, map_j(map_i(datum, z)) + hat_d(datum, htpy_r(z))
+        yield ("j∘i + hat_d∘r = 0", name,
+               residual(map_j(i(name, z)), -hat_d(datum, htpy_r(z)), lo, hi))
 
     # (5) the splitting composites are the grading involution epsilon, on
     # the whole window x^-T .. x^N
     for name, e in check_basis(datum, window, margin=False):
-        total = htpy_l(datum, map_j(e)) + map_i(datum, htpy_k(e)) - _epsilon(datum, e)
-        yield "l∘j + i∘k = ε", name, total.restrict(-window.T, window.N)
+        lhs = htpy_l(datum, map_j(e)) + map_i(datum, htpy_k(e))
+        yield "l∘j + i∘k = ε", name, residual(lhs, _epsilon(datum, e), -window.T, window.N)
     for name, e in hat_basis(datum, window, margin=False):
-        total = (htpy_r(map_p(datum, e, win)) + map_j(htpy_l(datum, e))
-                 - _epsilon(datum, e))
-        yield "r∘p + j∘l = ε", name, total.restrict(-window.T, window.N)
+        lhs = htpy_r(p(name, e)) + map_j(htpy_l(datum, e))
+        yield "r∘p + j∘l = ε", name, residual(lhs, _epsilon(datum, e), -window.T, window.N)
     for name, z in bar_basis(window, margin=False):
-        total = htpy_k(map_i(datum, z)) + map_p(datum, htpy_r(z), win) - _epsilon(datum, z)
-        yield "k∘i + p∘r = ε", name, total.restrict(-window.T, window.N)
+        lhs = htpy_k(i(name, z)) + map_p(datum, htpy_r(z), win)
+        yield "k∘i + p∘r = ε", name, residual(lhs, _epsilon(datum, z), -window.T, window.N)
 
 
 def verify_triangle(datum: FloerDatum, window: Window) -> Report:

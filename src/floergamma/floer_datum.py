@@ -163,11 +163,12 @@ def store_maps(holder, maps, values, source: "FloerDatum", target: "FloerDatum")
 
 # The vec_* helpers below also serve the x-parts of the equivariant
 # complexes, whose keys are x-powers (ints) instead of generator names.
+# Inputs are zero-free; with one side empty the other may come back itself, so only read it.
 Vector = dict[str, NovikovElement]
 
 
 def vec_add(a: Vector, b: Vector) -> Vector:
-    return lincomb(((None, a), (None, b)))
+    return lincomb(((None, a), (None, b))) if a and b else a or b
 
 
 def vec_neg(a: Vector) -> Vector:
@@ -175,7 +176,9 @@ def vec_neg(a: Vector) -> Vector:
 
 
 def vec_sub(a: Vector, b: Vector) -> Vector:
-    return lincomb(((None, a), (None, vec_neg(b))))
+    if not b:
+        return a
+    return lincomb(((None, a), (None, vec_neg(b)))) if a else vec_neg(b)
 
 
 def apply_row(row: dict[str, NovikovElement], vec: Vector) -> NovikovElement:

@@ -53,6 +53,7 @@ All arithmetic is exact over Q.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import count, islice
 from typing import NamedTuple
@@ -372,14 +373,14 @@ def tau_prime_lower_bound(datum: FloerDatum) -> Fraction:
 
 def eta_lower_bound(source: FloerDatum, target: FloerDatum) -> Fraction:
     """min over cross pairs of the non-negative representative of
-    r_g' - r_g mod 1."""
+    r_g' - r_g mod 1, in O((n + m) log n): t is nearest above the largest
+    source residue s <= t, or else above the sentinel max - 1 heading them."""
     if not source.generators or not target.generators:
         raise ValueError("eta bound needs nonempty spectra on both ends")
-    return min(
-        _nonnegative_fractional(gt.energy_lift - gs.energy_lift)
-        for gs in source.generators
-        for gt in target.generators
-    )
+    below = sorted({_nonnegative_fractional(g.energy_lift) for g in source.generators})
+    below.insert(0, below[-1] - 1)
+    return min(t - below[bisect_right(below, t) - 1]
+               for t in {_nonnegative_fractional(g.energy_lift) for g in target.generators})
 
 
 def check_cs_trichotomy(datum: FloerDatum, k_min: int, k_max: int) -> Report:

@@ -18,6 +18,7 @@ lincomb per source, and the reduction one `Echelon` of the rows.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from typing import NamedTuple
 
 from ._linalg import Echelon
@@ -93,7 +94,9 @@ def evaluate_class(M: MorseComplex, sigma) -> Fraction:
         raise InputError(f"class names unknown generator {unknown[0]!r}")
     bdry = M.apply_boundary(chain)
     if bdry:
-        raise NonCycleError(f"input chain is not a cycle: boundary {bdry}")
+        quoted = ",".join(f"{g}:{c}" for g, c in islice(bdry.items(), 4))
+        raise NonCycleError(f"input chain is not a cycle: boundary {quoted}"
+                            + (f",... of {len(bdry)} entries" if len(bdry) > 4 else ""))
     order = sorted(M.generators, key=lambda g: g.value, reverse=True)
     column = {g.name: j for j, g in enumerate(order)}
     rows = ({column[dst]: c for dst, c in row.items()} for row in M.rows.values())

@@ -476,6 +476,25 @@ def test_morse_command(capsys, tmp_path):
     assert code == 2 and "unknown generator 'w'" in err
 
 
+def test_morse_non_cycle_error_quotes_four_boundary_entries(capsys, tmp_path):
+    # 3,000 disjoint intervals d(e_i) = p_2i - p_2i+1; the sum of 2,000 of them
+    # has a boundary of 4,000 entries
+    n = 3000
+    intervals = tmp_path / "intervals.json"
+    intervals.write_text(json.dumps({
+        "name": "intervals",
+        "generators": [{"name": f"p{i}", "index": 0, "value": "0"} for i in range(2 * n)]
+        + [{"name": f"e{i}", "index": 1, "value": "1"} for i in range(n)],
+        "boundary": [{"from": f"e{i}", "to": f"p{2 * i + j}", "coeff": 1 - 2 * j}
+                     for i in range(n) for j in (0, 1)]}))
+    whole = ",".join(f"e{i}:1" for i in range(2000))
+    assert run(capsys, "morse", "eval", str(intervals), "--class", whole) == (
+        2, "", "error: input chain is not a cycle: boundary p0:1,p1:-1,p2:1,p3:-1,... "
+               "of 4000 entries\n")
+    assert run(capsys, "morse", "eval", str(intervals), "--class", "e0:1,e1:-1/2") == (
+        2, "", "error: input chain is not a cycle: boundary p0:1,p1:-1,p2:-1/2,p3:1/2\n")
+
+
 def test_cobordism_commands(capsys, tmp_path):
     code, out, _ = run(capsys, "cobordism", "verify",
                        "delta1_sigma_2_3_5_to_s3", "--window", "6,4")

@@ -468,6 +468,19 @@ def test_eta_bounds(sigma, neg_sigma, s3):
         eta_lower_bound(sigma, s3)
 
 
+LIFTS = st.lists(st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12)),
+                 min_size=1, max_size=12)
+
+
+@given(LIFTS, LIFTS)
+def test_eta_matches_the_pairwise_minimum(source_lifts, target_lifts):
+    source, target = (FloerDatum("lifts", [Generator(f"g{i}", 1, r) for i, r in enumerate(lifts)],
+                                 LambdaMatrix(), LambdaMatrix(), {}, {})
+                      for lifts in (source_lifts, target_lifts))
+    pairwise = min((t - s) % 1 for s in source_lifts for t in target_lifts)
+    assert eta_lower_bound(source, target) == pairwise
+
+
 def test_cs_trichotomy(sigma, remark, s3):
     assert check_cs_trichotomy(sigma, -2, 3).ok
     assert check_cs_trichotomy(remark, 0, 0).ok
