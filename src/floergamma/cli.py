@@ -33,6 +33,7 @@ from .cobordism import (
     gamma_comparison,
     load_cobordism,
     mdeg_decay,
+    require_valid_ends,
     verify_tilde_chain_map,
 )
 from .equivariant import Window, verify_triangle
@@ -219,7 +220,9 @@ def _cmd_cobordism_verify(args) -> int:
 
 
 def _cmd_cobordism_compose(args) -> int:
-    composed = compose_tilde(load_cobordism(args.first), load_cobordism(args.second))
+    first = load_cobordism(args.first)
+    second = first if args.second == args.first else load_cobordism(args.second)
+    composed = compose_tilde(first, second)
     text = _dumps(cobordism_to_json(composed), indent=2) + "\n"
     try:
         with open(args.output, "w") as f:
@@ -233,7 +236,7 @@ def _cmd_cobordism_compose(args) -> int:
 def _cmd_cobordism_compare(args) -> int:
     cob = load_cobordism(args.cobordism)
     lo, hi = _parse_range(args.range, cob.source, cob.target)
-    cob.source, cob.target = require_valid(cob.source), require_valid(cob.target)
+    cob.source, cob.target = require_valid_ends(cob)
     rep = verify_tilde_chain_map(cob)
     if not rep.ok:
         raise InputError(f"cobordism is not a chain map: {rep.failures[0]}")

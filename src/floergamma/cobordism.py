@@ -14,7 +14,9 @@ measuring their x-equivariance and their compatibility with the triangle
 maps are implemented from the same data and verified on window bases,
 each image built once and a residual only where two sides differ.
 Its JSON object holds "source" and "target" (datum paths or fixture
-names), "c" and the maps in the `floer_datum` format.
+names), "c" and the maps in the `floer_datum` format.  A target naming
+the same path as the source is that same datum object, read and validated
+once, and each Gamma of a gamma comparison is then solved once.
 """
 
 from __future__ import annotations
@@ -108,14 +110,23 @@ def identity_cobordism(datum: FloerDatum) -> CobordismDatum:
     return CobordismDatum(datum, datum, phi, LambdaMatrix(), {}, {}, 1)
 
 
+def require_valid_ends(cob: CobordismDatum) -> tuple[ValidDatum, ValidDatum]:
+    """require_valid of both ends; a target that is the source is validated once."""
+    source = require_valid(cob.source)
+    return source, source if cob.target is cob.source else require_valid(cob.target)
+
+
 def validate_cobordism(cob: CobordismDatum) -> Report:
     """The grading rule of every map entry plus endpoint validity.
 
-    An endpoint that is a ValidDatum passed validate when it was built.
+    An endpoint that is a ValidDatum passed validate when it was built; a
+    target that is the source is validated once and reported for both ends.
     """
     rep = Report()
     for d, side in ((cob.source, "source"), (cob.target, "target")):
-        for msg in [] if isinstance(d, ValidDatum) else validate(d).failures:
+        if side == "source" or d is not cob.source:
+            failures = [] if isinstance(d, ValidDatum) else validate(d).failures
+        for msg in failures:
             rep.fail(f"{side} datum: {msg}")
     grading_report(rep, COBORDISM_MAPS, cob, cob.source, cob.target)
     return rep
@@ -368,7 +379,7 @@ def compose_tilde(first: CobordismDatum, second: CobordismDatum) -> CobordismDat
     delta2'' = phi'∘delta2 + c·delta2', mu'' = mu'∘phi + delta2'∘delta1
     + phi'∘mu, c'' = c·c'.
     """
-    if not first.target.structurally_equal(second.source):
+    if first.target is not second.source and not first.target.structurally_equal(second.source):
         raise InputError("composition mismatch: first.target != second.source")
     phi, mu, delta1, zero = LambdaMatrix(), LambdaMatrix(), {}, NovikovElement.zero()
     for g in first.source.names():
@@ -395,12 +406,12 @@ def gamma_comparison(cob: CobordismDatum, k_min: int, k_max: int) -> dict:
     Also reports the arithmetic eta lower bound when both spectra are
     nonempty.
     """
-    source, target = require_valid(cob.source), require_valid(cob.target)
+    source, target = require_valid_ends(cob)
     rows = []
     all_ok = True
     for k in range(k_min, k_max + 1):
         gs = gamma(source, k)
-        gt = gamma(target, k)
+        gt = gs if target is source else gamma(target, k)
         bound = gs if k >= 1 else max(gs, Fraction(0))
         ok = gt <= bound
         all_ok = all_ok and ok
@@ -416,10 +427,14 @@ def gamma_comparison(cob: CobordismDatum, k_min: int, k_max: int) -> dict:
 # ---------------------------------------------------------------------------
 
 def cobordism_from_json(obj) -> CobordismDatum:
+    """The cobordism of a JSON object; a target naming the source's path is the source."""
     check_keys(obj, {"source", "target", "c", *(key for key, _, _ in COBORDISM_MAPS)},
                "cobordism")
-    return CobordismDatum(load_datum(json_field(obj, "source", str, "cobordism")),
-                          load_datum(json_field(obj, "target", str, "cobordism")),
+    path = json_field(obj, "source", str, "cobordism")
+    source = load_datum(path)
+    target_path = json_field(obj, "target", str, "cobordism")
+    target = source if target_path == path else load_datum(target_path)
+    return CobordismDatum(source, target,
                           *(map_from_json(obj, key, end) for key, end, _ in COBORDISM_MAPS),
                           json_field(obj, "c", int, "cobordism"))
 

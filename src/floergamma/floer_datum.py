@@ -225,7 +225,9 @@ class FloerDatum:
 
     `_orbits` keeps each generator's d1-orbit [d1(u^j g)] under its name
     and the d2-orbit [u^i d2(1)] under None (`kept_orbit`): each ends at its
-    first zero u^j g or u^i d2(1), and the maps must not change once read.
+    first zero u^j g or u^i d2(1).  `_columns` keeps the d-columns of each
+    grading class that Gamma reads (`gamma._d_columns`).  The maps must not
+    change once either is read.
     """
 
     def __init__(self, name: str, generators: list[Generator],
@@ -238,6 +240,7 @@ class FloerDatum:
             raise InputError("generator names must be unique")
         store_maps(self, DATUM_MAPS, (d, u, d1, d2), self, self)
         self._orbits: dict = {}
+        self._columns: dict = {}
 
     def require(self, name: str):
         if name not in self._by_name:
@@ -461,10 +464,11 @@ def check_keys(obj, allowed: set[str], where: str) -> None:
         raise InputError(f"unknown key {sorted(obj.keys() - allowed)[0]!r} in {where}")
 
 
-def json_field(obj: dict, key: str, kind: type, where: str, default=_REQUIRED):
+def json_field(obj: dict, key: str, kind: type, where: str, default=_REQUIRED, rats=None):
     """obj[key] as a `kind`: str, int, list, or Fraction parsed from "p/q".
 
-    A missing key is refused unless a default is given.
+    A missing key is refused unless a default is given.  `rats`, if given, maps
+    each spelling read so far to its Fraction; one that fails is not kept.
     """
     if key not in obj:
         if default is _REQUIRED:
@@ -472,34 +476,40 @@ def json_field(obj: dict, key: str, kind: type, where: str, default=_REQUIRED):
         return default
     value = obj[key]
     if kind is Fraction:
+        if rats is not None and value.__class__ is str and value in rats:
+            return rats[value]
         try:
-            return parse_rat(value)
+            rat = parse_rat(value)
         except ValueError as exc:
             raise InputError(f"{where}: {exc}") from exc
+        if rats is not None:
+            rats[value] = rat
+        return rat
     if not isinstance(value, kind) or isinstance(value, bool):
         raise InputError(f"{key!r} in {where} must be {_KINDS[kind]}")
     return value
 
 
-def _terms_from_json(items: list, where: str, label: str) -> NovikovElement:
-    """The element of one entry, named `label`; a repeated exponent is refused.
+def _terms_from_json(items: list, key: str, src, dst, rats) -> NovikovElement:
+    """The element of the `key` entry src->dst; a repeated exponent is refused.
     A one-term entry, the common case, is read without the exponent dict."""
     if len(items) == 1:
-        check_keys(items[0], _TERM_KEYS, f"{where} term")
-        return NovikovElement(((json_field(items[0], "coeff", Fraction, where),
-                                json_field(items[0], "exp", Fraction, where)),))
+        check_keys(items[0], _TERM_KEYS, f"{key} term")
+        return NovikovElement(((json_field(items[0], "coeff", Fraction, key, rats=rats),
+                                json_field(items[0], "exp", Fraction, key, rats=rats)),))
     terms = {}
     for t in items:
-        check_keys(t, _TERM_KEYS, f"{where} term")
-        coeff = json_field(t, "coeff", Fraction, where)
-        exp = json_field(t, "exp", Fraction, where)
+        check_keys(t, _TERM_KEYS, f"{key} term")
+        coeff = json_field(t, "coeff", Fraction, key, rats=rats)
+        exp = json_field(t, "exp", Fraction, key, rats=rats)
         if exp in terms:
-            raise InputError(f"repeated exponent {format_rat(exp)} in {label}")
+            raise InputError(f"repeated exponent {format_rat(exp)} in "
+                             f"{entry_label(key, src, dst)}")
         terms[exp] = coeff
     return NovikovElement((c, e) for e, c in terms.items())
 
 
-def map_from_json(obj: dict, key: str, end: str = ""):
+def map_from_json(obj: dict, key: str, end: str = "", rats=None):
     """The map stored under obj[key]; an absent key is the zero map.
 
     A matrix map is an array of {"from", "to", "terms"} objects and reads
@@ -514,10 +524,9 @@ def map_from_json(obj: dict, key: str, end: str = ""):
         check_keys(e, allowed, where)
         src, dst = (json_field(e, x, str, where) if x in ends else None for x in ("from", "to"))
         at = dst if end == "to" else src if end else (src, dst)
-        label = entry_label(key, src, dst)
         if at in out:
-            raise InputError(f"repeated {label}")
-        out[at] = _terms_from_json(json_field(e, "terms", list, where), key, label)
+            raise InputError(f"repeated {entry_label(key, src, dst)}")
+        out[at] = _terms_from_json(json_field(e, "terms", list, where), key, src, dst, rats)
     return out if end else LambdaMatrix(out)
 
 
@@ -544,16 +553,18 @@ def read_json(path_or_name: str, what: str):
 
 
 def datum_from_json(obj) -> FloerDatum:
+    """The datum of a JSON object, each rational spelling parsed once per read."""
     check_keys(obj, {"name", "generators", *(key for key, _, _ in DATUM_MAPS)}, "datum")
     name = json_field(obj, "name", str, "datum")
-    generators = []
+    generators, rats = [], {}
     for g in json_field(obj, "generators", list, "datum"):
         check_keys(g, _GENERATOR_KEYS, "generator")
         generators.append(Generator(json_field(g, "name", str, "generator"),
                                     json_field(g, "grading", int, "generator"),
-                                    json_field(g, "energy_lift", Fraction, "generator")))
+                                    json_field(g, "energy_lift", Fraction, "generator",
+                                               rats=rats)))
     return FloerDatum(name, generators,
-                      *(map_from_json(obj, key, end) for key, end, _ in DATUM_MAPS))
+                      *(map_from_json(obj, key, end, rats) for key, end, _ in DATUM_MAPS))
 
 
 def datum_to_json(datum: FloerDatum) -> dict:

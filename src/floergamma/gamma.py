@@ -27,6 +27,9 @@ least t, and a linear objective is nonzero on that span exactly when it
 is nonzero on one of them.  So t* is r(fc) of the first basis vector on
 which the objective is nonzero, and that vector is the witness.
 
+The d-columns d(l^(r_g) g) of a class are its stored d-rows with each
+exponent shifted by r_g, kept per class on the datum (`_d_columns`).
+
 Incremental tower pass.  Within one grading class, which depends only on
 k mod 2, let C_k be the rows of d and of the levels d1(u^j e_g), j < k-1,
 and N_k the rows of level k-2, so that C_k = C_(k-1) u N_k.  Degree k is
@@ -104,10 +107,6 @@ def _grading_class(datum: FloerDatum, k: int) -> list[str]:
     return sorted(gens, key=datum.lift, reverse=True)
 
 
-def _unit(datum: FloerDatum, g: str) -> dict:
-    return {g: NovikovElement.term(1, datum.lift(g))}
-
-
 def _keyed(image: dict, sign: int = 1, shift: Fraction = Fraction(0)) -> dict:
     """The coefficients of sign · l^shift · image keyed by (generator, exponent)."""
     return {(h, e + shift): sign * c for h, el in image.items() for c, e in el.items()}
@@ -123,7 +122,13 @@ def _rows(columns: list[dict]) -> list[dict[int, Fraction]]:
 
 
 def _d_columns(datum: FloerDatum, gens: list[str]) -> list[dict]:
-    return [_keyed(datum.apply_d(_unit(datum, g))) for g in gens]
+    """The keyed d(l^(r_g) g) for g in a grading class: g's stored d-row with
+    each exponent shifted by r_g, built once per class and kept on the datum."""
+    key = tuple(gens)
+    if key not in datum._columns:
+        datum._columns[key] = [{(h, e + datum.lift(g)): c for h, el in datum.d.row(g).items()
+                                for c, e in el.items()} for g in gens]
+    return datum._columns[key]
 
 
 def _d1_levels(datum: FloerDatum, gens: list[str]):

@@ -72,7 +72,9 @@ def parse_rat(text: str) -> Fraction:
     """Parse the canonical text form of a rational: "p/q" or "p".
 
     ASCII "p", "-p", "p/q" and "-p/q" with q nonzero are read by `int`
-    directly; anything else (spaces, a "+", decimals, exponents,
+    directly, "p" and "-p" with no gcd, and are sized by their digit
+    strings, so a value of at most MAX_DIGITS digits a side is never
+    compared with the bound; anything else (spaces, a "+", decimals, exponents,
     underscores, non-ASCII digits) goes through `Fraction(text)`, which
     accepts or refuses it.  On either path, a value whose numerator or
     denominator has more than MAX_DIGITS digits is refused.  An exponent spelling is sized before
@@ -86,17 +88,21 @@ def parse_rat(text: str) -> Fraction:
     if len(text) > MAX_SPELLING:
         raise ValueError(f"not a rational: {_quote(text)}, above {MAX_SPELLING}")
     num, slash, den = text.partition("/")
-    canonical = text.isascii() and num.removeprefix("-").isdigit() and (not slash or den.isdigit())
+    digits = num.removeprefix("-")
+    canonical = text.isascii() and digits.isdigit() and (not slash or den.isdigit())
     text = text.strip()
     try:
-        if canonical and (q := int(den) if slash else 1):
+        if canonical and not slash:
+            value = Fraction(int(num))
+        elif canonical and (q := int(den)):
             value = Fraction(int(num), q)
         else:
             exp = _EXPONENT.search(text)
             if exp and abs(int(exp[1])) > MAX_DIGITS + sum(c.isdigit() for c in text[:exp.start()]):
                 raise ValueError("exponent too large")
             value = Fraction(text)
-        if abs(value.numerator) >= _TOO_BIG or value.denominator >= _TOO_BIG:
+        if (not canonical or len(digits) > MAX_DIGITS or len(den) > MAX_DIGITS) and (
+                abs(value.numerator) >= _TOO_BIG or value.denominator >= _TOO_BIG):
             raise ValueError("too many digits")
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational: {_quote(text)}") from exc

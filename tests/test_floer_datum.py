@@ -7,6 +7,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from floergamma import floer_datum
 from floergamma.cobordism import identity_cobordism
 from floergamma.equivariant import Window, XElement
 from floergamma.floer_datum import (
@@ -355,6 +356,44 @@ def test_the_one_term_reader_keeps_its_refusals_and_builds_through_init(monkeypa
                         lambda self, terms=(): calls.append(1) or init(self, terms))
     datum_from_json(obj)
     assert len(calls) == sum(len(obj[key]) for key, _, _ in DATUM_MAPS) > 0
+
+
+def _spelled(lift: str, d_exp: str, d1_terms: list) -> dict:
+    return {"name": "x",
+            "generators": [{"name": "a", "grading": 1, "energy_lift": lift},
+                           {"name": "b", "grading": 0, "energy_lift": "1/2"}],
+            "d": [{"from": "a", "to": "b", "terms": [{"coeff": "1", "exp": d_exp}]}],
+            "d1": [{"from": "a", "terms": d1_terms}]}
+
+
+def test_a_spelling_is_parsed_once_per_read_and_refused_at_each_field(monkeypatch):
+    # a refused spelling is not kept, so each field names itself, and the
+    # first refusal in reading order wins
+    bad, good = "1/0", [{"coeff": "2", "exp": "1/2"}]
+    for args, message in (((bad, bad, good), "generator: not a rational: '1/0'"),
+                          (("1/2", bad, good), "d: not a rational: '1/0'"),
+                          (("1/2", "1/2", [{"coeff": bad, "exp": "1/2"}]),
+                           "d1: not a rational: '1/0'"),
+                          (("1/2", "1/2", [good[0], {"coeff": "1", "exp": bad}]),
+                           "d1: not a rational: '1/0'"),
+                          (("x", bad, good), "generator: not a rational: 'x'"),
+                          (("1/2", "y", [{"coeff": bad, "exp": "1/2"}]),
+                           "d: not a rational: 'y'")):
+        with pytest.raises(InputError) as exc:
+            datum_from_json(_spelled(*args))
+        assert str(exc.value) == message
+    # a repeated spelling reads to one value, parsed once per read and again
+    # on the next read
+    parsed, parse = [], floer_datum.parse_rat
+    monkeypatch.setattr(floer_datum, "parse_rat", lambda text: parsed.append(text) or parse(text))
+    obj = _spelled("-1/2", "1/2", [{"coeff": "1/2", "exp": "1/2"}, {"coeff": "2", "exp": "1"}])
+    for _ in range(2):
+        parsed.clear()
+        datum = datum_from_json(obj)
+        assert sorted(parsed) == ["-1/2", "1", "1/2", "2"]
+        assert datum.lift("b") == datum.d.row("a")["b"].items()[0][1] == Fraction(1, 2)
+        assert datum.d1["a"].items() == ((Fraction(1, 2), Fraction(1, 2)),
+                                         (Fraction(2), Fraction(1)))
 
 
 def test_duplicate_generator_names_rejected():

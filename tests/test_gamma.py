@@ -18,6 +18,7 @@ from floergamma.floer_datum import (
     LambdaMatrix,
     datum_to_json,
     load_datum,
+    require_valid,
     vec_add,
 )
 from floergamma.gamma import (
@@ -362,6 +363,47 @@ def test_d_essential_block_gamma_1(seed):
     expected = -min(datum.lift("a1"), datum.lift("a2"))
     assert gamma(datum, 1) == expected
     assert gamma(filtered_basis_change(rng, datum), 1) == expected
+
+
+def reference_d_columns(datum, gens):
+    """The keyed d(l^(r_g) g) through a Novikov product and `lincomb`: the
+    image of the unit l^(r_g) g, keyed by (generator, exponent)."""
+    units = [{g: NovikovElement.term(1, datum.lift(g))} for g in gens]
+    return [{(h, e): c for h, el in datum.apply_d(unit).items() for c, e in el.items()}
+            for unit in units]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_kept_d_columns_match_the_product_reference(seed):
+    gamma_module = importlib.import_module("floergamma.gamma")  # not the function
+    rng = Random(seed)
+    datum = transformed_datum(rng, random_datum(rng))
+    for data in (datum, filtered_basis_change(rng, datum)):
+        for k in (1, 2):
+            gens = gamma_module._grading_class(data, k)
+            kept, want = gamma_module._d_columns(data, gens), reference_d_columns(data, gens)
+            assert kept == want
+            assert [list(col) for col in kept] == [list(col) for col in want]
+            assert gamma_module._d_columns(data, gens) is kept
+
+
+def test_one_profile_builds_each_class_d_columns_once(monkeypatch):
+    # each stored d-row of the two grading classes is read once, by the
+    # build of its class's columns, however many k read the class
+    gamma_module = importlib.import_module("floergamma.gamma")  # not the function
+    rng, row, reads = Random(83), LambdaMatrix.row, []
+    data = [require_valid(transformed_datum(rng, random_datum(rng))) for _ in range(20)]
+    monkeypatch.setattr(LambdaMatrix, "row",
+                        lambda self, src: reads.append((id(self), src)) or row(self, src))
+    read_rows = 0
+    for datum in data:
+        reads.clear()
+        gamma_profile(datum, -4, 4)
+        gens = gamma_module._grading_class(datum, 1) + gamma_module._grading_class(datum, 2)
+        assert sorted(reads) == sorted((id(datum.d), g) for g in gens)
+        read_rows += sum(bool(row(datum.d, g)) for g in gens)
+    assert read_rows > 0
 
 
 @settings(max_examples=60, deadline=None)

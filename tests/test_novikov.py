@@ -1,5 +1,6 @@
 """Novikov field arithmetic, the valuation, and the polynomials in mu."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -150,6 +151,24 @@ def test_parse_rat_refuses_too_many_digits_on_either_path():
         with pytest.raises(ValueError) as exc:
             parse_rat(text)
         assert str(exc.value) == f"not a rational: {text[:20]!r}... has {len(text)} characters"
+
+
+def test_parse_rat_sizes_a_long_digit_string_by_its_value_without_the_int_limit():
+    # the canonical path skips the bound only for digit strings of at most
+    # MAX_DIGITS characters; longer ones, zero-padded ones included, are sized
+    # by their value once Python's int-string limit is lifted
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-string limit")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert parse_rat("0" * 4300 + "7") == 7
+        assert parse_rat("-" + "0" * 4300 + "1/" + "0" * 4300 + "3") == Fraction(-1, 3)
+        for text in ("1" + "0" * 4300, "-1" + "0" * 4300, "1/1" + "0" * 4300):
+            with pytest.raises(ValueError, match="^not a rational"):
+                parse_rat(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_a_refusal_quotes_a_spelling_of_over_40_characters_by_its_head_and_length():
