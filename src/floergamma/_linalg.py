@@ -13,7 +13,7 @@ Q(mu), `poly_matrix_rank`, taken at enough rational points of mu.  Every
 row operation is one call of `novikov.lincomb`, the package's
 accumulation kernel: a reduction subtracts the multiples of all stored
 rows at once, and an insertion clears its pivot column from each stored
-row.
+row that holds it, found through a column index.
 """
 
 from __future__ import annotations
@@ -31,11 +31,14 @@ class Echelon:
     """Incremental reduced row echelon form over Q.
 
     `rows` maps each pivot column to its row; a row's pivot entry is 1, its
-    leftmost nonzero column, and zero in every other row.
+    leftmost nonzero column, and zero in every other row.  `_holders` maps
+    each column to the pivots whose rows hold it, so that an insertion
+    clears its pivot from those rows only.
     """
 
     def __init__(self, rows: Iterable[Row] = ()):
         self.rows: dict[int, SparseRow] = {}
+        self._holders: dict[int, set[int]] = {}
         for row in rows:
             self.add(row)
 
@@ -59,10 +62,16 @@ class Echelon:
         pivot = min(row)
         inv = 1 / row[pivot]
         row = {c: v * inv for c, v in row.items()}
-        for p, other in self.rows.items():
-            f = other.get(pivot)
-            if f:
-                self.rows[p] = lincomb(((None, other), (-f, row)))
+        holders = self._holders
+        for p in [*holders.get(pivot, ())]:
+            other = self.rows[p]
+            self.rows[p] = new = lincomb(((None, other), (-other[pivot], row)))
+            for c in new.keys() - other.keys():
+                holders.setdefault(c, set()).add(p)
+            for c in other.keys() - new.keys():
+                holders[c].discard(p)
+        for c in row:
+            holders.setdefault(c, set()).add(pivot)
         self.rows[pivot] = row
         return True
 

@@ -3,20 +3,17 @@
 A cobordism datum carries the maps of `COBORDISM_MAPS` (phi, the
 correction mu and the boundary corrections delta1 and delta2, read as in
 `floer_datum`) and the positive integer c counting the first integral
-homology of the cobordism.  Stacked as
-
-    [[phi, 0, 0], [delta1, c, 0], [mu, delta2, phi]]
-
-it must intertwine the extended differentials of source and target; the
-four component identities of that equation are verified exactly.  The
-induced maps on the three equivariant complexes, the homotopies
-measuring their x-equivariance and their compatibility with the triangle
-maps are implemented from the same data and verified on window bases,
-each image built once and a residual only where two sides differ.
-Its JSON object holds "source" and "target" (datum paths or fixture
-names), "c" and the maps in the `floer_datum` format.  A target naming
-the same path as the source is that same datum object, read and validated
-once, and each Gamma of a gamma comparison is then solved once.
+homology of the cobordism.  Its extended map λ̃ is
+`extended(cob, COBORDISM_MAPS, c, 1)`: verify_tilde_chain_map checks
+λ̃∘d̃ = d̃'∘λ̃ block by block (`CHAIN_MAP_BLOCKS`) and compose_tilde reads
+back λ̃'∘λ̃.  The induced maps on the three equivariant complexes, the
+homotopies measuring their x-equivariance and their compatibility with
+the triangle maps are implemented from the same data and verified on
+window bases, each image built once and a residual only where two sides
+differ.  Its JSON object holds "source" and "target" (datum paths or
+fixture names), "c" and the maps in the `floer_datum` format.  A target
+naming the same path as the source is that same datum object, read and
+validated once, and each Gamma of a gamma comparison is then solved once.
 """
 
 from __future__ import annotations
@@ -47,6 +44,7 @@ from .equivariant import (
     x_action_hat,
 )
 from .floer_datum import (
+    DATUM_MAPS,
     FloerDatum,
     InputError,
     LambdaMatrix,
@@ -56,7 +54,9 @@ from .floer_datum import (
     Vector,
     apply_column,
     apply_row,
+    block_report,
     check_keys,
+    extended,
     grading_report,
     json_field,
     kept_orbit,
@@ -132,45 +132,27 @@ def validate_cobordism(cob: CobordismDatum) -> Report:
     return rep
 
 
+#: (message, sign) of λ̃∘d̃ - d̃'∘λ̃ per block (`floer_datum.block_report`).
+CHAIN_MAP_BLOCKS = (("identity (1) phi∘d = d'∘phi fails at {}: {}", 1),
+                    ("identity (2) d1'∘phi = delta1∘d + c·d1 fails at {}: {}", -1),
+                    ("identity (4) phi∘u - u'∘phi = d2'∘delta1 - d'∘mu - mu∘d"
+                     " - delta2∘d1 fails at {}: {}", 1),
+                    ("identity (3) phi∘d2 = c·d2' - d'∘delta2 fails at {}: {}", 1))
+
+
 def verify_tilde_chain_map(cob: CobordismDatum) -> Report:
-    """The four component identities of the extended chain-map equation.
-
-    (1) phi∘d = d'∘phi
-    (2) d1'∘phi = delta1∘d + c·d1
-    (3) phi∘d2 = c·d2' - d'∘delta2
-    (4) phi∘u - u'∘phi = d2'∘delta1 - d'∘mu - mu∘d - delta2∘d1
-
-    Each is read off a generator's stored phi, mu, d and u rows and d1 and
-    delta1 entries; a generator with none is skipped (all residuals zero).
-    """
+    """λ̃∘d̃ = d̃'∘λ̃ block by block, once validate_cobordism passes."""
     rep = validate_cobordism(cob)
     if not rep.ok:
         return rep
-    src, tgt, zero = cob.source, cob.target, NovikovElement.zero()
-    for g in src.names():
-        d_g, u_g, phi_g, mu_g = src.d.row(g), src.u.row(g), cob.phi.row(g), cob.mu.row(g)
-        d1_g, delta1_g = src.d1.get(g, zero), cob.delta1.get(g, zero)
-        if not (d_g or u_g or phi_g or mu_g or d1_g or delta1_g):
-            continue
-        r1 = vec_sub(cob.phi.apply(d_g), tgt.apply_d(phi_g))
-        for h, el in sorted(r1.items()):
-            rep.fail(f"identity (1) phi∘d = d'∘phi fails at {g}->{h}: {el}")
-        lhs2 = tgt.apply_d1(phi_g)
-        rhs2 = apply_row(cob.delta1, d_g) + cob.c * d1_g
-        if lhs2 != rhs2:
-            rep.fail(f"identity (2) d1'∘phi = delta1∘d + c·d1 fails at {g}: "
-                     f"{lhs2 - rhs2}")
-        r4 = lincomb(((None, cob.phi.apply(u_g)), (-1, tgt.apply_u(phi_g)),
-                      (-delta1_g, tgt.d2), (None, tgt.apply_d(mu_g)),
-                      (None, cob.mu.apply(d_g)), (d1_g, cob.delta2)))
-        for h, el in sorted(r4.items()):
-            rep.fail("identity (4) phi∘u - u'∘phi = d2'∘delta1 - d'∘mu - mu∘d"
-                     f" - delta2∘d1 fails at {g}->{h}: {el}")
-    r3 = lincomb(((None, cob.phi.apply(src.d2)), (-cob.c, tgt.d2),
-                  (None, tgt.apply_d(cob.delta2))))
-    for h, el in sorted(r3.items()):
-        rep.fail(f"identity (3) phi∘d2 = c·d2' - d'∘delta2 fails at ->{h}: {el}")
-    return rep
+    lt = extended(cob, COBORDISM_MAPS, cob.c, 1)
+    dt, dt_target = (extended(end, DATUM_MAPS, 0, -1) for end in (cob.source, cob.target))
+
+    def residual(d_image, l_image):
+        (a, r, b), (a2, r2, b2) = lt(d_image), dt_target(l_image)
+        return vec_sub(a, a2), r - r2, vec_sub(b, b2)
+
+    return block_report(rep, CHAIN_MAP_BLOCKS, cob.source.names(), residual, dt, lt)
 
 
 # ---------------------------------------------------------------------------
@@ -372,30 +354,19 @@ def mdeg_decay(cob: CobordismDatum, window: Window):
 # ---------------------------------------------------------------------------
 
 def compose_tilde(first: CobordismDatum, second: CobordismDatum) -> CobordismDatum:
-    """Chain-level composite (second after first) of the extended maps.
-
-    Formulas follow from multiplying the two triangular map matrices:
-    phi'' = phi'∘phi, delta1'' = delta1'∘phi + c'·delta1,
-    delta2'' = phi'∘delta2 + c·delta2', mu'' = mu'∘phi + delta2'∘delta1
-    + phi'∘mu, c'' = c·c'.
-    """
+    """Chain-level composite (second after first): λ̃'∘λ̃ read back block by
+    block, phi'' from A->A, delta1'' from A->R, mu'' from A->B and delta2''
+    from R->B, with c'' = c·c'."""
     if first.target is not second.source and not first.target.structurally_equal(second.source):
         raise InputError("composition mismatch: first.target != second.source")
-    phi, mu, delta1, zero = LambdaMatrix(), LambdaMatrix(), {}, NovikovElement.zero()
+    lt, lt2 = (extended(cob, COBORDISM_MAPS, cob.c, 1) for cob in (first, second))
+    phi, mu, delta1 = {}, {}, {}
     for g in first.source.names():
-        phi_g, mu_g, delta1_g = first.phi.row(g), first.mu.row(g), first.delta1.get(g, zero)
-        if not (phi_g or mu_g or delta1_g):
-            continue
-        for h, el in second.phi.apply(phi_g).items():
-            phi.set(g, h, el)
-        acc = lincomb(((None, second.mu.apply(phi_g)), (delta1_g, second.delta2),
-                       (None, second.phi.apply(mu_g))))
-        for h, el in acc.items():
-            mu.set(g, h, el)
-        delta1[g] = apply_row(second.delta1, phi_g) + second.c * delta1_g
-    delta2 = lincomb(((None, second.phi.apply(first.delta2)), (first.c, second.delta2)))
-    return CobordismDatum(first.source, second.target, phi, mu,
-                          delta1, delta2, first.c * second.c)
+        a, delta1[g], b = lt2(lt.image(g))
+        phi.update(((g, h), el) for h, el in a.items())
+        mu.update(((g, h), el) for h, el in b.items())
+    return CobordismDatum(first.source, second.target, LambdaMatrix(phi), LambdaMatrix(mu),
+                          delta1, lt2(lt.image(None))[2], first.c * second.c)
 
 
 def gamma_comparison(cob: CobordismDatum, k_min: int, k_max: int) -> dict:

@@ -2,24 +2,22 @@
 
 A datum consists of named generators carrying a mod-8 grading and a
 rational energy lift, together with the structure maps of `DATUM_MAPS`
-over the Novikov coefficients Λ.  Stacking them as
-
-    [[d, 0, 0], [d1, 0, 0], [u, d2, -d]]
-
-gives the extended differential on C ⊕ Λ ⊕ C.  A row of the table gives
-a map's field and JSON key, the end keying a one-sided map ("from" into
-Λ, "to" out of it, "" for a matrix map) and its grading drop mod 8.  With
-Λ at grading 0 and lift 0, validation checks in exact arithmetic that
-every entry src -> dst has (gr(src) - drop) % 8 == gr(dst), that
-lift(src) + e - lift(dst) is an integer for each of its exponents e, and
-the square-zero identities of the extended differential.
-
-The identities read each generator's stored d, u and d1 rows once and
-skip a generator with no outgoing entry, all its images being zero.  The
-weight rule is decided in integers: with n/q = lift(dst) - lift(src) left
-unreduced, q·e.den must divide e.num·q - n·e.den.  (Reduced a/b + c/d ∈ Z
-forces b = d, so e needs the reduced difference's denominator; the
-unreduced form skips that reduction and every per-exponent `Fraction`.)
+over the Novikov coefficients Λ: a row gives a map's field and JSON key,
+the end keying a one-sided map ("from" into Λ, "to" out of it, "" for a
+matrix map) and its grading drop mod 8.  `extended` stacks a table's maps
+(m, n, m1, m2) into the one operator [[m, 0, 0], [m1, scalar, 0],
+[n, m2, sign·m]] on C ⊕ Λ ⊕ C, blocks A, R and B: an S-complex's
+differential or an S-morphism (Daemi & Scaduto, arXiv:1912.08982).
+validate checks d̃∘d̃ = 0 for d̃ = `extended(datum, DATUM_MAPS, 0, -1)`
+block by block (`block_report`), skipping the rows (0, 0, g): there a
+composite of two such operators is its A->A block at (g, 0, 0), put in B
+and multiplied by both signs.  With Λ at grading 0 and lift 0, it also
+checks that each entry src -> dst has (gr(src) - drop) % 8 == gr(dst) and
+that lift(src) + e - lift(dst) is an integer for each exponent e: with
+n/q = lift(dst) - lift(src) unreduced, q·e.den divides e.num·q - n·e.den.
+(Reduced a/b + c/d ∈ Z forces b = d, so e needs the reduced difference's
+denominator; the unreduced form skips that reduction and every
+per-exponent `Fraction`.)
 
 JSON format: {"name", "generators": [{"name", "grading" (0..7),
 "energy_lift"}], and per map an optional array (absent is the zero map)
@@ -37,6 +35,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections import namedtuple
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -46,6 +45,7 @@ from .novikov import InputError, NovikovElement, format_rat, lincomb, parse_rat
 #: map or "" for a matrix map, grading drop mod 8).
 DATUM_MAPS = (("d", "", 1), ("u", "", 4), ("d1", "from", 1), ("d2", "to", 4))
 _NO_ENTRIES: dict = {}  # the row of a source with no entry; never written to
+_NO_IMAGE = (_NO_ENTRIES, NovikovElement.zero(), _NO_ENTRIES)  # of an empty chain
 
 
 class Record:
@@ -351,38 +351,66 @@ def grading_report(rep: Report, maps, holder, source: FloerDatum, target: FloerD
                 rep.fail(f"{entry_label(key, src, dst)} does not {rule}")
 
 
-def verify_tilde_differential(datum: FloerDatum) -> Report:
-    """Check the four component identities of the squared extended differential.
+class Extended(namedtuple("Extended", "m n m1 m2 scalar sign")):
+    """The operator of `extended` on (chain, Λ, chain) triples, read through stored rows."""
 
-    Squaring [[d,0,0],[d1,0,0],[u,d2,-d]] forces, entry by entry:
-    d(d(g)) = 0, d1(d(g)) = 0, d(d2(1)) = 0 and
-    u(d(g)) - d(u(g)) + d2(d1(g)) = 0 for every generator g, built from g's
-    stored d, u and d1 rows; a generator with none is skipped (all zero).
-    """
-    rep, zero = Report(), NovikovElement.zero()
-    d, u, d1, d2 = datum.d, datum.u, datum.d1, datum.d2
-    for g in datum.names():
-        d_g, u_g, d1_g = d.row(g), u.row(g), d1.get(g)
-        if not (d_g or u_g or d1_g):
+    __slots__ = ()
+
+    def image(self, g) -> tuple:
+        """The image of (g, 0, 0), or of (0, 1, 0) for g None; a zero Λ part may be None."""
+        if g is None:
+            return _NO_ENTRIES, NovikovElement.term(self.scalar), self.m2
+        return self.m.row(g), self.m1.get(g), self.n.row(g)
+
+    def __call__(self, triple: tuple) -> tuple:
+        """The image of a triple (a, r, b), skipping the terms of a zero r or scalar."""
+        (m, n, m1, m2, scalar, sign), (a, r, b) = self, triple
+        first, lam, last = (m.apply(a), apply_row(m1, a), n.apply(a)) if a else _NO_IMAGE
+        if r:
+            last = lincomb(((None, last), (r, m2)))
+            if scalar:
+                lam = lam + scalar * r
+        if b:
+            last = (vec_add if sign > 0 else vec_sub)(last, m.apply(b))
+        return first, lam, last
+
+
+def extended(holder, maps, scalar: int, sign: int) -> Extended:
+    """The operator of `holder`'s maps, tabled in `maps` in the order (m, n, m1, m2)."""
+    return Extended(*(getattr(holder, key) for key, _, _ in maps), scalar, sign)
+
+
+def block_report(rep: Report, blocks, names, residual, *inner: Extended):
+    """Record the nonzero blocks of residual(*images), `inner`'s images of each
+    (g, 0, 0) but those all empty, then the R->B block of (0, 1, 0).  `blocks`
+    holds (message, sign) for A->A, A->R, A->B and R->B, each message naming
+    its entry and signed residual at its "{}"s."""
+    rows = zip(names, zip(*(map(op.image, names) for op in inner)))
+    for g, images in (*rows, (None, [op.image(None) for op in inner])):
+        if g is not None and not any(map(any, images)):
             continue
-        ud = {}
-        if d_g:
-            for h, el in sorted(d.apply(d_g).items()):
-                rep.fail(f"d∘d != 0 at {g}->{h}: residual {el}")
-            d1d = apply_row(d1, d_g)
-            if not d1d.is_zero():
-                rep.fail(f"d1∘d != 0 at {g}: residual {d1d}")
-            ud = u.apply(d_g)
-        if d1_g:
-            ud = lincomb(((None, ud), (d1_g, d2)))
-        du = d.apply(u_g)
-        for h in sorted(ud.keys() | du.keys()):
-            if ud.get(h) != du.get(h):
-                rep.fail(f"u∘d - d∘u + d2∘d1 != 0 at {g}->{h}: "
-                         f"residual {ud.get(h, zero) - du.get(h, zero)}")
-    for h, el in sorted(d.apply(d2).items()):
-        rep.fail(f"d∘d2 != 0 at ->{h}: residual {el}")
+        parts = residual(*images)
+        for (message, sign), part in zip(blocks, parts) if g else ((blocks[3], parts[2]),):
+            if not part:
+                continue
+            if isinstance(part, dict):
+                for h, el in sorted(part.items()):
+                    rep.fail(message.format(f"{g or ''}->{h}", el if sign > 0 else -el))
+            else:
+                rep.fail(message.format(g, part if sign > 0 else -part))
     return rep
+
+
+#: (message, sign) of d̃∘d̃ per block, d̃²(0, 1, 0) being -d(d2(1)) (`block_report`).
+SQUARE_BLOCKS = (("d∘d != 0 at {}: residual {}", 1), ("d1∘d != 0 at {}: residual {}", 1),
+                 ("u∘d - d∘u + d2∘d1 != 0 at {}: residual {}", 1),
+                 ("d∘d2 != 0 at {}: residual {}", -1))
+
+
+def verify_tilde_differential(datum: FloerDatum) -> Report:
+    """d̃∘d̃ = 0 block by block, d̃ being `extended(datum, DATUM_MAPS, 0, -1)`."""
+    dt = extended(datum, DATUM_MAPS, 0, -1)
+    return block_report(Report(), SQUARE_BLOCKS, datum.names(), dt, dt)
 
 
 def validate_structure(datum: FloerDatum) -> Report:

@@ -1,0 +1,126 @@
+"""A seeded, bounded mutation fuzzer of the command line.
+
+The inputs are the bundled fixtures and identity and trivial cobordisms,
+each mutated one to three times: a value swapped for one of another type,
+a key or an entry deleted, an unknown key added, an entry repeated, or a
+value replaced by a huge or odd spelling.  Each mutant goes through
+`validate` or the `cobordism` verify, gamma-compare and compose commands
+under a 5 s alarm.  No exception may escape `cli.main`, and every exit
+code must be 0 ok, 1 verification failed or 2 refused.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import signal
+from random import Random
+
+from floergamma.cli import main
+from floergamma.cobordism import cobordism_to_json, identity_cobordism
+from floergamma.floer_datum import datum_to_json, load_datum
+
+from datagen import bundled_fixtures, random_trivial_cobordism, zero_map_datum
+
+JOBS = 500
+SECONDS = 5
+SWAPS = (0, -7, 1.5, "x", "", [], {}, None, True, ["a"], {"k": "1"})
+# huge or odd spellings, refused or read: "2/4", " 1 " and "1e0" are rationals
+ODD = ("1/0", "0/0", "nan", "inf", "-0", "1e99999999", "9" * 5000, "1/" + "3" * 4301,
+       "1/3/4", "½", "0x10", "a->b", ".", 10 ** 50, -1, 2 ** 63,
+       "2/4", " 1 ", "1e0", "1_0", "+3", "-1/2", "0.5", "7", "0")
+
+
+def nodes(obj, path=()):
+    """(path, value) of obj and of everything inside it, depth first."""
+    yield path, obj
+    inner = obj if isinstance(obj, list) else ()
+    for key, value in obj.items() if isinstance(obj, dict) else enumerate(inner):
+        yield from nodes(value, path + (key,))
+
+
+def mutated(rng: Random, obj):
+    obj = copy.deepcopy(obj)
+    for _ in range(rng.choice((1, 1, 2, 3))):
+        path, node = rng.choice(list(nodes(obj)))
+        # respellings come twice as often: they are the likeliest to pass the reader
+        kind = rng.choice(("swap", "delete", "unknown", "repeat", "odd", "odd"))
+        if kind == "delete" and node and isinstance(node, (dict, list)):
+            key = rng.choice(list(node) if isinstance(node, dict) else range(len(node)))
+            del node[key]
+        elif kind == "unknown" and isinstance(node, dict):
+            node["bogus"] = copy.deepcopy(rng.choice(SWAPS))
+        elif kind == "repeat" and node and isinstance(node, list):
+            node.insert(rng.randrange(len(node) + 1), copy.deepcopy(rng.choice(node)))
+        elif path:
+            parent = obj
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = copy.deepcopy(rng.choice(ODD if kind == "odd" else SWAPS))
+        else:
+            obj = copy.deepcopy(rng.choice(SWAPS))
+    return obj
+
+
+def inputs(rng: Random, tmp_path):
+    """(data, cobordisms): the JSON of fixtures and generated cobordisms, whose
+    ends name fixtures or files under tmp_path."""
+    fixtures = bundled_fixtures()
+    data = [obj for _, obj in fixtures if "source" not in obj]
+    cobordisms = [obj for _, obj in fixtures if "source" in obj]
+    for name, obj in fixtures:
+        if "source" not in obj:
+            cob = cobordism_to_json(identity_cobordism(load_datum(name)))
+            cobordisms.append({**cob, "source": name, "target": name})
+    for i in range(4):
+        datum = zero_map_datum(rng, name=f"blank{i}")
+        path = tmp_path / f"blank{i}.json"
+        path.write_text(json.dumps(datum_to_json(datum)))
+        data.append(datum_to_json(datum))
+        cob = cobordism_to_json(random_trivial_cobordism(rng, datum))
+        cobordisms.append({**cob, "source": str(path), "target": str(path)})
+    return data, cobordisms
+
+
+class Overran(Exception):
+    pass
+
+
+def _overran(signum, frame):
+    raise Overran
+
+
+def test_mutated_inputs_exit_0_1_or_2_without_a_traceback(tmp_path):
+    rng = Random(2612)
+    data, cobordisms = inputs(rng, tmp_path)
+    bad, codes = [], set()
+    previous = signal.signal(signal.SIGALRM, _overran)
+    try:
+        for i in range(JOBS):
+            path = tmp_path / f"mutant{i}.json"
+            if i % 4 == 0:
+                path.write_text(json.dumps(mutated(rng, rng.choice(data))))
+                argv = ["validate", str(path)]
+            else:
+                path.write_text(json.dumps(mutated(rng, rng.choice(cobordisms))))
+                argv = rng.choice((["cobordism", "verify", str(path), "--window", "6,4"],
+                                   ["cobordism", "gamma-compare", str(path), "--range", "-2..2"],
+                                   ["cobordism", "compose", str(path), str(path),
+                                    "-o", str(tmp_path / f"composed{i}.json")]))
+            signal.alarm(SECONDS)
+            try:
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    code = main(argv)
+            except (Exception, SystemExit) as exc:  # any escape is the finding
+                code = exc
+            finally:
+                signal.alarm(0)
+            codes.add(code if isinstance(code, int) else None)
+            if code not in (0, 1, 2):
+                bad.append((argv, path.read_text()[:300], repr(code)))
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    assert bad == []
+    # the mutants reach past the reader: some pass and some fail verification
+    assert codes == {0, 1, 2}

@@ -11,7 +11,7 @@ from floergamma._linalg import (
     q_rank,
     q_solve,
 )
-from floergamma.novikov import NovikovElement, to_rational_function
+from floergamma.novikov import NovikovElement, lincomb, to_rational_function
 
 
 def det(m):
@@ -102,6 +102,44 @@ def test_echelon_reports_rank_growth_and_stays_reduced():
         for pivot, row in ech.rows.items():
             assert min(row) == pivot and row[pivot] == 1
             assert all(pivot not in other for p, other in ech.rows.items() if p != pivot)
+
+
+class ScanEchelon(Echelon):
+    """The insertion before the column index: it scans every stored row for
+    the new pivot, the reference for the indexed `Echelon.add`."""
+
+    def add(self, row) -> bool:
+        row = self.reduce(row)
+        if not row:
+            return False
+        pivot = min(row)
+        inv = 1 / row[pivot]
+        row = {c: v * inv for c, v in row.items()}
+        for p, other in self.rows.items():
+            f = other.get(pivot)
+            if f:
+                self.rows[p] = lincomb(((None, other), (-f, row)))
+        self.rows[pivot] = row
+        return True
+
+
+def test_indexed_insertion_matches_the_row_scan_after_every_row():
+    rng = Random(2611)
+    for _ in range(60):
+        ncols = rng.randint(1, 40)
+        indexed, scanned = Echelon(), ScanEchelon()
+        for _ in range(rng.randint(1, 50)):
+            row = {c: Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))
+                   for c in rng.sample(range(ncols), rng.randint(1, min(4, ncols)))}
+            assert indexed.add(row) == scanned.add(row)
+            # the same rows, in the same order, each with its keys in the same order
+            assert [(p, list(r.items())) for p, r in indexed.rows.items()] \
+                == [(p, list(r.items())) for p, r in scanned.rows.items()]
+        holders = {}
+        for p, r in indexed.rows.items():
+            for c in r:
+                holders.setdefault(c, set()).add(p)
+        assert {c: ps for c, ps in indexed._holders.items() if ps} == holders
 
 
 # ---------------------------------------------------------------------------
