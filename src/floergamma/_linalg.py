@@ -3,14 +3,14 @@
 Rows over Q arrive dense (a sequence) or sparse (a map column -> value).
 `Echelon` keeps them as sparse maps in fully reduced row echelon form
 while they arrive one at a time, so a caller can watch the rank grow (the
-h-invariant's tower pass) and read a kernel basis whose vectors end at
+tower walk of Gamma and h) and read a kernel basis whose vectors end at
 distinct free columns (the Gamma threshold).  The RREF of a row space is
 unique, so the kernel basis, the solutions and the residues read from it
 do not depend on the order rows arrived in.  `q_rank`, `q_kernel_basis`,
-`q_solve` and `Echelon.reduce` (the residue of a row, which the Morse
-min-max reads) are readers of that one form, and so is the rank over
-Q(mu), `poly_matrix_rank`, taken at enough rational points of mu.  Every
-row operation is one call of `novikov.lincomb`, the package's
+`q_solve` and `Echelon.reduce` (the residue of a row, which Gamma(k >= 1)
+and the Morse min-max read) are readers of that one form, and so is the
+rank over Q(mu), `poly_matrix_rank`, taken at enough rational points of
+mu.  Every row operation is one call of `novikov.lincomb`, the package's
 accumulation kernel: a reduction subtracts the multiples of all stored
 rows at once, and an insertion clears its pivot column from each stored
 row that holds it, found through a column index.
@@ -75,22 +75,14 @@ class Echelon:
         self.rows[pivot] = row
         return True
 
-    def kernel(self, ncols: int) -> list[tuple[int, SparseRow]]:
-        """Right kernel basis as (free column, vector) pairs, by increasing column.
+    def kernel_vector(self, fc: int) -> SparseRow:
+        """The kernel vector of the free column fc: 1 there, zero at every
+        later column and at every other free column."""
+        return {fc: Fraction(1), **{p: -row[fc] for p, row in self.rows.items() if fc in row}}
 
-        Each vector is 1 at its free column, zero at every later column and
-        at every other free column.
-        """
-        basis = []
-        for fc in range(ncols):
-            if fc in self.rows:
-                continue
-            vec = {fc: Fraction(1)}
-            for p, row in self.rows.items():
-                if fc in row:
-                    vec[p] = -row[fc]
-            basis.append((fc, vec))
-        return basis
+    def kernel(self, ncols: int) -> list[tuple[int, SparseRow]]:
+        """Right kernel basis as (free column, vector) pairs, by increasing column."""
+        return [(fc, self.kernel_vector(fc)) for fc in range(ncols) if fc not in self.rows]
 
 
 def _dense(vec: SparseRow, ncols: int) -> list[Fraction]:

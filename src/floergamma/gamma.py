@@ -16,28 +16,27 @@ solution supported on {r_g >= t} with a nonzero objective, clamped at 0
 for k <= 0 (where a solution with alpha = 0 gives 0), and +inf when no
 solution has a nonzero objective.
 
-Filtration-ordered kernel basis.  Put the q columns first and the class
-in decreasing-lift order, and reduce the constraint rows to RREF once.
-The kernel basis read from it has one vector per free column fc, equal to
-1 there and zero at every later column and every other free column, so a
-kernel vector vanishing beyond column p is the combination of the basis
-vectors with fc <= p.  The solutions supported on {r_g >= t} are
-therefore spanned by the basis vectors whose lowest lift r(fc) is at
-least t, and a linear objective is nonzero on that span exactly when it
-is nonzero on one of them.  So t* is r(fc) of the first basis vector on
-which the objective is nonzero, and that vector is the witness.
+Threshold read off the RREF.  Put the q columns first and the class in
+decreasing-lift order, and reduce the constraint rows to RREF.  The kernel
+vector v_fc of a free column fc is 1 there and zero at every later column
+and every other free column, so the solutions supported on {r_g >= t} are
+spanned by the v_fc with r(fc) >= t: t* is r(fc) of the first v_fc on
+which the objective is nonzero, and v_fc is the witness.  For k >= 1 the
+objective is a row f, and f·v_fc = f[fc] - sum_p f[p] row_p[fc] is entry
+fc of the residue of f (`Echelon.reduce`), zero on every pivot, so fc is
+its leading column.  For k <= 0 the kernel basis is read in column order.
 
 The d-columns d(l^(r_g) g) of a class are its stored d-rows with each
 exponent shifted by r_g, kept per class on the datum (`_d_columns`).
 
 Incremental tower pass.  Within one grading class, which depends only on
 k mod 2, let C_k be the rows of d and of the levels d1(u^j e_g), j < k-1,
-and N_k the rows of level k-2, so that C_k = C_(k-1) u N_k.  Degree k is
-feasible (some solution has d1(u^(k-1) alpha) != 0) exactly when a row
-of N_(k+1) lies outside the row span of C_k, that is when adding level
-k-1 to one incremental echelon form raises its rank.  One pass per parity,
-stopped when the rank fills the class, the tower vanishes or k passes
-1 + 4n, gives every feasible degree k >= 1 at once.
+and N_k the rows of level k-2, so that C_k = C_(k-1) u N_k.  Gamma(k)
+reduces its objective, read off level k-1, against C_k; degree k is
+feasible exactly when adding level k-1 raises the rank.  `_tower`, one
+echelon form per class stopped when the rank fills the class or the tower
+vanishes, is the one walk both read: a Gamma profile over k >= 1 and h
+(up to k = 1 + 4n) each take one pass per parity.
 
 Stabilisation for k <= 0.  The q-columns are shifts of the datum's kept
 d2-orbit [u^i d2(1)] (`FloerDatum.d2_orbit`).  If it ends, at the first
@@ -58,7 +57,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import count, islice
+from itertools import count
 from typing import NamedTuple
 
 from ._linalg import Echelon, q_rank
@@ -75,11 +74,11 @@ from .novikov import INF, NovikovElement
 # j = k - 1 on the d1-orbits of k's class (k >= 1).  Where u is nilpotent
 # every orbit ends within as many steps as there are generators, so the
 # work is bounded whatever k; where it is not, the orbits never end and
-# one Gamma costs work growing with |k|, a range quadratic in its width.
-# Gamma(k) past ORBIT_CAP u-steps on an orbit still nonzero after
+# one Gamma costs work growing with |k|, a range of k <= 0 quadratic in its
+# width.  Gamma(k) past ORBIT_CAP u-steps on an orbit still nonzero after
 # ORBIT_CAP steps is refused.  On a 2-core x86-64 VM with CPython 3.11.7,
-# `gamma --range -250..250` on datagen.cyclic_u_datum takes 0.8 s (d1
-# family) and 0.4 s (d2 family), whole process; -500..0 on the d2 family
+# `gamma --range -250..250` on datagen.cyclic_u_datum takes 0.08 s (d1
+# family) and 0.2 s (d2 family), whole process; -500..0 on the d2 family
 # took 1.05 s in process and -4000..0 65 s before the cap.
 ORBIT_CAP = 250
 
@@ -145,9 +144,22 @@ def _d1_levels(datum: FloerDatum, gens: list[str]):
                for g, orbit in zip(gens, orbits)]
 
 
-def _add_level(ech: Echelon, level: list[NovikovElement]) -> None:
-    for row in _rows([{e: c for c, e in el.items()} for el in level]):
-        ech.add(row)
+def _add_level(ech: Echelon, level: list[NovikovElement]) -> bool:
+    """Add a tower level's rows; True when the rank grew."""
+    rows = _rows([{e: c for c, e in el.items()} for el in level])
+    return sum(ech.add(row) for row in rows) > 0
+
+
+def _tower(datum: FloerDatum, k_top: int):
+    """(k, class, echelon of the d rows and the levels below k-1, level k-1)
+    for k = 1..k_top in k_top's class; the reader adds level k-1 before the
+    next k.  It ends with the levels, or once the rank fills the class."""
+    gens = _grading_class(datum, k_top)
+    ech = Echelon(_rows(_d_columns(datum, gens)))
+    for k, level in zip(range(1, k_top + 1), _d1_levels(datum, gens)):
+        if ech.rank == len(gens):
+            return
+        yield k, gens, ech, level
 
 
 def _witness(k: int, gens: list[str], vec: dict, q_indices=()) -> SpecialSolution:
@@ -162,20 +174,20 @@ def _witness(k: int, gens: list[str], vec: dict, q_indices=()) -> SpecialSolutio
     return SpecialSolution(k, alpha, tuple(qs))
 
 
-def _gamma_positive(datum: FloerDatum, k: int, want_witness: bool):
-    gens = _grading_class(datum, k)
-    ech = Echelon(_rows(_d_columns(datum, gens)))
-    levels = _d1_levels(datum, gens)
-    for level in islice(levels, k - 1):
+def _gamma_positive(datum: FloerDatum, ks, want_witness: bool) -> dict:
+    """{k: (value, witness)} for the k >= 1 of one class, from one tower walk."""
+    out, last = dict.fromkeys(ks, (INF, None)), max(ks)
+    for k, gens, ech, level in _tower(datum, last):
+        if k in out:
+            residue = ech.reduce({c: el.coefficient(0) for c, el in enumerate(level)})
+            if residue:
+                fc = min(residue)
+                out[k] = -datum.lift(gens[fc]), (
+                    _witness(k, gens, ech.kernel_vector(fc)) if want_witness else None)
+        if k == last:
+            break
         _add_level(ech, level)
-    top = next(levels, None)
-    if top is None:
-        return INF, None
-    objective = [el.coefficient(0) for el in top]
-    for fc, vec in ech.kernel(len(gens)):
-        if sum(objective[c] * x for c, x in vec.items()) != 0:
-            return -datum.lift(gens[fc]), (_witness(k, gens, vec) if want_witness else None)
-    return INF, None
+    return out
 
 
 def _nonpositive_system(datum: FloerDatum, k: int):
@@ -245,7 +257,7 @@ def gamma(datum: FloerDatum, k: int, want_witness: bool = False):
     datum = require_valid(datum)
     _require_bounded_orbits(datum, k)
     if k >= 1:
-        value, witness = _gamma_positive(datum, k, want_witness)
+        value, witness = _gamma_positive(datum, [k], want_witness)[k]
     else:
         value, witness = _gamma_nonpositive(datum, k, want_witness)
     return (value, witness) if want_witness else value
@@ -267,7 +279,10 @@ def gamma_profile(datum: FloerDatum, k_min: int, k_max: int):
     for k in (k_min, first_past, first_past + 1):
         if k <= k_max:
             _require_bounded_orbits(datum, k)
-    profile = [(k, gamma(datum, k)) for k in range(k_min, k_max + 1)]
+    positive = range(max(k_min, 1), k_max + 1)
+    values = {k: v for ks in (positive[::2], positive[1::2]) if ks
+              for k, (v, _) in _gamma_positive(datum, ks, False).items()}
+    profile = [(k, values[k] if k >= 1 else gamma(datum, k)) for k in range(k_min, k_max + 1)]
     for (k0, v0), (k1, v1) in zip(profile, profile[1:]):
         if not (v0 <= v1):
             raise MonotonicityError(
@@ -282,21 +297,13 @@ def gamma_profile(datum: FloerDatum, k_min: int, k_max: int):
 def _largest_positive_degree(datum: FloerDatum, k_top: int) -> int | None:
     """Largest feasible degree k in 1..k_top of the class of k_top, or None.
 
-    One incremental pass over the class: degree j+1 is feasible when tower
-    level j raises the rank of the d rows and the levels below.  Levels
-    with j+1 of the other parity vanish under the grading rules of
-    `DATUM_MAPS`, which validate enforces, so they never raise it.
+    Levels k-1 with k of the other parity vanish under the grading rules
+    of `DATUM_MAPS`, which validate enforces, so they never raise the rank.
     """
-    gens = _grading_class(datum, k_top)
-    ech = Echelon(_rows(_d_columns(datum, gens)))
     best = None
-    for j, level in enumerate(islice(_d1_levels(datum, gens), max(k_top, 0))):
-        if ech.rank == len(gens):
-            break
-        rank = ech.rank
-        _add_level(ech, level)
-        if ech.rank > rank:
-            best = j + 1
+    for k, _, ech, level in _tower(datum, k_top):
+        if _add_level(ech, level):
+            best = k
     return best
 
 

@@ -738,9 +738,12 @@ def test_orbit_cap_boundary_on_a_u_that_is_not_nilpotent(capsys, tmp_path):
 
 def test_a_range_past_the_orbit_cap_is_refused_before_any_gamma(capsys, tmp_path,
                                                                 monkeypatch):
+    # Gamma(k <= 0) goes through gamma, each parity of k >= 1 through one tower walk
     gamma_module = importlib.import_module("floergamma.gamma")  # not the function
     calls = []
     monkeypatch.setattr(gamma_module, "gamma", lambda d, k: calls.append(k) or 0)
+    monkeypatch.setattr(gamma_module, "_gamma_positive",
+                        lambda d, ks, w: calls.extend(ks) or dict.fromkeys(ks, (0, None)))
     cap = ORBIT_CAP
     paths = {}
     for family in ("d1", "d2"):
@@ -757,7 +760,7 @@ def test_a_range_past_the_orbit_cap_is_refused_before_any_gamma(capsys, tmp_path
         assert err == (f"error: gamma({refused}) needs {steps} u-steps on a u-orbit "
                        f"that has not ended within {cap}, the cap\n")
     assert run(capsys, "gamma", str(paths["d1"]), "--range", f"1..{cap + 1}")[0] == 0
-    assert calls == list(range(1, cap + 2))
+    assert sorted(calls) == list(range(1, cap + 2))
 
 
 # Every action of the root parser, the 3 groups and the 14 commands:

@@ -16,6 +16,7 @@ from floergamma.floer_datum import (
     Generator,
     InvalidDatumError,
     LambdaMatrix,
+    datum_from_json,
     datum_to_json,
     load_datum,
     require_valid,
@@ -404,6 +405,45 @@ def test_one_profile_builds_each_class_d_columns_once(monkeypatch):
         assert sorted(reads) == sorted((id(datum.d), g) for g in gens)
         read_rows += sum(bool(row(datum.d, g)) for g in gens)
     assert read_rows > 0
+
+
+def two_ladders(rungs: int) -> FloerDatum:
+    """Ladders b0, b1 climbing by u from a d1 source, rung j of lift
+    -(j + 1 + b)/(b + 1): Gamma(k) reads rung k-1 of both, d = 0."""
+    return datum_from_json({
+        "name": "ladders",
+        "generators": [{"name": f"b{b}r{j}", "grading": (1 + 4 * j) % 8,
+                        "energy_lift": f"-{j + 1 + b}/{b + 1}"}
+                       for b in range(2) for j in range(rungs)],
+        "u": [{"from": f"b{b}r{j + 1}", "to": f"b{b}r{j}",
+               "terms": [{"coeff": "1", "exp": f"1/{b + 1}"}]}
+              for b in range(2) for j in range(rungs - 1)],
+        "d1": [{"from": f"b{b}r0", "terms": [{"coeff": "1", "exp": f"{1 + b}/{b + 1}"}]}
+               for b in range(2)]})
+
+
+def test_a_profile_adds_each_tower_level_once_per_parity(monkeypatch):
+    gamma_module = importlib.import_module("floergamma.gamma")  # not the function
+    datum = require_valid(two_ladders(40))
+    # the rows of tower level j, which lives in the class of k = j + 1; d = 0 adds none
+    level_rows = []
+    for j in range(41):
+        gens = gamma_module._grading_class(datum, j + 1)
+        level = next(itertools.islice(gamma_module._d1_levels(datum, gens), j, None), [])
+        level_rows.append(len(gamma_module._rows([{e: c for c, e in el.items()}
+                                                  for el in level])))
+    assert level_rows == [1] * 40 + [0]
+    adds, add = [], _linalg.Echelon.add
+    monkeypatch.setattr(_linalg.Echelon, "add", lambda self, row: adds.append(1) or add(self, row))
+    profile = gamma_profile(datum, 1, 41)
+    assert len(adds) <= sum(level_rows)
+    assert profile == [(k, min(Fraction(k), Fraction(k + 1, 2))) for k in range(1, 41)] \
+        + [(41, INF)]
+    for k in range(1, 42):
+        adds.clear()
+        assert gamma(datum, k) == profile[k - 1][1]
+        assert len(adds) <= sum(level_rows[:k - 1])
+    assert h_invariant(datum) == 20
 
 
 @settings(max_examples=60, deadline=None)
