@@ -16,7 +16,9 @@ too long to print (novikov.format_rat: text, --json and the file
 The verifiers report a datum that fails validate as a failed
 precondition, exit 1.  Input files are read by path, or else as the
 bundled fixture of that name.  Every subcommand accepts --json for a
-machine-readable object carrying the same values.
+machine-readable object carrying the same values.  A call builds only the
+parsers on the command path its argv names; the other commands are
+registered by name alone.
 """
 
 from __future__ import annotations
@@ -112,7 +114,9 @@ def _emit(args, payload: dict, lines: list[str] | None = None) -> None:
 # delta1_sigma_2_3_5_to_s3` 1.1-1.3 s.  RANGE_CAP bounds
 # (B - A + 1) * max(1, generators), 7-10 µs of Gamma per unit:
 # `gamma neg_sigma_2_3_5 --range -20000..20000` (80,002 units) and `gamma
-# --range 1..201` on two 200-rung d1 ladders (80,400) take 0.6-0.8 s.
+# --range 1..201` on two 200-rung d1 ladders (80,400) take 0.6-0.8 s, and
+# `cobordism gamma-compare --range 1..201` on the ladders' identity
+# cobordism 0.9-1.0 s.
 WINDOW_CAP = 2000
 RANGE_CAP = 100_000
 
@@ -370,16 +374,33 @@ COMMANDS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The floergamma parser, with arguments only along argv's command path.
+
+    The path is argv's leading tokens, at most two, that name a command or
+    group; only the COMMANDS entries agreeing with it on their common
+    prefix get parsers, and every other top-level name is registered bare,
+    so usage lines and choice errors read as from the whole tree.  An argv
+    that names no command (the default) builds the whole tree.
+    """
+    known, path = {cmd for cmd, *_ in COMMANDS}, ()
+    for token in argv[:2]:
+        if path + (token,) not in known:
+            break
+        path += (token,)
     parser = argparse.ArgumentParser(
         prog="floergamma",
         description="Exact calculators for chain-level homology cobordism invariants",
     )
     groups = {(): parser.add_subparsers(dest="command", required=True)}
-    for path, help_, func, arguments in COMMANDS:
-        p = groups[path[:-1]].add_parser(path[-1], help=help_)
+    for cmd, help_, func, arguments in COMMANDS:
+        if cmd[:len(path)] != path[:len(cmd)]:
+            if len(cmd) == 1:
+                groups[()].add_parser(cmd[0], help=help_, add_help=False)
+            continue
+        p = groups[cmd[:-1]].add_parser(cmd[-1], help=help_)
         if func is None:
-            groups[path] = p.add_subparsers(dest="subcommand", required=True)
+            groups[cmd] = p.add_subparsers(dest="subcommand", required=True)
             continue
         for names, kwargs in arguments:
             p.add_argument(*names, **kwargs)
@@ -408,8 +429,8 @@ def _merge_dashed_values(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(_merge_dashed_values(list(argv)))
+    argv = _merge_dashed_values(list(argv))
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except (InputError, DatumInconsistencyError, MonotonicityError) as exc:

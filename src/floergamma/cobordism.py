@@ -71,7 +71,7 @@ from .floer_datum import (
     validate,
     weighted_sum,
 )
-from .gamma import eta_lower_bound, gamma
+from .gamma import eta_lower_bound, gamma_values
 from .novikov import INF, NovikovElement, lincomb
 
 #: The maps of a cobordism, as `floer_datum.DATUM_MAPS`.
@@ -375,14 +375,15 @@ def gamma_comparison(cob: CobordismDatum, k_min: int, k_max: int) -> dict:
     For k >= 1 the bound is gamma_target(k) <= gamma_source(k); for
     k <= 0 it weakens to gamma_target(k) <= max(gamma_source(k), 0).
     Also reports the arithmetic eta lower bound when both spectra are
-    nonempty.
+    nonempty.  Each end is read through `gamma_values`, so its k >= 1 take
+    one tower walk per parity, and a target that is the source is read once.
     """
     source, target = require_valid_ends(cob)
+    ends = (source,) if target is source else (source, target)
+    profiles = gamma_values(k_min, k_max, *ends)
     rows = []
     all_ok = True
-    for k in range(k_min, k_max + 1):
-        gs = gamma(source, k)
-        gt = gs if target is source else gamma(target, k)
+    for (k, gs), (_, gt) in zip(profiles[0], profiles[-1]):
         bound = gs if k >= 1 else max(gs, Fraction(0))
         ok = gt <= bound
         all_ok = all_ok and ok

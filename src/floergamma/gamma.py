@@ -263,26 +263,40 @@ def gamma(datum: FloerDatum, k: int, want_witness: bool = False):
     return (value, witness) if want_witness else value
 
 
-def gamma_profile(datum: FloerDatum, k_min: int, k_max: int):
-    """Per-k gamma over [k_min, k_max]; asserts monotone non-decreasing.
+def gamma_values(k_min: int, k_max: int, *data: FloerDatum) -> list[list[tuple]]:
+    """Per-k Gamma over [k_min, k_max] on each datum, unchecked for monotonicity.
 
     A range that reaches past ORBIT_CAP u-steps on an orbit that has not
     ended is refused before any Gamma is computed.  Past the cap, whether
     Gamma(k) is refused depends only on k's sign and, for k >= 1, on its
     parity (the grading class), so k_min and the first two k past the cap
-    decide it, and the refusal names the first k refused.
+    decide it, and the refusal names the first k refused, on the first
+    datum that refuses it.  The k >= 1 of a datum take one tower walk per
+    parity.
     """
-    datum = require_valid(datum)
-    if k_min > k_max:
-        raise ValueError("k_min must not exceed k_max")
+    data = [require_valid(datum) for datum in data]
     first_past = max(k_min, ORBIT_CAP + 2)
     for k in (k_min, first_past, first_past + 1):
         if k <= k_max:
-            _require_bounded_orbits(datum, k)
+            for datum in data:
+                _require_bounded_orbits(datum, k)
     positive = range(max(k_min, 1), k_max + 1)
-    values = {k: v for ks in (positive[::2], positive[1::2]) if ks
-              for k, (v, _) in _gamma_positive(datum, ks, False).items()}
-    profile = [(k, values[k] if k >= 1 else gamma(datum, k)) for k in range(k_min, k_max + 1)]
+    profiles = []
+    for datum in data:
+        values = {k: v for ks in (positive[::2], positive[1::2]) if ks
+                  for k, (v, _) in _gamma_positive(datum, ks, False).items()}
+        profiles.append([(k, values[k] if k >= 1 else gamma(datum, k))
+                         for k in range(k_min, k_max + 1)])
+    return profiles
+
+
+def gamma_profile(datum: FloerDatum, k_min: int, k_max: int):
+    """Per-k gamma over [k_min, k_max] (`gamma_values`); asserts monotone
+    non-decreasing."""
+    datum = require_valid(datum)
+    if k_min > k_max:
+        raise ValueError("k_min must not exceed k_max")
+    profile, = gamma_values(k_min, k_max, datum)
     for (k0, v0), (k1, v1) in zip(profile, profile[1:]):
         if not (v0 <= v1):
             raise MonotonicityError(

@@ -1,12 +1,15 @@
 """CLI contract: output vocabulary, exit codes, determinism, round trips."""
 
 import argparse
+import contextlib
 import importlib
+import io
 import json
 import math
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -827,6 +830,56 @@ def test_parser_surface_is_pinned():
     assert _parser_surface(cli.build_parser()) == PARSER_SURFACE
 
 
+def _parse(parser, argv) -> tuple:
+    """(namespace or exit code, stdout, stderr) of parser.parse_args(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def test_the_path_built_parser_reads_like_the_whole_tree():
+    extras = [["-h"], ["--bogus"], ["--json"], ["--k", "-1"]]
+    extras += [["sigma_2_3_5", "2", "3", "5", "7"][:n] for n in range(1, 6)]
+    corpus = [[], ["-h"], ["--help"], ["bogus"], ["cobordism", "bogus"],
+              ["seifert", "bogus", "-h"], ["gamma", "validate"]]
+    corpus += [list(path) + extra for path, *_ in cli.COMMANDS for extra in [[]] + extras]
+    outcomes = Counter()
+    for argv in map(cli._merge_dashed_values, corpus):
+        whole = _parse(cli.build_parser(), argv)
+        assert _parse(cli.build_parser(argv), argv) == whole, argv
+        outcomes[whole[0] if isinstance(whole[0], int) else "parsed"] += 1
+    # help, usage errors and successful parses all occur
+    assert set(outcomes) == {0, 2, "parsed"}
+
+
+def _counting(monkeypatch, counts: Counter, cls, name: str, key: str) -> None:
+    original = getattr(cls, name)
+
+    def counted(*args, **kwargs):
+        counts[key] += 1
+        return original(*args, **kwargs)
+    monkeypatch.setattr(cls, name, counted)
+
+
+def test_a_call_builds_only_the_parsers_on_its_command_path(capsys, monkeypatch):
+    counts = Counter()
+    _counting(monkeypatch, counts, argparse.ArgumentParser, "__init__", "parsers")
+    _counting(monkeypatch, counts, argparse._ActionsContainer, "add_argument", "arguments")
+    cli.build_parser()
+    assert counts == {"parsers": 18, "arguments": 58}
+    for argv, out, parsers, arguments in (
+            (["h", "sigma_2_3_5"], "h = 1\n", 10, 4),
+            (["cobordism", "verify", "delta1_sigma_2_3_5_to_s3", "--window", "6,4"],
+             "tilde: ok\nfunctoriality: ok\nmdeg_decay = 0\n", 11, 6)):
+        counts.clear()
+        assert run(capsys, *argv) == (0, out, "")
+        assert counts == {"parsers": parsers, "arguments": arguments}, argv
+
+
 def test_determinism(capsys):
     _, first, _ = run(capsys, "gamma", "sigma_2_3_5", "--range", "-2..3")
     _, second, _ = run(capsys, "gamma", "sigma_2_3_5", "--range", "-2..3")
@@ -836,9 +889,11 @@ def test_determinism(capsys):
 def test_unknown_inputs(capsys):
     code, _, err = run(capsys, "gamma", "missing_datum", "--k", "1")
     assert code == 2 and "no such datum" in err
-    with pytest.raises(SystemExit) as exc:
-        main(["gamma", "sigma_2_3_5", "--bogus-flag"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["not-a-command"])
-    assert exc.value.code == 2
+    # the usage of an argparse error lists every top-level command
+    root_usage = "{validate,gamma,h,bounds,triangle,cobordism,seifert,lattice,morse}"
+    for argv in (["gamma", "sigma_2_3_5", "--bogus-flag"], ["not-a-command"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: floergamma ") and root_usage in err, argv

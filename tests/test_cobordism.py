@@ -52,8 +52,11 @@ from floergamma.floer_datum import (
     apply_column,
     apply_row,
     load_datum,
+    datum_from_json,
+    datum_to_json,
     vec_add,
 )
+from floergamma.gamma import ORBIT_CAP, gamma
 from floergamma.novikov import NovikovElement
 
 from datagen import (
@@ -487,6 +490,59 @@ def test_gamma_comparison_flags_wrong_direction():
     assert not verify_tilde_chain_map(rev).ok
     res = gamma_comparison(rev, -2, 0)
     assert res["nonincreasing"]
+
+
+def per_k_comparison(cob: CobordismDatum, k_min: int, k_max: int) -> list[dict]:
+    """The comparison rows from before each end was read through
+    `gamma_values`: gamma per k, the source before the target."""
+    rows = []
+    for k in range(k_min, k_max + 1):
+        gs = gamma(cob.source, k)
+        gt = gs if cob.target is cob.source else gamma(cob.target, k)
+        rows.append({"k": k, "source": gs, "target": gt,
+                     "ok": gt <= (gs if k >= 1 else max(gs, Fraction(0)))})
+    return rows
+
+
+def test_gamma_comparison_agrees_with_per_k_gamma():
+    rng = Random(2818)
+    cobs = [load_cobordism("delta1_sigma_2_3_5_to_s3")]
+    for i in range(12):
+        datum = random_datum(rng, name=f"r{i}")
+        cobs.append(identity_cobordism(transformed_datum(rng, datum) if i % 2 else datum))
+    cobs += [random_trivial_cobordism(rng, zero_map_datum(rng)) for _ in range(6)]
+    # two ends that differ, and two equal ends that are separate objects
+    for i in range(8):
+        a, b = random_datum(rng, name=f"a{i}"), random_datum(rng, name=f"b{i}")
+        cobs.append(CobordismDatum(a, b, LambdaMatrix(), LambdaMatrix(), {}, {}, 1))
+        copy = datum_from_json(datum_to_json(a))
+        cobs.append(CobordismDatum(a, copy, LambdaMatrix(), LambdaMatrix(), {}, {}, 1))
+    differing = 0
+    for cob in cobs:
+        rows = per_k_comparison(cob, -3, 4)
+        res = gamma_comparison(cob, -3, 4)
+        assert res["rows"] == rows
+        assert res["nonincreasing"] == all(row["ok"] for row in rows)
+        differing += sum(row["target"] != row["source"] for row in rows)
+    assert differing > 0
+
+
+def test_gamma_comparison_refuses_the_first_k_past_the_orbit_cap():
+    # the d1 family refuses k >= ORBIT_CAP + 2 of a's parity, the d2 family
+    # k <= -ORBIT_CAP - 1; the refusal is the per-k loop's first, source first
+    d1, d2 = cyclic_u_datum(family="d1"), cyclic_u_datum(family="d2")
+    cap = ORBIT_CAP
+    for source, target, lo, hi in ((d1, d2, -cap - 1, cap + 2), (d2, d1, -cap - 1, cap + 2),
+                                   (d1, d2, 1, cap + 4), (d2, d1, -cap, cap + 4),
+                                   (d1, d1, cap + 3, cap + 4), (d2, d2, -cap - 2, 0)):
+        cob = CobordismDatum(source, target, LambdaMatrix(), LambdaMatrix(), {}, {}, 1)
+        with pytest.raises(InputError) as expected:
+            per_k_comparison(cob, lo, hi)
+        with pytest.raises(InputError) as got:
+            gamma_comparison(cob, lo, hi)
+        assert str(got.value) == str(expected.value)
+    cob = CobordismDatum(d1, d2, LambdaMatrix(), LambdaMatrix(), {}, {}, 1)
+    assert gamma_comparison(cob, -cap, cap + 1)["rows"] == per_k_comparison(cob, -cap, cap + 1)
 
 
 def test_mdeg_decay_measurement():

@@ -60,6 +60,7 @@ def test_a_target_naming_the_source_path_reads_like_a_copy(capsys, monkeypatch, 
     loads = _counted(monkeypatch, "floer_datum", "load_datum")
     validates = _counted(monkeypatch, "floer_datum", "validate")
     gammas = _counted(monkeypatch, "gamma", "gamma")
+    walks = _counted(monkeypatch, "gamma", "_gamma_positive")
     (tmp_path / "a").mkdir()
     (tmp_path / "b").mkdir()
     here, there = str(tmp_path / "a" / "d.json"), str(tmp_path / "b" / "d.json")
@@ -74,7 +75,7 @@ def test_a_target_naming_the_source_path_reads_like_a_copy(capsys, monkeypatch, 
             runs[target] = []
             for argv in _commands(str(cob), str(out)):
                 out.unlink(missing_ok=True)
-                for calls in (loads, validates, gammas):
+                for calls in (loads, validates, gammas, walks):
                     calls.clear()
                 code = main(argv)
                 captured = capsys.readouterr()
@@ -87,7 +88,10 @@ def test_a_target_naming_the_source_path_reads_like_a_copy(capsys, monkeypatch, 
                     continue
                 # a refused source stops gamma-compare before the target
                 assert len(validates) == (ends if valid or argv[1] == "verify" else 1)
-                assert Counter(k for _, k in gammas) == (
+                # each Gamma once per end: k <= 0 through gamma, k >= 1 through
+                # one tower walk per parity
+                solved = [k for _, k in gammas] + [k for _, ks, _ in walks for k in ks]
+                assert Counter(solved) == (
                     {k: ends for k in KS} if valid and argv[1] == "gamma-compare" else {})
         assert runs[here] == runs[there]
         code, text, _, _ = runs[here][1]
