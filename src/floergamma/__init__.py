@@ -44,7 +44,6 @@ from .gamma import (
     DatumInconsistencyError,
     MonotonicityError,
     SpecialSolution,
-    check_cs_trichotomy,
     eta_lower_bound,
     feasible_nonempty,
     gamma,

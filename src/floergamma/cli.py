@@ -17,8 +17,8 @@ The verifiers report a datum that fails validate as a failed
 precondition, exit 1.  Input files are read by path, or else as the
 bundled fixture of that name.  Every subcommand accepts --json for a
 machine-readable object carrying the same values.  A call builds only the
-parsers on the command path its argv names; the other commands are
-registered by name alone.
+parsers on the command path its argv names; the other commands appear
+only in the root usage line.
 """
 
 from __future__ import annotations
@@ -379,9 +379,12 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
 
     The path is argv's leading tokens, at most two, that name a command or
     group; only the COMMANDS entries agreeing with it on their common
-    prefix get parsers, and every other top-level name is registered bare,
-    so usage lines and choice errors read as from the whole tree.  An argv
-    that names no command (the default) builds the whole tree.
+    prefix get parsers.  The other top-level commands appear only in the
+    root's usage metavar, the text argparse would format from the whole
+    tree's choices, so usage lines read as from the whole tree.  An argv
+    that names no command (the default) builds the whole tree and sets no
+    metavar: argparse names the action by its metavar in a choice error
+    ("argument command: invalid choice").
     """
     known, path = {cmd for cmd, *_ in COMMANDS}, ()
     for token in argv[:2]:
@@ -392,11 +395,11 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
         prog="floergamma",
         description="Exact calculators for chain-level homology cobordism invariants",
     )
-    groups = {(): parser.add_subparsers(dest="command", required=True)}
+    top = ",".join(cmd[0] for cmd, *_ in COMMANDS if len(cmd) == 1)
+    groups = {(): parser.add_subparsers(dest="command", required=True,
+                                        metavar="{%s}" % top if path else None)}
     for cmd, help_, func, arguments in COMMANDS:
         if cmd[:len(path)] != path[:len(cmd)]:
-            if len(cmd) == 1:
-                groups[()].add_parser(cmd[0], help=help_, add_help=False)
             continue
         p = groups[cmd[:-1]].add_parser(cmd[-1], help=help_)
         if func is None:

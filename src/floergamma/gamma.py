@@ -65,7 +65,6 @@ from .floer_datum import (
     FloerDatum,
     HomogeneousVector,
     InputError,
-    Report,
     require_valid,
 )
 from .novikov import INF, NovikovElement
@@ -408,21 +407,3 @@ def eta_lower_bound(source: FloerDatum, target: FloerDatum) -> Fraction:
     return min(t - below[bisect_right(below, t) - 1]
                for t in {_nonnegative_fractional(g.energy_lift) for g in target.generators})
 
-
-def check_cs_trichotomy(datum: FloerDatum, k_min: int, k_max: int) -> Report:
-    """Every finite positive gamma value must match -r_g mod 1 for some g."""
-    datum = require_valid(datum)
-    rep = Report()
-    for k in range(k_min, k_max + 1):
-        value = gamma(datum, k)
-        if value == INF or value == 0:
-            continue
-        if value < 0:
-            rep.fail(f"gamma({k}) = {value} is negative")
-            continue
-        if not any(
-            (value + g.energy_lift).denominator == 1 for g in datum.generators
-        ):
-            rep.fail(
-                f"gamma({k}) = {value} is not congruent to any -r_g mod 1")
-    return rep

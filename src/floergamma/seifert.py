@@ -8,9 +8,8 @@ double sum evaluated in IEEE doubles under an a-priori error bound below
 1/4, so that rounding it is exact.  Every R the module reports comes
 from the closed form; the float sum only audits it.  Cross-checking the
 two is the module's central audit.  Positive R feeds the Gamma
-prediction 1/(4a) on an initial range, linear-independence fingerprints
-and the double-branched-cover bounds for Whitehead doubles of torus
-knots.
+prediction 1/(4a) on an initial range and the double-branched-cover
+bounds for Whitehead doubles of torus knots.
 """
 
 from __future__ import annotations
@@ -212,20 +211,6 @@ def gamma_prediction(spaces) -> GammaPrediction:
     range_max = (top.r + 3) // 4
     return GammaPrediction(Fraction(1, 4 * top.product), range_max,
                            range_max // 2, top.a)
-
-
-def furuta_independence(spaces) -> dict:
-    """Distinct orbit products certify linear independence; report fingerprints."""
-    invs = [seifert_invariants(s) for s in spaces]
-    for inv in invs:
-        if inv.r <= 0:
-            raise SeifertInputError(f"R{_quote(inv.a, ',')} = {inv.r} is not positive")
-    products = [inv.product for inv in invs]
-    return {
-        "independent": len(set(products)) == len(products),
-        "fingerprints": [Fraction(1, 4 * p) for p in products],
-        "products": products,
-    }
 
 
 def whitehead_double_bounds(p: int, q: int) -> dict:

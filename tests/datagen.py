@@ -14,7 +14,9 @@ d-essential block, whose Gamma(1) is fixed by its d rows, tests them.
 
 The module also keeps the readers that only tests need: homogeneous
 projection and its inverse, the x-degree of a bar element, the
-quadratic reference for the tau' bound, and the list of bundled fixtures.
+quadratic reference for the tau' bound, the list of bundled fixtures,
+the Chern-Simons trichotomy check on Gamma values and the Furuta
+independence fingerprints of Seifert orbit data.
 """
 
 import json
@@ -29,11 +31,15 @@ from floergamma.floer_datum import (
     Generator,
     HomogeneousVector,
     LambdaMatrix,
+    Report,
+    require_valid,
     validate,
     vec_add,
     vec_sub,
 )
-from floergamma.novikov import NovikovElement
+from floergamma.gamma import gamma
+from floergamma.novikov import INF, NovikovElement
+from floergamma.seifert import SeifertInputError, seifert_invariants
 
 DENOMINATORS = (2, 3, 4, 5, 6, 8, 12)
 
@@ -343,3 +349,36 @@ def deg_bar(z: XElement) -> int:
     if z.is_zero():
         raise ValueError("Deg of the zero element is undefined")
     return max(z.x)
+
+
+def check_cs_trichotomy(datum: FloerDatum, k_min: int, k_max: int) -> Report:
+    """Every finite positive gamma value must match -r_g mod 1 for some g."""
+    datum = require_valid(datum)
+    rep = Report()
+    for k in range(k_min, k_max + 1):
+        value = gamma(datum, k)
+        if value == INF or value == 0:
+            continue
+        if value < 0:
+            rep.fail(f"gamma({k}) = {value} is negative")
+            continue
+        if not any(
+            (value + g.energy_lift).denominator == 1 for g in datum.generators
+        ):
+            rep.fail(
+                f"gamma({k}) = {value} is not congruent to any -r_g mod 1")
+    return rep
+
+
+def furuta_independence(spaces) -> dict:
+    """Distinct orbit products certify linear independence; report fingerprints."""
+    invs = [seifert_invariants(s) for s in spaces]
+    for inv in invs:
+        if inv.r <= 0:
+            raise SeifertInputError(f"R{inv.a} = {inv.r} is not positive")
+    products = [inv.product for inv in invs]
+    return {
+        "independent": len(set(products)) == len(products),
+        "fingerprints": [Fraction(1, 4 * p) for p in products],
+        "products": products,
+    }

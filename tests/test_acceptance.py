@@ -18,7 +18,6 @@ from floergamma.cobordism import (
 from floergamma.equivariant import Window, verify_triangle
 from floergamma.floer_datum import load_datum
 from floergamma.gamma import (
-    check_cs_trichotomy,
     gamma,
     gamma_profile,
     h_invariant,
@@ -34,7 +33,7 @@ from floergamma.morse_minmax import NullHomologousError, evaluate_class
 from floergamma.novikov import INF
 from floergamma.seifert import gamma_prediction, sweep, whitehead_double_bounds
 
-from datagen import random_datum, random_trivial_cobordism, zero_map_datum
+from datagen import check_cs_trichotomy, random_datum, random_trivial_cobordism, zero_map_datum
 from test_lattice import e8_gram, random_neg_def, _signed_sum_odd_flipped
 from test_morse import brute_force, random_complex, random_cycle
 

@@ -872,12 +872,23 @@ def test_a_call_builds_only_the_parsers_on_its_command_path(capsys, monkeypatch)
     cli.build_parser()
     assert counts == {"parsers": 18, "arguments": 58}
     for argv, out, parsers, arguments in (
-            (["h", "sigma_2_3_5"], "h = 1\n", 10, 4),
+            (["h", "sigma_2_3_5"], "h = 1\n", 2, 4),
             (["cobordism", "verify", "delta1_sigma_2_3_5_to_s3", "--window", "6,4"],
-             "tilde: ok\nfunctoriality: ok\nmdeg_decay = 0\n", 11, 6)):
+             "tilde: ok\nfunctoriality: ok\nmdeg_decay = 0\n", 3, 6)):
         counts.clear()
         assert run(capsys, *argv) == (0, out, "")
         assert counts == {"parsers": parsers, "arguments": arguments}, argv
+
+
+def test_the_usage_metavar_is_read_off_commands(monkeypatch):
+    monkeypatch.setattr(cli, "COMMANDS", cli.COMMANDS + (
+        (("extra-cmd",), "an entry added to the table", lambda args: 0, []),))
+    argv = ["h", "sigma_2_3_5", "extra"]
+    whole = _parse(cli.build_parser(), argv)
+    assert _parse(cli.build_parser(argv), argv) == whole
+    assert whole[0] == 2 and ",lattice,morse,extra-cmd}" in whole[2]
+    code, _, err = _parse(cli.build_parser(), ["bogus"])
+    assert code == 2 and "argument command: invalid choice: 'bogus'" in err
 
 
 def test_determinism(capsys):

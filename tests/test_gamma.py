@@ -25,7 +25,6 @@ from floergamma.floer_datum import (
 from floergamma.gamma import (
     DatumInconsistencyError,
     _first_kernel_hit,
-    check_cs_trichotomy,
     eta_lower_bound,
     feasible_nonempty,
     gamma,
@@ -38,6 +37,7 @@ from floergamma.novikov import INF, NovikovElement, mdeg_tuple
 
 from datagen import (
     apply_u_power,
+    check_cs_trichotomy,
     count_u_applications,
     d_essential_datum,
     evaluate_at_one,

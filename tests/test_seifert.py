@@ -10,13 +10,13 @@ from floergamma.seifert import (
     SeifertInputError,
     coprime_tuples,
     cotangent_error_bound,
-    furuta_independence,
     gamma_prediction,
     r_invariant_cotangent,
     seifert_invariants,
     sweep,
     whitehead_double_bounds,
 )
+from datagen import furuta_independence
 
 
 def test_invariants_235():
