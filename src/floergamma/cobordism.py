@@ -29,7 +29,6 @@ from .equivariant import (
     check_d,
     hat_basis,
     hat_d,
-    inner_window,
     map_i,
     map_j,
     map_p,
@@ -101,13 +100,6 @@ class CobordismDatum(Record):
         self._ladders: dict = {}
         self._kept: dict = {}
         store_maps(self, COBORDISM_MAPS, [phi, mu, delta1, delta2], source, target)
-
-
-def identity_cobordism(datum: FloerDatum) -> CobordismDatum:
-    phi = LambdaMatrix()
-    for g in datum.names():
-        phi.set(g, g, NovikovElement.one())
-    return CobordismDatum(datum, datum, phi, LambdaMatrix(), {}, {}, 1)
 
 
 def require_valid_ends(cob: CobordismDatum) -> tuple[ValidDatum, ValidDatum]:
@@ -224,7 +216,7 @@ def check_map(cob: CobordismDatum, e: XElement, window: Window) -> XElement:
 
 def bar_map(cob: CobordismDatum, z: XElement, window: Window) -> XElement:
     """Multiplication by the correction series, truncated to the window."""
-    series = _series(cob, window.T + max(window.N, 0) + 1)
+    series = _series(cob, window.T + window.N + 1)
     return XElement({}, _xpart_mul(z.x, series, -window.T, window.N))
 
 
@@ -252,53 +244,51 @@ def htpy_i(cob: CobordismDatum, z: XElement) -> XElement:
 
 
 def _images(cob: CobordismDatum, window: Window) -> tuple:
-    """`once` for hat_map, check_map and bar_map on the inner window, kept on `cob`."""
-    win = inner_window(window)
-    kept = cob._kept.setdefault(win, ({}, {}, {}))
+    """`once` for hat_map, check_map and bar_map on the window, kept on `cob`."""
+    kept = cob._kept.setdefault(window, ({}, {}, {}))
     return (once(lambda e: hat_map(cob, e), kept[0]),
-            once(lambda e: check_map(cob, e, win), kept[1]),
-            once(lambda z: bar_map(cob, z, win), kept[2]))
+            once(lambda e: check_map(cob, e, window), kept[1]),
+            once(lambda z: bar_map(cob, z, window), kept[2]))
 
 
 def _functoriality_checks(cob: CobordismDatum, window: Window):
     """(identity, basis name, residual) of every functoriality identity, in stage order."""
     src, tgt = cob.source, cob.target
-    win = inner_window(window)
     lo, hi = -window.T + 2, window.N
     H, C, B = _images(cob, window)
-    hd, cd = once(lambda e: hat_d(src, e), {}), once(lambda e: check_d(src, e, win), {})
+    hd, cd = once(lambda e: hat_d(src, e), {}), once(lambda e: check_d(src, e, window), {})
 
     # (1) the three maps are chain maps
     for name, e in hat_basis(src, window, margin=False):
         yield ("hat_d'∘hat_map = hat_map∘hat_d", name,
                residual(hat_d(tgt, H(name, e)), hat_map(cob, hd(name, e)), lo, hi))
     for name, e in check_basis(src, window, margin=False):
-        lhs = check_d(tgt, C(name, e), win)
+        lhs = check_d(tgt, C(name, e), window)
         yield ("check_d'∘check_map = check_map∘check_d", name,
-               residual(lhs, check_map(cob, cd(name, e), win), lo, hi))
+               residual(lhs, check_map(cob, cd(name, e), window), lo, hi))
 
     # (2) bar_map is x-linear
     for name, z in bar_basis(window, margin=True):
-        lhs, rhs = bar_map(cob, x_action_bar(z, win), win), x_action_bar(B(name, z), win)
+        lhs, rhs = bar_map(cob, x_action_bar(z, window), window), x_action_bar(B(name, z), window)
         yield "bar_map∘x = x∘bar_map", name, residual(lhs, rhs, lo, hi)
 
     # (3) x-equivariance of hat_map and check_map up to homotopy
     for name, e in hat_basis(src, window, margin=True):
-        lhs = x_action_hat(tgt, H(name, e), win) - hat_map(cob, x_action_hat(src, e, win))
+        lhs = x_action_hat(tgt, H(name, e), window) - hat_map(cob, x_action_hat(src, e, window))
         rhs = htpy_hat_x(cob, hd(name, e)) + hat_d(tgt, htpy_hat_x(cob, e))
         yield ("x∘hat_map - hat_map∘x = K∘hat_d + hat_d'∘K", name,
                residual(lhs, rhs, lo, hi))
     for name, e in check_basis(src, window, margin=True):
-        lhs = x_action_check(tgt, C(name, e)) - check_map(cob, x_action_check(src, e), win)
-        rhs = htpy_check_x(cob, cd(name, e)) + check_d(tgt, htpy_check_x(cob, e), win)
+        lhs = x_action_check(tgt, C(name, e)) - check_map(cob, x_action_check(src, e), window)
+        rhs = htpy_check_x(cob, cd(name, e)) + check_d(tgt, htpy_check_x(cob, e), window)
         yield ("x∘check_map - check_map∘x = L∘check_d + check_d'∘L", name,
                residual(lhs, rhs, lo, hi))
 
     # (4) p'∘hat_map - bar_map∘p = K∘hat_d
     for name, e in hat_basis(src, window, margin=False):
-        lhs = map_p(tgt, H(name, e), win) - bar_map(cob, map_p(src, e, win), win)
+        lhs = map_p(tgt, H(name, e), window) - bar_map(cob, map_p(src, e, window), window)
         yield ("p'∘hat_map - bar_map∘p = K∘hat_d", name,
-               residual(lhs, htpy_p(cob, hd(name, e), win), lo, hi))
+               residual(lhs, htpy_p(cob, hd(name, e), window), lo, hi))
 
     # (5) j'∘check_map = hat_map∘j exactly
     for name, e in check_basis(src, window, margin=False):
@@ -307,9 +297,9 @@ def _functoriality_checks(cob: CobordismDatum, window: Window):
 
     # (6) i'∘bar_map - check_map∘i = check_d'∘L
     for name, z in bar_basis(window, margin=False):
-        lhs = map_i(tgt, B(name, z)) - check_map(cob, map_i(src, z), win)
+        lhs = map_i(tgt, B(name, z)) - check_map(cob, map_i(src, z), window)
         yield ("i'∘bar_map - check_map∘i = check_d'∘L", name,
-               residual(lhs, check_d(tgt, htpy_i(cob, z), win), lo, hi))
+               residual(lhs, check_d(tgt, htpy_i(cob, z), window), lo, hi))
 
 
 def functoriality_report(cob: CobordismDatum, window: Window) -> Report:

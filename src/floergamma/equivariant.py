@@ -11,10 +11,19 @@ three; the complex fixes which x-powers occur:
 The triangle maps i, j, p between them, the x-actions, and the
 homotopies entering the exactness argument are all implemented as exact
 formulas on a finite window x^-T .. x^N; verification checks every
-identity on a spanning set of window basis elements, restricted to
-x-degrees where shifting cannot leak out of the window.  A verifier call
+identity on a spanning set of window basis elements.  A verifier call
 builds each basis image once (`once`), and a residual only where an
 identity's two sides differ (`residual`).
+
+Every identity is computed at the window itself and compared on the band
+x^(-T+2) .. x^N, where both sides are exact.  Cutting a tail at x^-T
+corrupts only the slots below x^-T.  Every other operation leaves a
+slot's value depending on that slot or higher ones: the differentials,
+tails and maps, the products with the correction series (powers <= 0)
+and the reads of slot -1.  Only an x-action moves a corrupted slot up,
+by one, and no identity applies more than one x-action to a truncated
+image.  The splitting composites, compared on the whole window, read no
+truncated tail.
 
 Convention: the polynomial/Laurent variable x acts with Floer degree -4
 (it interleaves the operator u), and the generator of the
@@ -228,12 +237,6 @@ def mdeg_bar(z: XElement) -> ExtRat:
 # Triangle verification
 # ---------------------------------------------------------------------------
 
-def inner_window(window: Window) -> Window:
-    # Deep enough that every tail slot >= -T of a composite is computed
-    # from fully known data; identities are then compared on the margin.
-    return Window(2 * window.T + window.N + 4, window.N)
-
-
 def hat_basis(datum: FloerDatum, window: Window, margin: bool):
     top = window.N - 2 if margin else window.N
     for g in datum.names():
@@ -277,39 +280,38 @@ def once(f, kept: dict):
 def _triangle_checks(datum: FloerDatum, window: Window):
     """(identity, basis name, residual) of every triangle identity, in stage order;
     "A + B = 0" compares A with -B, as A - (-B) is the sum term for term."""
-    win = inner_window(window)
     lo, hi = -window.T + 2, window.N
-    hd, p = once(lambda e: hat_d(datum, e), {}), once(lambda e: map_p(datum, e, win), {})
-    cd, i = once(lambda e: check_d(datum, e, win), {}), once(lambda z: map_i(datum, z), {})
+    hd, p = once(lambda e: hat_d(datum, e), {}), once(lambda e: map_p(datum, e, window), {})
+    cd, i = once(lambda e: check_d(datum, e, window), {}), once(lambda z: map_i(datum, z), {})
 
     # (1) squared differentials
     for name, e in hat_basis(datum, window, margin=False):
         yield "hat_d∘hat_d = 0", name, hat_d(datum, hd(name, e))
     for name, e in check_basis(datum, window, margin=False):
-        yield "check_d∘check_d = 0", name, check_d(datum, cd(name, e), win).restrict(lo, hi)
+        yield "check_d∘check_d = 0", name, check_d(datum, cd(name, e), window).restrict(lo, hi)
 
     # (2) i and p are x-equivariant
     for name, z in bar_basis(window, margin=True):
-        lhs = map_i(datum, x_action_bar(z, win))
+        lhs = map_i(datum, x_action_bar(z, window))
         yield "i∘x = x∘i", name, residual(lhs, x_action_check(datum, i(name, z)), lo, hi)
     for name, e in hat_basis(datum, window, margin=True):
-        lhs = map_p(datum, x_action_hat(datum, e, win), win)
-        yield "p∘x = x∘p", name, residual(lhs, x_action_bar(p(name, e), win), lo, hi)
+        lhs = map_p(datum, x_action_hat(datum, e, window), window)
+        yield "p∘x = x∘p", name, residual(lhs, x_action_bar(p(name, e), window), lo, hi)
 
     # (3) j commutes with x up to the homotopy h
     for name, e in check_basis(datum, window, margin=True):
-        lhs = map_j(x_action_check(datum, e)) - x_action_hat(datum, map_j(e), win)
+        lhs = map_j(x_action_check(datum, e)) - x_action_hat(datum, map_j(e), window)
         rhs = hat_d(datum, htpy_h(e)) + htpy_h(cd(name, e))
         yield "j∘x - x∘j = hat_d∘h + h∘check_d", name, residual(lhs, rhs, lo, hi)
 
     # (4) null-homotopy identities for the splitting maps
     for name, e in check_basis(datum, window, margin=False):
         yield ("p∘j + k∘check_d = 0", name,
-               residual(map_p(datum, map_j(e), win), -htpy_k(cd(name, e)), lo, hi))
+               residual(map_p(datum, map_j(e), window), -htpy_k(cd(name, e)), lo, hi))
     for name, e in hat_basis(datum, window, margin=False):
         lhs = map_i(datum, p(name, e)) + htpy_l(datum, hd(name, e))
         yield ("i∘p + l∘hat_d + check_d∘l = 0", name,
-               residual(lhs, -check_d(datum, htpy_l(datum, e), win), lo, hi))
+               residual(lhs, -check_d(datum, htpy_l(datum, e), window), lo, hi))
     for name, z in bar_basis(window, margin=False):
         yield ("j∘i + hat_d∘r = 0", name,
                residual(map_j(i(name, z)), -hat_d(datum, htpy_r(z)), lo, hi))
@@ -323,7 +325,7 @@ def _triangle_checks(datum: FloerDatum, window: Window):
         lhs = htpy_r(p(name, e)) + map_j(htpy_l(datum, e))
         yield "r∘p + j∘l = ε", name, residual(lhs, _epsilon(datum, e), -window.T, window.N)
     for name, z in bar_basis(window, margin=False):
-        lhs = htpy_k(i(name, z)) + map_p(datum, htpy_r(z), win)
+        lhs = htpy_k(i(name, z)) + map_p(datum, htpy_r(z), window)
         yield "k∘i + p∘r = ε", name, residual(lhs, _epsilon(datum, z), -window.T, window.N)
 
 

@@ -329,9 +329,7 @@ def feasible_nonempty(datum: FloerDatum, k: int) -> bool:
     """
     if k >= 1:
         return _largest_positive_degree(datum, k) == k
-    gens, q_indices, rows = _nonpositive_system(datum, k)
-    nq = len(q_indices)
-    return _first_kernel_hit(rows, nq + len(gens), range(nq)) is not None
+    return _gamma_nonpositive(datum, k, False)[0] != INF
 
 
 def h_invariant(datum: FloerDatum) -> int:

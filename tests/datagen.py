@@ -15,8 +15,8 @@ d-essential block, whose Gamma(1) is fixed by its d rows, tests them.
 The module also keeps the readers that only tests need: homogeneous
 projection and its inverse, the x-degree of a bar element, the
 quadratic reference for the tau' bound, the list of bundled fixtures,
-the Chern-Simons trichotomy check on Gamma values and the Furuta
-independence fingerprints of Seifert orbit data.
+the Chern-Simons trichotomy check on Gamma values, the Furuta
+independence fingerprints of Seifert orbit data and the identity cobordism.
 """
 
 import json
@@ -297,6 +297,14 @@ def transformed_datum(rng: Random, datum: FloerDatum) -> FloerDatum:
     rep = validate(out)
     assert rep.ok, rep.failures
     return out
+
+
+def identity_cobordism(datum: FloerDatum) -> CobordismDatum:
+    """The identity map of a datum to itself, with c = 1 and no corrections."""
+    phi = LambdaMatrix()
+    for g in datum.names():
+        phi.set(g, g, NovikovElement.one())
+    return CobordismDatum(datum, datum, phi, LambdaMatrix(), {}, {}, 1)
 
 
 def random_trivial_cobordism(rng: Random, datum: FloerDatum) -> CobordismDatum:

@@ -10,7 +10,6 @@ from random import Random
 
 from floergamma.cobordism import (
     compose_tilde,
-    identity_cobordism,
     load_cobordism,
     verify_functoriality,
     verify_tilde_chain_map,
@@ -33,7 +32,8 @@ from floergamma.morse_minmax import NullHomologousError, evaluate_class
 from floergamma.novikov import INF
 from floergamma.seifert import gamma_prediction, sweep, whitehead_double_bounds
 
-from datagen import check_cs_trichotomy, random_datum, random_trivial_cobordism, zero_map_datum
+from datagen import (check_cs_trichotomy, identity_cobordism, random_datum,
+                     random_trivial_cobordism, zero_map_datum)
 from test_lattice import e8_gram, random_neg_def, _signed_sum_odd_flipped
 from test_morse import brute_force, random_complex, random_cycle
 

@@ -16,7 +16,7 @@ import pytest
 
 from floergamma import cli, cobordism, equivariant, floer_datum, lattice, seifert
 from floergamma.cli import main
-from floergamma.cobordism import cobordism_to_json, identity_cobordism
+from floergamma.cobordism import cobordism_to_json
 from floergamma.equivariant import XElement
 from floergamma.floer_datum import (
     InputError,
@@ -31,7 +31,7 @@ from floergamma.gamma import ORBIT_CAP, gamma, gamma_profile, h_invariant
 from floergamma.lattice import LatticeInputError
 from floergamma.morse_minmax import NonCycleError, NullHomologousError
 from floergamma.seifert import SeifertInputError
-from datagen import cyclic_u_datum
+from datagen import cyclic_u_datum, identity_cobordism
 from test_lattice import e8_gram
 
 

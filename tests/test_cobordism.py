@@ -11,7 +11,6 @@ from floergamma.cobordism import (
     cobordism_to_json,
     compose_tilde,
     gamma_comparison,
-    identity_cobordism,
     load_cobordism,
     mdeg_decay,
     validate_cobordism,
@@ -65,6 +64,7 @@ from datagen import (
     count_u_applications,
     cyclic_u_datum,
     deg_bar,
+    identity_cobordism,
     random_datum,
     random_trivial_cobordism,
     transformed_datum,

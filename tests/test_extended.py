@@ -8,7 +8,6 @@ from floergamma.cobordism import (
     COBORDISM_MAPS,
     compose_tilde,
     functoriality_report,
-    identity_cobordism,
     mdeg_decay,
     verify_tilde_chain_map,
 )
@@ -25,7 +24,7 @@ from floergamma.floer_datum import (
 )
 from floergamma.novikov import NovikovElement
 
-from datagen import random_datum, random_trivial_cobordism, transformed_datum
+from datagen import identity_cobordism, random_datum, random_trivial_cobordism, transformed_datum
 from test_validate_oracle import corrupted
 
 ONE, ZERO = NovikovElement.one(), NovikovElement.zero()

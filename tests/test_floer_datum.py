@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from floergamma import floer_datum
-from floergamma.cobordism import identity_cobordism
 from floergamma.equivariant import Window, XElement
 from floergamma.floer_datum import (
     DATUM_MAPS,
@@ -33,6 +32,7 @@ from datagen import (
     bundled_fixtures,
     cyclic_u_datum,
     evaluate_at_one,
+    identity_cobordism,
     project_homogeneous,
     random_datum,
     to_element,

@@ -4,9 +4,10 @@ The inputs are the bundled fixtures and identity and trivial cobordisms,
 each mutated one to three times: a value swapped for one of another type,
 a key or an entry deleted, an unknown key added, an entry repeated, or a
 value replaced by a huge or odd spelling.  Each mutant goes through
-`validate` or the `cobordism` verify, gamma-compare and compose commands
-under a 5 s alarm.  No exception may escape `cli.main`, and every exit
-code must be 0 ok, 1 verification failed or 2 refused.
+`validate` or the `cobordism` verify, gamma-compare and compose commands,
+and each datum mutant of a second run through `triangle`, `h`, `bounds`
+and `gamma`, under a 5 s alarm.  No exception may escape `cli.main`, and
+every exit code must be 0 ok, 1 verification failed or 2 refused.
 """
 
 import contextlib
@@ -17,12 +18,13 @@ import signal
 from random import Random
 
 from floergamma.cli import main
-from floergamma.cobordism import cobordism_to_json, identity_cobordism
+from floergamma.cobordism import cobordism_to_json
 from floergamma.floer_datum import datum_to_json, load_datum
 
-from datagen import bundled_fixtures, random_trivial_cobordism, zero_map_datum
+from datagen import bundled_fixtures, identity_cobordism, random_trivial_cobordism, zero_map_datum
 
 JOBS = 500
+DATUM_JOBS = 200
 SECONDS = 5
 SWAPS = (0, -7, 1.5, "x", "", [], {}, None, True, ["a"], {"k": "1"})
 # huge or odd spellings, refused or read: "2/4", " 1 " and "1e0" are rationals
@@ -90,12 +92,33 @@ def _overran(signum, frame):
     raise Overran
 
 
+@contextlib.contextmanager
+def alarmed():
+    previous = signal.signal(signal.SIGALRM, _overran)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+
+
+def exit_code(argv):
+    """main(argv) under the alarm, output discarded; an escape is returned, not raised."""
+    signal.alarm(SECONDS)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            return main(argv)
+    except (Exception, SystemExit) as exc:  # any escape is the finding
+        return exc
+    finally:
+        signal.alarm(0)
+
+
 def test_mutated_inputs_exit_0_1_or_2_without_a_traceback(tmp_path):
     rng = Random(2612)
     data, cobordisms = inputs(rng, tmp_path)
     bad, codes = [], set()
-    previous = signal.signal(signal.SIGALRM, _overran)
-    try:
+    with alarmed():
         for i in range(JOBS):
             path = tmp_path / f"mutant{i}.json"
             if i % 4 == 0:
@@ -107,20 +130,30 @@ def test_mutated_inputs_exit_0_1_or_2_without_a_traceback(tmp_path):
                                    ["cobordism", "gamma-compare", str(path), "--range", "-2..2"],
                                    ["cobordism", "compose", str(path), str(path),
                                     "-o", str(tmp_path / f"composed{i}.json")]))
-            signal.alarm(SECONDS)
-            try:
-                with contextlib.redirect_stdout(io.StringIO()), \
-                        contextlib.redirect_stderr(io.StringIO()):
-                    code = main(argv)
-            except (Exception, SystemExit) as exc:  # any escape is the finding
-                code = exc
-            finally:
-                signal.alarm(0)
+            code = exit_code(argv)
             codes.add(code if isinstance(code, int) else None)
             if code not in (0, 1, 2):
                 bad.append((argv, path.read_text()[:300], repr(code)))
-    finally:
-        signal.signal(signal.SIGALRM, previous)
     assert bad == []
     # the mutants reach past the reader: some pass and some fail verification
     assert codes == {0, 1, 2}
+
+
+def test_mutated_data_through_the_datum_commands_exit_0_1_or_2(tmp_path):
+    rng = Random(7)
+    data, _ = inputs(rng, tmp_path)
+    bad, codes = [], set()
+    with alarmed():
+        for i in range(DATUM_JOBS):
+            path = tmp_path / f"mutant{i}.json"
+            path.write_text(json.dumps(mutated(rng, rng.choice(data))))
+            command, *options = rng.choice((("triangle", "--window", "6,4"), ("h",), ("bounds",),
+                                            ("gamma", "--range", "-3..3"), ("gamma", "--k", "2")))
+            argv = [command, str(path), *options]
+            code = exit_code(argv)
+            codes.add(code if isinstance(code, int) else None)
+            if code not in (0, 1, 2):
+                bad.append((argv, path.read_text()[:300], repr(code)))
+    assert bad == []
+    # some mutants pass the reader and are computed on, most are refused
+    assert {0, 2} <= codes

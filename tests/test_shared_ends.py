@@ -10,9 +10,10 @@ from collections import Counter
 from random import Random
 
 from floergamma.cli import main
-from floergamma.cobordism import cobordism_to_json, identity_cobordism
+from floergamma.cobordism import cobordism_to_json
 from floergamma.floer_datum import datum_to_json, load_datum
-from datagen import random_datum, random_trivial_cobordism, transformed_datum, zero_map_datum
+from datagen import (identity_cobordism, random_datum, random_trivial_cobordism,
+                     transformed_datum, zero_map_datum)
 
 KS = range(-2, 3)
 

@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 from floergamma.cobordism import (
     CobordismDatum,
     compose_tilde,
-    identity_cobordism,
     validate_cobordism,
     verify_tilde_chain_map,
 )
@@ -38,7 +37,8 @@ from floergamma.floer_datum import (
 )
 from floergamma.novikov import NovikovElement, lincomb
 
-from datagen import bundled_fixtures, random_datum, random_lift, transformed_datum
+from datagen import (bundled_fixtures, identity_cobordism, random_datum, random_lift,
+                     transformed_datum)
 
 COEFFS = (-2, -1, 1, 2)
 

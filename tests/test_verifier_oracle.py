@@ -2,11 +2,14 @@
 
 `reference_triangle_checks`, `reference_functoriality_checks` and
 `reference_mdeg_decay` rebuild every image an identity needs and subtract
-its two sides in full, as the verifiers once did.  The verifiers build each
-basis image once and a residual only where two sides differ; both must
-yield the same (identity, basis name, repr(residual)) sequence on valid
-data, on arbitrary maps and under injected faults, and leave the stored
-maps, kept orbits and ladders as they found them.
+its two sides in full, as the verifiers once did, and compute every tail
+on a deeper window, W(2T+N+4, N).  The verifiers build each basis image
+once and a residual only where two sides differ, and compute at W(T, N)
+itself; both must yield the same (identity, basis name, repr(residual))
+sequence on valid data, on arbitrary maps, on a u that is not nilpotent
+and under injected faults, and leave the stored maps, kept orbits and
+ladders as they found them.  That checks the band argument of
+`equivariant`: truncating at x^-T leaves the compared slots exact.
 """
 
 import contextlib
@@ -42,7 +45,6 @@ from floergamma.equivariant import (
     htpy_k,
     htpy_l,
     htpy_r,
-    inner_window,
     map_i,
     map_j,
     map_p,
@@ -56,7 +58,12 @@ from floergamma.equivariant import (
 from floergamma.floer_datum import FloerDatum, Generator, LambdaMatrix, apply_row, load_datum
 from floergamma.novikov import INF, NovikovElement
 
-from datagen import cyclic_u_datum, random_datum, transformed_datum
+from datagen import cyclic_u_datum, identity_cobordism, random_datum, transformed_datum
+
+
+def deep(window: Window) -> Window:
+    """A window deep enough that every tail slot >= -T of a composite is exact."""
+    return Window(2 * window.T + window.N + 4, window.N)
 
 
 def residual(e: XElement, window: Window) -> XElement:
@@ -66,7 +73,7 @@ def residual(e: XElement, window: Window) -> XElement:
 
 def reference_triangle_checks(datum: FloerDatum, window: Window):
     """(identity, basis name, residual) of every triangle identity, in stage order."""
-    win = inner_window(window)
+    win = deep(window)
 
     # (1) squared differentials
     for name, e in hat_basis(datum, window, margin=False):
@@ -119,7 +126,7 @@ def reference_triangle_checks(datum: FloerDatum, window: Window):
 def reference_functoriality_checks(cob: CobordismDatum, window: Window):
     """(identity, basis name, residual) of every functoriality identity, in stage order."""
     src, tgt = cob.source, cob.target
-    win = inner_window(window)
+    win = deep(window)
 
     # (1) the three maps are chain maps
     for name, e in hat_basis(src, window, margin=False):
@@ -172,7 +179,7 @@ def reference_functoriality_checks(cob: CobordismDatum, window: Window):
 
 def reference_mdeg_decay(cob: CobordismDatum, window: Window):
     """Observed minimum of mdeg(image) - mdeg(input) over window bases."""
-    win = inner_window(window)
+    win = deep(window)
     worst = INF
     for _, e in hat_basis(cob.source, window, margin=False):
         worst = min(worst, mdeg_hat(residual(hat_map(cob, e), window)) - mdeg_hat(e))
@@ -224,7 +231,7 @@ def some_cobordism(rng: Random) -> CobordismDatum:
     """Arbitrary phi, mu, delta1, delta2 and c; an identity cobordism one time in four."""
     src = some_datum(rng)
     if rng.random() < 0.25:
-        return cobordism.identity_cobordism(src)
+        return identity_cobordism(src)
     tgt = some_datum(rng)
     return CobordismDatum(src, tgt, _matrix(rng, src.names(), tgt.names(), 0.3),
                           _matrix(rng, src.names(), tgt.names(), 0.3),
@@ -315,7 +322,7 @@ def test_the_faults_change_the_sequence():
     for fault in ("k", "r"):
         with injected(fault):
             assert sequence(equivariant._triangle_checks(datum, window)) != clean
-    cob = cobordism.identity_cobordism(load_datum("neg_sigma_2_3_5"))
+    cob = identity_cobordism(load_datum("neg_sigma_2_3_5"))
     clean = sequence(reference_functoriality_checks(cob, window))
     with injected("phi"):
         assert sequence(cobordism._functoriality_checks(cob, window)) != clean
