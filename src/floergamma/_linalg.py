@@ -3,17 +3,18 @@
 Rows over Q arrive dense (a sequence) or sparse (a map column -> value).
 `Echelon` keeps them as sparse maps in fully reduced row echelon form
 while they arrive one at a time, so a caller can watch the rank grow (the
-tower walk of Gamma and h) and read a kernel basis whose vectors end at
-distinct free columns (the Gamma threshold).  The RREF of a row space is
-unique, so the kernel basis, the solutions and the residues read from it
-do not depend on the order rows arrived in.  `q_rank`, `q_kernel_basis`,
-`q_solve` and `Echelon.reduce` (the residue of a row, which Gamma(k >= 1)
-and the Morse min-max read) are readers of that one form, and so is the
-rank over Q(mu), `poly_matrix_rank`, taken at enough rational points of
-mu.  Every row operation is one call of `novikov.lincomb`, the package's
-accumulation kernel: a reduction subtracts the multiples of all stored
-rows at once, and an insertion clears its pivot column from each stored
-row that holds it, found through a column index.
+tower walk of Gamma and h) and read the kernel vector that ends at a free
+column (the Gamma witness).  The RREF of a row space is unique, so the
+kernel vectors, the solutions and the residues read from it do not depend
+on the order rows arrived in.  Gamma reads its threshold off the rows or
+off the residue of a row (`Echelon.reduce`), which the Morse min-max reads
+too.  `q_rank`, `q_kernel_basis`, `q_solve` and `poly_matrix_rank` (the
+rank over Q(mu), taken at rational points) read the same form, and no
+module of the package calls them.  Every row operation is one call of
+`novikov.lincomb`, the package's accumulation kernel: a reduction
+subtracts the multiples of all stored rows at once, and an insertion
+clears its pivot column from each stored row that holds it, found through
+a column index.
 """
 
 from __future__ import annotations

@@ -296,29 +296,29 @@ def _cmd_lattice(args) -> int:
     lattice = _load_gram(args.gram)
     m, vecs = minimal_vectors(lattice)
     bounds = gamma_upper_bounds_from_lattice(lattice)
-    lines = [f"m = {m}", f"minimal_vectors = {len(vecs)}"]
+    lines = [f"m = {_text(m)}", f"minimal_vectors = {_text(len(vecs))}"]
     payload: dict = {"m": m, "minimal_vectors": len(vecs)}
     if bounds is None:
         lines.append("no bound")
         payload["bound"] = None
     else:
-        lines.append(f"bound = {bounds['bound']}")
-        lines.append(f"range_max = {bounds['range_max']}")
+        lines.append(f"bound = {_text(bounds['bound'])}")
+        lines.append(f"range_max = {_text(bounds['range_max'])}")
         payload["bound"] = bounds["bound"]
         payload["range_max"] = bounds["range_max"]
     if args.e is not None:
         e = _parse_int_vector(args.e)
         xi = None if args.xi is None else _parse_int_vector(args.xi)
         res = bound_from_class(lattice, e, xi, args.m)
-        lines.append(f"Q(e) = {lattice.q(list(e))}")
+        lines.append(f"Q(e) = {_text(lattice.q(list(e)))}")
         payload["q_e"] = lattice.q(list(e))
         if res is None:
             lines.append("sum vanishes")
             payload["class_bound"] = None
         else:
-            lines.append(f"signed_sum = {res['signed_sum']}")
-            lines.append(f"n0 = {res['n0']}")
-            lines.append(f"class_bound = {res['bound']}")
+            lines.append(f"signed_sum = {_text(res['signed_sum'])}")
+            lines.append(f"n0 = {_text(res['n0'])}")
+            lines.append(f"class_bound = {_text(res['bound'])}")
             payload["class_bound"] = res
     _emit(args, payload, lines)
     return 0

@@ -20,11 +20,13 @@ Threshold read off the RREF.  Put the q columns first and the class in
 decreasing-lift order, and reduce the constraint rows to RREF.  The kernel
 vector v_fc of a free column fc is 1 there and zero at every later column
 and every other free column, so the solutions supported on {r_g >= t} are
-spanned by the v_fc with r(fc) >= t: t* is r(fc) of the first v_fc on
-which the objective is nonzero, and v_fc is the witness.  For k >= 1 the
-objective is a row f, and f·v_fc = f[fc] - sum_p f[p] row_p[fc] is entry
-fc of the residue of f (`Echelon.reduce`), zero on every pivot, so fc is
-its leading column.  For k <= 0 the kernel basis is read in column order.
+spanned by the v_fc with r(fc) >= t: t* is r(fc) of the first v_fc that
+meets the objective, and v_fc is the witness.  Both signs read fc off the
+rows.  For k >= 1, f·v_fc = f[fc] - sum_p f[p] row_p[fc] is entry fc of
+the residue of the objective row f (`Echelon.reduce`): fc is its leading
+column.  For k <= 0, v_fc has a nonzero q entry exactly when fc is a free
+q column or another key of a row with a q pivot (every such key is free):
+fc is the least of these, and with none Gamma(k) = inf.
 
 The d-columns d(l^(r_g) g) of a class are its stored d-rows with each
 exponent shifted by r_g, kept per class on the datum (`_d_columns`).
@@ -42,13 +44,13 @@ Stabilisation for k <= 0.  The q-columns are shifts of the datum's kept
 d2-orbit [u^i d2(1)] (`FloerDatum.d2_orbit`).  If it ends, at the first
 u^m d2(1) = 0, every later u^i d2(1) is zero, and Gamma(k) = 0 for every
 k <= -m: one of i = m, m+1 has the parity of k and is at most -k
-(i = m when k = -m), so q_i is an unknown whose column is zero, q_i = 1
-with alpha = 0 is a solution, and the rank test on the q columns returns
-0.  No branch of its own is needed.  The q-columns stop at the orbit's
-end: only i <= min(-k, m + 1) are built, which keeps that first empty
-column of k's parity, and with it the first free column, the value and
-the witness.  So any k builds at most m/2 + 2 q-columns, whatever |k|,
-from at most m u-applications, made once per datum.
+(i = m when k = -m), so q_i is an unknown whose column is zero, a free q
+column (q_i = 1 with alpha = 0 is a solution), read as the value 0.  No
+branch of its own is needed.  The q-columns stop at the orbit's end: only
+i <= min(-k, m + 1) are built, which keeps that first empty column of k's
+parity, and with it the first free column, the value and the witness.  So
+any k builds at most m/2 + 2 q-columns, whatever |k|, from at most m
+u-applications, made once per datum.
 
 All arithmetic is exact over Q.
 """
@@ -60,7 +62,7 @@ from fractions import Fraction
 from itertools import count
 from typing import NamedTuple
 
-from ._linalg import Echelon, q_rank
+from ._linalg import Echelon
 from .floer_datum import (
     FloerDatum,
     HomogeneousVector,
@@ -124,8 +126,7 @@ def _d_columns(datum: FloerDatum, gens: list[str]) -> list[dict]:
     each exponent shifted by r_g, built once per class and kept on the datum."""
     key = tuple(gens)
     if key not in datum._columns:
-        datum._columns[key] = [{(h, e + datum.lift(g)): c for h, el in datum.d.row(g).items()
-                                for c, e in el.items()} for g in gens]
+        datum._columns[key] = [_keyed(datum.d.row(g), 1, datum.lift(g)) for g in gens]
     return datum._columns[key]
 
 
@@ -208,28 +209,17 @@ def _nonpositive_system(datum: FloerDatum, k: int):
     return gens, q_indices, _rows(columns)
 
 
-def _first_kernel_hit(rows, ncols: int, block) -> tuple[int, dict] | None:
-    """(free column, vector) of the first kernel basis vector nonzero in `block`."""
-    block = set(block)
-    for fc, vec in Echelon(rows).kernel(ncols):
-        if not block.isdisjoint(vec):
-            return fc, vec
-    return None
-
-
 def _gamma_nonpositive(datum: FloerDatum, k: int, want_witness: bool):
     gens, q_indices, rows = _nonpositive_system(datum, k)
     nq = len(q_indices)
-    # (a) a solution with q != 0 and alpha = 0 gives 0; only a witness needs the kernel
-    if q_rank([[row.get(c, 0) for c in range(nq)] for row in rows]) < nq \
-            and not want_witness:
-        return Fraction(0), None
-    hit = _first_kernel_hit(rows, nq + len(gens), range(nq))
-    if hit is None:
+    ech = Echelon(rows)
+    # the free q columns and the other keys of rows with a q pivot (module docstring)
+    fc = min((c for p in range(nq)
+              for c in (ech.rows[p].keys() - {p} if p in ech.rows else (p,))), default=None)
+    if fc is None:
         return INF, None
-    fc, vec = hit
     value = Fraction(0) if fc < nq else max(Fraction(0), -datum.lift(gens[fc - nq]))
-    return value, (_witness(k, gens, vec, q_indices) if want_witness else None)
+    return value, (_witness(k, gens, ech.kernel_vector(fc), q_indices) if want_witness else None)
 
 
 def _require_bounded_orbits(datum: FloerDatum, k: int) -> None:

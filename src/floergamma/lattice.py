@@ -23,6 +23,7 @@ import math
 from fractions import Fraction
 
 from .floer_datum import InputError
+from .novikov import MAX_DIGITS, format_rat
 
 
 class LatticeInputError(InputError):
@@ -163,7 +164,7 @@ def _walk(L: LatticeData, bound: int):
         nodes += 1
         if nodes > WALK_CAP:
             raise LatticeInputError(
-                f"the walk to norm {bound} visits more than {WALK_CAP} nodes, the cap")
+                f"the walk to norm {format_rat(bound)} visits more than {WALK_CAP} nodes, the cap")
         if i < 0:
             if rem < top:
                 found.append((tuple(v), (rem - top) // scale))
@@ -243,7 +244,7 @@ def signed_sum_even(L: LatticeData, e) -> int:
     e = _vector(L, e, "e")
     qe = L.q(list(e))
     if qe % 2 != 0:
-        raise LatticeInputError(f"Q(e) = {qe} is odd; use the weighted sum")
+        raise LatticeInputError(f"Q(e) = {format_rat(qe)} is odd; use the weighted sum")
     return _class_sum(L, e, qe, (0,) * L.rank, 0)
 
 
@@ -258,7 +259,7 @@ def signed_sum_odd(L: LatticeData, e, xi, m: int) -> int:
         raise LatticeInputError("m must be a non-negative integer")
     qe = L.q(list(e))
     if (qe - m) % 2 != 0:
-        raise LatticeInputError(f"parity mismatch: Q(e) = {qe}, m = {m}")
+        raise LatticeInputError(f"parity mismatch: Q(e) = {format_rat(qe)}, m = {format_rat(m)}")
     return _class_sum(L, e, qe, xi, m)
 
 
@@ -271,11 +272,17 @@ def _class_sum(L: LatticeData, e, qe: int, xi, m: int) -> int:
     if witness is not None:
         raise LatticeInputError(
             f"e is not minimal in its class: {witness} has smaller norm")
+    pairings = [sum(a * b for a, b in zip(xi, v)) for v in cls]
+    # |p|^m >= 2^(m (b - 1)) for b the bit length of |p|, and 10^3 < 2^10: at
+    # 3 m (b - 1) >= 10 MAX_DIGITS the largest term has more than MAX_DIGITS digits,
+    # and m is refused before any power is taken.  Below it every power is 0^m,
+    # (+-1)^m or under 2^(7 MAX_DIGITS), and format_rat sizes the sum.
+    if 3 * m * (max(map(abs, pairings)).bit_length() - 1) >= 10 * MAX_DIGITS:
+        raise LatticeInputError(f"(xi . e')^m has more than {MAX_DIGITS} digits")
     total = 0
-    for v in cls:
+    for v, pairing in zip(cls, pairings):
         half = [(x + y) // 2 for x, y in zip(e, v)]
         sign = -1 if L.q(half) % 2 else 1
-        pairing = sum(a * b for a, b in zip(xi, v))
         total += sign * pairing ** m
     return total
 

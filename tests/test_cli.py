@@ -452,6 +452,27 @@ def test_lattice_command_walks_once_per_bound(capsys, tmp_path, monkeypatch):
     assert walks == [1, 8]
 
 
+def test_lattice_weighted_sum_too_long_to_print_is_refused(capsys, tmp_path):
+    # (xi . e')^m past MAX_DIGITS digits is refused before the power is
+    # taken, in both output modes (5^(10^7) alone takes seconds to compute)
+    e8 = tmp_path / "e8.json"
+    e8.write_text(json.dumps({"gram": e8_gram()}))
+    for xi, m in (("1,1,1,1,1,1,1,1", "100000"), ("0,0,5,0,0,0,0,1", "10000000")):
+        for json_flag in ((), ("--json",)):
+            code, out, err = run(capsys, "lattice", str(e8), "--e", "0,0,1,1,1,1,0,0",
+                                 "--xi", xi, "--m", m, *json_flag)
+            assert (code, out, err) == (2, "", "error: (xi . e')^m has more than 4300 digits\n")
+    # on -I_4 the sum is 2^m - 0^m: 2^14284 has 4300 digits, and 2^14286, with
+    # 4301, passes the a-priori test but is refused when printed
+    i4 = tmp_path / "i4.json"
+    i4.write_text(json.dumps({"gram": [[-(i == j) for j in range(4)] for i in range(4)]}))
+    argv = ("lattice", str(i4), "--e", "1,1,0,0", "--xi", "1,1,1,1", "--m")
+    code, out, _ = run(capsys, *argv, "14284")
+    assert code == 0 and f"signed_sum = {2 ** 14284}" in out
+    assert run(capsys, *argv, "14286") == (
+        2, "", "error: a rational of more than 4300 digits is too long to print\n")
+
+
 def test_morse_command(capsys, tmp_path):
     cx = tmp_path / "circle.json"
     cx.write_text(json.dumps({

@@ -24,7 +24,6 @@ from floergamma.floer_datum import (
 )
 from floergamma.gamma import (
     DatumInconsistencyError,
-    _first_kernel_hit,
     eta_lower_bound,
     feasible_nonempty,
     gamma,
@@ -258,7 +257,7 @@ def test_finiteness_threshold_random_data():
 
 def rational_shadow(datum):
     """feasible_nonempty from every map evaluated at l = 1, one dense system
-    and a fresh rank comparison per degree.
+    and a fresh rank comparison per degree, for either sign of k.
 
     Exact for energy-additive data, where every entry from g to h carries
     the exponent r_h - r_g: each image then has one exponent per generator.
@@ -308,9 +307,11 @@ def rational_shadow(datum):
             for _ in range(i):
                 vec = mat_vec(u_m, vec)
             cols.append([-v for v in vec])
+        # a solution with q != 0 exists iff the q columns add their full
+        # count to the rank of the d columns
         rows = [[col[t] for col in cols] for t in range(n)]
-        return _first_kernel_hit(
-            rows, len(cols), list(range(len(gens), len(cols)))) is not None
+        d_rows = [row[:len(gens)] for row in rows]
+        return _linalg.q_rank(rows) < len(q_idx) + _linalg.q_rank(d_rows)
 
     return nonempty
 

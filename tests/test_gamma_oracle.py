@@ -1,11 +1,13 @@
-"""Gamma(k >= 1) against a per-k reference that enumerates the kernel.
+"""Gamma against per-k references that enumerate the kernel.
 
-The reference is the solver from before Gamma read its threshold off one
-residue: it builds one echelon form for each k, adds the k - 1 tower
-levels below, and walks the kernel basis in column order until the
-objective is nonzero on a vector.  The one tower walk must agree with it
-value for value and witness for witness, key order included, on the
-fixtures and on generated data; a profile must agree with per-k Gamma.
+The references are the solvers from before Gamma read its threshold off
+the echelon form.  For k >= 1 the reference builds one echelon form for
+each k, adds the k - 1 tower levels below, and walks the kernel basis in
+column order until the objective is nonzero on a vector.  For k <= 0 it
+walks the kernel basis of the whole system in column order until a vector
+has a nonzero q entry.  Gamma must agree with them value for value and
+witness for witness, key order included, on the fixtures and on
+generated data; a profile must agree with per-k Gamma.
 """
 
 import importlib
@@ -56,6 +58,16 @@ def reference_gamma_positive(datum, k: int, want_witness: bool):
     return INF, None
 
 
+def reference_gamma_nonpositive(datum, k: int):
+    gens, q_indices, rows = gamma_module._nonpositive_system(datum, k)
+    nq = len(q_indices)
+    for fc, vec in reference_kernel(Echelon(rows), nq + len(gens)):
+        if any(c < nq for c in vec):
+            value = Fraction(0) if fc < nq else max(Fraction(0), -datum.lift(gens[fc - nq]))
+            return value, gamma_module._witness(k, gens, vec, q_indices)
+    return INF, None
+
+
 # -- the data ------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -83,6 +95,17 @@ def test_values_and_witnesses_match_the_per_k_reference(data):
             assert gamma(datum, k) == want[0]
             finite += want[0] != INF
     assert finite > 300
+
+
+def test_nonpositive_values_and_witnesses_match_the_kernel_scan(data):
+    # the threshold sits on a q column (0), on a class column, or nowhere (inf)
+    kinds = set()
+    for datum in data + [require_valid(cyclic_u_datum(family="d2"))]:
+        for k in range(-9, 1):
+            want = reference_gamma_nonpositive(datum, k)
+            assert _ordered(gamma(datum, k, want_witness=True)) == _ordered(want), (datum.name, k)
+            kinds.add(want[0] if want[0] in (0, INF) else "lift")
+    assert kinds == {0, INF, "lift"}
 
 
 def test_a_profile_matches_per_k_gamma(data):
