@@ -9,12 +9,12 @@ kernel vectors, the solutions and the residues read from it do not depend
 on the order rows arrived in.  Gamma reads its threshold off the rows or
 off the residue of a row (`Echelon.reduce`), which the Morse min-max reads
 too.  `q_rank`, `q_kernel_basis`, `q_solve` and `poly_matrix_rank` (the
-rank over Q(mu), taken at rational points) read the same form, and no
-module of the package calls them.  Every row operation is one call of
-`novikov.lincomb`, the package's accumulation kernel: a reduction
-subtracts the multiples of all stored rows at once, and an insertion
-clears its pivot column from each stored row that holds it, found through
-a column index.
+rank over Q(mu), taken at rational points) read the same form; only
+`q_rank` is called in the package, on the q block of Gamma(k <= 0).
+Every row operation is one call of `novikov.lincomb`, the package's
+accumulation kernel: a reduction subtracts the multiples of all stored
+rows at once, and an insertion clears its pivot column from each stored
+row that holds it, found through a column index.
 """
 
 from __future__ import annotations
@@ -90,8 +90,8 @@ def _dense(vec: SparseRow, ncols: int) -> list[Fraction]:
     return [vec.get(c, Fraction(0)) for c in range(ncols)]
 
 
-def q_rank(rows: list[list[Fraction]]) -> int:
-    """Rank of a matrix over Q (rows may have any consistent width)."""
+def q_rank(rows: list[Row]) -> int:
+    """Rank of a matrix over Q; rows dense (of any consistent width) or sparse."""
     return Echelon(rows).rank
 
 

@@ -26,7 +26,8 @@ rows.  For k >= 1, f·v_fc = f[fc] - sum_p f[p] row_p[fc] is entry fc of
 the residue of the objective row f (`Echelon.reduce`): fc is its leading
 column.  For k <= 0, v_fc has a nonzero q entry exactly when fc is a free
 q column or another key of a row with a q pivot (every such key is free):
-fc is the least of these, and with none Gamma(k) = inf.
+fc is the least of these, and with none Gamma(k) = inf.  A value without a
+witness is 0 as soon as the q block's rank (`q_rank`) is below its width.
 
 The d-columns d(l^(r_g) g) of a class are its stored d-rows with each
 exponent shifted by r_g, kept per class on the datum (`_d_columns`).
@@ -62,7 +63,7 @@ from fractions import Fraction
 from itertools import count
 from typing import NamedTuple
 
-from ._linalg import Echelon
+from ._linalg import Echelon, q_rank
 from .floer_datum import (
     FloerDatum,
     HomogeneousVector,
@@ -212,6 +213,9 @@ def _nonpositive_system(datum: FloerDatum, k: int):
 def _gamma_nonpositive(datum: FloerDatum, k: int, want_witness: bool):
     gens, q_indices, rows = _nonpositive_system(datum, k)
     nq = len(q_indices)
+    # a q block of rank below nq has a free q column, the value 0 (module docstring)
+    if not want_witness and q_rank([{c: v for c, v in r.items() if c < nq} for r in rows]) < nq:
+        return Fraction(0), None
     ech = Echelon(rows)
     # the free q columns and the other keys of rows with a q pivot (module docstring)
     fc = min((c for p in range(nq)

@@ -273,10 +273,8 @@ def _class_sum(L: LatticeData, e, qe: int, xi, m: int) -> int:
         raise LatticeInputError(
             f"e is not minimal in its class: {witness} has smaller norm")
     pairings = [sum(a * b for a, b in zip(xi, v)) for v in cls]
-    # |p|^m >= 2^(m (b - 1)) for b the bit length of |p|, and 10^3 < 2^10: at
-    # 3 m (b - 1) >= 10 MAX_DIGITS the largest term has more than MAX_DIGITS digits,
-    # and m is refused before any power is taken.  Below it every power is 0^m,
-    # (+-1)^m or under 2^(7 MAX_DIGITS), and format_rat sizes the sum.
+    # |p|^m >= 2^(m (b - 1)), b the bit length of |p|, and 2^10 > 10^3: at 3 m (b - 1) >=
+    # 10 MAX_DIGITS the largest term has more than MAX_DIGITS digits; refuse before any power
     if 3 * m * (max(map(abs, pairings)).bit_length() - 1) >= 10 * MAX_DIGITS:
         raise LatticeInputError(f"(xi . e')^m has more than {MAX_DIGITS} digits")
     total = 0

@@ -115,11 +115,11 @@ def alarmed():
         signal.signal(signal.SIGALRM, previous)
 
 
-def exit_code(argv, usage=False):
+def exit_code(argv):
     """main(argv) under the alarm, output discarded; an escape is returned, not raised.
 
-    With `usage`, argparse's refusal of a flag value, SystemExit(2) with a
-    usage line, is the exit 2 it gives the process.
+    argparse's refusal of a flag value, SystemExit(2) with a usage line, is
+    the exit 2 it gives the process.
     """
     signal.alarm(SECONDS)
     err = io.StringIO()
@@ -127,7 +127,7 @@ def exit_code(argv, usage=False):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             return main(argv)
     except SystemExit as exc:
-        if usage and exc.code == 2 and err.getvalue().startswith("usage: floergamma"):
+        if exc.code == 2 and err.getvalue().startswith("usage: floergamma"):
             return 2
         return exc
     except Exception as exc:  # any escape is the finding
@@ -212,7 +212,7 @@ def test_mutated_lattice_files_and_flags_exit_0_1_or_2(tmp_path):
                 argv += ["--m", rng.choice(M_VALUES)]
             if rng.random() < 0.3:
                 argv.append("--json")
-            code = exit_code(argv, usage=True)
+            code = exit_code(argv)
             codes.add(code if isinstance(code, int) else None)
             if code not in (0, 1, 2):
                 bad.append((argv, path.read_text()[:300], repr(code)))

@@ -104,6 +104,7 @@ def test_nonpositive_values_and_witnesses_match_the_kernel_scan(data):
         for k in range(-9, 1):
             want = reference_gamma_nonpositive(datum, k)
             assert _ordered(gamma(datum, k, want_witness=True)) == _ordered(want), (datum.name, k)
+            assert gamma(datum, k) == want[0], (datum.name, k)  # the q-block rank test
             kinds.add(want[0] if want[0] in (0, INF) else "lift")
     assert kinds == {0, INF, "lift"}
 
