@@ -43,7 +43,6 @@ from .floer_datum import InputError, load_datum, read_json, require_valid, valid
 from .gamma import (
     DatumInconsistencyError,
     MonotonicityError,
-    gamma,
     gamma_profile,
     h_invariant,
     tau_lower_bound,
@@ -175,10 +174,8 @@ def _cmd_gamma(args) -> int:
     datum = load_datum(args.datum)
     if (args.k is None) == (args.range is None):
         raise InputError("give exactly one of --k or --range")
-    if args.k is not None:
-        values = [(args.k, gamma(datum, args.k))]
-    else:
-        values = gamma_profile(datum, *_parse_range(args.range, datum))
+    lo, hi = (args.k, args.k) if args.k is not None else _parse_range(args.range, datum)
+    values = gamma_profile(datum, lo, hi)
     _emit(args, {"gamma": {str(k): v for k, v in values}},
           [f"gamma({k}) = {format_extrat(v)}" for k, v in values])
     return 0

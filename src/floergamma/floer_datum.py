@@ -225,8 +225,8 @@ class FloerDatum:
 
     `_orbits` keeps each generator's d1-orbit [d1(u^j g)] under its name
     and the d2-orbit [u^i d2(1)] under None (`kept_orbit`): each ends at its
-    first zero u^j g or u^i d2(1).  `_columns` keeps the d-columns of each
-    grading class that Gamma reads (`gamma._d_columns`).  The maps must not
+    first zero u^j g or u^i d2(1).  `_classes` keeps the grading class that
+    Gamma(k) reads under k mod 2 (`gamma._class`).  The maps must not
     change once either is read.
     """
 
@@ -240,7 +240,7 @@ class FloerDatum:
             raise InputError("generator names must be unique")
         store_maps(self, DATUM_MAPS, (d, u, d1, d2), self, self)
         self._orbits: dict = {}
-        self._columns: dict = {}
+        self._classes: dict = {}
 
     def require(self, name: str):
         if name not in self._by_name:

@@ -27,10 +27,10 @@ the residue of the objective row f (`Echelon.reduce`): fc is its leading
 column.  For k <= 0, v_fc has a nonzero q entry exactly when fc is a free
 q column or another key of a row with a q pivot (every such key is free):
 fc is the least of these, and with none Gamma(k) = inf.  A value without a
-witness is 0 as soon as the q block's rank (`q_rank`) is below its width.
-
-The d-columns d(l^(r_g) g) of a class are its stored d-rows with each
-exponent shifted by r_g, kept per class on the datum (`_d_columns`).
+witness is 0 once the q block, read off the q columns alone, has rank
+(`q_rank`) below its width.  The class of k, its generators by decreasing
+lift and their d-columns d(l^(r_g) g) (d-rows shifted by r_g), depends
+only on k mod 2 and is kept per parity on the datum (`_class`).
 
 Incremental tower pass.  Within one grading class, which depends only on
 k mod 2, let C_k be the rows of d and of the levels d1(u^j e_g), j < k-1,
@@ -101,13 +101,6 @@ class SpecialSolution(NamedTuple):
     a_tuple: tuple[Fraction, ...] | None  # q_0..q_{-k}, only for k <= 0
 
 
-def _grading_class(datum: FloerDatum, k: int) -> list[str]:
-    """Generators of grading 4k-3 mod 8, by decreasing energy lift."""
-    residue = (4 * k - 3) % 8
-    gens = [g for g in datum.names() if datum.grading(g) % 8 == residue]
-    return sorted(gens, key=datum.lift, reverse=True)
-
-
 def _keyed(image: dict, sign: int = 1, shift: Fraction = Fraction(0)) -> dict:
     """The coefficients of sign · l^shift · image keyed by (generator, exponent)."""
     return {(h, e + shift): sign * c for h, el in image.items() for c, e in el.items()}
@@ -122,13 +115,15 @@ def _rows(columns: list[dict]) -> list[dict[int, Fraction]]:
     return list(rows.values())
 
 
-def _d_columns(datum: FloerDatum, gens: list[str]) -> list[dict]:
-    """The keyed d(l^(r_g) g) for g in a grading class: g's stored d-row with
-    each exponent shifted by r_g, built once per class and kept on the datum."""
-    key = tuple(gens)
-    if key not in datum._columns:
-        datum._columns[key] = [_keyed(datum.d.row(g), 1, datum.lift(g)) for g in gens]
-    return datum._columns[key]
+def _class(datum: FloerDatum, k: int) -> tuple[list[str], list[dict]]:
+    """Generators of grading 4k-3 mod 8 by decreasing lift, and their keyed
+    d(l^(r_g) g), g's d-row shifted by r_g: kept on the datum per k mod 2."""
+    if k % 2 not in datum._classes:
+        residue = (4 * k - 3) % 8
+        gens = sorted((g for g in datum.names() if datum.grading(g) % 8 == residue),
+                      key=datum.lift, reverse=True)
+        datum._classes[k % 2] = gens, [_keyed(datum.d.row(g), 1, datum.lift(g)) for g in gens]
+    return datum._classes[k % 2]
 
 
 def _d1_levels(datum: FloerDatum, gens: list[str]):
@@ -155,8 +150,8 @@ def _tower(datum: FloerDatum, k_top: int):
     """(k, class, echelon of the d rows and the levels below k-1, level k-1)
     for k = 1..k_top in k_top's class; the reader adds level k-1 before the
     next k.  It ends with the levels, or once the rank fills the class."""
-    gens = _grading_class(datum, k_top)
-    ech = Echelon(_rows(_d_columns(datum, gens)))
+    gens, d_columns = _class(datum, k_top)
+    ech = Echelon(_rows(d_columns))
     for k, level in zip(range(1, k_top + 1), _d1_levels(datum, gens)):
         if ech.rank == len(gens):
             return
@@ -192,7 +187,7 @@ def _gamma_positive(datum: FloerDatum, ks, want_witness: bool) -> dict:
 
 
 def _nonpositive_system(datum: FloerDatum, k: int):
-    """Sparse rows of d(alpha) - sum_i u^i d2(a_i): q columns, then the class.
+    """The class and the keyed q columns of d(alpha) - sum_i u^i d2(a_i).
 
     The maps are Lambda-linear, so the column of q_i is
     -l^((-k-i)/2) · u^i d2(1), a shift of entry i of the datum's kept
@@ -201,22 +196,20 @@ def _nonpositive_system(datum: FloerDatum, k: int):
     first empty column of k's parity is among them, and the later ones
     change no pivot before it (module docstring).
     """
-    gens = _grading_class(datum, k)
     orbit = datum.d2_orbit(-k + 1)
     q_indices = [i for i in range(0, min(-k, len(orbit) + 1) + 1) if (i - k) % 2 == 0]
-    columns = [_keyed(orbit[i], -1, Fraction(-k - i, 2)) if i < len(orbit) else {}
-               for i in q_indices]
-    columns += _d_columns(datum, gens)
-    return gens, q_indices, _rows(columns)
+    q_columns = [_keyed(orbit[i], -1, Fraction(-k - i, 2)) if i < len(orbit) else {}
+                 for i in q_indices]
+    return _class(datum, k)[0], q_indices, q_columns
 
 
 def _gamma_nonpositive(datum: FloerDatum, k: int, want_witness: bool):
-    gens, q_indices, rows = _nonpositive_system(datum, k)
+    gens, q_indices, q_columns = _nonpositive_system(datum, k)
     nq = len(q_indices)
     # a q block of rank below nq has a free q column, the value 0 (module docstring)
-    if not want_witness and q_rank([{c: v for c, v in r.items() if c < nq} for r in rows]) < nq:
+    if not want_witness and q_rank(_rows(q_columns)) < nq:
         return Fraction(0), None
-    ech = Echelon(rows)
+    ech = Echelon(_rows(q_columns + _class(datum, k)[1]))
     # the free q columns and the other keys of rows with a q pivot (module docstring)
     fc = min((c for p in range(nq)
               for c in (ech.rows[p].keys() - {p} if p in ech.rows else (p,))), default=None)
@@ -234,7 +227,7 @@ def _require_bounded_orbits(datum: FloerDatum, k: int) -> None:
     if k <= 0:
         orbits = [datum.d2_orbit(ORBIT_CAP + 1)]
     else:
-        orbits = [datum.d1_orbit(g, ORBIT_CAP + 1) for g in _grading_class(datum, k)]
+        orbits = [datum.d1_orbit(g, ORBIT_CAP + 1) for g in _class(datum, k)[0]]
     if any(len(orbit) > ORBIT_CAP for orbit in orbits):
         raise InputError(f"gamma({k}) needs {steps} u-steps on a u-orbit that has not "
                          f"ended within {ORBIT_CAP}, the cap")

@@ -23,7 +23,7 @@ import math
 from fractions import Fraction
 
 from .floer_datum import InputError
-from .novikov import MAX_DIGITS, format_rat
+from .novikov import MAX_DIGITS, TOO_BIG, format_rat
 
 
 class LatticeInputError(InputError):
@@ -219,6 +219,14 @@ def _vector(L: LatticeData, v, name: str) -> tuple[int, ...]:
     return v
 
 
+def _q_e(L: LatticeData, e) -> int:
+    """Q(e), refused before any walk when it is too long to print."""
+    qe = L.q(list(e))
+    if abs(qe) >= TOO_BIG:
+        raise LatticeInputError(f"Q(e) has more than {MAX_DIGITS} digits, too long to print")
+    return qe
+
+
 def _class_pairs(L: LatticeData, e):
     """One representative per pair {e', -e'} with e' = e mod 2, Q(e') = Q(e).
 
@@ -242,7 +250,7 @@ def _class_pairs(L: LatticeData, e):
 def signed_sum_even(L: LatticeData, e) -> int:
     """sum over the class pairs of (-1)^Q((e + e')/2), Q(e) even."""
     e = _vector(L, e, "e")
-    qe = L.q(list(e))
+    qe = _q_e(L, e)
     if qe % 2 != 0:
         raise LatticeInputError(f"Q(e) = {format_rat(qe)} is odd; use the weighted sum")
     return _class_sum(L, e, qe, (0,) * L.rank, 0)
@@ -257,7 +265,7 @@ def signed_sum_odd(L: LatticeData, e, xi, m: int) -> int:
     e = _vector(L, e, "e")
     if m < 0:
         raise LatticeInputError("m must be a non-negative integer")
-    qe = L.q(list(e))
+    qe = _q_e(L, e)
     if (qe - m) % 2 != 0:
         raise LatticeInputError(f"parity mismatch: Q(e) = {format_rat(qe)}, m = {format_rat(m)}")
     return _class_sum(L, e, qe, xi, m)
@@ -293,7 +301,7 @@ def bound_from_class(L: LatticeData, e, xi=None, m: int | None = None):
     sum yields no conclusion.
     """
     e = _vector(L, e, "e")
-    qe = L.q(list(e))
+    qe = _q_e(L, e)
     if xi is None and m is None:
         total = signed_sum_even(L, e)
         n0 = -qe // 2

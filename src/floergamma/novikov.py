@@ -49,7 +49,7 @@ _ZERO = Fraction(0)
 #: Most digits `parse_rat` reads and `format_rat` writes in a numerator or
 #: denominator: Python's default limit for converting between int and str.
 MAX_DIGITS = 4300
-_TOO_BIG = 10 ** MAX_DIGITS
+TOO_BIG = 10 ** MAX_DIGITS
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\Z")
 
 #: Longest spelling `parse_rat` reads.  A value within MAX_DIGITS has a
@@ -102,7 +102,7 @@ def parse_rat(text: str) -> Fraction:
                 raise ValueError("exponent too large")
             value = Fraction(text)
         if (not canonical or len(digits) > MAX_DIGITS or len(den) > MAX_DIGITS) and (
-                abs(value.numerator) >= _TOO_BIG or value.denominator >= _TOO_BIG):
+                abs(value.numerator) >= TOO_BIG or value.denominator >= TOO_BIG):
             raise ValueError("too many digits")
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational: {_quote(text)}") from exc
@@ -142,8 +142,8 @@ def format_rat(value: Fraction | int) -> str:
     One with more than MAX_DIGITS digits in its numerator or denominator
     is refused with `InputError`, since `str` would raise.
     """
-    if isinstance(value, (Fraction, int)) and (abs(value.numerator) >= _TOO_BIG
-                                               or value.denominator >= _TOO_BIG):
+    if isinstance(value, (Fraction, int)) and (abs(value.numerator) >= TOO_BIG
+                                               or value.denominator >= TOO_BIG):
         raise InputError(f"a rational of more than {MAX_DIGITS} digits is too long to print")
     return str(value)
 

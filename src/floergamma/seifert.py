@@ -105,9 +105,6 @@ TERM_CAP = 2_500_000
 # 2-core x86-64 VM with CPython 3.11.
 PRODUCT_CAP = 5000
 
-# The rounded cotangent sum must lie this close to an integer.
-ROUNDING_TOLERANCE = 1e-6
-
 # The sweep checks the tuples of these lengths.
 SWEEP_LENGTHS = (3, 4)
 
@@ -164,7 +161,7 @@ def r_invariant_cotangent(a) -> int:
     exact when E(a) < 1/2; ArithmeticError is raised unless E(a) < 1/4.
 
     A tuple of more than TERM_CAP terms sum(a_i - 1) is refused before
-    any term is computed.  A pre-rounding residual above ROUNDING_TOLERANCE,
+    any term is computed.  A residual above E(a), which the bound excludes,
     or a value that is not an odd integer >= -1, raises ArithmeticError.
     """
     a = _validate_tuple(a)
@@ -179,9 +176,9 @@ def r_invariant_cotangent(a) -> int:
     total = _cotangent_sum(a)
     nearest = round(total)
     residual = abs(total - nearest)
-    if residual > ROUNDING_TOLERANCE:
+    if residual > bound:
         raise ArithmeticError(
-            f"cotangent sum for {_quote(a)} has residual {residual} above {ROUNDING_TOLERANCE}")
+            f"cotangent sum for {_quote(a)} has residual {residual} above its error bound {bound}")
     if nearest % 2 == 0 or nearest < -1:
         raise ArithmeticError(f"cotangent sum for {_quote(a)} rounds to invalid R = {nearest}")
     return nearest

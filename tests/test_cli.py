@@ -31,7 +31,7 @@ from floergamma.gamma import ORBIT_CAP, gamma, gamma_profile, h_invariant
 from floergamma.lattice import LatticeInputError
 from floergamma.morse_minmax import NonCycleError, NullHomologousError
 from floergamma.seifert import SeifertInputError
-from datagen import cyclic_u_datum, identity_cobordism
+from datagen import bundled_fixtures, cyclic_u_datum, identity_cobordism
 from test_lattice import e8_gram
 
 
@@ -473,6 +473,20 @@ def test_lattice_weighted_sum_too_long_to_print_is_refused(capsys, tmp_path):
         2, "", "error: a rational of more than 4300 digits is too long to print\n")
 
 
+def test_lattice_class_norm_too_long_to_print_names_q_e(capsys, tmp_path):
+    # each exited 2 with the generic "a rational of more than 4300 digits is
+    # too long to print", formatted from Q(e) after a walk or in a parity message
+    i4 = tmp_path / "i4.json"
+    i4.write_text(json.dumps({"gram": [[-(i == j) for j in range(4)] for i in range(4)]}))
+    nines, power = "9" * 2500, "1" + "0" * 2500
+    for flags in (("--e", f"1,{nines},0,0"),
+                  ("--e", f"1,{nines},0,0", "--xi", "1,0,0,0", "--m", "2"),
+                  ("--e", f"1,{power},0,0")):
+        for json_flag in ((), ("--json",)):
+            assert run(capsys, "lattice", str(i4), *flags, *json_flag) == (
+                2, "", "error: Q(e) has more than 4300 digits, too long to print\n")
+
+
 def test_morse_command(capsys, tmp_path):
     cx = tmp_path / "circle.json"
     cx.write_text(json.dumps({
@@ -758,6 +772,22 @@ def test_orbit_cap_boundary_on_a_u_that_is_not_nilpotent(capsys, tmp_path):
                        f"that has not ended within {cap}, the cap\n"), family
         code, out, _ = run(capsys, "gamma", str(path), "--k", str(other))
         assert code == 0 and out.startswith(f"gamma({other}) = "), family
+
+
+def test_gamma_k_answers_as_the_one_k_range(capsys, tmp_path):
+    # --k K is the profile of K..K: the same exit code, stdout and stderr
+    names = [name for name, obj in bundled_fixtures() if "source" not in obj]
+    assert len(names) >= 5
+    for name in names:
+        for k in range(-3, 4):
+            for json_flag in ((), ("--json",)):
+                assert run(capsys, "gamma", name, "--k", str(k), *json_flag) == \
+                    run(capsys, "gamma", name, "--range", f"{k}..{k}", *json_flag), (name, k)
+    path = tmp_path / "cyc_d2.json"
+    path.write_text(json.dumps(datum_to_json(cyclic_u_datum(name="cyc_d2", family="d2"))))
+    assert run(capsys, "gamma", str(path), "--k", "-200000") == (
+        2, "", "error: gamma(-200000) needs 200000 u-steps on a u-orbit that has not "
+               "ended within 250, the cap\n")
 
 
 def test_a_range_past_the_orbit_cap_is_refused_before_any_gamma(capsys, tmp_path,

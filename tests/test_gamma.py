@@ -28,6 +28,7 @@ from floergamma.gamma import (
     feasible_nonempty,
     gamma,
     gamma_profile,
+    gamma_values,
     h_invariant,
     tau_lower_bound,
     tau_prime_lower_bound,
@@ -383,11 +384,17 @@ def test_kept_d_columns_match_the_product_reference(seed):
     datum = transformed_datum(rng, random_datum(rng))
     for data in (datum, filtered_basis_change(rng, datum)):
         for k in (1, 2):
-            gens = gamma_module._grading_class(data, k)
-            kept, want = gamma_module._d_columns(data, gens), reference_d_columns(data, gens)
+            gens, kept = gamma_module._class(data, k)
+            residue = (4 * k - 3) % 8
+            assert gens == sorted((g for g in data.names() if data.grading(g) % 8 == residue),
+                                  key=data.lift, reverse=True)
+            want = reference_d_columns(data, gens)
             assert kept == want
             assert [list(col) for col in kept] == [list(col) for col in want]
-            assert gamma_module._d_columns(data, gens) is kept
+            # one kept class per parity of k
+            for other in (k + 2, k - 2, k - 10):
+                assert gamma_module._class(data, other) is gamma_module._class(data, k)
+            assert gamma_module._class(data, k)[1] is kept
 
 
 def test_one_profile_builds_each_class_d_columns_once(monkeypatch):
@@ -402,7 +409,7 @@ def test_one_profile_builds_each_class_d_columns_once(monkeypatch):
     for datum in data:
         reads.clear()
         gamma_profile(datum, -4, 4)
-        gens = gamma_module._grading_class(datum, 1) + gamma_module._grading_class(datum, 2)
+        gens = gamma_module._class(datum, 1)[0] + gamma_module._class(datum, 2)[0]
         assert sorted(reads) == sorted((id(datum.d), g) for g in gens)
         read_rows += sum(bool(row(datum.d, g)) for g in gens)
     assert read_rows > 0
@@ -429,7 +436,7 @@ def test_a_profile_adds_each_tower_level_once_per_parity(monkeypatch):
     # the rows of tower level j, which lives in the class of k = j + 1; d = 0 adds none
     level_rows = []
     for j in range(41):
-        gens = gamma_module._grading_class(datum, j + 1)
+        gens = gamma_module._class(datum, j + 1)[0]
         level = next(itertools.islice(gamma_module._d1_levels(datum, gens), j, None), [])
         level_rows.append(len(gamma_module._rows([{e: c for c, e in el.items()}
                                                   for el in level])))
@@ -483,9 +490,9 @@ def test_gamma_nonpositive_q_columns_do_not_grow_with_k(monkeypatch):
     system = gamma_module._nonpositive_system
 
     def counted(datum, k):
-        gens, q_indices, rows = system(datum, k)
+        gens, q_indices, q_columns = system(datum, k)
         built.append(len(q_indices))
-        return gens, q_indices, rows
+        return gens, q_indices, q_columns
 
     monkeypatch.setattr(gamma_module, "_nonpositive_system", counted)
     datum = load_datum("neg_sigma_2_3_5")
@@ -493,6 +500,23 @@ def test_gamma_nonpositive_q_columns_do_not_grow_with_k(monkeypatch):
         value, witness = gamma(datum, k, want_witness=True)
         assert value == 0 and len(witness.a_tuple) == -k + 1
     assert built == [2, 2, 2]
+
+
+def test_a_nonpositive_range_without_witnesses_reads_no_lift_per_k(monkeypatch):
+    # with d2 = 0 every q column is empty, so each Gamma(k <= 0) is 0 by the
+    # q-block rank test; the classes are kept per parity, so the lifts read
+    # do not grow with the width of the range
+    lift, reads = FloerDatum.lift, []
+    monkeypatch.setattr(FloerDatum, "lift", lambda self, g: reads.append(g) or lift(self, g))
+    counts = []
+    for n in (10, 40, 160):
+        rng = Random(61)
+        datum = require_valid(transformed_datum(rng, random_datum(rng, family="d1")))
+        assert not datum.d2
+        reads.clear()
+        assert gamma_values(-n, 0, datum) == [[(k, 0) for k in range(-n, 1)]]
+        counts.append(len(reads))
+    assert counts[0] == counts[1] == counts[2]
 
 
 def test_gamma_nonpositive_keeps_value_and_witness_without_later_empty_columns(

@@ -41,8 +41,8 @@ def reference_kernel(ech: Echelon, ncols: int):
 
 
 def reference_gamma_positive(datum, k: int, want_witness: bool):
-    gens = gamma_module._grading_class(datum, k)
-    ech = Echelon(gamma_module._rows(gamma_module._d_columns(datum, gens)))
+    gens, d_columns = gamma_module._class(datum, k)
+    ech = Echelon(gamma_module._rows(d_columns))
     levels = gamma_module._d1_levels(datum, gens)
     for level in islice(levels, k - 1):
         for row in gamma_module._rows([{e: c for c, e in el.items()} for el in level]):
@@ -59,8 +59,9 @@ def reference_gamma_positive(datum, k: int, want_witness: bool):
 
 
 def reference_gamma_nonpositive(datum, k: int):
-    gens, q_indices, rows = gamma_module._nonpositive_system(datum, k)
+    gens, q_indices, q_columns = gamma_module._nonpositive_system(datum, k)
     nq = len(q_indices)
+    rows = gamma_module._rows(q_columns + gamma_module._class(datum, k)[1])
     for fc, vec in reference_kernel(Echelon(rows), nq + len(gens)):
         if any(c < nq for c in vec):
             value = Fraction(0) if fc < nq else max(Fraction(0), -datum.lift(gens[fc - nq]))
@@ -118,8 +119,8 @@ def test_kernel_vector_is_the_kernel_entry(data):
     checked = 0
     for datum in data[::10]:
         for k in (1, 2):
-            gens = gamma_module._grading_class(datum, k)
-            ech = Echelon(gamma_module._rows(gamma_module._d_columns(datum, gens)))
+            gens, d_columns = gamma_module._class(datum, k)
+            ech = Echelon(gamma_module._rows(d_columns))
             for level in islice(gamma_module._d1_levels(datum, gens), 2):
                 gamma_module._add_level(ech, level)
             kernel = ech.kernel(len(gens))

@@ -316,6 +316,27 @@ def test_walk_cap_boundary(monkeypatch):
         signed_sum_even(diag(-1, -1), (1, 1))
 
 
+def test_a_class_norm_too_long_to_print_is_named_before_any_walk(monkeypatch):
+    # |Q(e)| >= 10^4300 is refused as Q(e), not by the generic refusal of a
+    # number too long to print, and before a walk to its norm
+    def no_walk(L, bound):
+        raise AssertionError("a walk was taken")
+
+    monkeypatch.setattr(lattice, "_walk", no_walk)
+    i4 = diag(-1, -1, -1, -1)
+    message = r"^Q\(e\) has more than 4300 digits, too long to print$"
+    # Q(e) of 5,001 digits, even and odd; then -10^4300, the least refused
+    for e in ((1, 10 ** 2500 - 1, 0, 0), (1, 10 ** 2500, 0, 0), (10 ** 2150, 0, 0, 0)):
+        for call in (lambda: signed_sum_even(i4, e), lambda: bound_from_class(i4, e),
+                     lambda: signed_sum_odd(i4, e, (1, 0, 0, 0), 2),
+                     lambda: bound_from_class(i4, e, (1, 0, 0, 0), 2)):
+            with pytest.raises(LatticeInputError, match=message):
+                call()
+    # -(10^2150 - 1)^2 has 4300 digits: admitted, and refused for its odd parity
+    with pytest.raises(LatticeInputError, match=r"^Q\(e\) = -9{2149}8.* is odd"):
+        signed_sum_even(i4, (10 ** 2150 - 1, 0, 0, 0))
+
+
 def test_e8_walk_node_count(monkeypatch):
     # E8 at bound 8 visits 48,615 nodes: the root and one per admissible
     # value at each level, complete vectors included

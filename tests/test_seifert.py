@@ -149,6 +149,19 @@ def test_float_audit_refuses_a_bound_of_one_quarter(monkeypatch):
         r_invariant_cotangent((2, 3, 5))
 
 
+def test_float_audit_refuses_a_residual_above_its_error_bound(monkeypatch):
+    # R is an integer and the float sum lies within E(a) of it: a sum off
+    # by E(a)/2 still audits, one off by 2 E(a) is refused, naming the bound
+    t = (2, 3, 5)
+    exact, bound = seifert_invariants(t).r, cotangent_error_bound(t)
+    monkeypatch.setattr(seifert, "_cotangent_sum", lambda a: exact + bound / 2)
+    assert r_invariant_cotangent(t) == exact
+    monkeypatch.setattr(seifert, "_cotangent_sum", lambda a: exact + 2 * bound)
+    with pytest.raises(ArithmeticError, match="above its error bound") as info:
+        r_invariant_cotangent(t)
+    assert str(info.value).endswith(f"error bound {bound}")
+
+
 def test_term_cap_boundary(monkeypatch):
     monkeypatch.setattr(seifert, "TERM_CAP", 27)
     assert r_invariant_cotangent((2, 3, 25)) == seifert_invariants((2, 3, 25)).r  # 27 terms
