@@ -35,7 +35,6 @@ from .cobordism import (
     gamma_comparison,
     load_cobordism,
     mdeg_decay,
-    require_valid_ends,
     verify_tilde_chain_map,
 )
 from .equivariant import Window, verify_triangle
@@ -203,14 +202,13 @@ def _cmd_cobordism_verify(args) -> int:
     cob = load_cobordism(args.cobordism)
     window = _parse_window(args.window)
     rep1 = verify_tilde_chain_map(cob)
-    rep2 = functoriality_report(cob, window) if rep1.ok else None
-    decay = mdeg_decay(cob, window) if rep1.ok else None
-    ok = rep1.ok and rep2 is not None and rep2.ok
     lines = [f"tilde: {'ok' if rep1.ok else rep1.failures[0]}"]
-    if rep2 is not None:
-        lines.append(f"functoriality: {'ok' if rep2.ok else rep2.failures[0]}")
-    if decay is not None:
-        lines.append(f"mdeg_decay = {format_extrat(decay)}")
+    rep2 = decay = None
+    if rep1.ok:
+        rep2, decay = functoriality_report(cob, window), mdeg_decay(cob, window)
+        lines += [f"functoriality: {'ok' if rep2.ok else rep2.failures[0]}",
+                  f"mdeg_decay = {format_extrat(decay)}"]
+    ok = rep1.ok and rep2.ok
     _emit(args, {
         "ok": ok,
         "tilde_failures": rep1.failures,
@@ -237,7 +235,8 @@ def _cmd_cobordism_compose(args) -> int:
 def _cmd_cobordism_compare(args) -> int:
     cob = load_cobordism(args.cobordism)
     lo, hi = _parse_range(args.range, cob.source, cob.target)
-    cob.source, cob.target = require_valid_ends(cob)
+    require_valid(cob.source)
+    require_valid(cob.target)
     rep = verify_tilde_chain_map(cob)
     if not rep.ok:
         raise InputError(f"cobordism is not a chain map: {rep.failures[0]}")

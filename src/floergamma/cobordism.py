@@ -49,7 +49,6 @@ from .floer_datum import (
     LambdaMatrix,
     Record,
     Report,
-    ValidDatum,
     Vector,
     apply_column,
     apply_row,
@@ -63,7 +62,6 @@ from .floer_datum import (
     map_from_json,
     map_to_json,
     read_json,
-    require_valid,
     store_maps,
     vec_add,
     vec_sub,
@@ -102,22 +100,17 @@ class CobordismDatum(Record):
         store_maps(self, COBORDISM_MAPS, [phi, mu, delta1, delta2], source, target)
 
 
-def require_valid_ends(cob: CobordismDatum) -> tuple[ValidDatum, ValidDatum]:
-    """require_valid of both ends; a target that is the source is validated once."""
-    source = require_valid(cob.source)
-    return source, source if cob.target is cob.source else require_valid(cob.target)
-
-
 def validate_cobordism(cob: CobordismDatum) -> Report:
     """The grading rule of every map entry plus endpoint validity.
 
-    An endpoint that is a ValidDatum passed validate when it was built; a
-    target that is the source is validated once and reported for both ends.
+    An endpoint whose `valid` is set passed validate in `require_valid`
+    and is not checked again; a target that is the source is validated
+    once and reported for both ends.
     """
     rep = Report()
     for d, side in ((cob.source, "source"), (cob.target, "target")):
         if side == "source" or d is not cob.source:
-            failures = [] if isinstance(d, ValidDatum) else validate(d).failures
+            failures = [] if d.valid else validate(d).failures
         for msg in failures:
             rep.fail(f"{side} datum: {msg}")
     grading_report(rep, COBORDISM_MAPS, cob, cob.source, cob.target)
@@ -365,11 +358,11 @@ def gamma_comparison(cob: CobordismDatum, k_min: int, k_max: int) -> dict:
     For k >= 1 the bound is gamma_target(k) <= gamma_source(k); for
     k <= 0 it weakens to gamma_target(k) <= max(gamma_source(k), 0).
     Also reports the arithmetic eta lower bound when both spectra are
-    nonempty.  Each end is read through `gamma_values`, so its k >= 1 take
-    one tower walk per parity, and a target that is the source is read once.
+    nonempty.  Each end is validated and read through `gamma_values`, so
+    its k >= 1 take one tower walk per parity, and a target that is the
+    source is read once.
     """
-    source, target = require_valid_ends(cob)
-    ends = (source,) if target is source else (source, target)
+    ends = (cob.source,) if cob.target is cob.source else (cob.source, cob.target)
     profiles = gamma_values(k_min, k_max, *ends)
     rows = []
     all_ok = True

@@ -346,10 +346,11 @@ def verify_triangle(datum: FloerDatum, window: Window) -> Report:
     Reports the first failing identity with the basis element and
     residual.
 
-    Precondition: the datum passes validate; its failure is reported as
-    a precondition failure, since a small window can miss it.
+    Precondition: the datum passes validate, which runs unless its
+    `valid` is set; its failure is reported as a precondition failure,
+    since a small window can miss it.
     """
-    pre = validate(datum)
+    pre = Report() if datum.valid else validate(datum)
     rep = Report()
     if not pre.ok:
         rep.fail(f"precondition: datum fails validation ({pre.failures[0]})")

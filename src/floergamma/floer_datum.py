@@ -226,8 +226,9 @@ class FloerDatum:
     `_orbits` keeps each generator's d1-orbit [d1(u^j g)] under its name
     and the d2-orbit [u^i d2(1)] under None (`kept_orbit`): each ends at its
     first zero u^j g or u^i d2(1).  `_classes` keeps the grading class that
-    Gamma(k) reads under k mod 2 (`gamma._class`).  The maps must not
-    change once either is read.
+    Gamma(k) reads under k mod 2 (`gamma._class`).  `valid` is set only by
+    `require_valid`, once validate passes.  The maps must not change once
+    `valid` is set or either kept table is read.
     """
 
     def __init__(self, name: str, generators: list[Generator],
@@ -239,6 +240,7 @@ class FloerDatum:
         if len(self._by_name) != len(generators):
             raise InputError("generator names must be unique")
         store_maps(self, DATUM_MAPS, (d, u, d1, d2), self, self)
+        self.valid = False
         self._orbits: dict = {}
         self._classes: dict = {}
 
@@ -451,27 +453,16 @@ class InvalidDatumError(InputError):
     """A datum failing validate, which the calculators refuse."""
 
 
-class ValidDatum(FloerDatum):
-    """A datum that passed validate; only require_valid builds one.
-
-    It shares the generators and maps of the datum it was checked from,
-    which nothing changes after construction.
-    """
-
-    def __init__(self, *args, **kwargs):
-        raise TypeError("a ValidDatum is built only by require_valid")
-
-
-def require_valid(datum: FloerDatum) -> ValidDatum:
-    """The datum as a ValidDatum: validate runs unless it already is one."""
-    if isinstance(datum, ValidDatum):
-        return datum
-    rep = validate(datum)
-    if not rep.ok:
-        raise InvalidDatumError(f"datum {datum.name!r} fails validation: {rep}")
-    valid = object.__new__(ValidDatum)
-    valid.__dict__.update(vars(datum))
-    return valid
+def require_valid(datum: FloerDatum) -> FloerDatum:
+    """The datum itself, once it passes validate; raises InvalidDatumError
+    otherwise.  validate runs only while `datum.valid` is unset, and this
+    is the one place that sets it."""
+    if not datum.valid:
+        rep = validate(datum)
+        if not rep.ok:
+            raise InvalidDatumError(f"datum {datum.name!r} fails validation: {rep}")
+        datum.valid = True
+    return datum
 
 
 # ---------------------------------------------------------------------------

@@ -240,7 +240,7 @@ def gamma(datum: FloerDatum, k: int, want_witness: bool = False):
     want_witness is set; the witness is None for infinite values.
     Raises InputError past ORBIT_CAP u-steps on an orbit that has not ended.
     """
-    datum = require_valid(datum)
+    require_valid(datum)
     _require_bounded_orbits(datum, k)
     if k >= 1:
         value, witness = _gamma_positive(datum, [k], want_witness)[k]
@@ -260,7 +260,8 @@ def gamma_values(k_min: int, k_max: int, *data: FloerDatum) -> list[list[tuple]]
     datum that refuses it.  The k >= 1 of a datum take one tower walk per
     parity.
     """
-    data = [require_valid(datum) for datum in data]
+    for datum in data:
+        require_valid(datum)
     first_past = max(k_min, ORBIT_CAP + 2)
     for k in (k_min, first_past, first_past + 1):
         if k <= k_max:
@@ -279,7 +280,7 @@ def gamma_values(k_min: int, k_max: int, *data: FloerDatum) -> list[list[tuple]]
 def gamma_profile(datum: FloerDatum, k_min: int, k_max: int):
     """Per-k gamma over [k_min, k_max] (`gamma_values`); asserts monotone
     non-decreasing."""
-    datum = require_valid(datum)
+    require_valid(datum)
     if k_min > k_max:
         raise ValueError("k_min must not exceed k_max")
     profile, = gamma_values(k_min, k_max, datum)
@@ -327,7 +328,7 @@ def h_invariant(datum: FloerDatum) -> int:
     down to a bound that a guaranteed kernel argument supplies.  An odd
     maximal k is reported as a datum inconsistency.
     """
-    datum = require_valid(datum)
+    require_valid(datum)
     n = len(datum.generators)
     k = max((k for k in (_largest_positive_degree(datum, 1 + 4 * n),
                          _largest_positive_degree(datum, 4 * n)) if k is not None),
@@ -348,21 +349,16 @@ def h_invariant(datum: FloerDatum) -> int:
 # Arithmetic lower bounds from the energy-lift spectrum
 # ---------------------------------------------------------------------------
 
-def _positive_fractional(x: Fraction) -> Fraction:
-    r = x - (x.numerator // x.denominator)  # in [0, 1)
-    return r if r > 0 else Fraction(1)
-
-
 def _nonnegative_fractional(x: Fraction) -> Fraction:
     return x - (x.numerator // x.denominator)
 
 
 def tau_lower_bound(datum: FloerDatum) -> Fraction:
     """min { r > 0 : r = -r_g mod 1 for some generator g }."""
-    datum = require_valid(datum)
+    require_valid(datum)
     if not datum.generators:
         raise InputError("empty datum has no irreducible classes")
-    return min(_positive_fractional(-g.energy_lift) for g in datum.generators)
+    return min(_nonnegative_fractional(-g.energy_lift) or Fraction(1) for g in datum.generators)
 
 
 def tau_prime_lower_bound(datum: FloerDatum) -> Fraction:
@@ -373,7 +369,7 @@ def tau_prime_lower_bound(datum: FloerDatum) -> Fraction:
     sorted, the gaps are the neighbours' differences and the wrap-around
     r_min + 1 - r_max, which is 1 when there is one residue.
     """
-    datum = require_valid(datum)
+    require_valid(datum)
     if not datum.generators:
         raise InputError("empty datum has no irreducible classes")
     residues = sorted({_nonnegative_fractional(g.energy_lift) for g in datum.generators})

@@ -20,14 +20,15 @@ from floergamma.cobordism import cobordism_to_json
 from floergamma.equivariant import XElement
 from floergamma.floer_datum import (
     InputError,
+    InvalidDatumError,
     Report,
-    ValidDatum,
     apply_row,
+    datum_from_json,
     datum_to_json,
     load_datum,
     require_valid,
 )
-from floergamma.gamma import ORBIT_CAP, gamma, gamma_profile, h_invariant
+from floergamma.gamma import ORBIT_CAP, gamma, gamma_profile, h_invariant, tau_lower_bound
 from floergamma.lattice import LatticeInputError
 from floergamma.morse_minmax import NonCycleError, NullHomologousError
 from floergamma.seifert import SeifertInputError
@@ -245,7 +246,9 @@ def test_a_value_too_long_to_print_exits_2(capsys, tmp_path):
             assert run(capsys, *argv, *flags) == (2, "", refusal), argv + flags
 
 
-def test_each_datum_is_validated_once(capsys, monkeypatch):
+@pytest.fixture
+def validate_calls(monkeypatch) -> list[str]:
+    """The names of the data validate runs on, in call order."""
     calls = []
     original = floer_datum.validate
 
@@ -255,7 +258,11 @@ def test_each_datum_is_validated_once(capsys, monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("floergamma") and getattr(module, "validate", None) is original:
             monkeypatch.setattr(module, "validate", counted)
+    return calls
 
+
+def test_each_datum_is_validated_once(capsys, validate_calls):
+    calls = validate_calls
     assert run(capsys, "gamma", "sigma_2_3_5", "--range", "-4..4")[0] == 0
     assert calls == ["sigma_2_3_5"]
     calls.clear()
@@ -271,8 +278,96 @@ def test_each_datum_is_validated_once(capsys, monkeypatch):
     gamma_profile(valid, -4, 4)
     h_invariant(valid)
     assert calls == []
-    with pytest.raises(TypeError):
-        ValidDatum("x", [], None, None, {}, {})
+
+
+def test_the_public_calls_validate_a_loaded_datum_once(validate_calls):
+    datum = load_datum("sigma_2_3_5")
+    for k in range(-3, 4):
+        gamma(datum, k)
+    h_invariant(datum)
+    tau_lower_bound(datum)
+    gamma_profile(datum, -3, 3)
+    assert validate_calls == ["sigma_2_3_5"]
+    assert require_valid(datum) is datum and datum.valid is True
+    # the triangle verifier reads the flag too
+    assert equivariant.verify_triangle(datum, equivariant.Window(2, 1)).ok
+    assert validate_calls == ["sigma_2_3_5"]
+
+
+#: d: x -> y and d1(y) != 0, so validate fails with d1∘d != 0 at x
+D1_AFTER_D = {
+    "name": "d1_after_d",
+    "generators": [{"name": "x", "grading": 2, "energy_lift": "-3/2"},
+                   {"name": "y", "grading": 1, "energy_lift": "-1/2"}],
+    "d": [{"from": "x", "to": "y", "terms": [{"coeff": "1", "exp": "1"}]}],
+    "d1": [{"from": "y", "terms": [{"coeff": "1", "exp": "1/2"}]}],
+}
+D1_AFTER_D_FAILURE = "d1∘d != 0 at x: residual 1*l^(3/2)"
+
+
+def test_an_invalid_datum_is_refused_on_every_call(validate_calls):
+    datum = datum_from_json(D1_AFTER_D)
+    calls = (lambda: require_valid(datum), lambda: gamma(datum, 1), lambda: gamma(datum, -1),
+             lambda: h_invariant(datum), lambda: tau_lower_bound(datum),
+             lambda: gamma_profile(datum, -1, 1), lambda: require_valid(datum))
+    for call in calls:
+        with pytest.raises(InvalidDatumError) as refusal:
+            call()
+        assert str(refusal.value) == f"datum 'd1_after_d' fails validation: {D1_AFTER_D_FAILURE}"
+        assert datum.valid is False
+    assert validate_calls == ["d1_after_d"] * len(calls)
+
+
+def test_gamma_comparison_reads_a_shared_end_once(validate_calls, monkeypatch):
+    datum = load_datum("sigma_2_3_5")
+    cob = identity_cobordism(datum)
+    read = []
+    original = cobordism.gamma_values
+
+    def recorded(k_min, k_max, *data):
+        read.append(data)
+        return original(k_min, k_max, *data)
+    monkeypatch.setattr(cobordism, "gamma_values", recorded)
+    for _ in range(2):
+        result = cobordism.gamma_comparison(cob, -2, 2)
+        assert result["nonincreasing"] and all(r["source"] == r["target"]
+                                               for r in result["rows"])
+    assert validate_calls == ["sigma_2_3_5"] and datum.valid is True
+    assert len(read) == 2 and all(len(data) == 1 and data[0] is datum for data in read)
+
+
+def _identity_over(tmp_path, datum: dict) -> str:
+    """An identity cobordism whose source and target name one datum file."""
+    path = tmp_path / f"{datum['name']}.json"
+    path.write_text(json.dumps(datum))
+    one = [{"coeff": "1", "exp": "0"}]
+    cob = tmp_path / "identity.json"
+    cob.write_text(json.dumps({
+        "source": str(path), "target": str(path), "c": 1,
+        "phi": [{"from": g["name"], "to": g["name"], "terms": one}
+                for g in datum["generators"]],
+        "mu": [], "delta1": [], "delta2": []}))
+    return str(cob)
+
+
+def test_gamma_compare_refuses_an_invalid_shared_end(capsys, tmp_path):
+    cob = _identity_over(tmp_path, D1_AFTER_D)
+    refusal = f"error: datum 'd1_after_d' fails validation: {D1_AFTER_D_FAILURE}\n"
+    for flags in ([], ["--json"]):
+        assert run(capsys, "cobordism", "gamma-compare", cob, "--range", "1..2",
+                   *flags) == (2, "", refusal), flags
+
+
+def test_cobordism_verify_reports_an_invalid_shared_end_at_both_ends(capsys, tmp_path):
+    cob = _identity_over(tmp_path, D1_AFTER_D)
+    argv = ("cobordism", "verify", cob, "--window", "6,4")
+    assert run(capsys, *argv) == (1, f"tilde: source datum: {D1_AFTER_D_FAILURE}\n", "")
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {
+        "ok": False, "functoriality_failures": None, "mdeg_decay": None,
+        "tilde_failures": [f"source datum: {D1_AFTER_D_FAILURE}",
+                           f"target datum: {D1_AFTER_D_FAILURE}"]}
 
 
 def test_triangle_command(capsys, tmp_path):
@@ -282,16 +377,15 @@ def test_triangle_command(capsys, tmp_path):
     assert code == 2
     # d1∘d != 0: refused as a failed precondition at every window, 2,1 included
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({
-        "name": "d1_after_d",
-        "generators": [{"name": "x", "grading": 2, "energy_lift": "-3/2"},
-                       {"name": "y", "grading": 1, "energy_lift": "-1/2"}],
-        "d": [{"from": "x", "to": "y", "terms": [{"coeff": "1", "exp": "1"}]}],
-        "d1": [{"from": "y", "terms": [{"coeff": "1", "exp": "1/2"}]}],
-    }))
+    bad.write_text(json.dumps(D1_AFTER_D))
     for window in ("2,1", "3,1", "6,4"):
         code, out, _ = run(capsys, "triangle", str(bad), "--window", window)
         assert code == 1 and out.startswith("triangle: precondition:"), window
+    failure = f"precondition: datum fails validation ({D1_AFTER_D_FAILURE})"
+    assert run(capsys, "triangle", str(bad), "--window", "6,4") == (
+        1, f"triangle: {failure}\n", "")
+    code, out, err = run(capsys, "triangle", str(bad), "--window", "6,4", "--json")
+    assert (code, json.loads(out), err) == (1, {"ok": False, "failures": [failure]}, "")
 
 
 def test_seifert_commands(capsys):
