@@ -18,7 +18,11 @@ precondition, exit 1.  Input files are read by path, or else as the
 bundled fixture of that name.  Every subcommand accepts --json for a
 machine-readable object carrying the same values.  A call builds only the
 parsers on the command path its argv names; the other commands appear
-only in the root usage line.
+only in the root usage line.  Importing this runs novikov, _linalg,
+floer_datum and gamma, whose names it binds (tests patch cli.gamma_profile
+and cli.h_invariant); the handlers read cobordism, equivariant, lattice,
+morse_minmax and seifert, which the package registers lazily, at call
+time, so a command runs only the modules it uses.
 """
 
 from __future__ import annotations
@@ -28,16 +32,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .cobordism import (
-    cobordism_to_json,
-    compose_tilde,
-    functoriality_report,
-    gamma_comparison,
-    load_cobordism,
-    mdeg_decay,
-    verify_tilde_chain_map,
-)
-from .equivariant import Window, verify_triangle
+from . import cobordism, equivariant, lattice, morse_minmax, seifert
 from .floer_datum import InputError, load_datum, read_json, require_valid, validate
 from .gamma import (
     DatumInconsistencyError,
@@ -47,21 +42,7 @@ from .gamma import (
     tau_lower_bound,
     tau_prime_lower_bound,
 )
-from .lattice import (
-    LatticeData,
-    bound_from_class,
-    gamma_upper_bounds_from_lattice,
-    minimal_vectors,
-)
-from .morse_minmax import evaluate_class, load_morse, parse_class
 from .novikov import INF, format_extrat, format_rat
-from .seifert import (
-    gamma_prediction,
-    r_invariant_cotangent,
-    seifert_invariants,
-    sweep,
-    whitehead_double_bounds,
-)
 
 
 def _jsonable(value):
@@ -119,10 +100,10 @@ WINDOW_CAP = 2000
 RANGE_CAP = 100_000
 
 
-def _parse_window(text: str) -> Window:
+def _parse_window(text: str) -> equivariant.Window:
     try:
         t, n = text.split(",")
-        window = Window(int(t), int(n))
+        window = equivariant.Window(int(t), int(n))
     except (ValueError, TypeError) as exc:
         raise InputError(f"bad window {text!r}; expected T,N") from exc
     if window.T + window.N > WINDOW_CAP:
@@ -153,11 +134,11 @@ def _parse_int_vector(text: str) -> tuple[int, ...]:
         raise InputError(f"bad integer vector {text!r}") from exc
 
 
-def _load_gram(path: str) -> LatticeData:
+def _load_gram(path: str) -> lattice.LatticeData:
     obj = read_json(path, "lattice")
     if not isinstance(obj, dict) or set(obj) != {"gram"}:
         raise InputError('lattice file must be {"gram": [[...]]}')
-    return LatticeData(obj["gram"])
+    return lattice.LatticeData(obj["gram"])
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -192,20 +173,20 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_triangle(args) -> int:
-    rep = verify_triangle(load_datum(args.datum), _parse_window(args.window))
+    rep = equivariant.verify_triangle(load_datum(args.datum), _parse_window(args.window))
     _emit(args, {"ok": rep.ok, "failures": rep.failures},
           ["triangle: ok"] if rep.ok else [f"triangle: {rep.failures[0]}"])
     return 0 if rep.ok else 1
 
 
 def _cmd_cobordism_verify(args) -> int:
-    cob = load_cobordism(args.cobordism)
+    cob = cobordism.load_cobordism(args.cobordism)
     window = _parse_window(args.window)
-    rep1 = verify_tilde_chain_map(cob)
+    rep1 = cobordism.verify_tilde_chain_map(cob)
     lines = [f"tilde: {'ok' if rep1.ok else rep1.failures[0]}"]
     rep2 = decay = None
     if rep1.ok:
-        rep2, decay = functoriality_report(cob, window), mdeg_decay(cob, window)
+        rep2, decay = cobordism.functoriality_report(cob, window), cobordism.mdeg_decay(cob, window)
         lines += [f"functoriality: {'ok' if rep2.ok else rep2.failures[0]}",
                   f"mdeg_decay = {format_extrat(decay)}"]
     ok = rep1.ok and rep2.ok
@@ -219,10 +200,10 @@ def _cmd_cobordism_verify(args) -> int:
 
 
 def _cmd_cobordism_compose(args) -> int:
-    first = load_cobordism(args.first)
-    second = first if args.second == args.first else load_cobordism(args.second)
-    composed = compose_tilde(first, second)
-    text = _dumps(cobordism_to_json(composed), indent=2) + "\n"
+    first = cobordism.load_cobordism(args.first)
+    second = first if args.second == args.first else cobordism.load_cobordism(args.second)
+    composed = cobordism.compose_tilde(first, second)
+    text = _dumps(cobordism.cobordism_to_json(composed), indent=2) + "\n"
     try:
         with open(args.output, "w") as f:
             f.write(text)
@@ -233,14 +214,14 @@ def _cmd_cobordism_compose(args) -> int:
 
 
 def _cmd_cobordism_compare(args) -> int:
-    cob = load_cobordism(args.cobordism)
+    cob = cobordism.load_cobordism(args.cobordism)
     lo, hi = _parse_range(args.range, cob.source, cob.target)
     require_valid(cob.source)
     require_valid(cob.target)
-    rep = verify_tilde_chain_map(cob)
+    rep = cobordism.verify_tilde_chain_map(cob)
     if not rep.ok:
         raise InputError(f"cobordism is not a chain map: {rep.failures[0]}")
-    result = gamma_comparison(cob, lo, hi)
+    result = cobordism.gamma_comparison(cob, lo, hi)
     lines = [f"compare({row['k']}) = source {format_extrat(row['source'])} "
              f"target {format_extrat(row['target'])} {'ok' if row['ok'] else 'violated'}"
              for row in result["rows"]]
@@ -252,8 +233,8 @@ def _cmd_cobordism_compare(args) -> int:
 
 
 def _cmd_seifert_r(args) -> int:
-    inv = seifert_invariants(args.orbit)
-    cot = r_invariant_cotangent(args.orbit)
+    inv = seifert.seifert_invariants(args.orbit)
+    cot = seifert.r_invariant_cotangent(args.orbit)
     if cot != inv.r:
         print(f"cross-formula mismatch: closed {inv.r}, cotangent {cot}",
               file=sys.stderr)
@@ -264,19 +245,19 @@ def _cmd_seifert_r(args) -> int:
 
 
 def _cmd_seifert_gamma(args) -> int:
-    pred = gamma_prediction([_parse_int_vector(t) for t in args.tuples])
+    pred = seifert.gamma_prediction([_parse_int_vector(t) for t in args.tuples])
     _emit(args, {"value": pred.value, "range_max": pred.range_max,
                  "h_lower": pred.h_lower, "dominant": list(pred.dominant)})
     return 0
 
 
 def _cmd_seifert_whitehead(args) -> int:
-    _emit(args, whitehead_double_bounds(args.p, args.q))
+    _emit(args, seifert.whitehead_double_bounds(args.p, args.q))
     return 0
 
 
 def _cmd_seifert_sweep(args) -> int:
-    res = sweep(args.max_product)
+    res = seifert.sweep(args.max_product)
     lines = [f"checked = {res['checked']}",
              f"mismatches = {len(res['mismatches'])}"]
     for t, exact, got in res["mismatches"]:
@@ -289,9 +270,9 @@ def _cmd_seifert_sweep(args) -> int:
 def _cmd_lattice(args) -> int:
     if args.e is None and (args.xi is not None or args.m is not None):
         raise InputError("--xi and --m need --e")
-    lattice = _load_gram(args.gram)
-    m, vecs = minimal_vectors(lattice)
-    bounds = gamma_upper_bounds_from_lattice(lattice)
+    lat = _load_gram(args.gram)
+    m, vecs = lattice.minimal_vectors(lat)
+    bounds = lattice.gamma_upper_bounds_from_lattice(lat)
     lines = [f"m = {_text(m)}", f"minimal_vectors = {_text(len(vecs))}"]
     payload: dict = {"m": m, "minimal_vectors": len(vecs)}
     if bounds is None:
@@ -305,9 +286,9 @@ def _cmd_lattice(args) -> int:
     if args.e is not None:
         e = _parse_int_vector(args.e)
         xi = None if args.xi is None else _parse_int_vector(args.xi)
-        res = bound_from_class(lattice, e, xi, args.m)
-        lines.append(f"Q(e) = {_text(lattice.q(list(e)))}")
-        payload["q_e"] = lattice.q(list(e))
+        res = lattice.bound_from_class(lat, e, xi, args.m)
+        lines.append(f"Q(e) = {_text(lat.q(list(e)))}")
+        payload["q_e"] = lat.q(list(e))
         if res is None:
             lines.append("sum vanishes")
             payload["class_bound"] = None
@@ -321,8 +302,8 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_morse_eval(args) -> int:
-    _emit(args, {"f": evaluate_class(load_morse(args.complex),
-                                     parse_class(getattr(args, "class")))})
+    _emit(args, {"f": morse_minmax.evaluate_class(morse_minmax.load_morse(args.complex),
+                                                  morse_minmax.parse_class(getattr(args, "class")))})
     return 0
 
 

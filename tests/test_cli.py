@@ -441,22 +441,45 @@ def test_import_needs_only_the_standard_library():
     assert res.stdout == "[]\n"
 
 
-def _loaded_by_cli_import(*modules) -> str:
-    """The sorted list of `modules` a fresh `import floergamma.cli` loads,
-    without site, as printed."""
+def _without_site(code: str) -> str:
+    """What `code` prints in a fresh interpreter without site, run in src."""
     src = Path(__file__).resolve().parent.parent / "src"
-    code = ("import sys\n"
-            "import floergamma.cli\n"
-            f"print(sorted({set(modules)!r} & set(sys.modules)))\n")
     res = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                          text=True, cwd=src, check=True)
     return res.stdout
+
+
+def _loaded_by_cli_import(*modules) -> str:
+    """The sorted list of `modules` a fresh `import floergamma.cli` loads,
+    without site, as printed."""
+    return _without_site("import sys\n"
+                         "import floergamma.cli\n"
+                         f"print(sorted({set(modules)!r} & set(sys.modules)))\n")
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
     # dataclasses, with the inspect, ast and dis it imports, was a sixth of
     # the import time of the command line
     assert _loaded_by_cli_import("dataclasses", "inspect") == "[]\n"
+
+
+def test_import_runs_only_the_modules_a_command_uses():
+    # a module registered lazily is a _LazyModule until its first attribute
+    # access runs it; type() reads no attribute, so it runs nothing
+    unrun = ("print(sorted(name for name, m in sys.modules.items()\n"
+             "             if name.startswith('floergamma') and type(m) is not ModuleType))\n")
+    out = _without_site("import sys\n"
+                        "from types import ModuleType\n"
+                        "import floergamma.cli as cli\n"
+                        f"{unrun}"
+                        "cli.main(['h', 'sigma_2_3_5'])\n"
+                        f"{unrun}"
+                        "cli.main(['seifert', 'r', '2', '3', '5'])\n"
+                        f"{unrun}")
+    five = ["floergamma.cobordism", "floergamma.equivariant", "floergamma.lattice",
+            "floergamma.morse_minmax", "floergamma.seifert"]
+    assert out.splitlines() == [str(five), "h = 1", str(five), "R = 1", "b = 2",
+                                "beta = 1,2,4", "b_tuple = -1,1,1", str(five[:-1])]
 
 
 def test_import_loads_neither_importlib_resources_nor_pathlib():
@@ -786,32 +809,36 @@ def test_gamma_compare_refuses_a_cobordism_that_is_not_a_chain_map(capsys, tmp_p
     cob.write_text(json.dumps({"source": "sigma_2_3_5", "target": "neg_sigma_2_3_5", "c": 1}))
     code, out, _ = run(capsys, "cobordism", "verify", str(cob), "--window", "6,4")
     assert code == 1 and out.startswith("tilde: identity (2) ")
-    monkeypatch.setattr(cli, "gamma_comparison", lambda *a: pytest.fail("compared"))
+    monkeypatch.setattr(cobordism, "gamma_comparison", lambda *a: pytest.fail("compared"))
     code, out, err = run(capsys, "cobordism", "gamma-compare", str(cob), "--range", "-2..2")
     assert code == 2 and out == ""
     assert err == ("error: cobordism is not a chain map: identity (2) d1'∘phi = "
                    "delta1∘d + c·d1 fails at alpha: -1*l^(1/120)\n")
 
 
-def _refuse_work(monkeypatch, *names):
-    for name in names:
-        monkeypatch.setattr(cli, name, lambda *a, name=name: pytest.fail(f"{name} ran"))
+def _refuse_work(monkeypatch, *targets):
+    """Make each (module, name) fail the test if called."""
+    for module, name in targets:
+        monkeypatch.setattr(module, name, lambda *a, name=name: pytest.fail(f"{name} ran"))
 
 
 def test_window_cap_boundary(capsys, tmp_path, monkeypatch):
     cap = cli.WINDOW_CAP
     windows = []
-    monkeypatch.setattr(cli, "verify_triangle", lambda d, w: windows.append(w) or Report())
-    monkeypatch.setattr(cli, "functoriality_report", lambda c, w: windows.append(w) or Report())
-    monkeypatch.setattr(cli, "mdeg_decay", lambda c, w: 0)
+    monkeypatch.setattr(equivariant, "verify_triangle",
+                        lambda d, w: windows.append(w) or Report())
+    monkeypatch.setattr(cobordism, "functoriality_report",
+                        lambda c, w: windows.append(w) or Report())
+    monkeypatch.setattr(cobordism, "mdeg_decay", lambda c, w: 0)
     for argv in (["triangle", "sigma_2_3_5"],
                  ["cobordism", "verify", "delta1_sigma_2_3_5_to_s3"]):
         for window in (f"{cap - 1},1", f"2,{cap - 2}"):
             assert run(capsys, *argv, "--window", window)[0] == 0
         assert [(w.T, w.N) for w in windows] == [(cap - 1, 1), (2, cap - 2)]
         windows.clear()
-    _refuse_work(monkeypatch, "verify_triangle", "verify_tilde_chain_map",
-                 "functoriality_report", "mdeg_decay")
+    _refuse_work(monkeypatch, (equivariant, "verify_triangle"),
+                 (cobordism, "verify_tilde_chain_map"), (cobordism, "functoriality_report"),
+                 (cobordism, "mdeg_decay"))
     for argv in (["triangle", "sigma_2_3_5"],
                  ["cobordism", "verify", "delta1_sigma_2_3_5_to_s3"]):
         for window in (f"{cap},1", f"2,{cap - 1}", f"{10 * cap},{10 * cap}"):
@@ -834,12 +861,13 @@ def test_range_cap_boundary(capsys, tmp_path, monkeypatch):
              (["cobordism", "gamma-compare", str(growing)], cap // 2)]
     seen = []
     monkeypatch.setattr(cli, "gamma_profile", lambda d, lo, hi: seen.append((lo, hi)) or [])
-    monkeypatch.setattr(cli, "gamma_comparison", lambda c, lo, hi: seen.append((lo, hi)) or {
+    monkeypatch.setattr(cobordism, "gamma_comparison", lambda c, lo, hi: seen.append((lo, hi)) or {
         "rows": [], "nonincreasing": True, "eta_lower_bound": None})
     for argv, width in cases[:-1]:
         assert run(capsys, *argv, "--range", f"{1 - width}..0")[0] == 0
         assert seen.pop() == (1 - width, 0)
-    _refuse_work(monkeypatch, "gamma_profile", "gamma_comparison", "verify_tilde_chain_map")
+    _refuse_work(monkeypatch, (cli, "gamma_profile"), (cobordism, "gamma_comparison"),
+                 (cobordism, "verify_tilde_chain_map"))
     for argv, width in cases:
         code, out, err = run(capsys, *argv, "--range", f"{-width}..0")
         assert code == 2 and out == "", argv
