@@ -3,22 +3,25 @@
 One subcommand per calculator; all output is deterministic and
 line-oriented ("key = value"), rationals print as p/q, the infinite
 value prints as "inf".  Exit codes: 0 success or verification pass,
-1 verification failure, 2 malformed input or a datum the calculators
-refuse.  Every refusal is an InputError (the lattice, Seifert and Morse
-refusals subclass it), apart from the two inconsistency errors of the
-Gamma layer, and prints one "error:" line: among them a --window or
---range past its cap, a gamma-compare cobordism that is not a chain map,
-a Gamma that needs more than gamma.ORBIT_CAP u-steps on a u-orbit that
-has not ended by then, a lattice class vector of the wrong length, a
-Seifert orbit tuple longer than seifert.LENGTH_CAP, and a rational or int
-too long to print (novikov.format_rat: text, --json and the file
-`cobordism compose` writes all go through it, the file before it is opened).
+1 verification failure (among them a gamma-compare row that violates the
+bound, "nonincreasing = no"), 2 malformed input or a datum the
+calculators refuse.  Every refusal is an InputError (the lattice, Seifert
+and Morse refusals subclass it), apart from the two inconsistency errors
+of the Gamma layer, and prints one "error:" line: among them a --window
+or --range past its cap, a gamma-compare cobordism that is not a chain
+map, a Gamma that needs more than gamma.ORBIT_CAP u-steps on a u-orbit
+that has not ended by then, a Gamma(k >= 1) below 0, a lattice class
+vector of the wrong length, a Seifert orbit tuple longer than
+seifert.LENGTH_CAP, and a rational or int too long to print
+(novikov.format_rat: text, --json and the file `cobordism compose` writes
+all go through it, the file before it is opened).
 The verifiers report a datum that fails validate as a failed
 precondition, exit 1.  Input files are read by path, or else as the
 bundled fixture of that name.  Every subcommand accepts --json for a
-machine-readable object carrying the same values.  A call builds only the
-parsers on the command path its argv names; the other commands appear
-only in the root usage line.  Importing this runs novikov, _linalg,
+machine-readable object carrying the same values.  The parsers of the
+command path an argv names are built once per process, on first use, and
+reused by every later call on that path; the other commands appear only
+in the root usage line.  Importing this runs novikov, _linalg,
 floer_datum and gamma, whose names it binds (tests patch cli.gamma_profile
 and cli.h_invariant); the handlers read cobordism, equivariant, lattice,
 morse_minmax and seifert, which the package registers lazily, at call
@@ -28,6 +31,7 @@ time, so a command runs only the modules it uses.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -229,7 +233,7 @@ def _cmd_cobordism_compare(args) -> int:
     eta = result["eta_lower_bound"]
     lines.append(f"eta_lb = {format_extrat(eta) if eta is not None else 'n/a'}")
     _emit(args, result, lines)
-    return 0
+    return 0 if result["nonincreasing"] else 1
 
 
 def _cmd_seifert_r(args) -> int:
@@ -351,23 +355,29 @@ COMMANDS = (
 )
 
 
-def build_parser(argv=()) -> argparse.ArgumentParser:
-    """The floergamma parser, with arguments only along argv's command path.
-
-    The path is argv's leading tokens, at most two, that name a command or
-    group; only the COMMANDS entries agreeing with it on their common
-    prefix get parsers.  The other top-level commands appear only in the
-    root's usage metavar, the text argparse would format from the whole
-    tree's choices, so usage lines read as from the whole tree.  An argv
-    that names no command (the default) builds the whole tree and sets no
-    metavar: argparse names the action by its metavar in a choice error
-    ("argument command: invalid choice").
-    """
+def _command_path(argv) -> tuple[str, ...]:
+    """argv's leading tokens, at most two, that name a command or group."""
     known, path = {cmd for cmd, *_ in COMMANDS}, ()
     for token in argv[:2]:
         if path + (token,) not in known:
             break
         path += (token,)
+    return path
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The floergamma parser, with arguments only along argv's command path.
+
+    The path is `_command_path(argv)`; only the COMMANDS entries agreeing
+    with it on their common prefix get parsers.  The other top-level
+    commands appear only in the root's usage metavar, the text argparse
+    would format from the whole tree's choices, so usage lines read as from
+    the whole tree.  An argv
+    that names no command (the default) builds the whole tree and sets no
+    metavar: argparse names the action by its metavar in a choice error
+    ("argument command: invalid choice").
+    """
+    path = _command_path(argv)
     parser = argparse.ArgumentParser(
         prog="floergamma",
         description="Exact calculators for chain-level homology cobordism invariants",
@@ -390,6 +400,14 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser(path: tuple[str, ...]) -> argparse.ArgumentParser:
+    """build_parser's parser for a command path, built on first use and
+    reused: parse_args leaves a parser as it was, and usage and help are
+    formatted and written when printed."""
+    return build_parser(path)
+
+
 def _merge_dashed_values(argv: list[str]) -> list[str]:
     # argparse rejects option values like "-2..3"; fold them into --flag=value
     merged = []
@@ -410,7 +428,7 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     argv = _merge_dashed_values(list(argv))
-    args = build_parser(argv).parse_args(argv)
+    args = _parser(_command_path(argv)).parse_args(argv)
     try:
         return args.func(args)
     except (InputError, DatumInconsistencyError, MonotonicityError) as exc:

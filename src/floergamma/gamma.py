@@ -14,7 +14,11 @@ exponent) makes every constraint a Q-linear row in the unknowns s:
 Gamma(k) is -t*, where t* is the largest energy lift t admitting a
 solution supported on {r_g >= t} with a nonzero objective, clamped at 0
 for k <= 0 (where a solution with alpha = 0 gives 0), and +inf when no
-solution has a nonzero objective.
+solution has a nonzero objective.  A Gamma(k >= 1) below 0 (t* > 0) is
+refused with DatumInconsistencyError where it is computed, so every call
+and range that reaches k refuses it alike.  Every generator the objective
+meets has r_g = -(a sum of the datum's exponents), so on data whose every
+exponent is >= 0 the refusal never fires.
 
 Threshold read off the RREF.  Put the q columns first and the class in
 decreasing-lift order, and reduce the constraint rows to RREF.  The kernel
@@ -178,7 +182,11 @@ def _gamma_positive(datum: FloerDatum, ks, want_witness: bool) -> dict:
             residue = ech.reduce({c: el.coefficient(0) for c, el in enumerate(level)})
             if residue:
                 fc = min(residue)
-                out[k] = -datum.lift(gens[fc]), (
+                value = -datum.lift(gens[fc])
+                if value < 0:
+                    raise DatumInconsistencyError(
+                        f"gamma({k}) = {value} is below 0 on {datum.name!r}")
+                out[k] = value, (
                     _witness(k, gens, ech.kernel_vector(fc)) if want_witness else None)
         if k == last:
             break
@@ -238,7 +246,8 @@ def gamma(datum: FloerDatum, k: int, want_witness: bool = False):
 
     Returns the value alone, or a (value, witness) pair when
     want_witness is set; the witness is None for infinite values.
-    Raises InputError past ORBIT_CAP u-steps on an orbit that has not ended.
+    Raises InputError past ORBIT_CAP u-steps on an orbit that has not ended,
+    and DatumInconsistencyError on a value below 0 for k >= 1.
     """
     require_valid(datum)
     _require_bounded_orbits(datum, k)

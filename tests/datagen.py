@@ -16,7 +16,8 @@ The module also keeps the readers that only tests need: homogeneous
 projection and its inverse, the x-degree of a bar element, the
 quadratic reference for the tau' bound, the list of bundled fixtures,
 the Chern-Simons trichotomy check on Gamma values, the Furuta
-independence fingerprints of Seifert orbit data and the identity cobordism.
+independence fingerprints of Seifert orbit data, the identity cobordism
+and the least exponent of a datum's maps.
 """
 
 import json
@@ -27,11 +28,13 @@ from random import Random
 from floergamma.cobordism import CobordismDatum
 from floergamma.equivariant import XElement
 from floergamma.floer_datum import (
+    DATUM_MAPS,
     FloerDatum,
     Generator,
     HomogeneousVector,
     LambdaMatrix,
     Report,
+    map_entries,
     require_valid,
     validate,
     vec_add,
@@ -80,6 +83,12 @@ def tau_prime_by_pairs(datum: FloerDatum) -> Fraction:
     r_g' - r_g mod 1, where a difference of 0 counts as 1."""
     lifts = [g.energy_lift for g in datum.generators]
     return min((r2 - r1) % 1 or Fraction(1) for r1 in lifts for r2 in lifts)
+
+
+def least_exponent(datum: FloerDatum):
+    """The least exponent in any entry of d, u, d1 and d2; inf with none."""
+    return min((el.mdeg() for key, end, _ in DATUM_MAPS
+                for *_, el in map_entries(getattr(datum, key), end)), default=INF)
 
 
 def random_lift(rng: Random) -> Fraction:

@@ -28,7 +28,14 @@ from floergamma.floer_datum import (
     load_datum,
     require_valid,
 )
-from floergamma.gamma import ORBIT_CAP, gamma, gamma_profile, h_invariant, tau_lower_bound
+from floergamma.gamma import (
+    ORBIT_CAP,
+    DatumInconsistencyError,
+    gamma,
+    gamma_profile,
+    h_invariant,
+    tau_lower_bound,
+)
 from floergamma.lattice import LatticeInputError
 from floergamma.morse_minmax import NonCycleError, NullHomologousError
 from floergamma.seifert import SeifertInputError
@@ -816,6 +823,69 @@ def test_gamma_compare_refuses_a_cobordism_that_is_not_a_chain_map(capsys, tmp_p
                    "delta1∘d + c·d1 fails at alpha: -1*l^(1/120)\n")
 
 
+def _terms(coeff: str, exp: str) -> list[dict]:
+    return [{"coeff": coeff, "exp": exp}]
+
+
+def test_a_negative_gamma_1_is_refused_in_every_range_that_reaches_it(capsys, tmp_path):
+    # one generator a at grading 1 and lift 1/2, d1(a) = l^(-1/2): it validates;
+    # gamma(1) = -1/2 printed with exit 0 in 1..2, and was a monotonicity error in -1..2
+    ident = _identity_over(tmp_path, {
+        "name": "neg_gamma", "generators": [{"name": "a", "grading": 1, "energy_lift": "1/2"}],
+        "d1": [{"from": "a", "terms": _terms("1", "-1/2")}]})
+    datum = str(tmp_path / "neg_gamma.json")
+    assert run(capsys, "validate", datum) == (0, "validate: ok\n", "")
+    refusal = (2, "", "error: gamma(1) = -1/2 is below 0 on 'neg_gamma'\n")
+    for argv in (["gamma", datum, "--range", "1..2"], ["gamma", datum, "--range", "-1..2"],
+                 ["gamma", datum, "--k", "1"],
+                 ["cobordism", "gamma-compare", ident, "--range", "-1..1"]):
+        for json_flag in ((), ("--json",)):
+            assert run(capsys, *argv, *json_flag) == refusal, argv + list(json_flag)
+    with pytest.raises(DatumInconsistencyError, match=r"gamma\(1\) = -1/2 is below 0"):
+        gamma(load_datum(datum), 1)
+    # a range that does not reach k = 1 computes no gamma(1)
+    assert run(capsys, "gamma", datum, "--range", "2..3") == (
+        0, "gamma(2) = inf\ngamma(3) = inf\n", "")
+
+
+def test_gamma_compare_exits_1_on_a_violated_row(capsys, tmp_path):
+    # two valid data, every exponent positive, and a map that cobordism verify
+    # passes; gamma(2) rises from 7/2 to 15/4 across it
+    source, target, cob = (tmp_path / f"{n}.json" for n in ("mono_a", "mono_b", "mono_ab"))
+    source.write_text(json.dumps({
+        "name": "mono_a",
+        "generators": [{"name": "g0", "grading": 1, "energy_lift": "-7/4"},
+                       {"name": "g1", "grading": 5, "energy_lift": "-7/2"}],
+        "u": [{"from": "g1", "to": "g0", "terms": _terms("1", "7/4")}],
+        "d1": [{"from": "g0", "terms": _terms("-1", "7/4")}]}))
+    target.write_text(json.dumps({
+        "name": "mono_b",
+        "generators": [{"name": "g0", "grading": 1, "energy_lift": "-2/3"},
+                       {"name": "g1", "grading": 5, "energy_lift": "-15/4"},
+                       {"name": "g2", "grading": 5, "energy_lift": "-11/8"},
+                       {"name": "g3", "grading": 0, "energy_lift": "1/2"}],
+        "u": [{"from": "g1", "to": "g0", "terms": _terms("-1", "37/12")}],
+        "d1": [{"from": "g0", "terms": _terms("-2", "2/3")}]}))
+    cob.write_text(json.dumps({
+        "source": str(source), "target": str(target), "c": 1,
+        "phi": [{"from": "g0", "to": "g0", "terms": _terms("1/2", "13/12")},
+                {"from": "g1", "to": "g1", "terms": _terms("-1/2", "-1/4")}]}))
+    for path in (source, target):
+        assert run(capsys, "validate", str(path)) == (0, "validate: ok\n", "")
+    assert run(capsys, "cobordism", "verify", str(cob), "--window", "6,4") == (
+        0, "tilde: ok\nfunctoriality: ok\nmdeg_decay = -1/4\n", "")
+    code, out, err = run(capsys, "cobordism", "gamma-compare", str(cob), "--range", "-3..3")
+    assert (code, err) == (1, "")
+    assert out.splitlines()[4:] == ["compare(1) = source 7/4 target 2/3 ok",
+                                    "compare(2) = source 7/2 target 15/4 violated",
+                                    "compare(3) = source inf target inf ok",
+                                    "nonincreasing = no", "eta_lb = 0"]
+    code, out, _ = run(capsys, "cobordism", "gamma-compare", str(cob), "--range", "-3..3", "--json")
+    assert code == 1 and json.loads(out)["nonincreasing"] is False
+    # the rows that hold still exit 0
+    assert run(capsys, "cobordism", "gamma-compare", str(cob), "--range", "1..1")[0] == 0
+
+
 def _refuse_work(monkeypatch, *targets):
     """Make each (module, name) fail the test if called."""
     for module, name in targets:
@@ -1044,13 +1114,45 @@ def test_a_call_builds_only_the_parsers_on_its_command_path(capsys, monkeypatch)
     _counting(monkeypatch, counts, argparse._ActionsContainer, "add_argument", "arguments")
     cli.build_parser()
     assert counts == {"parsers": 18, "arguments": 58}
+    cli._parser.cache_clear()
     for argv, out, parsers, arguments in (
             (["h", "sigma_2_3_5"], "h = 1\n", 2, 4),
+            (["h", "sigma_2_3_5"], "h = 1\n", 0, 0),
             (["cobordism", "verify", "delta1_sigma_2_3_5_to_s3", "--window", "6,4"],
-             "tilde: ok\nfunctoriality: ok\nmdeg_decay = 0\n", 3, 6)):
+             "tilde: ok\nfunctoriality: ok\nmdeg_decay = 0\n", 3, 6),
+            (["cobordism", "verify", "delta1_sigma_2_3_5_to_s3", "--window", "6,4"],
+             "tilde: ok\nfunctoriality: ok\nmdeg_decay = 0\n", 0, 0)):
         counts.clear()
         assert run(capsys, *argv) == (0, out, "")
-        assert counts == {"parsers": parsers, "arguments": arguments}, argv
+        assert counts == Counter(parsers=parsers, arguments=arguments), argv
+
+
+def _outcome(capsys, argv) -> tuple:
+    """(exit code, stdout, stderr) of main(argv), a usage exit included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_a_reused_parser_answers_as_a_fresh_one(capsys):
+    # help, usage errors, a bad --k value and valid calls right after an error
+    corpus = [["-h"], ["gamma", "-h"], ["cobordism", "-h"], ["bogus"], ["cobordism", "bogus"],
+              ["gamma", "sigma_2_3_5", "--bogus"], ["gamma", "sigma_2_3_5", "--k", "x"],
+              ["gamma", "sigma_2_3_5", "--k", "-1"], ["seifert", "r", "x"],
+              ["seifert", "r", "2", "3", "5", "--json"],
+              ["h", "sigma_2_3_5", "extra"], ["h", "sigma_2_3_5"]]
+    fresh = []
+    for argv in corpus:
+        cli._parser.cache_clear()
+        fresh.append(_outcome(capsys, argv))
+    for _ in range(2):
+        assert [_outcome(capsys, argv) for argv in corpus] == fresh
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 2, 2, 2, 2, 0, 2, 0, 2, 0]
+    assert fresh[6][2].endswith("error: argument --k: invalid int value: 'x'\n")
+    assert fresh[7][1] == "gamma(-1) = 0\n" and fresh[-1] == (0, "h = 1\n", "")
 
 
 def test_the_usage_metavar_is_read_off_commands(monkeypatch):

@@ -3,6 +3,7 @@
 import importlib
 import itertools
 import json
+import re
 from fractions import Fraction
 from random import Random
 
@@ -42,6 +43,7 @@ from datagen import (
     d_essential_datum,
     evaluate_at_one,
     filtered_basis_change,
+    least_exponent,
     random_datum,
     random_small_datum,
     tau_prime_by_pairs,
@@ -358,14 +360,36 @@ def test_invariance_under_filtered_basis_change_and_acyclic_pairs():
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1))
+def test_gamma_of_positive_degree_is_nonnegative_when_every_exponent_is(seed):
+    # every generator the objective meets has r_g = -(a sum of exponents) <= 0
+    rng = Random(seed)
+    datum = random_datum(rng)
+    candidates = [datum, filtered_basis_change(rng, datum), transformed_datum(rng, datum)]
+    kept = [data for data in candidates if least_exponent(data) >= 0]
+    assert datum in kept  # random_datum and the shears make no negative exponent
+    for data in kept:
+        assert all(v >= 0 for _, v in gamma_values(1, 4, data)[0]), data.name
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
 def test_d_essential_block_gamma_1(seed):
     # Gamma(1) = -min(r_1, r_2) is read off the d rows; a filtered change
-    # of basis between a1 and a2 leaves it unchanged
+    # of basis between a1 and a2 leaves it unchanged; a value below 0 (both
+    # lifts above 0) is refused, naming the value the d rows give
     rng = Random(seed)
     datum = d_essential_datum(rng)
     expected = -min(datum.lift("a1"), datum.lift("a2"))
-    assert gamma(datum, 1) == expected
-    assert gamma(filtered_basis_change(rng, datum), 1) == expected
+
+    def check(data):
+        if expected >= 0:
+            assert gamma(data, 1) == expected
+            return
+        with pytest.raises(DatumInconsistencyError,
+                           match=re.escape(f"gamma(1) = {expected} is below 0")):
+            gamma(data, 1)
+    check(datum)
+    check(filtered_basis_change(rng, datum))
 
 
 def reference_d_columns(datum, gens):
