@@ -226,7 +226,8 @@ class FloerDatum:
     `_orbits` keeps each generator's d1-orbit [d1(u^j g)] under its name
     and the d2-orbit [u^i d2(1)] under None (`kept_orbit`): each ends at its
     first zero u^j g or u^i d2(1).  `_classes` keeps the grading class that
-    Gamma(k) reads under k mod 2 (`gamma._class`).  `valid` is set only by
+    Gamma(k) reads under k mod 2 (`gamma._class`), and the d2-orbit keyed
+    for Gamma(k <= 0) under None (`gamma._q_orbit`).  `valid` is set only by
     `require_valid`, once validate passes.  The maps must not change once
     `valid` is set or either kept table is read.
     """

@@ -2,8 +2,13 @@
 
 For a validated datum, Gamma at an integer k reads the feasible set of
 homogeneous chains alpha = sum s_g l^(r_g) g over the generators g of
-grading 4k-3 mod 8, the class of k.  Grouping image terms by (generator,
-exponent) makes every constraint a Q-linear row in the unknowns s:
+grading 4k-3 mod 8, the class of k.  Grouping image terms by (generator h,
+level) makes every constraint a Q-linear row in the unknowns s.  A term
+c·l^e at h has the level e - r_h, an integer: validate's weight rule makes
+r_src + e - r_dst an integer for every exponent of every map entry, and so
+for every composite, with Λ at lift 0 (`_keyed`).  A term in Λ, of d1, is
+keyed by its exponent, an integer by the same rule.  So no row key is a
+`Fraction`, and the echelon form (`_linalg.Echelon`) keeps its rows in ints:
 
 * k >= 1: d(alpha) = 0 and d1(u^j alpha) = 0 for j < k-1; the objective
   F(s) is the l^0 coefficient of d1(u^(k-1) alpha).
@@ -26,8 +31,9 @@ vector v_fc of a free column fc is 1 there and zero at every later column
 and every other free column, so the solutions supported on {r_g >= t} are
 spanned by the v_fc with r(fc) >= t: t* is r(fc) of the first v_fc that
 meets the objective, and v_fc is the witness.  Both signs read fc off the
-rows.  For k >= 1, f·v_fc = f[fc] - sum_p f[p] row_p[fc] is entry fc of
-the residue of the objective row f (`Echelon.reduce`): fc is its leading
+rows.  For k >= 1, f·v_fc = f[fc] - sum_p f[p] row_p[fc], row_p scaled to
+pivot entry 1, is entry fc of the residue of the objective row f, of
+which `Echelon.reduce` returns a positive multiple: fc is its leading
 column.  For k <= 0, v_fc has a nonzero q entry exactly when fc is a free
 q column or another key of a row with a q pivot (every such key is free):
 fc is the least of these, and with none Gamma(k) = inf.  A value without a
@@ -46,12 +52,14 @@ vanishes, is the one walk both read: a Gamma profile over k >= 1 and h
 (up to k = 1 + 4n) each take one pass per parity.
 
 Stabilisation for k <= 0.  The q-columns are shifts of the datum's kept
-d2-orbit [u^i d2(1)] (`FloerDatum.d2_orbit`).  If it ends, at the first
-u^m d2(1) = 0, every later u^i d2(1) is zero, and Gamma(k) = 0 for every
-k <= -m: one of i = m, m+1 has the parity of k and is at most -k
-(i = m when k = -m), so q_i is an unknown whose column is zero, a free q
-column (q_i = 1 with alpha = 0 is a solution), read as the value 0.  No
-branch of its own is needed.  The q-columns stop at the orbit's end: only
+d2-orbit [u^i d2(1)] (`FloerDatum.d2_orbit`), each entry keyed once and
+kept on the datum (`_q_orbit`); the column of (k, i) moves its levels up
+by the integer (-k-i)/2, so no Gamma(k <= 0) adds a `Fraction` to build
+its system.  If the orbit ends, at the first u^m d2(1) = 0, every later
+u^i d2(1) is zero, and Gamma(k) = 0 for every k <= -m: one of i = m,
+m+1 has the parity of k and is at most -k (i = m when k = -m), so q_i is
+an unknown whose column is zero, a free q column (q_i = 1 with alpha = 0
+is a solution), read as the value 0.  No branch of its own is needed.  The q-columns stop at the orbit's end: only
 i <= min(-k, m + 1) are built, which keeps that first empty column of k's
 parity, and with it the first free column, the value and the witness.  So
 any k builds at most m/2 + 2 q-columns, whatever |k|, from at most m
@@ -74,7 +82,7 @@ from .floer_datum import (
     InputError,
     require_valid,
 )
-from .novikov import INF, NovikovElement
+from .novikov import INF
 
 # Gamma(k) reads u^j up to j = -k on the d2-orbit (k <= 0), or up to
 # j = k - 1 on the d1-orbits of k's class (k >= 1).  Where u is nilpotent
@@ -83,9 +91,9 @@ from .novikov import INF, NovikovElement
 # one Gamma costs work growing with |k|, a range of k <= 0 quadratic in its
 # width.  Gamma(k) past ORBIT_CAP u-steps on an orbit still nonzero after
 # ORBIT_CAP steps is refused.  On a 2-core x86-64 VM with CPython 3.11.7,
-# `gamma --range -250..250` on datagen.cyclic_u_datum takes 0.08 s (d1
-# family) and 0.2 s (d2 family), whole process; -500..0 on the d2 family
-# took 1.05 s in process and -4000..0 65 s before the cap.
+# `gamma --range -250..250` on datagen.cyclic_u_datum takes 0.08-0.12 s
+# (d1 family) and 0.13-0.18 s (d2 family), whole process; -500..0 on the
+# d2 family took 1.05 s in process and -4000..0 65 s before the cap.
 ORBIT_CAP = 250
 
 
@@ -105,9 +113,32 @@ class SpecialSolution(NamedTuple):
     a_tuple: tuple[Fraction, ...] | None  # q_0..q_{-k}, only for k <= 0
 
 
-def _keyed(image: dict, sign: int = 1, shift: Fraction = Fraction(0)) -> dict:
-    """The coefficients of sign · l^shift · image keyed by (generator, exponent)."""
-    return {(h, e + shift): sign * c for h, el in image.items() for c, e in el.items()}
+def _level(e: Fraction, n: int, d: int) -> int:
+    """The integer e + n/d, in ints: the callers' weight rule makes it integral."""
+    return (e.numerator * d + n * e.denominator) // (e.denominator * d)
+
+
+def _keyed(datum: FloerDatum, image: dict, sign: int = 1, shift: Fraction = Fraction(0)) -> dict:
+    """The coefficients of sign · l^shift · image keyed by (generator h, level):
+    the term c·l^e at h has the integer level e + shift - r_h.
+
+    The image is d(l^(r_g) g), shift r_g, or u^i d2(1), shift 0, on a datum
+    that passed validate, whose weight rule makes r_g + e - r_h (and e - r_h
+    on Λ's side, whose lift is 0) an integer for every exponent e.  Within
+    a column, term (h, e) and level (h, e + shift - r_h) determine each other.
+    """
+    out = {}
+    for h, el in image.items():
+        base = shift - datum.lift(h)
+        n, d = base.numerator, base.denominator
+        for c, e in el.items():
+            out[h, _level(e, n, d)] = -c if sign < 0 else c
+    return out
+
+
+def _shifted(column: dict, levels: int) -> dict:
+    """A keyed column times l^levels, an integer: its levels moved up by `levels`."""
+    return {(h, e + levels): c for (h, e), c in column.items()}
 
 
 def _rows(columns: list[dict]) -> list[dict[int, Fraction]]:
@@ -126,28 +157,29 @@ def _class(datum: FloerDatum, k: int) -> tuple[list[str], list[dict]]:
         residue = (4 * k - 3) % 8
         gens = sorted((g for g in datum.names() if datum.grading(g) % 8 == residue),
                       key=datum.lift, reverse=True)
-        datum._classes[k % 2] = gens, [_keyed(datum.d.row(g), 1, datum.lift(g)) for g in gens]
+        datum._classes[k % 2] = gens, [_keyed(datum, datum.d.row(g), 1, datum.lift(g))
+                                       for g in gens]
     return datum._classes[k % 2]
 
 
 def _d1_levels(datum: FloerDatum, gens: list[str]):
     """Level j = [d1(u^j e_g) for g in gens], for j = 0, 1, ... while some u^j e_g != 0.
 
-    e_g = l^(r_g) g, so level j is the datum's d1-orbits at j, each
-    shifted by l^(r_g); the orbits grow one level per level read.
+    e_g = l^(r_g) g, so level j is the datum's d1-orbits at j, each term
+    c·l^e of d1(u^j g) keyed by its exponent e + r_g in d1(u^j e_g), an
+    integer by the weight rule; the orbits grow one level per level read.
     """
     for j in count():
         orbits = [datum.d1_orbit(g, j + 1) for g in gens]
         if all(len(orbit) <= j for orbit in orbits):
             return
-        yield [orbit[j].shift(datum.lift(g)) if len(orbit) > j else NovikovElement.zero()
-               for g, orbit in zip(gens, orbits)]
+        yield [{_level(e, r.numerator, r.denominator): c for c, e in orbit[j].items()}
+               if len(orbit) > j else {} for orbit, r in zip(orbits, map(datum.lift, gens))]
 
 
-def _add_level(ech: Echelon, level: list[NovikovElement]) -> bool:
+def _add_level(ech: Echelon, level: list[dict]) -> bool:
     """Add a tower level's rows; True when the rank grew."""
-    rows = _rows([{e: c for c, e in el.items()} for el in level])
-    return sum(ech.add(row) for row in rows) > 0
+    return sum(ech.add(row) for row in _rows(level)) > 0
 
 
 def _tower(datum: FloerDatum, k_top: int):
@@ -179,7 +211,7 @@ def _gamma_positive(datum: FloerDatum, ks, want_witness: bool) -> dict:
     out, last = dict.fromkeys(ks, (INF, None)), max(ks)
     for k, gens, ech, level in _tower(datum, last):
         if k in out:
-            residue = ech.reduce({c: el.coefficient(0) for c, el in enumerate(level)})
+            residue = ech.reduce({c: col[0] for c, col in enumerate(level) if 0 in col})
             if residue:
                 fc = min(residue)
                 value = -datum.lift(gens[fc])
@@ -194,19 +226,30 @@ def _gamma_positive(datum: FloerDatum, ks, want_witness: bool) -> dict:
     return out
 
 
+def _q_orbit(datum: FloerDatum, depth: int) -> list[dict]:
+    """The keyed -u^i d2(1) for i < depth, ending early once u^i d2(1) = 0:
+    each entry of the datum's kept d2-orbit is keyed once and kept on the
+    datum, beside the classes, under None."""
+    orbit = datum.d2_orbit(depth)
+    keyed = datum._classes.setdefault(None, [])
+    keyed += [_keyed(datum, orbit[i], -1) for i in range(len(keyed), len(orbit))]
+    return keyed if len(keyed) == len(orbit) else keyed[:len(orbit)]
+
+
 def _nonpositive_system(datum: FloerDatum, k: int):
     """The class and the keyed q columns of d(alpha) - sum_i u^i d2(a_i).
 
     The maps are Lambda-linear, so the column of q_i is
-    -l^((-k-i)/2) · u^i d2(1), a shift of entry i of the datum's kept
-    d2-orbit; past the orbit's end u^i d2(1) = 0 and the column is empty.
-    The q-indices stop at min(-k, m + 1) for an orbit of m entries: the
-    first empty column of k's parity is among them, and the later ones
-    change no pivot before it (module docstring).
+    -l^((-k-i)/2) · u^i d2(1): entry i of the kept keyed d2-orbit with its
+    levels moved up by the integer (-k-i)/2 (i has k's parity); past the
+    orbit's end u^i d2(1) = 0 and the column is empty.  The q-indices stop
+    at min(-k, m + 1) for an orbit of m entries: the first empty column of
+    k's parity is among them, and the later ones change no pivot before it
+    (module docstring).
     """
-    orbit = datum.d2_orbit(-k + 1)
+    orbit = _q_orbit(datum, -k + 1)
     q_indices = [i for i in range(0, min(-k, len(orbit) + 1) + 1) if (i - k) % 2 == 0]
-    q_columns = [_keyed(orbit[i], -1, Fraction(-k - i, 2)) if i < len(orbit) else {}
+    q_columns = [_shifted(orbit[i], (-k - i) // 2) if i < len(orbit) else {}
                  for i in q_indices]
     return _class(datum, k)[0], q_indices, q_columns
 

@@ -130,7 +130,7 @@ def load_morse(path: str) -> MorseComplex:
 
 
 def parse_class(text: str) -> dict[str, Fraction]:
-    """Parse "x:1,y:-1" into a chain."""
+    """Parse "x:1,y:-1" into a chain; a generator named twice is refused."""
     chain: dict[str, Fraction] = {}
     for part in text.split(","):
         part = part.strip()
@@ -139,8 +139,11 @@ def parse_class(text: str) -> dict[str, Fraction]:
         if ":" not in part:
             raise InputError(f"bad class term {part!r}; expected name:coeff")
         name, _, coeff = part.partition(":")
+        name = name.strip()
+        if name in chain:
+            raise InputError(f"repeated generator {name} in class")
         try:
-            chain[name.strip()] = parse_rat(coeff)
+            chain[name] = parse_rat(coeff)
         except ValueError as exc:
             raise InputError(str(exc)) from exc
     return chain

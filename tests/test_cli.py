@@ -77,6 +77,39 @@ def test_h_and_bounds(capsys):
     assert out.splitlines() == ["tau_lb = 1/120", "tau_prime_lb = 2/5"]
 
 
+def trap_json(lifts, exps) -> dict:
+    """The parity trap: d(a) = c, u(c) = -b, d1(a) = 1 and d2(1) = b, at
+    gradings 1, 0 and 4, the lifts of a, c, b and the exponents of d, u, d1, d2."""
+    def t(coeff, exp):
+        return [{"coeff": coeff, "exp": exp}]
+    return {"name": "trap",
+            "generators": [{"name": g, "grading": gr, "energy_lift": r}
+                           for g, gr, r in zip("acb", (1, 0, 4), lifts)],
+            "d": [{"from": "a", "to": "c", "terms": t("1", exps[0])}],
+            "u": [{"from": "c", "to": "b", "terms": t("-1", exps[1])}],
+            "d1": [{"from": "a", "terms": t("1", exps[2])}],
+            "d2": [{"to": "b", "terms": t("1", exps[3])}]}
+
+
+def test_the_parity_trap_validates_and_h_refuses_its_odd_degree(capsys, tmp_path):
+    # the decision pinned here: a datum whose largest feasible degree K is odd
+    # is refused by h, even where every exponent is 0 or every one positive
+    for name, lifts, exps in (("zero", ("0",) * 3, ("0",) * 4),
+                              ("positive", ("-1/2", "-3/10", "1/5"),
+                               ("1/5", "1/2", "1/2", "1/5"))):
+        path = tmp_path / f"trap_{name}.json"
+        path.write_text(json.dumps(trap_json(lifts, exps)))
+        assert run(capsys, "validate", str(path)) == (0, "validate: ok\n", ""), name
+        assert run(capsys, "triangle", str(path), "--window", "6,4") == (
+            0, "triangle: ok\n", ""), name
+        code, out, _ = run(capsys, "gamma", str(path), "--range", "-4..4")
+        assert code == 0 and out.splitlines() == (
+            [f"gamma({k}) = 0" for k in range(-4, 0)]
+            + [f"gamma({k}) = inf" for k in range(0, 5)]), name
+        assert run(capsys, "h", str(path)) == (
+            2, "", "error: largest feasible degree -1 is odd on 'trap'\n"), name
+
+
 def test_bounds_refuses_a_datum_that_h_refuses(capsys, tmp_path):
     # d: a -> b and d1(b) != 0, so validate fails with d1∘d != 0 at a
     bad = tmp_path / "bad.json"
@@ -159,6 +192,9 @@ def test_refused_data_exit_2(capsys, tmp_path):
                              {"name": "b", "grading": 4, "energy_lift": "0"}]},
         "morse": {"boundary": [{"from": "a", "to": "b", "coeff": c} for c in (1, -1)],
                   "generators": [{"name": "a", "index": 1, "value": "2"},
+                                 {"name": "b", "index": 0, "value": "1"}]},
+        # a class naming a twice kept its last term: a:1,a:-1 printed f = 3
+        "class": {"generators": [{"name": "a", "index": 0, "value": "3"},
                                  {"name": "b", "index": 0, "value": "1"}]}}
     # two terms with one exponent used to sum: gamma(1) = inf where either gives 1/2
     repeated["exp"] = dict(repeated["d1"], d1=[
@@ -170,7 +206,11 @@ def test_refused_data_exit_2(capsys, tmp_path):
                         (["gamma", path["exp"], "--k", "1"], "exponent 1/2 in d1 entry at a"),
                         (["validate", path["d"]], "d entry a->b"),
                         (["morse", "eval", path["morse"], "--class", "b:1"],
-                         "boundary entry a->b")):
+                         "boundary entry a->b"),
+                        (["morse", "eval", path["class"], "--class", "a:1,a:-1"],
+                         "generator a in class"),
+                        (["morse", "eval", path["class"], "--class", "b:1, a:1,a :-1"],
+                         "generator a in class")):
         assert run(capsys, *argv) == (2, "", f"error: repeated {label}\n"), argv
     composed = tmp_path / "composed.json"
     for argv in (["gamma", str(broken), "--k", "1"],

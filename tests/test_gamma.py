@@ -392,12 +392,24 @@ def test_d_essential_block_gamma_1(seed):
     check(filtered_basis_change(rng, datum))
 
 
+def integer_level(e: Fraction, lift: Fraction) -> int:
+    """The level e - r_h of a term c·l^e at h, an integer on valid data."""
+    level = e - lift
+    assert level.denominator == 1, (e, lift)
+    return level.numerator
+
+
+def reference_keyed(datum, vec):
+    """A chain vector's terms keyed by (generator h, integer level e - r_h)."""
+    return {(h, integer_level(e, datum.lift(h))): c
+            for h, el in vec.items() for c, e in el.items()}
+
+
 def reference_d_columns(datum, gens):
     """The keyed d(l^(r_g) g) through a Novikov product and `lincomb`: the
-    image of the unit l^(r_g) g, keyed by (generator, exponent)."""
-    units = [{g: NovikovElement.term(1, datum.lift(g))} for g in gens]
-    return [{(h, e): c for h, el in datum.apply_d(unit).items() for c, e in el.items()}
-            for unit in units]
+    image of the unit l^(r_g) g, keyed by (generator, integer level)."""
+    return [reference_keyed(datum, datum.apply_d({g: NovikovElement.term(1, datum.lift(g))}))
+            for g in gens]
 
 
 @settings(max_examples=60, deadline=None)
@@ -419,6 +431,43 @@ def test_kept_d_columns_match_the_product_reference(seed):
             for other in (k + 2, k - 2, k - 10):
                 assert gamma_module._class(data, other) is gamma_module._class(data, k)
             assert gamma_module._class(data, k)[1] is kept
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_q_columns_match_the_product_reference(seed):
+    # the q column of (k, i) is u^i d2(-l^((-k-i)/2)), built here through
+    # Novikov products and keyed by integer level; empty past the orbit's end
+    gamma_module = importlib.import_module("floergamma.gamma")  # not the function
+    rng = Random(seed)
+    datum = require_valid(transformed_datum(rng, random_datum(rng, family="d2")))
+    m = len(datum.d2_orbit(len(datum.generators) + 1))
+    for k in range(-m - 3, 1):
+        _, q_indices, q_columns = gamma_module._nonpositive_system(datum, k)
+        assert q_indices == [i for i in range(min(-k, m + 1) + 1) if (i - k) % 2 == 0]
+        for i, column in zip(q_indices, q_columns):
+            image = datum.apply_d2(NovikovElement.term(-1, Fraction(-k - i, 2)))
+            want = reference_keyed(datum, apply_u_power(datum, image, i))
+            assert column == want and list(column) == list(want)
+            assert bool(column) == (i < m)
+
+
+def test_a_second_nonpositive_range_keys_no_column(monkeypatch):
+    # each d2-orbit entry and each class d-column is keyed once and kept on the datum
+    gamma_module = importlib.import_module("floergamma.gamma")  # not the function
+    rng = Random(89)
+    data = [require_valid(transformed_datum(rng, random_datum(rng, family="d2")))
+            for _ in range(10)]
+    first = [(gamma_values(-12, 0, datum), [gamma(datum, k, True) for k in range(-12, 1)])
+             for datum in data]
+    assert any(len(datum.d2_orbit(13)) > 1 for datum in data)
+
+    def refused(*args):
+        raise AssertionError("a kept column was keyed again")
+
+    monkeypatch.setattr(gamma_module, "_keyed", refused)
+    assert [(gamma_values(-12, 0, datum), [gamma(datum, k, True) for k in range(-12, 1)])
+            for datum in data] == first
 
 
 def test_one_profile_builds_each_class_d_columns_once(monkeypatch):
@@ -462,8 +511,7 @@ def test_a_profile_adds_each_tower_level_once_per_parity(monkeypatch):
     for j in range(41):
         gens = gamma_module._class(datum, j + 1)[0]
         level = next(itertools.islice(gamma_module._d1_levels(datum, gens), j, None), [])
-        level_rows.append(len(gamma_module._rows([{e: c for c, e in el.items()}
-                                                  for el in level])))
+        level_rows.append(len(gamma_module._rows(level)))
     assert level_rows == [1] * 40 + [0]
     adds, add = [], _linalg.Echelon.add
     monkeypatch.setattr(_linalg.Echelon, "add", lambda self, row: adds.append(1) or add(self, row))

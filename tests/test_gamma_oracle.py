@@ -1,13 +1,15 @@
 """Gamma against per-k references that enumerate the kernel.
 
 The references are the solvers from before Gamma read its threshold off
-the echelon form.  For k >= 1 the reference builds one echelon form for
-each k, adds the k - 1 tower levels below, and walks the kernel basis in
-column order until the objective is nonzero on a vector.  For k <= 0 it
-walks the kernel basis of the whole system in column order until a vector
-has a nonzero q entry.  Gamma must agree with them value for value and
-witness for witness, key order included, on the fixtures and on
-generated data; a profile must agree with per-k Gamma.
+the echelon form, keying rows by (generator, exponent) as they did before
+Gamma keyed them by integer level, and building each system from the
+datum's maps through Novikov products.  For k >= 1 the reference builds
+one echelon form for each k, adds the k - 1 tower levels below, and walks
+the kernel basis in column order until the objective is nonzero on a
+vector.  For k <= 0 it walks the kernel basis of the whole system in
+column order until a vector has a nonzero q entry.  Gamma must agree with
+them value for value and witness for witness, key order included, on the
+fixtures and on generated data; a profile must agree with per-k Gamma.
 """
 
 import importlib
@@ -20,7 +22,7 @@ import pytest
 from floergamma._linalg import Echelon
 from floergamma.floer_datum import datum_from_json, require_valid
 from floergamma.gamma import gamma, gamma_profile
-from floergamma.novikov import INF
+from floergamma.novikov import INF, NovikovElement
 
 from datagen import bundled_fixtures, cyclic_u_datum, random_datum, transformed_datum
 
@@ -30,27 +32,61 @@ gamma_module = importlib.import_module("floergamma.gamma")  # not the function
 # -- the reference -------------------------------------------------------------
 
 def reference_kernel(ech: Echelon, ncols: int):
+    """The kernel basis read off the integer rows: -row[fc]/row[p] at each pivot p."""
     for fc in range(ncols):
         if fc in ech.rows:
             continue
         vec = {fc: Fraction(1)}
         for p, row in ech.rows.items():
             if fc in row:
-                vec[p] = -row[fc]
+                vec[p] = Fraction(-row[fc], row[p])
         yield fc, vec
 
 
-def reference_gamma_positive(datum, k: int, want_witness: bool):
-    gens, d_columns = gamma_module._class(datum, k)
-    ech = Echelon(gamma_module._rows(d_columns))
-    levels = gamma_module._d1_levels(datum, gens)
+def keyed_rows(columns):
+    """Sparse rows, one per key of the columns: the keys group terms only."""
+    rows = {}
+    for j, col in enumerate(columns):
+        for key, c in col.items():
+            rows.setdefault(key, {})[j] = c
+    return list(rows.values())
+
+
+def reference_class(datum, k: int):
+    """The generators of grading 4k-3 mod 8 by decreasing lift, and each
+    d(l^(r_g) g) through a Novikov product, keyed by (generator, exponent)."""
+    residue = (4 * k - 3) % 8
+    gens = sorted((g for g in datum.names() if datum.grading(g) % 8 == residue),
+                  key=datum.lift, reverse=True)
+    units = [{g: NovikovElement.term(1, datum.lift(g))} for g in gens]
+    return gens, [{(h, e): c for h, el in datum.apply_d(unit).items() for c, e in el.items()}
+                  for unit in units]
+
+
+def reference_levels(datum, gens):
+    """Level j = [d1(u^j l^(r_g) g) keyed by exponent], while some u^j g != 0."""
+    vecs = [{g: NovikovElement.term(1, datum.lift(g))} for g in gens]
+    while any(vecs):
+        yield [{e: c for c, e in datum.apply_d1(vec).items()} for vec in vecs]
+        vecs = [datum.apply_u(vec) for vec in vecs]
+
+
+def reference_tower(datum, k: int):
+    """The echelon of the d rows and the k - 1 levels below k-1, and level k-1."""
+    gens, d_columns = reference_class(datum, k)
+    ech = Echelon(keyed_rows(d_columns))
+    levels = reference_levels(datum, gens)
     for level in islice(levels, k - 1):
-        for row in gamma_module._rows([{e: c for c, e in el.items()} for el in level]):
+        for row in keyed_rows(level):
             ech.add(row)
-    top = next(levels, None)
+    return gens, ech, next(levels, None)
+
+
+def reference_gamma_positive(datum, k: int, want_witness: bool):
+    gens, ech, top = reference_tower(datum, k)
     if top is None:
         return INF, None
-    objective = [el.coefficient(0) for el in top]
+    objective = [col.get(0, 0) for col in top]
     for fc, vec in reference_kernel(ech, len(gens)):
         if sum(objective[c] * x for c, x in vec.items()) != 0:
             witness = gamma_module._witness(k, gens, vec) if want_witness else None
@@ -59,10 +95,15 @@ def reference_gamma_positive(datum, k: int, want_witness: bool):
 
 
 def reference_gamma_nonpositive(datum, k: int):
-    gens, q_indices, q_columns = gamma_module._nonpositive_system(datum, k)
+    """The kernel scan of d(alpha) = sum_i u^i d2(q_i l^((-k-i)/2)) over the i
+    of k's parity up to min(-k, m + 1), m the length of the d2-orbit."""
+    gens, d_columns = reference_class(datum, k)
+    orbit = datum.d2_orbit(-k + 1)
+    q_indices = [i for i in range(0, min(-k, len(orbit) + 1) + 1) if (i - k) % 2 == 0]
+    q_columns = [{(h, e + Fraction(-k - i, 2)): -c for h, el in orbit[i].items()
+                  for c, e in el.items()} if i < len(orbit) else {} for i in q_indices]
     nq = len(q_indices)
-    rows = gamma_module._rows(q_columns + gamma_module._class(datum, k)[1])
-    for fc, vec in reference_kernel(Echelon(rows), nq + len(gens)):
+    for fc, vec in reference_kernel(Echelon(keyed_rows(q_columns + d_columns)), nq + len(gens)):
         if any(c < nq for c in vec):
             value = Fraction(0) if fc < nq else max(Fraction(0), -datum.lift(gens[fc - nq]))
             return value, gamma_module._witness(k, gens, vec, q_indices)
@@ -118,11 +159,8 @@ def test_a_profile_matches_per_k_gamma(data):
 def test_kernel_vector_is_the_kernel_entry(data):
     checked = 0
     for datum in data[::10]:
-        for k in (1, 2):
-            gens, d_columns = gamma_module._class(datum, k)
-            ech = Echelon(gamma_module._rows(d_columns))
-            for level in islice(gamma_module._d1_levels(datum, gens), 2):
-                gamma_module._add_level(ech, level)
+        for k in (1, 2, 3):
+            gens, ech, _ = reference_tower(datum, k)
             kernel = ech.kernel(len(gens))
             assert [(fc, list(vec.items())) for fc, vec in kernel] == \
                 [(fc, list(vec.items())) for fc, vec in reference_kernel(ech, len(gens))]

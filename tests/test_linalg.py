@@ -1,6 +1,7 @@
 """Exact linear algebra over Q and Q(mu), checked against determinants of minors."""
 
 import itertools
+import math
 from fractions import Fraction
 from random import Random
 
@@ -91,6 +92,16 @@ def test_solve_exactly_when_consistent():
             assert mat_vec(rows, x) == rhs
 
 
+def assert_primitive(ech):
+    """Every stored row is a primitive integer row with a positive pivot entry,
+    and zero at every other row's pivot."""
+    for pivot, row in ech.rows.items():
+        assert min(row) == pivot and row[pivot] > 0
+        assert all(type(v) is int and v for v in row.values())
+        assert math.gcd(*row.values()) == 1
+        assert all(pivot not in other for p, other in ech.rows.items() if p != pivot)
+
+
 def test_echelon_reports_rank_growth_and_stays_reduced():
     for rows, ncols in random_matrices(5):
         ech = Echelon()
@@ -99,14 +110,23 @@ def test_echelon_reports_rank_growth_and_stays_reduced():
             grew = ech.add({c: v for c, v in enumerate(row) if v})
             assert grew == (minor_rank(rows[:i + 1], ncols) > minor_rank(rows[:i], ncols))
         assert ech.rank == minor_rank(rows, ncols)
-        for pivot, row in ech.rows.items():
-            assert min(row) == pivot and row[pivot] == 1
-            assert all(pivot not in other for p, other in ech.rows.items() if p != pivot)
+        assert_primitive(ech)
 
 
-class ScanEchelon(Echelon):
-    """The insertion before the column index: it scans every stored row for
-    the new pivot, the reference for the indexed `Echelon.add`."""
+class ScanEchelon:
+    """The reference for the integer `Echelon`: a `Fraction` RREF whose rows
+    have pivot entry 1.  A reduction subtracts every stored multiple at once;
+    an insertion scales its row to pivot 1 and scans every stored row for
+    the new pivot, where `Echelon` cross-multiplies the rows its column
+    index names."""
+
+    def __init__(self):
+        self.rows = {}
+
+    def reduce(self, row):
+        row = {c: Fraction(v) for c, v in row.items() if v}
+        return lincomb([(None, row)]
+                       + [(-row[p], self.rows[p]) for p in row if p in self.rows])
 
     def add(self, row) -> bool:
         row = self.reduce(row)
@@ -122,6 +142,14 @@ class ScanEchelon(Echelon):
         self.rows[pivot] = row
         return True
 
+    def kernel_vector(self, fc):
+        return {fc: Fraction(1), **{p: -row[fc] for p, row in self.rows.items() if fc in row}}
+
+
+def random_sparse_row(rng, ncols):
+    return {c: Fraction(rng.choice((-3, -1, 1, 2, 4)), rng.choice((1, 1, 2, 3, 6)))
+            for c in rng.sample(range(ncols), rng.randint(1, min(4, ncols)))}
+
 
 def test_indexed_insertion_matches_the_row_scan_after_every_row():
     rng = Random(2611)
@@ -129,17 +157,46 @@ def test_indexed_insertion_matches_the_row_scan_after_every_row():
         ncols = rng.randint(1, 40)
         indexed, scanned = Echelon(), ScanEchelon()
         for _ in range(rng.randint(1, 50)):
-            row = {c: Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))
-                   for c in rng.sample(range(ncols), rng.randint(1, min(4, ncols)))}
+            row = random_sparse_row(rng, ncols)
             assert indexed.add(row) == scanned.add(row)
-            # the same rows, in the same order, each with its keys in the same order
-            assert [(p, list(r.items())) for p, r in indexed.rows.items()] \
+            # the same rows, in the same order, each with its keys in the same
+            # order, once an integer row is divided by its pivot entry
+            assert [(p, [(c, Fraction(v, r[p])) for c, v in r.items()])
+                    for p, r in indexed.rows.items()] \
                 == [(p, list(r.items())) for p, r in scanned.rows.items()]
-        holders = {}
-        for p, r in indexed.rows.items():
-            for c in r:
-                holders.setdefault(c, set()).add(p)
-        assert {c: ps for c, ps in indexed._holders.items() if ps} == holders
+            assert_primitive(indexed)
+            holders = {}
+            for p, r in indexed.rows.items():
+                for c in r:
+                    holders.setdefault(c, set()).add(p)
+            assert {c: ps for c, ps in indexed._holders.items() if ps} == holders
+
+
+def test_residues_are_positive_multiples_and_kernel_vectors_are_the_reference():
+    rng = Random(2612)
+    residues = kernels = 0
+    for _ in range(80):
+        ncols = rng.randint(1, 30)
+        ech, ref = Echelon(), ScanEchelon()
+        for _ in range(rng.randint(0, 30)):
+            row = random_sparse_row(rng, ncols)
+            ech.add(row)
+            ref.add(row)
+        for _ in range(10):
+            row = random_sparse_row(rng, ncols)
+            got, want = ech.reduce(row), ref.reduce(row)
+            assert list(got) == list(want)
+            if want:
+                ratio = Fraction(got[min(got)]) / want[min(want)]
+                assert ratio > 0
+                assert all(Fraction(v) == ratio * want[c] for c, v in got.items())
+                assert all(type(v) is int for v in got.values()) and math.gcd(*got.values()) == 1
+                residues += 1
+        for fc in range(ncols):
+            if fc not in ech.rows:
+                assert list(ech.kernel_vector(fc).items()) == list(ref.kernel_vector(fc).items())
+                kernels += 1
+    assert residues > 100 and kernels > 100
 
 
 # ---------------------------------------------------------------------------

@@ -236,6 +236,11 @@ def test_json_and_class_parsing(tmp_path):
         morse_from_json(obj)
     with pytest.raises(InputError):
         parse_class("m=1")
+    # a generator named twice is refused, not overwritten by its last term
+    assert parse_class("m:1, M:-1/2") == {"m": 1, "M": F(-1, 2)}
+    for text in ("m:1,m:-1", "M:1, m:2,m :2"):
+        with pytest.raises(InputError, match="^repeated generator m in class$"):
+            parse_class(text)
 
 
 # References: the boundary kept as (source, target) pairs, as it once was.
