@@ -11,8 +11,8 @@ row is unique, so the rows, the kernel vectors, the solutions and the
 residues read from it do not depend on the order rows arrived in.  A
 residue (`Echelon.reduce`) is a positive multiple of the residue against
 the pivot-1 RREF, so its support and its leading column are those of that
-residue.  Gamma reads its threshold off the rows or off a residue's
-leading column, which the Morse min-max reads too.  `q_rank`,
+residue.  Gamma reads its threshold off the rows, its last pivot or a
+residue's leading column, which the Morse min-max reads too.  `q_rank`,
 `q_kernel_basis`, `q_solve` and `poly_matrix_rank` (the rank over Q(mu),
 taken at rational points) read the same form; only `q_rank` is called in
 the package, on the q block of Gamma(k <= 0).  Every row operation is one

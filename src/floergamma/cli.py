@@ -95,12 +95,12 @@ def _emit(args, payload: dict, lines: list[str] | None = None) -> None:
 # WINDOW_CAP bounds T + N, in which the verifiers' work is linear: at the
 # cap (W(1000, 1000) or W(1999, 1)) `triangle sigma_2_3_5` takes 0.3-0.4 s
 # and `cobordism verify delta1_sigma_2_3_5_to_s3` 0.4-0.5 s.  RANGE_CAP bounds
-# (B - A + 1) * max(1, generators), 4-6 µs of Gamma per unit:
-# `gamma neg_sigma_2_3_5 --range -20000..20000` (80,002 units), `gamma
-# --range 1..201` on two 200-rung d1 ladders (80,400) and `cobordism
-# gamma-compare --range 1..201` on the ladders' identity cobordism take
-# 0.4-0.55 s, and `gamma --range -201..0` on their d2 mirror (80,800)
-# 0.27-0.32 s.
+# (B - A + 1) * max(1, generators), at most 5 µs of Gamma per unit:
+# `gamma neg_sigma_2_3_5 --range -20000..20000` (80,002 units) takes
+# 0.43-0.48 s, `gamma --range 1..201` on two 200-rung d1 ladders (80,400)
+# 0.09-0.10 s, `cobordism gamma-compare --range 1..201` on the ladders'
+# identity cobordism 0.11-0.15 s and `gamma --range -201..0` on their d2
+# mirror (80,800) 0.19-0.24 s.
 WINDOW_CAP = 2000
 RANGE_CAP = 100_000
 

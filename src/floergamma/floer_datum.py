@@ -225,11 +225,17 @@ class FloerDatum:
 
     `_orbits` keeps each generator's d1-orbit [d1(u^j g)] under its name
     and the d2-orbit [u^i d2(1)] under None (`kept_orbit`): each ends at its
-    first zero u^j g or u^i d2(1).  `_classes` keeps the grading class that
-    Gamma(k) reads under k mod 2 (`gamma._class`), and the d2-orbit keyed
-    for Gamma(k <= 0) under None (`gamma._q_orbit`).  `valid` is set only by
-    `require_valid`, once validate passes.  The maps must not change once
-    `valid` is set or either kept table is read.
+    first zero u^j g or u^i d2(1).  `_classes` keeps what `gamma` builds
+    once per datum:
+    - under k mod 2, the grading class that Gamma(k) reads: its generators
+      by decreasing lift and their keyed d-columns (`gamma._class`);
+    - under None, the d2-orbit keyed for Gamma(k <= 0) (`gamma._q_orbit`);
+    - under "d1", the tower rows [w_0, w_1, ...], w_j(g) = d1(u^j l^(r_g) g)
+      keyed by exponent, and u's entries indexed by target (`gamma._d1_levels`);
+    - under ("d", k mod 2), the d-basis of that class's d-columns, read by
+      a witness-free Gamma(k <= 0) (`gamma._echelon`).
+    `valid` is set only by `require_valid`, once validate passes.  The maps
+    must not change once `valid` is set or either kept table is read.
     """
 
     def __init__(self, name: str, generators: list[Generator],

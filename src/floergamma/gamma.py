@@ -25,45 +25,50 @@ and range that reaches k refuses it alike.  Every generator the objective
 meets has r_g = -(a sum of the datum's exponents), so on data whose every
 exponent is >= 0 the refusal never fires.
 
-Threshold read off the RREF.  Put the q columns first and the class in
-decreasing-lift order, and reduce the constraint rows to RREF.  The kernel
-vector v_fc of a free column fc is 1 there and zero at every later column
-and every other free column, so the solutions supported on {r_g >= t} are
-spanned by the v_fc with r(fc) >= t: t* is r(fc) of the first v_fc that
-meets the objective, and v_fc is the witness.  Both signs read fc off the
-rows.  For k >= 1, f·v_fc = f[fc] - sum_p f[p] row_p[fc], row_p scaled to
-pivot entry 1, is entry fc of the residue of the objective row f, of
-which `Echelon.reduce` returns a positive multiple: fc is its leading
-column.  For k <= 0, v_fc has a nonzero q entry exactly when fc is a free
-q column or another key of a row with a q pivot (every such key is free):
-fc is the least of these, and with none Gamma(k) = inf.  A value without a
-witness is 0 once the q block, read off the q columns alone, has rank
-(`q_rank`) below its width.  The class of k, its generators by decreasing
-lift and their d-columns d(l^(r_g) g) (d-rows shifted by r_g), depends
-only on k mod 2 and is kept per parity on the datum (`_class`).
+Threshold on a prefix.  With the class by decreasing lift, g_0, g_1, ...
+(`_class`), the chains on {r_g >= t} are those on a prefix g_0..g_J, so
+t* = r(g_J*) for the least J* whose prefix carries a solution with a
+nonzero objective.  In a row echelon form of n independent vectors, a
+combination vanishes on a prefix of the columns exactly when the prefix
+holds fewer than n pivots.  For k >= 1 the kernel vector v_fc of a free
+column fc of the constraints' RREF (`Echelon`) is 1 there and 0 at every
+later and every other free column, so J* is the leading column of the
+objective row's residue, and v_fc the witness.  For k <= 0, J* is the
+least J with span(q columns) meeting span(D_0..D_J), D_j the d-column of
+g_j; dependent q columns (`q_rank`) give 0.  The d-basis, kept per parity
+(`_echelon`), reduces each D_j against the rows kept before it and keeps
+one, 1 at a pivot key, for each D_j outside span(D_0..D_(j-1)): the rows of
+position <= J span D_0..D_J.  A q column is a residue, 0 at every pivot,
+plus multipliers on the rows (`_reduce`), and a combination lies in
+span(D_0..D_J) exactly when its residue and its multipliers of position
+> J vanish.  So in an echelon form of the nq vectors [residue |
+multipliers by decreasing position] the last pivot sits at J*, or in the
+residue part, and then Gamma(k) = inf.  A witness is read off the RREF of
+the whole system, q columns first: fc is the least free q column or other
+key of a row with a q pivot, and with none Gamma(k) = inf.
 
-Incremental tower pass.  Within one grading class, which depends only on
-k mod 2, let C_k be the rows of d and of the levels d1(u^j e_g), j < k-1,
-and N_k the rows of level k-2, so that C_k = C_(k-1) u N_k.  Gamma(k)
-reduces its objective, read off level k-1, against C_k; degree k is
+Kept rows, one tower pass.  d1(u^j l^(r_g) g) = w_j(g), where w_0 = d1 and
+w_(j+1)(g) = w_j(u g), each term keyed by its integer exponent.  The rows
+[w_0, w_1, ...] are kept on the datum, grown on demand through u indexed by
+target (a step reads only the entries landing where w_j is nonzero), and
+end at the first w_j = 0; an empty level adds no row and meets no
+objective.  Level j of a class is w_j at its generators.  Within the
+class of k, let C_k be the rows of d and of the levels j < k-1: Gamma(k)
+reduces its objective, read off level k-1, against C_k, and degree k is
 feasible exactly when adding level k-1 raises the rank.  `_tower`, one
-echelon form per class stopped when the rank fills the class or the tower
-vanishes, is the one walk both read: a Gamma profile over k >= 1 and h
-(up to k = 1 + 4n) each take one pass per parity.
+echelon form per class stopped when the rank fills the class or the rows
+end, is the one walk both read: a profile over k >= 1 and h (up to
+k = 1 + 4n) each take one pass per parity, over one set of kept rows.
 
 Stabilisation for k <= 0.  The q-columns are shifts of the datum's kept
 d2-orbit [u^i d2(1)] (`FloerDatum.d2_orbit`), each entry keyed once and
 kept on the datum (`_q_orbit`); the column of (k, i) moves its levels up
-by the integer (-k-i)/2, so no Gamma(k <= 0) adds a `Fraction` to build
-its system.  If the orbit ends, at the first u^m d2(1) = 0, every later
-u^i d2(1) is zero, and Gamma(k) = 0 for every k <= -m: one of i = m,
-m+1 has the parity of k and is at most -k (i = m when k = -m), so q_i is
-an unknown whose column is zero, a free q column (q_i = 1 with alpha = 0
-is a solution), read as the value 0.  No branch of its own is needed.  The q-columns stop at the orbit's end: only
-i <= min(-k, m + 1) are built, which keeps that first empty column of k's
-parity, and with it the first free column, the value and the witness.  So
-any k builds at most m/2 + 2 q-columns, whatever |k|, from at most m
-u-applications, made once per datum.
+by the integer (-k-i)/2.  If the orbit ends, at the first u^m d2(1) = 0,
+Gamma(k) = 0 for every k <= -m: one of i = m, m+1 has k's parity and is
+at most -k, so q_i has a zero column, a free q column.  Only the
+i <= min(-k, m + 1) are built, which keeps that first empty column, and
+with it the value and the witness: any k builds at most m/2 + 2
+q-columns, from at most m u-applications made once per datum.
 
 All arithmetic is exact over Q.
 """
@@ -73,6 +78,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import count
+from math import lcm
 from typing import NamedTuple
 
 from ._linalg import Echelon, q_rank
@@ -82,7 +88,7 @@ from .floer_datum import (
     InputError,
     require_valid,
 )
-from .novikov import INF
+from .novikov import INF, lincomb
 
 # Gamma(k) reads u^j up to j = -k on the d2-orbit (k <= 0), or up to
 # j = k - 1 on the d1-orbits of k's class (k >= 1).  Where u is nilpotent
@@ -91,8 +97,8 @@ from .novikov import INF
 # one Gamma costs work growing with |k|, a range of k <= 0 quadratic in its
 # width.  Gamma(k) past ORBIT_CAP u-steps on an orbit still nonzero after
 # ORBIT_CAP steps is refused.  On a 2-core x86-64 VM with CPython 3.11.7,
-# `gamma --range -250..250` on datagen.cyclic_u_datum takes 0.08-0.12 s
-# (d1 family) and 0.13-0.18 s (d2 family), whole process; -500..0 on the
+# `gamma --range -250..250` on datagen.cyclic_u_datum takes 0.065-0.07 s
+# (d1 family) and 0.09-0.16 s (d2 family), whole process; -500..0 on the
 # d2 family took 1.05 s in process and -4000..0 65 s before the cap.
 ORBIT_CAP = 250
 
@@ -113,32 +119,19 @@ class SpecialSolution(NamedTuple):
     a_tuple: tuple[Fraction, ...] | None  # q_0..q_{-k}, only for k <= 0
 
 
-def _level(e: Fraction, n: int, d: int) -> int:
-    """The integer e + n/d, in ints: the callers' weight rule makes it integral."""
-    return (e.numerator * d + n * e.denominator) // (e.denominator * d)
+def _levels(el, plus: Fraction, minus: Fraction = Fraction(0)) -> dict:
+    """{e + plus - minus: c} over the terms c·l^e of el, in ints: an integer
+    by the weight rule for plus, minus the lifts at the entry's two ends."""
+    n = plus.numerator * minus.denominator - minus.numerator * plus.denominator
+    d = plus.denominator * minus.denominator
+    return {(e.numerator * d + n * e.denominator) // (e.denominator * d): c for c, e in el.items()}
 
 
 def _keyed(datum: FloerDatum, image: dict, sign: int = 1, shift: Fraction = Fraction(0)) -> dict:
-    """The coefficients of sign · l^shift · image keyed by (generator h, level):
-    the term c·l^e at h has the integer level e + shift - r_h.
-
-    The image is d(l^(r_g) g), shift r_g, or u^i d2(1), shift 0, on a datum
-    that passed validate, whose weight rule makes r_g + e - r_h (and e - r_h
-    on Λ's side, whose lift is 0) an integer for every exponent e.  Within
-    a column, term (h, e) and level (h, e + shift - r_h) determine each other.
-    """
-    out = {}
-    for h, el in image.items():
-        base = shift - datum.lift(h)
-        n, d = base.numerator, base.denominator
-        for c, e in el.items():
-            out[h, _level(e, n, d)] = -c if sign < 0 else c
-    return out
-
-
-def _shifted(column: dict, levels: int) -> dict:
-    """A keyed column times l^levels, an integer: its levels moved up by `levels`."""
-    return {(h, e + levels): c for (h, e), c in column.items()}
+    """sign · l^shift · image keyed by (generator h, level e + shift - r_h) for
+    each term c·l^e at h: d(l^(r_g) g), shift r_g, or u^i d2(1), shift 0."""
+    return {(h, e): -c if sign < 0 else c
+            for h, el in image.items() for e, c in _levels(el, shift, datum.lift(h)).items()}
 
 
 def _rows(columns: list[dict]) -> list[dict[int, Fraction]]:
@@ -151,30 +144,46 @@ def _rows(columns: list[dict]) -> list[dict[int, Fraction]]:
 
 
 def _class(datum: FloerDatum, k: int) -> tuple[list[str], list[dict]]:
-    """Generators of grading 4k-3 mod 8 by decreasing lift, and their keyed
-    d(l^(r_g) g), g's d-row shifted by r_g: kept on the datum per k mod 2."""
+    """Generators of grading 4k-3 mod 8 by decreasing lift, compared as the
+    ints r_g·L (L the lcm of their denominators), and their keyed
+    d(l^(r_g) g): kept on the datum per k mod 2."""
     if k % 2 not in datum._classes:
         residue = (4 * k - 3) % 8
-        gens = sorted((g for g in datum.names() if datum.grading(g) % 8 == residue),
-                      key=datum.lift, reverse=True)
-        datum._classes[k % 2] = gens, [_keyed(datum, datum.d.row(g), 1, datum.lift(g))
-                                       for g in gens]
+        lifts = {g: datum.lift(g) for g in datum.names() if datum.grading(g) % 8 == residue}
+        scale = lcm(*[r.denominator for r in lifts.values()])
+        gens = sorted(lifts, key=lambda g: lifts[g].numerator * (scale // lifts[g].denominator),
+                      reverse=True)
+        datum._classes[k % 2] = gens, [_keyed(datum, datum.d.row(g), 1, lifts[g]) for g in gens]
     return datum._classes[k % 2]
 
 
-def _d1_levels(datum: FloerDatum, gens: list[str]):
-    """Level j = [d1(u^j e_g) for g in gens], for j = 0, 1, ... while some u^j e_g != 0.
+def _next_row(by_target: dict, row: dict) -> dict:
+    """w_(j+1) from w_j = row, through u's entries c·l^s from l^(r_g) g to
+    l^(r_h) h indexed by h, for the h that row holds."""
+    terms: dict = {}
+    for h, levels in row.items():
+        for g, shifts in by_target.get(h, ()):
+            terms.setdefault(g, []).extend(
+                (c, {e + s: v for e, v in levels.items()}) for s, c in shifts.items())
+    return {g: acc for g, t in terms.items() if (acc := lincomb(t))}
 
-    e_g = l^(r_g) g, so level j is the datum's d1-orbits at j, each term
-    c·l^e of d1(u^j g) keyed by its exponent e + r_g in d1(u^j e_g), an
-    integer by the weight rule; the orbits grow one level per level read.
-    """
+
+def _d1_levels(datum: FloerDatum, gens: list[str]):
+    """Level j = [d1(u^j l^(r_g) g) for g in gens] while w_j != 0, read off
+    the rows [w_0, w_1, ...] kept on the datum under "d1" (module docstring)."""
+    if "d1" not in datum._classes:
+        by_target: dict = {}
+        for g, h, el in datum.u.entries():
+            by_target.setdefault(h, []).append((g, _levels(el, datum.lift(g), datum.lift(h))))
+        datum._classes["d1"] = [{g: _levels(el, datum.lift(g))
+                                 for g, el in datum.d1.items()}], by_target
+    rows, by_target = datum._classes["d1"]
     for j in count():
-        orbits = [datum.d1_orbit(g, j + 1) for g in gens]
-        if all(len(orbit) <= j for orbit in orbits):
+        if j == len(rows):
+            rows.append(_next_row(by_target, rows[-1]))
+        if not rows[j]:
             return
-        yield [{_level(e, r.numerator, r.denominator): c for c, e in orbit[j].items()}
-               if len(orbit) > j else {} for orbit, r in zip(orbits, map(datum.lift, gens))]
+        yield [rows[j].get(g, {}) for g in gens]
 
 
 def _add_level(ech: Echelon, level: list[dict]) -> bool:
@@ -237,37 +246,66 @@ def _q_orbit(datum: FloerDatum, depth: int) -> list[dict]:
 
 
 def _nonpositive_system(datum: FloerDatum, k: int):
-    """The class and the keyed q columns of d(alpha) - sum_i u^i d2(a_i).
-
-    The maps are Lambda-linear, so the column of q_i is
-    -l^((-k-i)/2) · u^i d2(1): entry i of the kept keyed d2-orbit with its
-    levels moved up by the integer (-k-i)/2 (i has k's parity); past the
-    orbit's end u^i d2(1) = 0 and the column is empty.  The q-indices stop
-    at min(-k, m + 1) for an orbit of m entries: the first empty column of
-    k's parity is among them, and the later ones change no pivot before it
-    (module docstring).
-    """
+    """The class, the q-indices i <= min(-k, m + 1) of k's parity, m the
+    d2-orbit's length, and their keyed q columns -l^((-k-i)/2) · u^i d2(1),
+    empty past the orbit's end (module docstring)."""
     orbit = _q_orbit(datum, -k + 1)
     q_indices = [i for i in range(0, min(-k, len(orbit) + 1) + 1) if (i - k) % 2 == 0]
-    q_columns = [_shifted(orbit[i], (-k - i) // 2) if i < len(orbit) else {}
-                 for i in q_indices]
+    q_columns = [{(h, e + (-k - i) // 2): c for (h, e), c in orbit[i].items()}
+                 if i < len(orbit) else {} for i in q_indices]
     return _class(datum, k)[0], q_indices, q_columns
+
+
+def _reduce(basis: list, column: dict) -> tuple[dict, dict]:
+    """A keyed column minus its multiples of the basis rows, taken in
+    insertion order, and the multipliers by the rows' positions."""
+    multipliers = {}
+    for j, pivot, row in basis:
+        if m := column.get(pivot):
+            column = lincomb(((None, column), (-m, row)))
+            multipliers[j] = m
+    return column, multipliers
+
+
+def _echelon(columns: list[dict]) -> list:
+    """The d-basis: (position j, pivot key, residue scaled to 1 there) for
+    each column outside the span of those before it (module docstring)."""
+    basis: list = []
+    for j, column in enumerate(columns):
+        if residue := _reduce(basis, column)[0]:
+            pivot = next(iter(residue))
+            basis.append((j, pivot, {c: v / residue[pivot] for c, v in residue.items()}))
+    return basis
 
 
 def _gamma_nonpositive(datum: FloerDatum, k: int, want_witness: bool):
     gens, q_indices, q_columns = _nonpositive_system(datum, k)
     nq = len(q_indices)
-    # a q block of rank below nq has a free q column, the value 0 (module docstring)
-    if not want_witness and q_rank(_rows(q_columns)) < nq:
+    if want_witness:
+        ech = Echelon(_rows(q_columns + _class(datum, k)[1]))
+        # the free q columns and the other keys of rows with a q pivot (module docstring)
+        fc = min((c for p in range(nq)
+                  for c in (ech.rows[p].keys() - {p} if p in ech.rows else (p,))), default=None)
+        if fc is None:
+            return INF, None
+        value = Fraction(0) if fc < nq else max(Fraction(0), -datum.lift(gens[fc - nq]))
+        return value, _witness(k, gens, ech.kernel_vector(fc), q_indices)
+    # a q block of rank below nq has a free q column, the value 0: its rank is
+    # taken on its columns or on its rows (one per key), whichever are fewer
+    key_rows = _rows(q_columns)
+    if q_rank(key_rows if len(key_rows) < nq else q_columns) < nq:
         return Fraction(0), None
-    ech = Echelon(_rows(q_columns + _class(datum, k)[1]))
-    # the free q columns and the other keys of rows with a q pivot (module docstring)
-    fc = min((c for p in range(nq)
-              for c in (ech.rows[p].keys() - {p} if p in ech.rows else (p,))), default=None)
-    if fc is None:
-        return INF, None
-    value = Fraction(0) if fc < nq else max(Fraction(0), -datum.lift(gens[fc - nq]))
-    return value, (_witness(k, gens, ech.kernel_vector(fc), q_indices) if want_witness else None)
+    if ("d", k % 2) not in datum._classes:
+        datum._classes["d", k % 2] = _echelon(_class(datum, k)[1])
+    basis, n, index, vectors = datum._classes["d", k % 2], len(gens), {}, []
+    # [residue | multipliers by decreasing position], the residue's keys numbered
+    # below 0 and position j at n - j: J* is the last pivot's position
+    for column in q_columns:
+        residue, multipliers = _reduce(basis, column)
+        vectors.append({index.setdefault(key, -1 - len(index)): c for key, c in residue.items()})
+        vectors[-1].update((n - j, m) for j, m in multipliers.items())
+    last = max(Echelon(vectors).rows)
+    return (INF if last < 0 else max(Fraction(0), -datum.lift(gens[n - last]))), None
 
 
 def _require_bounded_orbits(datum: FloerDatum, k: int) -> None:

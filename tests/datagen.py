@@ -242,6 +242,67 @@ def cyclic_u_datum(name: str = "cyclic_u", family: str = "d1") -> FloerDatum:
     return datum
 
 
+def threshold_datum(rng: Random, rungs: int = 1, name: str = "threshold") -> FloerDatum:
+    """Class generators of gradings 5 and 1 over targets of gradings 4 and 0,
+    random lifts and random d entries that keep the weight rule; d1 = 0.
+
+    With one rung u = 0, so the d2-orbit is [d2(1)]: Gamma(k) = 0 at every
+    k < 0 (a free q column), and Gamma(0) asks whether -d2(1) is d of a
+    chain of grading 5.  d2(1) is most often d of a random combination of
+    grading-5 generators, each at l^(r_g + t): with t = 0 (three times in
+    four) the threshold of Gamma(0) sits at a class column, not at a q
+    column (0) or nowhere (inf).
+
+    With rungs > 1 the datum is that many copies of one rung, copy j (its
+    generators named g...r<j>) graded 4j lower and lifted by a random
+    amount above copy j-1, and u maps copy j-1 to copy j by one two-term
+    element of Λ, so u commutes with d.  The d2-orbit then has `rungs`
+    entries, and Gamma(k) reads q columns of several i at once.
+    """
+    gradings = [grading for grading, most in ((5, 4), (4, 4), (1, 2), (0, 2))
+                for _ in range(rng.randint(grading > 3, most))]
+    gens = [Generator(f"g{i}", grading, random_lift(rng)) for i, grading in enumerate(gradings)]
+    d = LambdaMatrix()
+    for a in gens:
+        for b in gens:
+            if a.grading - 1 == b.grading and rng.random() < 0.6:
+                d.set(a.name, b.name, NovikovElement.term(
+                    rng.choice((-2, -1, 1, 2)),
+                    b.energy_lift - a.energy_lift + rng.randint(-1, 1)))
+    d2: dict[str, NovikovElement] = {}
+    if rng.random() < 0.85:
+        t = rng.choice((0, 0, 0, -1))
+        d2 = d.apply({g.name: NovikovElement.term(rng.choice((-2, -1, 1, 2)), g.energy_lift + t)
+                      for g in gens if g.grading == 5 and rng.random() < 0.7})
+    elif rng.random() < 0.5:
+        d2 = {g.name: NovikovElement.term(rng.choice((-1, 1)), g.energy_lift + rng.randint(-3, 0))
+              for g in gens if g.grading == 4 and rng.random() < 0.5}
+    copies, u, lift = list(gens), LambdaMatrix(), Fraction(0)
+    entries = dict(d.iter_pairs())
+    for j in range(1, rungs):
+        step = abs(random_lift(rng)) + Fraction(1, 12)
+        lift += step
+        lam = NovikovElement([(rng.choice((-1, 1)), step), (rng.choice((-1, 0, 1)), step + 1)])
+        for g in gens:
+            copies.append(Generator(f"{g.name}r{j}", (g.grading - 4 * j) % 8, g.energy_lift + lift))
+            u.set(f"{g.name}r{j - 1}" if j > 1 else g.name, f"{g.name}r{j}", lam)
+        entries.update({(f"{a}r{j}", f"{b}r{j}"): el for (a, b), el in d.iter_pairs()})
+    datum = FloerDatum(name, copies, LambdaMatrix(entries), u, {}, d2)
+    rep = validate(datum)
+    assert rep.ok, rep.failures
+    return datum
+
+
+def u_times(datum: FloerDatum, lam: NovikovElement) -> FloerDatum:
+    """The datum with u multiplied by lam, an element of Λ of integer
+    exponents: valid again when d2∘d1 = 0, as on `random_datum`."""
+    u = LambdaMatrix({pair: lam * el for pair, el in datum.u.iter_pairs()})
+    out = FloerDatum(datum.name, datum.generators, datum.d, u, datum.d1, datum.d2)
+    rep = validate(out)
+    assert rep.ok, rep.failures
+    return out
+
+
 def zero_map_datum(rng: Random, max_gens: int = 4, name: str = "blank") -> FloerDatum:
     n = rng.randint(1, max_gens)
     gens = [Generator(f"z{i}", rng.randrange(8), random_lift(rng)) for i in range(n)]

@@ -4,6 +4,7 @@ import importlib
 import itertools
 import json
 import re
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
@@ -47,6 +48,7 @@ from datagen import (
     random_datum,
     random_small_datum,
     tau_prime_by_pairs,
+    threshold_datum,
     to_element,
     transformed_datum,
     with_acyclic_pair,
@@ -468,6 +470,39 @@ def test_a_second_nonpositive_range_keys_no_column(monkeypatch):
     monkeypatch.setattr(gamma_module, "_keyed", refused)
     assert [(gamma_values(-12, 0, datum), [gamma(datum, k, True) for k in range(-12, 1)])
             for datum in data] == first
+
+
+def test_a_second_call_builds_no_kept_row_or_d_basis(monkeypatch):
+    # the rows w_j, their keying and the d-basis of each parity are built
+    # once per datum; a second h and Gamma(-8..8) only read them
+    gamma_module = importlib.import_module("floergamma.gamma")  # not the function
+    rng = Random(97)
+    data = [require_valid(transformed_datum(rng, random_datum(rng, family=family)))
+            for family in ("d1", "d2") for _ in range(10)]
+    data += [require_valid(threshold_datum(rng)) for _ in range(20)]
+    built = Counter()
+    for name in ("_next_row", "_echelon"):
+        def counted(*args, name=name, build=getattr(gamma_module, name)):
+            built[name] += 1
+            return build(*args)
+        monkeypatch.setattr(gamma_module, name, counted)
+
+    def answers(datum):
+        try:
+            h = h_invariant(datum)
+        except DatumInconsistencyError as exc:
+            h = str(exc)
+        return h, gamma_values(-8, 8, datum)
+
+    first = [answers(datum) for datum in data]
+    assert built["_next_row"] > 0 and built["_echelon"] > 0
+
+    def refused(*args):
+        raise AssertionError("a kept row or d-basis was built again")
+
+    for name in ("_next_row", "_echelon", "_levels"):
+        monkeypatch.setattr(gamma_module, name, refused)
+    assert [answers(datum) for datum in data] == first
 
 
 def test_one_profile_builds_each_class_d_columns_once(monkeypatch):

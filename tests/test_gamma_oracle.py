@@ -10,6 +10,11 @@ vector.  For k <= 0 it walks the kernel basis of the whole system in
 column order until a vector has a nonzero q entry.  Gamma must agree with
 them value for value and witness for witness, key order included, on the
 fixtures and on generated data; a profile must agree with per-k Gamma.
+
+Two more references check the structures kept once per datum: a
+witness-free Gamma(k <= 0), read off the kept d-basis, against the
+q-first system behind a witness, and the tower levels read off the kept
+rows w_j against each generator's own d1-orbit.
 """
 
 import importlib
@@ -18,13 +23,22 @@ from itertools import islice
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from floergamma._linalg import Echelon
 from floergamma.floer_datum import datum_from_json, require_valid
 from floergamma.gamma import gamma, gamma_profile
 from floergamma.novikov import INF, NovikovElement
 
-from datagen import bundled_fixtures, cyclic_u_datum, random_datum, transformed_datum
+from datagen import (
+    bundled_fixtures,
+    cyclic_u_datum,
+    random_datum,
+    random_small_datum,
+    threshold_datum,
+    transformed_datum,
+    u_times,
+)
 
 gamma_module = importlib.import_module("floergamma.gamma")  # not the function
 
@@ -168,3 +182,58 @@ def test_kernel_vector_is_the_kernel_entry(data):
                 assert list(ech.kernel_vector(fc).items()) == list(vec.items())
                 checked += 1
     assert checked > 0
+
+
+def nonpositive_class_reads(datum) -> int:
+    """Check each witness-free Gamma(-6..0) against the value of the q-first
+    system behind a witness; count the values read at a class column,
+    where the witness has a nonzero alpha."""
+    reads = 0
+    for k in range(-6, 1):
+        value, witness = gamma(datum, k, want_witness=True)
+        assert gamma(datum, k) == value, (datum.name, k)
+        reads += witness is not None and any(witness.alpha.coefficients.values())
+    return reads
+
+
+def test_witness_free_nonpositive_gamma_is_the_q_first_system():
+    reads = []
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1))
+    def check(seed):
+        rng = Random(seed)
+        datum = random_datum(rng)
+        reads.append(sum(map(nonpositive_class_reads, (
+            threshold_datum(rng), threshold_datum(rng, rungs=3), datum,
+            transformed_datum(rng, datum),
+            cyclic_u_datum(family="d1"), cyclic_u_datum(family="d2")))))
+
+    check()
+    # generated ladders reach a class column at k <= 0 almost never; threshold_datum
+    # does, at Gamma(0), and with three rungs at Gamma(-2) from two q columns
+    assert sum(reads) >= 50
+
+
+def reference_orbit_levels(datum, gens, depth: int):
+    """Level j = [d1(u^j g) keyed by exponent e + r_g] for j < depth, from each
+    generator's own d1-orbit; a level past every orbit's end is empty."""
+    orbits = [datum.d1_orbit(g, depth) for g in gens]
+    return [[{e + datum.lift(g): c for c, e in orbit[j].items()} if j < len(orbit) else {}
+             for g, orbit in zip(gens, orbits)] for j in range(depth)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_levels_of_the_kept_rows_are_the_d1_orbits(seed):
+    rng = Random(seed)
+    datum = random_datum(rng)
+    # u times 1 - 2l has entries of two terms
+    for data in (datum, transformed_datum(rng, datum), random_small_datum(rng),
+                 u_times(datum, NovikovElement([(1, 0), (-2, 1)])), cyclic_u_datum(family="d1")):
+        depth = 4 * len(data.generators) + 2
+        for k in (1, 2):
+            gens = gamma_module._class(require_valid(data), k)[0]
+            kept = list(islice(gamma_module._d1_levels(data, gens), depth))
+            kept += [[{} for _ in gens]] * (depth - len(kept))
+            assert kept == reference_orbit_levels(data, gens, depth), (data.name, k)
